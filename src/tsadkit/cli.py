@@ -25,9 +25,10 @@ from .core import (
     Event,
     ParseError,
     ValidationError,
+    check_float_matrix,
     validate_labels,
 )
-from .diagnosis import RANK_STATISTICS, hitrate_at, rank_channels, rc_top_k
+from .diagnosis import RANK_STATISTICS, event_rows, hitrate_at, rank_channels, rc_top_k
 from .experiment import (
     compare_metrics,
     config_from_json,
@@ -164,7 +165,11 @@ def _cmd_run(args) -> int:
     if args.workers is not None:
         workers = args.workers
     else:
-        workers = int(os.environ.get("TSADKIT_WORKERS", "1"))
+        text = os.environ.get("TSADKIT_WORKERS", "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ConfigError(f"TSADKIT_WORKERS must be an integer, got {text!r}") from None
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
 
@@ -265,8 +270,11 @@ def _load_events(path: str | Path, channel_names: list[str]) -> list[Event]:
 def _cmd_diagnose(args) -> int:
     names, scores = _read_matrix_csv(args.scores)
     events = _load_events(args.events, names)
+    checked = check_float_matrix(scores, "channel scores")
     diagnoses = [
-        rank_channels(scores, event, statistic=args.statistic, event_index=i)
+        rank_channels(
+            *event_rows(checked, event), statistic=args.statistic, event_index=i
+        )
         for i, event in enumerate(events)
     ]
     rows = [

@@ -183,15 +183,37 @@ class EventSet:
         return tuple((e.start, e.end) for e in self.events)
 
 
+def run_bounds(labels: LabelVector) -> tuple[IntArray, IntArray]:
+    """Starts and exclusive stops of the maximal runs of 1s, in time order.
+
+    ``labels`` must already be validated; this is the array form of
+    :func:`events_from_labels` for callers that only count.
+    """
+    edges = np.diff(np.concatenate(([0], labels, [0])))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
 def events_from_labels(labels) -> EventSet:
     """Enumerate maximal runs of 1s as events, in time order."""
-    y = validate_labels(labels)
-    if y.size == 0:
-        return EventSet(())
-    edges = np.diff(np.concatenate(([0], y, [0])))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    return EventSet(tuple(Event(int(s), int(e)) for s, e in zip(starts, ends)))
+    starts, stops = run_bounds(validate_labels(labels))
+    return EventSet(tuple(Event(int(s), int(e) - 1) for s, e in zip(starts, stops)))
+
+
+def midranks(values) -> FloatArray:
+    """Ascending ranks of a 1-D array, 1 for the smallest, ties sharing
+    their average rank.
+
+    Every rank is a whole or half integer, so it is exact in float64.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    sorted_v = v[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_v) != 0) + 1))
+    stops = np.concatenate((starts[1:], [v.size]))
+    ranks = np.empty(v.size)
+    # the block at sorted positions start..stop-1 holds ranks start+1..stop
+    ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
+    return ranks
 
 
 def labels_from_events(events: EventSet, n: int) -> LabelVector:

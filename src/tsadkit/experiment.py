@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -18,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, Entity, SeriesMatrix, validate_labels
-from .diagnosis import RANK_STATISTICS, hitrate_at, rank_channels, rc_top_k
+from .core import ConfigError, Entity, SeriesMatrix, check_float_matrix, validate_labels
+from .diagnosis import RANK_STATISTICS, event_rows, hitrate_at, rank_channels, rc_top_k
 from .ingest import (
     SyntheticSpec,
     WindowSpec,
@@ -422,9 +424,15 @@ def _run_cell(entity: Entity, seed: int, config: ExperimentConfig) -> dict:
         cell["metrics"] = _report_to_dict(report, config.metrics)
     else:  # tail_p sweep; the runner picks one global eps afterwards
         sweep = {}
+        ranking = None
         for eps in TAIL_P_SWEEP:
             result = threshold_tail_p(series, len(scored), eps)
-            report = compute_report(result.predictions, truth, series)
+            # auroc and auprc depend on the scores alone: rank them once
+            if ranking is None:
+                report = compute_report(result.predictions, truth, series)
+                ranking = {"auroc": report.auroc, "auprc": report.auprc}
+            else:
+                report = replace(compute_report(result.predictions, truth), **ranking)
             sweep[str(eps)] = {
                 "threshold": _threshold_info(result),
                 "metrics": _report_to_dict(report, config.metrics),
@@ -435,8 +443,11 @@ def _run_cell(entity: Entity, seed: int, config: ExperimentConfig) -> dict:
         events = list(entity.test_events)
         annotated = [e for e in events if e.causes is not None]
         if annotated:
+            checked = check_float_matrix(channels, "channel scores")
             diagnoses = [
-                rank_channels(channels, e, scored, config.diagnosis.statistic, i)
+                rank_channels(
+                    *event_rows(checked, e), scored, config.diagnosis.statistic, i
+                )
                 for i, e in enumerate(events)
             ]
             cell["diagnosis"] = {
@@ -449,16 +460,6 @@ def _run_cell(entity: Entity, seed: int, config: ExperimentConfig) -> dict:
         else:
             cell["diagnosis"] = None
     return cell
-
-
-def build_entities(config: ExperimentConfig) -> list[Entity]:
-    """Materialize every configured entity (files first, then synthetic)."""
-    out = []
-    for entity, error in _materialize(config):
-        if error is not None:
-            raise ConfigError(error)
-        out.append(entity)
-    return out
 
 
 def _materialize(config: ExperimentConfig) -> list[tuple[Entity | None, str | None]]:
@@ -673,47 +674,61 @@ def compare_metrics(truth, named_predictions: dict, rad_seed: int = 0) -> list[d
     return rows
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` in one rename.
+
+    A failed write leaves the previous file intact and removes its
+    temporary file. The temporary file sits beside the target because a
+    rename is atomic only within one file system.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def emit_results(record: ResultsRecord, out_dir: str | Path, fmt: str = "json") -> dict:
     """Write results.json (deterministic), run_meta.json, and a summary.
 
     The payload serialization is canonical (sorted keys), so identical
     runs produce byte-identical results.json files. Returns the written
-    paths. Re-emission overwrites idempotently.
+    paths. Re-emission overwrites idempotently, and each file is replaced
+    atomically, so a failed write never leaves a truncated file.
     """
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
     out = Path(out_dir)
+    texts = {
+        "results": json.dumps(record.payload(), sort_keys=True, indent=2) + "\n",
+        "meta": json.dumps(record.meta, sort_keys=True, indent=2) + "\n",
+    }
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(["entity", "seed", "metric", "value"])
+        for cell in record.cells:
+            for key, value in sorted(cell.get("metrics", {}).items()):
+                shown = "" if value is None else f"{value:.10g}"
+                writer.writerow([cell["entity"], cell["seed"], key, shown])
+        texts["summary"] = buffer.getvalue()
+    paths = {
+        "results": out / "results.json",
+        "meta": out / "run_meta.json",
+        "summary": out / "summary.csv",
+    }
     try:
         out.mkdir(parents=True, exist_ok=True)
-        results_path = out / "results.json"
-        results_path.write_text(
-            json.dumps(record.payload(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        meta_path = out / "run_meta.json"
-        meta_path.write_text(
-            json.dumps(record.meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        written = {"results": str(results_path), "meta": str(meta_path)}
-        if fmt == "csv":
-            summary_path = out / "summary.csv"
-            with summary_path.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["entity", "seed", "metric", "value"])
-                for cell in record.cells:
-                    for key, value in sorted(cell.get("metrics", {}).items()):
-                        writer.writerow(
-                            [
-                                cell["entity"],
-                                cell["seed"],
-                                key,
-                                "" if value is None else f"{value:.10g}",
-                            ]
-                        )
-            written["summary"] = str(summary_path)
-        return written
+        for name, text in texts.items():
+            _write_atomic(paths[name], text.encode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot write results to {out}: {exc}") from None
+    return {name: str(paths[name]) for name in texts}
 
 
 def load_results(path: str | Path) -> dict:

@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import (
     LabelVector,
     ScoreSeries,
     ValidationError,
     check_score_series,
-    events_from_labels,
+    run_bounds,
     validate_labels,
 )
 
@@ -75,17 +74,38 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
+def _counts(p: LabelVector, y: LabelVector) -> tuple[ConfusionCounts, int]:
+    """Confusion counts and the point-adjusted true-positive count.
+
+    One pass: prefix sums of the prediction give each truth event's hits,
+    and every count follows from those as an integer. All true positives
+    lie inside events, and point adjustment fills each detected event, so
+    the adjusted true positives are the total length of detected events.
+    """
+    starts, stops = run_bounds(y)
+    predicted_before = np.concatenate(([0], np.cumsum(p)))
+    hits = predicted_before[stops] - predicted_before[starts]
+    lengths = stops - starts
+    detected = hits > 0
+    tp_t = int(hits.sum())
+    n_pred = int(predicted_before[-1])
+    n_pos = int(lengths.sum())
+    tp_e = int(detected.sum())
+    counts = ConfusionCounts(
+        tp_t=tp_t,
+        fp_t=n_pred - tp_t,
+        fn_t=n_pos - tp_t,
+        tn_t=y.shape[0] - n_pred - n_pos + tp_t,
+        tp_e=tp_e,
+        fn_e=starts.shape[0] - tp_e,
+    )
+    return counts, int(lengths[detected].sum())
+
+
 def confusion(pred, truth) -> ConfusionCounts:
     """Point counts by element-wise comparison; event counts by the
     at-least-one-true-positive rule over runs of the truth vector."""
-    p, y = _pair(pred, truth)
-    tp_t = int(np.sum((p == 1) & (y == 1)))
-    fp_t = int(np.sum((p == 1) & (y == 0)))
-    fn_t = int(np.sum((p == 0) & (y == 1)))
-    tn_t = int(np.sum((p == 0) & (y == 0)))
-    events = events_from_labels(y)
-    tp_e = sum(1 for e in events if p[e.start : e.end + 1].any())
-    return ConfusionCounts(tp_t, fp_t, fn_t, tn_t, tp_e, len(events) - tp_e)
+    return _counts(*_pair(pred, truth))[0]
 
 
 def f1_point(counts: ConfusionCounts) -> float:
@@ -102,10 +122,17 @@ def adjusted_prediction(pred, truth) -> LabelVector:
     """Expand every detected true event to its full span in the prediction."""
     p, y = _pair(pred, truth)
     adjusted = p.copy()
-    for e in events_from_labels(y):
-        if p[e.start : e.end + 1].any():
-            adjusted[e.start : e.end + 1] = 1
+    for start, stop in zip(*run_bounds(y)):
+        if p[start:stop].any():
+            adjusted[start:stop] = 1
     return adjusted
+
+
+def _f1_adjusted(counts: ConfusionCounts, tp_adjusted: int) -> float:
+    # the adjusted prediction keeps every false positive; its misses are the
+    # points of undetected events
+    n_pos = counts.tp_t + counts.fn_t
+    return _ratio(2 * tp_adjusted, tp_adjusted + counts.fp_t + n_pos)
 
 
 def f1_point_adjusted(pred, truth) -> float:
@@ -114,17 +141,10 @@ def f1_point_adjusted(pred, truth) -> float:
     Detecting a single point of a long event earns credit for the whole
     span, which is exactly the leniency this metric is known for.
     """
-    adjusted = adjusted_prediction(pred, truth)
-    return f1_point(confusion(adjusted, truth))
+    return _f1_adjusted(*_counts(*_pair(pred, truth)))
 
 
-def fc1(pred, truth) -> tuple[float, float, float]:
-    """Composite F-score: harmonic mean of point precision and event recall.
-
-    Returns (fc1, prec_t, rec_e). Any 0/0 component defines to 0, which
-    makes fc1 itself 0 whenever either component vanishes.
-    """
-    counts = confusion(pred, truth)
+def _fc1(counts: ConfusionCounts) -> tuple[float, float, float]:
     prec_t = _ratio(counts.tp_t, counts.tp_t + counts.fp_t)
     rec_e = _ratio(counts.tp_e, counts.n_events)
     # single division of integer counts, same rounding policy as f1_point;
@@ -136,19 +156,62 @@ def fc1(pred, truth) -> tuple[float, float, float]:
     return value, prec_t, rec_e
 
 
-def auroc(scores: ScoreSeries, truth) -> float:
-    """Area under the ROC curve via midranks (the Mann-Whitney statistic)."""
+def fc1(pred, truth) -> tuple[float, float, float]:
+    """Composite F-score: harmonic mean of point precision and event recall.
+
+    Returns (fc1, prec_t, rec_e). Any 0/0 component defines to 0, which
+    makes fc1 itself 0 whenever either component vanishes.
+    """
+    return _fc1(confusion(pred, truth))
+
+
+def _checked(scores: ScoreSeries, truth) -> tuple[ScoreSeries, LabelVector]:
     s = check_score_series(scores)
     y = validate_labels(truth)
     if s.shape[0] != y.shape[0]:
         raise ValidationError(f"{s.shape[0]} scores for {y.shape[0]} labels")
+    return s, y
+
+
+def _cuts(s: ScoreSeries, y: LabelVector) -> tuple[np.ndarray, np.ndarray]:
+    """Tie blocks of one stable descending sort of the scores.
+
+    Returns each block's exclusive end in sorted order (the number of
+    points scoring at or above the block) and the positives up to it.
+    """
+    order = np.argsort(-s, kind="stable")
+    sorted_scores = s[order]
+    stops = np.concatenate((np.flatnonzero(np.diff(sorted_scores) != 0) + 1, [s.shape[0]]))
+    return stops, np.cumsum(y[order])[stops - 1]
+
+
+def _auroc(stops: np.ndarray, tp: np.ndarray) -> float:
+    n = int(stops[-1])
+    n_pos = int(tp[-1])
+    starts = np.concatenate(([0], stops[:-1]))
+    positives = np.diff(np.concatenate(([0], tp)))
+    # sorted positions start..stop-1 hold ascending ranks n-stop+1..n-start,
+    # so twice the block's midrank is the integer 2n+1-start-stop
+    twice_rank_sum = int(np.sum(positives * (2 * n + 1 - starts - stops)))
+    rank_sum = twice_rank_sum / 2
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+
+
+def _auprc(stops: np.ndarray, tp: np.ndarray) -> float:
+    tp = tp.astype(np.float64)
+    precision = tp / stops
+    recall = tp / tp[-1]
+    recall_steps = np.diff(np.concatenate(([0.0], recall)))
+    return float(np.sum(recall_steps * precision))
+
+
+def auroc(scores: ScoreSeries, truth) -> float:
+    """Area under the ROC curve via midranks (the Mann-Whitney statistic)."""
+    s, y = _checked(scores, truth)
     n_pos = int(y.sum())
-    n_neg = y.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if n_pos == 0 or n_pos == y.shape[0]:
         raise ValidationError("auroc needs both classes present in the truth")
-    ranks = rankdata(s)
-    rank_sum = float(ranks[y == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return _auroc(*_cuts(s, y))
 
 
 def auprc(scores: ScoreSeries, truth) -> float:
@@ -157,22 +220,10 @@ def auprc(scores: ScoreSeries, truth) -> float:
     AP = sum_i (R_i - R_{i-1}) * P_i over descending distinct-score cuts;
     tied scores enter as one block.
     """
-    s = check_score_series(scores)
-    y = validate_labels(truth)
-    if s.shape[0] != y.shape[0]:
-        raise ValidationError(f"{s.shape[0]} scores for {y.shape[0]} labels")
-    total_pos = int(y.sum())
-    if total_pos == 0:
+    s, y = _checked(scores, truth)
+    if not y.any():
         raise ValidationError("auprc needs at least one positive in the truth")
-    order = np.argsort(-s, kind="stable")
-    sorted_scores = s[order]
-    change = np.flatnonzero(np.diff(sorted_scores) != 0)
-    prefix = np.concatenate((change + 1, [s.shape[0]]))
-    tp = np.cumsum(y[order])[prefix - 1].astype(np.float64)
-    precision = tp / prefix
-    recall = tp / total_pos
-    recall_steps = np.diff(np.concatenate(([0.0], recall)))
-    return float(np.sum(recall_steps * precision))
+    return _auprc(*_cuts(s, y))
 
 
 def rad_scores(n: int, seed: int) -> ScoreSeries:
@@ -188,24 +239,23 @@ def compute_report(pred, truth, scores: ScoreSeries | None = None) -> MetricRepo
     Ranking metrics are filled in when scores are given and the truth has
     both classes; otherwise they stay None.
     """
-    counts = confusion(pred, truth)
-    prec_point = _ratio(counts.tp_t, counts.tp_t + counts.fp_t)
-    rec_point = _ratio(counts.tp_t, counts.tp_t + counts.fn_t)
-    composite, prec_t, rec_e = fc1(pred, truth)
+    p, y = _pair(pred, truth)
+    counts, tp_adjusted = _counts(p, y)
+    composite, prec_t, rec_e = _fc1(counts)
     roc = prc = None
     if scores is not None:
         n_pos = counts.tp_t + counts.fn_t
         if 0 < n_pos < counts.n:
-            roc = auroc(scores, truth)
-            prc = auprc(scores, truth)
+            cuts = _cuts(*_checked(scores, y))
+            roc, prc = _auroc(*cuts), _auprc(*cuts)
     return MetricReport(
         f1=f1_point(counts),
-        fpa1=f1_point_adjusted(pred, truth),
+        fpa1=_f1_adjusted(counts, tp_adjusted),
         fc1=composite,
         prec_t=prec_t,
         rec_e=rec_e,
-        prec_point=prec_point,
-        rec_point=rec_point,
+        prec_point=prec_t,
+        rec_point=_ratio(counts.tp_t, counts.tp_t + counts.fn_t),
         auroc=roc,
         auprc=prc,
     )

@@ -12,9 +12,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy import special
-from scipy.stats import rankdata
 
-from .core import FloatArray, ParseError, ValidationError
+from .core import FloatArray, ParseError, ValidationError, midranks
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def average_ranks(table: RankTable, higher_is_better: bool = True) -> FloatArray
     signed = -table.values if higher_is_better else table.values
     ranks = np.empty_like(table.values)
     for j in range(table.n_groups):
-        ranks[:, j] = rankdata(signed[:, j])
+        ranks[:, j] = midranks(signed[:, j])
     return ranks.mean(axis=1)
 
 

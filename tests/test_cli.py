@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsadkit
 from tsadkit.cli import main
 from tsadkit.ingest import load_entity
 
@@ -115,6 +119,13 @@ class TestRun:
         assert main(["run", "--config", cfg]) == 0
         assert (tmp_path / "env_out" / "results.json").exists()
 
+    def test_bad_workers_env_exit_one(self, tmp_path, monkeypatch, capsys):
+        cfg = run_config(tmp_path)
+        monkeypatch.setenv("TSADKIT_WORKERS", "abc")
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "error: TSADKIT_WORKERS must be an integer, got 'abc'" in err
+
     def test_csv_format_writes_summary(self, tmp_path):
         cfg = run_config(tmp_path)
         main(["run", "--config", cfg, "--format", "csv"])
@@ -195,6 +206,22 @@ class TestDiagnoseCommand:
         report = json.loads(capsys.readouterr().out)
         assert "rc_top_k" not in report
 
+    def test_nan_outside_events_exit_one(self, tmp_path, capsys):
+        lines = self._scores(tmp_path).read_text().splitlines()
+        lines[9] = "nan,0.0,0.0"  # row 8; the event spans rows 2..4
+        scores = tmp_path / "nan_scores.csv"
+        scores.write_text("\n".join(lines) + "\n")
+        events = write_json(tmp_path / "events.json",
+                            [{"start": 2, "end": 4, "causes": ["c"]}])
+        assert main(["diagnose", str(scores), events]) == 1
+        assert "NaN" in capsys.readouterr().err
+
+    def test_event_past_last_row_exit_one(self, tmp_path, capsys):
+        scores = self._scores(tmp_path)
+        events = write_json(tmp_path / "events.json", [{"start": 8, "end": 10}])
+        assert main(["diagnose", str(scores), events]) == 1
+        assert "event (8,10) outside score range 0..9" in capsys.readouterr().err
+
     def test_unknown_cause_channel(self, tmp_path):
         scores = self._scores(tmp_path)
         events = write_json(tmp_path / "events.json",
@@ -213,3 +240,17 @@ class TestParserBehavior:
 
     def test_no_args_exit_one(self):
         assert main([]) == 1
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(tsadkit.__file__).resolve().parents[1])
+    probe = "import sys, tsadkit.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsadkit.core import Event, ValidationError
-from tsadkit.diagnosis import hitrate_at, rank_channels, rc_top_k
+from tsadkit.diagnosis import event_rows, hitrate_at, rank_channels, rc_top_k
 
 
 def diags_for(ranks_per_event, events):
@@ -70,6 +70,25 @@ class TestRankChannels:
         a = rank_channels(scores, event).ranked_channels
         b = rank_channels(scores * 37.5, event).ranked_channels
         assert a == b
+
+
+class TestEventRows:
+    @pytest.mark.parametrize("statistic", ["mean", "max"])
+    def test_ranking_equals_full_matrix(self, statistic):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+            scores = rng.integers(0, 4, size=(n, m)).astype(float)  # ties
+            start = int(rng.integers(0, n))
+            event = Event(start, int(rng.integers(start, n)))
+            scored = None if rng.random() < 0.5 else sorted({0, m - 1})
+            full = rank_channels(scores, event, scored, statistic, 3)
+            rows = rank_channels(*event_rows(scores, event), scored, statistic, 3)
+            assert rows == full
+
+    def test_event_outside_range(self):
+        with pytest.raises(ValidationError, match=r"event \(3,5\) outside score range 0..4"):
+            event_rows(np.zeros((5, 2)), Event(3, 5))
 
 
 class TestRcTopK:

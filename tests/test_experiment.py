@@ -1,9 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from tsadkit import experiment
 from tsadkit.core import ConfigError
+from tsadkit.diagnosis import rank_channels
 from tsadkit.experiment import (
     ExperimentConfig,
     ScoringConfig,
@@ -14,6 +17,7 @@ from tsadkit.experiment import (
     load_results,
     run_experiment,
 )
+from tsadkit.metrics import auprc, auroc
 
 SPIKE_SPEC = {
     "entity_id": "syn0",
@@ -157,6 +161,57 @@ class TestRunExperiment:
         assert record.cells[0]["threshold"]["neg_log_eps"] == 2
         assert "tail_p_selected" not in record.cells[0]
 
+    def test_sweep_ranking_metrics_equal_standalone(self, monkeypatch):
+        # every eps reuses the first report's ranking metrics; they must be
+        # exactly what auroc/auprc give on the cell's score series
+        series = []
+
+        def spy(scores, m, neg_log_eps):
+            series.append(scores)
+            return threshold_tail_p(scores, m, neg_log_eps)
+
+        threshold_tail_p = experiment.threshold_tail_p
+        monkeypatch.setattr(experiment, "threshold_tail_p", spy)
+        config = base_config(
+            scoring={"kind": "gauss_d", "window": 40},
+            threshold={"method": "tail_p"},
+            metrics=["fc1", "auroc", "auprc"],
+        )
+        entity = experiment.generate_synthetic(config.synthetic[0])
+        cell = experiment._run_cell(entity, 0, config)
+        sweep = cell["tail_p_sweep"]
+        assert len(sweep) == len(experiment.TAIL_P_SWEEP) == len(series)
+        truth = entity.test_labels
+        for entry in sweep.values():
+            assert entry["metrics"]["auroc"] == auroc(series[0], truth)
+            assert entry["metrics"]["auprc"] == auprc(series[0], truth)
+
+    @pytest.mark.parametrize("statistic", ["mean", "max"])
+    def test_diagnosis_rankings_equal_full_matrix(self, monkeypatch, statistic):
+        # the runner ranks each event on its own rows; ranking the full
+        # matrix must give the same order
+        captured = []
+
+        def spy(*args):
+            channels, series = score_gauss_s(*args)
+            captured.append(channels)
+            return channels, series
+
+        score_gauss_s = experiment.score_gauss_s
+        monkeypatch.setattr(experiment, "score_gauss_s", spy)
+        config = base_config(
+            scoring={"kind": "gauss_s"},
+            diagnosis={"enabled": True, "statistic": statistic},
+        )
+        record = run_experiment(config)
+        rankings = record.cells[0]["diagnosis"]["rankings"]
+        entity = experiment.generate_synthetic(config.synthetic[0])
+        expected = [
+            list(rank_channels(captured[0], e, None, statistic, i).ranked_channels)
+            for i, e in enumerate(entity.test_events)
+        ]
+        assert rankings == expected
+
     def test_diagnosis_block(self):
         config = base_config(diagnosis={"enabled": True, "top_k": 1})
         record = run_experiment(config)
@@ -251,3 +306,17 @@ class TestEmitResults:
         record = run_experiment(base_config())
         with pytest.raises(ConfigError):
             emit_results(record, tmp_path, fmt="xml")
+
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        first = run_experiment(base_config(seeds=[0]))
+        emit_results(first, tmp_path, fmt="csv")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def boom(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", boom)
+        with pytest.raises(ConfigError, match="disk full"):
+            emit_results(run_experiment(base_config(seeds=[1])), tmp_path, fmt="csv")
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert after == before  # old bytes intact, no temporary file left
