@@ -35,7 +35,7 @@ from .experiment import (
     emit_results,
     run_experiment,
 )
-from .ingest import SyntheticSpec, generate_synthetic
+from .ingest import SyntheticSpec, generate_synthetic, read_csv
 from .rankstats import RankTable, compare_to_best
 
 _USAGE_EXIT = 1
@@ -62,42 +62,6 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _read_matrix_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read a headered numeric CSV into (channel names, float matrix)."""
-    path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                bad = next(v for v in row if not _is_float(v))
-                col = header[row.index(bad)]
-                raise ParseError(
-                    f"{path} line {lineno} column {col!r}: non-numeric value {bad!r}"
-                ) from None
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return header, np.asarray(rows, dtype=np.float64)
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
 
 
 def _print_table(rows: list[dict], columns: list[str], fmt: str) -> None:
@@ -193,7 +157,7 @@ def _cmd_run(args) -> int:
 
 
 def _read_label_columns(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    header, values = _read_matrix_csv(path)
+    header, values = read_csv(path)
     matrix = values.astype(np.int64)
     if not np.array_equal(matrix, values):
         raise ParseError(f"{path}: labels must be integers 0 or 1")
@@ -268,7 +232,7 @@ def _load_events(path: str | Path, channel_names: list[str]) -> list[Event]:
 
 
 def _cmd_diagnose(args) -> int:
-    names, scores = _read_matrix_csv(args.scores)
+    names, scores = read_csv(args.scores)
     events = _load_events(args.events, names)
     checked = check_float_matrix(scores, "channel scores")
     diagnoses = [

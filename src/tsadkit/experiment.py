@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -178,6 +179,13 @@ class ExperimentConfig:
         ids = [e.id for e in self.entities] + [s.entity_id for s in self.synthetic]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"entity ids must be unique, got {ids}")
+        if self.threshold.method == "tail_p" and self.scoring.kind == "error":
+            # the m*neg_log_eps cut is on the -log10 tail probability scale
+            # of the Gauss-family scores; a raw error has no such scale
+            raise ConfigError(
+                "threshold method 'tail_p' needs a Gauss-family scoring kind "
+                "(gauss_s, gauss_d, gauss_d_k), got scoring kind 'error'"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -462,32 +470,51 @@ def _run_cell(entity: Entity, seed: int, config: ExperimentConfig) -> dict:
     return cell
 
 
-def _materialize(config: ExperimentConfig) -> list[tuple[Entity | None, str | None]]:
-    """Load each entity independently so one bad file cannot sink the run."""
-    out: list[tuple[Entity | None, str | None]] = []
-    for source in config.entities:
-        try:
-            out.append(
-                (
-                    load_entity(
-                        source.train_path,
-                        source.test_path,
-                        label_column=source.label_column,
-                        cause_map=source.cause_map,
-                        entity_id=source.id,
-                        scored_channels=source.scored_channels,
-                    ),
-                    None,
-                )
-            )
-        except Exception as exc:
-            out.append((None, f"{source.id}: {type(exc).__name__}: {exc}"))
-    for spec in config.synthetic:
-        try:
-            out.append((generate_synthetic(spec), None))
-        except Exception as exc:
-            out.append((None, f"{spec.entity_id}: {type(exc).__name__}: {exc}"))
-    return out
+def _load(source: EntitySource | SyntheticSpec) -> Entity:
+    if isinstance(source, SyntheticSpec):
+        return generate_synthetic(source)
+    return load_entity(
+        source.train_path,
+        source.test_path,
+        label_column=source.label_column,
+        cause_map=source.cause_map,
+        entity_id=source.id,
+        scored_channels=source.scored_channels,
+    )
+
+
+class _EntityLoad:
+    """One entity, loaded for the first of its cells to ask and dropped when
+    the last of them ends; the others wait for that load and share it."""
+
+    def __init__(self, entity_id: str, source: EntitySource | SyntheticSpec, cells: int):
+        self.entity_id = entity_id
+        self.seconds = 0.0
+        self._source = source
+        self._cells = cells
+        self._lock = threading.Lock()
+        self._loaded = False
+        self._entity: Entity | None = None
+        self._error: str | None = None
+
+    def get(self) -> tuple[Entity | None, str | None]:
+        """The entity, or the ``"<id>: <Type>: <msg>"`` its load failed with."""
+        with self._lock:
+            if not self._loaded:
+                t0 = time.monotonic()
+                try:
+                    self._entity = _load(self._source)
+                except Exception as exc:  # one bad file fails only its own cells
+                    self._error = f"{self.entity_id}: {type(exc).__name__}: {exc}"
+                self.seconds = time.monotonic() - t0
+                self._loaded = True
+            return self._entity, self._error
+
+    def release(self) -> None:
+        with self._lock:
+            self._cells -= 1
+            if not self._cells:
+                self._entity = None
 
 
 def _select_tail_p(cells: list[dict], config: ExperimentConfig) -> int | None:
@@ -575,63 +602,44 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
     globally.
     """
     started = time.monotonic()
-    configured_ids = [s.id for s in config.entities] + [
-        s.entity_id for s in config.synthetic
+    sources = [(s.id, s) for s in config.entities] + [
+        (s.entity_id, s) for s in config.synthetic
     ]
-    entities: list[Entity] = []
-    entity_order: list[str] = []
-    results: dict[tuple[str, int], dict] = {}
-    failures: dict[tuple[str, int], dict] = {}
-    timings: dict[str, float] = {}
+    entity_order = [eid for eid, _ in sources]
+    loads = [_EntityLoad(eid, source, len(config.seeds)) for eid, source in sources]
 
-    for eid, (entity, error) in zip(configured_ids, _materialize(config)):
-        entity_order.append(eid)
-        if error is not None:
-            for seed in config.seeds:
-                failures[(eid, seed)] = {"entity": eid, "seed": seed, "error": error}
-        else:
-            entities.append(entity)
-    cells_todo = [(e, s) for e in entities for s in config.seeds]
-
-    def execute(pair):
-        entity, seed = pair
+    def execute(task):
+        load, seed = task
+        entity, error = load.get()
         t0 = time.monotonic()
         try:
-            cell = _run_cell(entity, seed, config)
-            return (entity.id, seed), cell, None, time.monotonic() - t0
+            if error is not None:
+                return None, error, None
+            return _run_cell(entity, seed, config), None, time.monotonic() - t0
         except Exception as exc:  # cell isolation: record and continue
-            failure = {
-                "entity": entity.id,
-                "seed": seed,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            return (entity.id, seed), None, failure, time.monotonic() - t0
+            return None, f"{type(exc).__name__}: {exc}", time.monotonic() - t0
+        finally:
+            load.release()
 
-    if workers > 1 and len(cells_todo) > 1:
+    # tasks run in entity_order x seeds, the order of cells and failures, so
+    # an entity's cells run together and it is held only while they run
+    tasks = [(load, seed) for load in loads for seed in config.seeds]
+    if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute, cells_todo))
+            outcomes = list(pool.map(execute, tasks))
     else:
-        outcomes = [execute(pair) for pair in cells_todo]
+        outcomes = [execute(task) for task in tasks]
 
-    for key, cell, failure, elapsed in outcomes:
-        timings[f"{key[0]}/{key[1]}"] = elapsed
+    ordered_cells: list[dict] = []
+    ordered_failures: list[dict] = []
+    timings: dict[str, float] = {}
+    for (load, seed), (cell, error, run_s) in zip(tasks, outcomes):
+        if run_s is not None:
+            timings[f"{load.entity_id}/{seed}"] = run_s
         if cell is not None:
-            results[key] = cell
+            ordered_cells.append(cell)
         else:
-            failures[key] = failure
-
-    ordered_cells = [
-        results[(eid, seed)]
-        for eid in entity_order
-        for seed in config.seeds
-        if (eid, seed) in results
-    ]
-    ordered_failures = [
-        failures[(eid, seed)]
-        for eid in entity_order
-        for seed in config.seeds
-        if (eid, seed) in failures
-    ]
+            ordered_failures.append({"entity": load.entity_id, "seed": seed, "error": error})
 
     if config.threshold.method == "tail_p" and config.threshold.neg_log_eps is None:
         chosen = _select_tail_p(ordered_cells, config)
@@ -645,7 +653,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
         cells=tuple(ordered_cells),
         aggregates=aggregates,
         failures=tuple(ordered_failures),
-        meta={"timings": timings, "total_seconds": time.monotonic() - started},
+        meta={
+            "load_timings": {load.entity_id: load.seconds for load in loads},
+            "timings": timings,
+            "total_seconds": time.monotonic() - started,
+        },
     )
 
 

@@ -20,6 +20,7 @@ from .core import (
     EventSet,
     FloatArray,
     InsufficientDataError,
+    IntArray,
     ParseError,
     SeriesMatrix,
     ValidationError,
@@ -341,12 +342,112 @@ def _parse_floats(path, data: list[list[str]], header: list[str], columns: list[
                     f"{path} line {r + 2} column {header[c]!r}: "
                     f"non-numeric value {cell!r}"
                 ) from None
-    if not np.all(np.isfinite(out)):
-        r, j = np.argwhere(~np.isfinite(out))[0]
+    return out
+
+
+_LABEL_VALUES = {"0": 0.0, "1": 1.0}
+
+
+def _bulk_table(path: Path, label_column: str | None) -> tuple[list[str], FloatArray] | None:
+    """Header and every cell from one ``np.loadtxt`` pass, or None when that
+    pass might not give what ``csv.reader`` and ``float()`` give.
+
+    The text is read first only to check it: the pass is tried on a file
+    with no quote character, so that each line is one row split at its
+    commas as csv splits it, and with no blank line, which loadtxt would
+    skip. loadtxt then reads the file in chunks, which holds less in memory
+    than parsing the text in hand, and its result is kept only with one
+    row per data line, each as wide as the header. loadtxt gives
+    ``float()``'s value for every cell it parses and refuses some that
+    ``float()`` takes (``1_000``), which leaves those files to the csv
+    scan. The label column, if named, must read exactly ``0`` or ``1`` and
+    is never parsed as a float.
+    """
+    # read_text and loadtxt both read in universal-newline mode: a line
+    # ends at \r, \n or \r\n, as a csv.reader row does
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError):  # the csv scan reports these
+        return None
+    lines = text.count("\n") + (not text.endswith("\n")) - 1
+    if lines < 1 or '"' in text or "\n\n" in text:
+        return None
+    header = next(csv.reader([text[: text.find("\n")]]))
+    del text
+    converters = None
+    if label_column in header:
+        converters = {header.index(label_column): _LABEL_VALUES.__getitem__}
+    try:
+        table = np.loadtxt(
+            path, delimiter=",", comments=None, skiprows=1, ndmin=2,
+            converters=converters, encoding="utf-8",
+        )
+    except (OSError, ValueError):
+        return None
+    if table.shape != (lines, len(header)):
+        return None
+    return header, table
+
+
+class _CsvFile:
+    """One headered CSV file: its header at once, its cells on request.
+
+    Reading never depends on the path taken: where the bulk pass
+    (``_bulk_table``) is refused, the rows come from ``csv.reader`` and each
+    requested cell goes through ``float()``, so a file gives the same
+    values, or fails with the same first message, either way.
+    """
+
+    def __init__(self, path: str | Path, label_column: str | None = None):
+        self.path = path  # as given, so cell errors name it as the caller did
+        self.label_column = label_column
+        bulk = _bulk_table(Path(path), label_column)
+        if bulk is None:
+            self.header, self._rows = _read_csv(self.path)
+            self._table = None
+        else:
+            self.header, self._table = bulk
+
+    def floats(self, columns: list[int]) -> FloatArray:
+        if self._table is not None:
+            return self._table[:, columns]
+        return _parse_floats(self.path, self._rows, self.header, columns)
+
+    def labels(self) -> IntArray:
+        """The label column as 0/1 flags; cells must read 0 or 1 once stripped."""
+        column = self.header.index(self.label_column)
+        if self._table is not None:
+            return self._table[:, column].astype(np.int64)
+        labels = np.empty(len(self._rows), dtype=np.int64)
+        for r, row in enumerate(self._rows):
+            cell = row[column].strip()
+            if cell not in ("0", "1"):
+                raise ParseError(
+                    f"{self.path} line {r + 2} column {self.label_column!r}: "
+                    f"label must be 0 or 1, got {cell!r}"
+                )
+            labels[r] = int(cell)
+        return labels
+
+
+def read_csv(path: str | Path) -> tuple[list[str], FloatArray]:
+    """Read a headered numeric CSV: its header and every cell as float64.
+
+    Any cell ``float()`` accepts is accepted, ``nan`` and ``inf`` included;
+    callers that need finite values check them. Errors name the line and
+    column: ``<path> line N: expected W cells, got K`` or ``<path> line N
+    column 'c': non-numeric value 'v'``.
+    """
+    table = _CsvFile(Path(path))
+    return table.header, table.floats(list(range(len(table.header))))
+
+
+def _check_finite(path, values: FloatArray, header: list[str], columns: list[int]) -> None:
+    if not np.all(np.isfinite(values)):
+        r, j = np.argwhere(~np.isfinite(values))[0]
         raise ParseError(
             f"{path} line {r + 2} column {header[columns[j]]!r}: non-finite value"
         )
-    return out
 
 
 def load_entity(
@@ -365,7 +466,8 @@ def load_entity(
     ``cause_map`` maps event ordinal (as emitted by run-length order) to a
     list of channel names; it may be a dict or a path to a JSON file.
     """
-    test_header, test_data = _read_csv(test_path)
+    test = _CsvFile(test_path, label_column)
+    test_header = test.header
     if label_column not in test_header:
         raise ParseError(
             f"{test_path}: label column {label_column!r} not in header {test_header}"
@@ -373,7 +475,8 @@ def load_entity(
     label_idx = test_header.index(label_column)
     channels = [h for i, h in enumerate(test_header) if i != label_idx]
 
-    train_header, train_data = _read_csv(train_path)
+    train = _CsvFile(train_path, label_column)
+    train_header = train.header
     train_channels = [h for h in train_header if h != label_column]
     if train_channels != channels:
         raise ParseError(
@@ -383,18 +486,11 @@ def load_entity(
 
     train_cols = [train_header.index(h) for h in channels]
     test_cols = [test_header.index(h) for h in channels]
-    train_values = _parse_floats(train_path, train_data, train_header, train_cols)
-    test_values = _parse_floats(test_path, test_data, test_header, test_cols)
-
-    labels = np.empty(len(test_data), dtype=np.int64)
-    for r, row in enumerate(test_data):
-        cell = row[label_idx].strip()
-        if cell not in ("0", "1"):
-            raise ParseError(
-                f"{test_path} line {r + 2} column {label_column!r}: "
-                f"label must be 0 or 1, got {cell!r}"
-            )
-        labels[r] = int(cell)
+    train_values = train.floats(train_cols)
+    _check_finite(train_path, train_values, train_header, train_cols)
+    test_values = test.floats(test_cols)
+    _check_finite(test_path, test_values, test_header, test_cols)
+    labels = test.labels()
 
     derived = events_from_labels(labels)
     events = list(derived.events)

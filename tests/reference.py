@@ -5,8 +5,10 @@ no shared code with the package internals.
 """
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -207,3 +209,41 @@ def hochberg_naive(p_values, alpha):
     for pos in range(cutoff):
         reject[order[pos]] = True
     return reject
+
+
+def read_csv_naive(path):
+    """Header and float cells of a headered CSV, one cell at a time.
+
+    csv.reader splits the rows and float() parses every cell. Raises
+    ValueError with the message the package's reader gives for a missing
+    or empty file, a file with no data rows, a row of the wrong width
+    (checked over all rows first) and the first cell, row by row, that
+    float() refuses. Line numbers are 1-based and count the header.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValueError(f"{path}: file not found")
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    header, data = rows[0], rows[1:]
+    if not data:
+        raise ValueError(f"{path}: no data rows after the header")
+    for line, row in enumerate(data, start=2):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path} line {line}: expected {len(header)} cells, got {len(row)}"
+            )
+    values = []
+    for line, row in enumerate(data, start=2):
+        parsed = []
+        for name, cell in zip(header, row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"{path} line {line} column {name!r}: non-numeric value {cell!r}"
+                ) from None
+        values.append(parsed)
+    return header, values

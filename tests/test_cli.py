@@ -126,6 +126,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error: TSADKIT_WORKERS must be an integer, got 'abc'" in err
 
+    def test_tail_p_on_error_scoring_exit_one(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, threshold={"method": "tail_p"})
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "error: threshold method 'tail_p' needs a Gauss-family scoring kind" in err
+        assert not (tmp_path / "out").exists()
+
     def test_csv_format_writes_summary(self, tmp_path):
         cfg = run_config(tmp_path)
         main(["run", "--config", cfg, "--format", "csv"])
@@ -215,6 +222,15 @@ class TestDiagnoseCommand:
                             [{"start": 2, "end": 4, "causes": ["c"]}])
         assert main(["diagnose", str(scores), events]) == 1
         assert "NaN" in capsys.readouterr().err
+
+    def test_ragged_scores_report_line_exit_one(self, tmp_path, capsys):
+        lines = self._scores(tmp_path).read_text().splitlines()
+        lines[2] = "0.0,0.0"
+        scores = tmp_path / "ragged.csv"
+        scores.write_text("\n".join(lines) + "\n")
+        events = write_json(tmp_path / "events.json", [{"start": 0, "end": 3}])
+        assert main(["diagnose", str(scores), events]) == 1
+        assert f"{scores} line 3: expected 3 cells, got 2" in capsys.readouterr().err
 
     def test_event_past_last_row_exit_one(self, tmp_path, capsys):
         scores = self._scores(tmp_path)

@@ -45,6 +45,22 @@ def base_config(**overrides):
     return config_from_dict(d)
 
 
+def file_entities(tmp_path, count):
+    """Config entries for ``count`` CSV-backed entities written to tmp_path."""
+    entries = []
+    for i in range(count):
+        ent = experiment.generate_synthetic(experiment.SyntheticSpec.from_dict(
+            dict(SPIKE_SPEC, entity_id=f"file{i}", seed=10 + i)
+        ))
+        train, test = tmp_path / f"file{i}_train.csv", tmp_path / f"file{i}_test.csv"
+        np.savetxt(train, ent.train.values, delimiter=",", header="c0,c1", comments="")
+        np.savetxt(test, np.column_stack([ent.test.values, ent.test_labels]),
+                   delimiter=",", fmt=["%.17g", "%.17g", "%d"],
+                   header="c0,c1,label", comments="")
+        entries.append({"id": f"file{i}", "train": str(train), "test": str(test)})
+    return entries
+
+
 class TestConfigParsing:
     def test_defaults_fill_in(self):
         config = base_config()
@@ -75,6 +91,13 @@ class TestConfigParsing:
             ThresholdConfig("best_f", metric="f2")
         with pytest.raises(ConfigError):
             ThresholdConfig("tail_p", neg_log_eps=0)
+
+    def test_tail_p_rejected_on_error_scoring(self):
+        with pytest.raises(ConfigError, match="'tail_p' needs a Gauss-family scoring"):
+            base_config(scoring={"kind": "error"}, threshold={"method": "tail_p"})
+        with pytest.raises(ConfigError, match="'tail_p' needs a Gauss-family scoring"):
+            base_config(scoring={"kind": "error"},
+                        threshold={"method": "tail_p", "neg_log_eps": 2})
 
     def test_digest_stable_and_canonical(self):
         a = base_config()
@@ -128,6 +151,62 @@ class TestRunExperiment:
         assert len(record.failures) == 1
         assert record.failures[0]["entity"] == "broken"
         assert "not_a_number" in record.failures[0]["error"]
+
+    def test_file_entities_identical_across_workers(self, tmp_path):
+        config = base_config(synthetic=[], entities=file_entities(tmp_path, 3),
+                             seeds=[0, 1])
+        emit_results(run_experiment(config, workers=1), tmp_path / "w1")
+        emit_results(run_experiment(config, workers=2), tmp_path / "w2")
+        one = (tmp_path / "w1" / "results.json").read_bytes()
+        assert one == (tmp_path / "w2" / "results.json").read_bytes()
+        assert len(json.loads(one)["cells"]) == 6
+
+    def test_unreadable_entity_fails_only_its_cells(self, tmp_path):
+        entities = file_entities(tmp_path, 2)
+        bad_train = tmp_path / "bad_train.csv"
+        bad_train.write_text("c0,c1\n0.0,1.0\n0.5,not_a_number\n")
+        entities.insert(1, dict(entities[0], id="broken", train=str(bad_train)))
+        config = base_config(entities=entities, seeds=[0, 1])
+        record = run_experiment(config, workers=2)
+        assert [(c["entity"], c["seed"]) for c in record.cells] == [
+            (e, s) for e in ("file0", "file1", "syn0") for s in (0, 1)
+        ]
+        error = (f"broken: ParseError: {bad_train} line 3 column 'c1': "
+                 "non-numeric value 'not_a_number'")
+        assert list(record.failures) == [
+            {"entity": "broken", "seed": 0, "error": error},
+            {"entity": "broken", "seed": 1, "error": error},
+        ]
+
+    def test_each_entity_loads_once(self, tmp_path, monkeypatch):
+        config = base_config(entities=file_entities(tmp_path, 2), seeds=[0, 1, 2])
+        calls = []
+
+        def counting(loader):
+            def wrapped(*args, **kwargs):
+                calls.append(loader.__name__)
+                return loader(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(experiment, "load_entity", counting(experiment.load_entity))
+        monkeypatch.setattr(
+            experiment, "generate_synthetic", counting(experiment.generate_synthetic)
+        )
+        for workers in (1, 2):
+            calls.clear()
+            record = run_experiment(config, workers=workers)
+            assert len(record.cells) == 9
+            assert sorted(calls) == ["generate_synthetic"] + ["load_entity"] * 2
+
+    def test_entity_dropped_after_its_last_cell(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_load", lambda source: object())
+        load = experiment._EntityLoad("e", None, cells=2)
+        first, error = load.get()
+        assert error is None and load.get() == (first, None)
+        load.release()
+        assert load.get() == (first, None)
+        load.release()
+        assert load._entity is None
 
     def test_cell_failure_recorded_not_raised(self):
         # window longer than the training series: the fit stage fails
@@ -301,6 +380,18 @@ class TestEmitResults:
         paths = emit_results(record, tmp_path)
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert "timings" in meta
+
+    def test_load_time_in_meta_only(self, tmp_path):
+        config = base_config(entities=file_entities(tmp_path, 1), seeds=[0, 1])
+        for out in ("a", "b"):
+            emit_results(run_experiment(config), tmp_path / out)
+        meta = json.loads((tmp_path / "a" / "run_meta.json").read_text())
+        assert sorted(meta["load_timings"]) == ["file0", "syn0"]
+        assert sorted(meta["timings"]) == ["file0/0", "file0/1", "syn0/0", "syn0/1"]
+        assert all(t >= 0 for t in meta["load_timings"].values())
+        results = (tmp_path / "a" / "results.json").read_bytes()
+        assert b"load_timings" not in results and b"timings" not in results
+        assert results == (tmp_path / "b" / "results.json").read_bytes()
 
     def test_bad_format_rejected(self, tmp_path):
         record = run_experiment(base_config())

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tsadkit import ingest
 from tsadkit.core import (
     ConfigError,
     InsufficientDataError,
@@ -19,6 +20,7 @@ from tsadkit.ingest import (
     generate_synthetic,
     load_entity,
     make_windows,
+    read_csv,
 )
 
 
@@ -297,3 +299,89 @@ class TestLoadEntity:
                            [[0.0, 0.0, 0]])
         ent = load_entity(train, test, scored_channels=("b",))
         assert list(ent.scored_indices()) == [1]
+
+    def test_label_cell_one_point_zero_rejected(self, tmp_path):
+        # float-valued labels would pass a bulk float parse of the column
+        train = self._write(tmp_path, "train.csv", ["a"], [[0.0]])
+        test = self._write(tmp_path, "test.csv", ["a", "label"],
+                           [[0.0, "0"], [0.5, "1.0"]])
+        with pytest.raises(ParseError, match=r"line 3 column 'label': "
+                           r"label must be 0 or 1, got '1.0'"):
+            load_entity(train, test)
+
+    def test_blank_test_line_reports_its_line(self, tmp_path):
+        train = self._write(tmp_path, "train.csv", ["a"], [[0.0]])
+        test = tmp_path / "test.csv"
+        test.write_text("a,label\n0.0,0\n\n1.0,1\n")
+        with pytest.raises(ParseError, match=r"line 3: expected 2 cells, got 0"):
+            load_entity(train, test)
+
+
+class TestReadCsv:
+    def test_values_and_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("x,y\n1.5,-2\n1e3,nan\n")
+        header, values = read_csv(path)
+        assert header == ["x", "y"]
+        assert values.dtype == np.float64
+        assert values[:, 0].tolist() == [1.5, 1000.0]
+        assert values[0, 1] == -2.0 and np.isnan(values[1, 1])
+
+    def test_blank_line_mid_file_is_an_error(self, tmp_path):
+        # a bulk parser that skips blank lines would return two rows
+        path = tmp_path / "m.csv"
+        path.write_text("x,y\n1,2\n\n3,4\n")
+        with pytest.raises(ParseError, match=r"m.csv line 3: expected 2 cells, got 0$"):
+            read_csv(path)
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("x,y\n1,2\n#3,4\n")
+        with pytest.raises(ParseError, match=r"line 3 column 'x': non-numeric value '#3'$"):
+            read_csv(path)
+        path.write_text("x,y\n1,2 # note\n")
+        with pytest.raises(ParseError, match=r"line 2 column 'y': non-numeric value '2 # note'$"):
+            read_csv(path)
+
+    def test_unclosed_header_quote_swallows_the_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text('"x\n1\n2\n')
+        with pytest.raises(ParseError, match="no data rows after the header"):
+            read_csv(path)
+
+    def test_float_syntax_beyond_loadtxt(self, tmp_path):
+        # quoted cells, underscores and padding: float() takes them all
+        path = tmp_path / "m.csv"
+        path.write_bytes(b'x,y\r\n"1.5",1_000\r\n" 2",+inf\r\n')
+        header, values = read_csv(path)
+        assert values.tolist() == [[1.5, 1000.0], [2.0, float("inf")]]
+
+    def test_bare_cr_ends_a_line(self, tmp_path):
+        # csv.reader ends a row at \r, \n or \r\n, and so must the bulk pass
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"x,y\r1,2\n3,4\r\n5,6\r")
+        assert ingest._bulk_table(path, None) is not None
+        header, values = read_csv(path)
+        assert header == ["x", "y"]
+        assert values.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        path.write_bytes(b"x,y\r1,2\r\r3,4\n")
+        with pytest.raises(ParseError, match=r"line 3: expected 2 cells, got 0$"):
+            read_csv(path)
+
+    def test_ragged_row_anywhere_beats_a_bad_cell(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("x,y\nbad,2\n3,4,5\n")
+        with pytest.raises(ParseError, match=r"line 3: expected 2 cells, got 3$"):
+            read_csv(path)
+
+    def test_missing_and_empty_files(self, tmp_path):
+        with pytest.raises(ParseError, match="file not found"):
+            read_csv(tmp_path / "none.csv")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(ParseError, match="empty file"):
+            read_csv(empty)
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("x,y\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            read_csv(header_only)

@@ -1,10 +1,15 @@
-"""Property tests pinning the one-pass metrics and numpy midranks to the
-slow oracles in reference.py, on random tie-heavy inputs."""
+"""Property tests pinning the one-pass metrics, numpy midranks and the bulk
+CSV reader to the slow oracles in reference.py, on random inputs."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsadkit.core import midranks
+from tsadkit import ingest
+from tsadkit.core import ParseError, midranks
 from tsadkit.metrics import auprc, auroc, compute_report
 import reference
 
@@ -65,3 +70,75 @@ def test_ranking_metrics_match_oracles(case):
 @given(st.lists(st.integers(-2, 2).map(float), max_size=500))
 def test_midranks_match_reference(values):
     assert midranks(values).tolist() == reference.midranks(values)
+
+
+NUMBERS = st.one_of(
+    st.floats().map(repr),  # includes nan, inf, -inf, subnormals
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.6f}"),
+    st.integers(-(10**20), 10**20).map(str),
+)
+# pieces of cells float() and loadtxt may disagree on: underscores, signs,
+# exponents, padding, quotes, comment marks and the empty cell
+JUNK = st.lists(
+    st.sampled_from(["0", "1", "7", ".", "e", "+", "-", "_", " ", "nan", "inf", '"', "#"]),
+    max_size=4,
+).map("".join)
+
+
+@st.composite
+def csv_texts(draw):
+    """(text of a small headered CSV, whether it is clean).
+
+    A clean file has rows of well-formed numbers as wide as the header.
+    The others start clean and take up to three faults: a junk cell, a
+    blank line, a row one cell too wide or too narrow, or a quoted or
+    half-quoted header name. In either kind each line ends with LF, CRLF
+    or a bare CR, chosen line by line, and the last line may have no end.
+    """
+    width = draw(st.integers(1, 3))
+    header = [f"c{i}" for i in range(width)]
+    rows = [[draw(NUMBERS) for _ in range(width)] for _ in range(draw(st.integers(0, 6)))]
+    faults = draw(st.lists(
+        st.sampled_from(["junk", "blank", "wide", "narrow", "header"]), max_size=3
+    ))
+    for fault in faults:
+        if fault == "header" or not rows:
+            header[0] = draw(st.sampled_from(['"{}"', '"{}'])).format(header[0])
+            continue
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "junk" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(JUNK)
+        elif fault == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif fault == "wide":
+            row.append(draw(NUMBERS))
+        elif row:
+            row.pop()
+    lines = [",".join(header), *(",".join(row) for row in rows)]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    return "".join(map(str.__add__, lines, ends)), bool(rows) and not faults
+
+
+@settings(PROPERTY, max_examples=400)
+@given(csv_texts())
+def test_read_csv_matches_naive(case):
+    text, clean = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if clean:  # the bulk pass must take clean files, or it saves nothing
+            assert ingest._bulk_table(path, None) is not None
+        try:
+            header, values = reference.read_csv_naive(path)
+        except ValueError as exc:
+            with pytest.raises(ParseError) as err:
+                ingest.read_csv(path)
+            assert str(err.value) == str(exc)
+            return
+        got_header, got = ingest.read_csv(path)
+    expected = np.array(values, dtype=np.float64).reshape(len(values), len(header))
+    assert got_header == header
+    assert got.shape == expected.shape
+    # bit equality: nan payloads and the sign of zero included
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
