@@ -26,7 +26,6 @@ from .core import (
     ParseError,
     ValidationError,
     check_float_matrix,
-    validate_labels,
 )
 from .diagnosis import RANK_STATISTICS, event_rows, hitrate_at, rank_channels, rc_top_k
 from .experiment import (
@@ -158,11 +157,13 @@ def _cmd_run(args) -> int:
 
 def _read_label_columns(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     header, values = read_csv(path)
+    # checked before the cast: NaN, inf or a huge value has no int64 value
+    bad = (values != 0) & (values != 1)
+    if bad.any():
+        raise ParseError(f"{path}: labels must be integers 0 or 1, found {values[bad][0]:g}")
     matrix = values.astype(np.int64)
-    if not np.array_equal(matrix, values):
-        raise ParseError(f"{path}: labels must be integers 0 or 1")
-    truth = validate_labels(matrix[:, 0])
-    named = {name: validate_labels(matrix[:, j]) for j, name in enumerate(header) if j}
+    truth = matrix[:, 0]
+    named = {name: matrix[:, j] for j, name in enumerate(header) if j}
     if not named:
         raise ParseError(f"{path}: need at least one prediction column after the truth column")
     return truth, named

@@ -6,7 +6,12 @@ event spans refer to the same axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import functools
+import json
+import types
+import typing
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -40,6 +45,101 @@ class ConfigError(ValueError):
 
 class TrainingError(RuntimeError):
     """Model training failed (for example a divergent loss)."""
+
+
+# The config codec: a config is a frozen dataclass, written as a JSON object
+# with one key per field. See decode_config for the rules.
+
+
+@functools.cache
+def _config_fields(cls) -> dict[str, tuple[object, bool]]:
+    """Field name -> (resolved type, required) for the config fields of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in dataclasses.fields(cls)
+        if f.metadata.get("config", True)
+    }
+
+
+@functools.cache
+def _json_types(tp) -> tuple[tuple[object, type | tuple, str], ...]:
+    """(type, Python type json.loads gives for it, JSON name) for each type
+    ``tp`` allows: each member of a union, or ``tp`` itself."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        return tuple(arm for t in typing.get_args(tp) for arm in _json_types(t))
+    if dataclasses.is_dataclass(tp):
+        return ((tp, dict, "an object"),)
+    if typing.get_origin(tp) is tuple:
+        return ((tp, list, "an array"),)
+    names = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
+             str: "a string"}
+    return ((tp, (int, float) if tp is float else tp, names[tp]),)
+
+
+def _shown(value) -> str:
+    if isinstance(value, (dict, list)):
+        return "an object" if isinstance(value, dict) else "an array"
+    return json.dumps(value)
+
+
+def _decode(tp, value, path: str):
+    for arm, loaded, _ in _json_types(tp):
+        # bool is a subclass of int, but true is no number
+        if isinstance(value, loaded) and (arm is bool or not isinstance(value, bool)):
+            break
+    else:
+        wanted = " or ".join(name for _, _, name in _json_types(tp))
+        raise ConfigError(f"{path} must be {wanted}, got {_shown(value)}")
+    if loaded is dict:
+        return _build(arm, value, path, f"{path}: ")
+    if loaded is list:
+        item = typing.get_args(arm)[0]
+        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    return float(value) if arm is float else value
+
+
+def _build(cls, value, path: str, prefix: str):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object, got {_shown(value)}")
+    fields = _config_fields(cls)
+    unknown = value.keys() - fields.keys()
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    kwargs = {}
+    for name, (tp, required) in fields.items():
+        if name in value:
+            kwargs[name] = _decode(tp, value[name], f"{path}.{name}")
+        elif required:
+            raise ConfigError(f"{path}: missing key {name!r}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # the class's own checks, ConfigError included
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def decode_config(cls, value, path: str = "config"):
+    """Build the config dataclass ``cls`` from a parsed JSON value.
+
+    Keys are field names; nested dataclasses are objects, tuples arrays. A
+    field with ``metadata={"config": False}`` is not accepted, and a left
+    out field takes its default. Unknown keys, missing required keys and
+    wrong JSON types (true for a number, 2.5 for an integer) raise a
+    ConfigError naming the path, e.g. ``config.model.latent_dim``; an
+    integer becomes a float where one is declared. A nested object's own
+    checks become ConfigErrors prefixed with its path; the root's are left
+    as they are, since they name the keys they span.
+    """
+    return _build(cls, value, path, "")
+
+
+def encode_config(obj):
+    """The JSON value of a config: the inverse of :func:`decode_config`."""
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, (tuple, list)):
+        return [encode_config(v) for v in obj]
+    return {name: encode_config(getattr(obj, name)) for name in _config_fields(type(obj))}
 
 
 def validate_labels(labels) -> LabelVector:
@@ -214,6 +314,18 @@ def midranks(values) -> FloatArray:
     # the block at sorted positions start..stop-1 holds ranks start+1..stop
     ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
     return ranks
+
+
+def resolve_scored(m: int, scored) -> IntArray:
+    """Sorted unique indices of the scored channels; all m channels for None."""
+    if scored is None:
+        return np.arange(m, dtype=np.int64)
+    idx = np.unique(np.asarray(list(scored), dtype=np.int64))
+    if idx.size == 0:
+        raise ValidationError("scored channel set must be non-empty")
+    if idx[0] < 0 or idx[-1] >= m:
+        raise ValidationError(f"scored channels {idx.tolist()} outside 0..{m - 1}")
+    return idx
 
 
 def labels_from_events(events: EventSet, n: int) -> LabelVector:

@@ -16,6 +16,7 @@ from .core import (
     Event,
     ValidationError,
     check_float_matrix,
+    resolve_scored,
 )
 
 RANK_STATISTICS = ("mean", "max")
@@ -53,14 +54,7 @@ def rank_channels(
         raise ValidationError(
             f"event ({event.start},{event.end}) outside score range 0..{n - 1}"
         )
-    if scored is None:
-        idx = np.arange(m, dtype=np.int64)
-    else:
-        idx = np.unique(np.asarray(list(scored), dtype=np.int64))
-        if idx.size == 0:
-            raise ValidationError("scored channel set must be non-empty")
-        if idx[0] < 0 or idx[-1] >= m:
-            raise ValidationError(f"scored channels {idx.tolist()} outside 0..{m - 1}")
+    idx = resolve_scored(m, scored)
 
     span = scores[event.start : event.end + 1, idx]
     agg = span.mean(axis=0) if statistic == "mean" else span.max(axis=0)

@@ -16,12 +16,20 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, Entity, SeriesMatrix, check_float_matrix, validate_labels
+from .core import (
+    ConfigError,
+    Entity,
+    SeriesMatrix,
+    check_float_matrix,
+    decode_config,
+    encode_config,
+    validate_labels,
+)
 from .diagnosis import RANK_STATISTICS, event_rows, hitrate_at, rank_channels, rc_top_k
 from .ingest import (
     SyntheticSpec,
@@ -61,26 +69,20 @@ class EntitySource:
     """File-backed entity: train/test CSV paths plus annotations."""
 
     id: str
-    train_path: str
-    test_path: str
+    train: str
+    test: str
     label_column: str = "label"
     cause_map: str | None = None
-    scored_channels: tuple[str, ...] | None = None
+    scored_channels: tuple[str, ...] | None = None  # channel names; None scores all
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "train": self.train_path,
-            "test": self.test_path,
-            "label_column": self.label_column,
-            "cause_map": self.cause_map,
-            "scored_channels": list(self.scored_channels) if self.scored_channels else None,
-        }
+    def __post_init__(self):
+        if self.scored_channels == ():
+            raise ConfigError("scored_channels must be non-empty; omit it to score all channels")
 
 
 @dataclass(frozen=True)
 class ScoringConfig:
-    kind: str
+    kind: str = "gauss_s"
     window: int | None = None       # W, required for gauss_d and gauss_d_k
     kernel_sigma: float | None = None  # sigma_k, required for gauss_d_k
 
@@ -96,13 +98,10 @@ class ScoringConfig:
             if self.kernel_sigma is None or not (self.kernel_sigma > 0):
                 raise ConfigError("gauss_d_k needs kernel_sigma > 0")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "window": self.window, "kernel_sigma": self.kernel_sigma}
-
 
 @dataclass(frozen=True)
 class ThresholdConfig:
-    method: str
+    method: str = "best_f"
     metric: str = "fc1"             # best_f target; also tail_p selection metric
     k: int | None = None            # top_k; None means the true positive count
     neg_log_eps: int | None = None  # tail_p; None sweeps 1..5
@@ -121,14 +120,6 @@ class ThresholdConfig:
         if self.neg_log_eps is not None and self.neg_log_eps < 1:
             raise ConfigError(f"neg_log_eps must be >= 1, got {self.neg_log_eps}")
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "metric": self.metric,
-            "k": self.k,
-            "neg_log_eps": self.neg_log_eps,
-        }
-
 
 @dataclass(frozen=True)
 class DiagnosisConfig:
@@ -146,23 +137,15 @@ class DiagnosisConfig:
                 f"got {self.statistic!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "top_k": self.top_k,
-            "percent": self.percent,
-            "statistic": self.statistic,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     entities: tuple[EntitySource, ...] = ()
     synthetic: tuple[SyntheticSpec, ...] = ()
-    window: WindowSpec = WindowSpec(100, 1)
-    model: ModelConfig = ModelConfig("uae")
-    scoring: ScoringConfig = ScoringConfig("gauss_s")
-    threshold: ThresholdConfig = ThresholdConfig("best_f")
+    window: WindowSpec = WindowSpec()
+    model: ModelConfig = ModelConfig()
+    scoring: ScoringConfig = ScoringConfig()
+    threshold: ThresholdConfig = ThresholdConfig()
     metrics: tuple[str, ...] = METRIC_NAMES
     diagnosis: DiagnosisConfig = DiagnosisConfig()
     seeds: tuple[int, ...] = (0,)
@@ -188,135 +171,16 @@ class ExperimentConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "entities": [e.to_dict() for e in self.entities],
-            "synthetic": [_synthetic_to_dict(s) for s in self.synthetic],
-            "window": {"length": self.window.length, "step": self.window.step},
-            "model": {
-                "kind": self.model.kind,
-                "latent_dim": self.model.latent_dim,
-                "pca_variance_fraction": self.model.pca_variance_fraction,
-                "learning_rate": self.model.learning_rate,
-                "batch_size": self.model.batch_size,
-                "max_epochs": self.model.max_epochs,
-                "patience": self.model.patience,
-                "validation_fraction": self.model.validation_fraction,
-            },
-            "scoring": self.scoring.to_dict(),
-            "threshold": self.threshold.to_dict(),
-            "metrics": list(self.metrics),
-            "diagnosis": self.diagnosis.to_dict(),
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-        }
+        return encode_config(self)
 
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _synthetic_to_dict(spec: SyntheticSpec) -> dict:
-    return {
-        "entity_id": spec.entity_id,
-        "n_train": spec.n_train,
-        "n_test": spec.n_test,
-        "m": spec.m,
-        "period": list(spec.period),
-        "noise_sigma": spec.noise_sigma,
-        "seed": spec.seed,
-        "anomalies": [
-            {
-                "start": a.start,
-                "length": a.length,
-                "kind": a.kind,
-                "channels": list(a.channels),
-                "magnitude": a.magnitude,
-            }
-            for a in spec.anomalies
-        ],
-    }
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a parsed JSON dict."""
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {
-        "entities", "synthetic", "window", "model", "scoring",
-        "threshold", "metrics", "diagnosis", "seeds", "output_dir",
-    }
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    try:
-        entities = tuple(
-            EntitySource(
-                id=str(e["id"]),
-                train_path=str(e["train"]),
-                test_path=str(e["test"]),
-                label_column=str(e.get("label_column", "label")),
-                cause_map=e.get("cause_map"),
-                scored_channels=tuple(e["scored_channels"])
-                if e.get("scored_channels")
-                else None,
-            )
-            for e in d.get("entities", ())
-        )
-        synthetic = tuple(SyntheticSpec.from_dict(s) for s in d.get("synthetic", ()))
-        w = d.get("window", {})
-        window = WindowSpec(int(w.get("length", 100)), int(w.get("step", 1)))
-        mc = d.get("model", {})
-        model = ModelConfig(
-            kind=str(mc.get("kind", "uae")),
-            latent_dim=mc.get("latent_dim"),
-            pca_variance_fraction=float(mc.get("pca_variance_fraction", 0.9)),
-            learning_rate=mc.get("learning_rate"),
-            batch_size=mc.get("batch_size"),
-            max_epochs=int(mc.get("max_epochs", 100)),
-            patience=int(mc.get("patience", 10)),
-            validation_fraction=float(mc.get("validation_fraction", 0.25)),
-        )
-        sc = d.get("scoring", {})
-        scoring = ScoringConfig(
-            kind=str(sc.get("kind", "gauss_s")),
-            window=int(sc["window"]) if sc.get("window") is not None else None,
-            kernel_sigma=float(sc["kernel_sigma"])
-            if sc.get("kernel_sigma") is not None
-            else None,
-        )
-        tc = d.get("threshold", {})
-        threshold = ThresholdConfig(
-            method=str(tc.get("method", "best_f")),
-            metric=str(tc.get("metric", "fc1")),
-            k=int(tc["k"]) if tc.get("k") is not None else None,
-            neg_log_eps=int(tc["neg_log_eps"])
-            if tc.get("neg_log_eps") is not None
-            else None,
-        )
-        dc = d.get("diagnosis", {})
-        diagnosis = DiagnosisConfig(
-            enabled=bool(dc.get("enabled", False)),
-            top_k=int(dc.get("top_k", 3)),
-            percent=int(dc.get("percent", 150)),
-            statistic=str(dc.get("statistic", "mean")),
-        )
-        metrics = tuple(d.get("metrics", METRIC_NAMES))
-        seeds = tuple(int(s) for s in d.get("seeds", (0,)))
-        output_dir = str(d.get("output_dir", "results"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config: {exc}") from None
-    return ExperimentConfig(
-        entities=entities,
-        synthetic=synthetic,
-        window=window,
-        model=model,
-        scoring=scoring,
-        threshold=threshold,
-        metrics=metrics,
-        diagnosis=diagnosis,
-        seeds=seeds,
-        output_dir=output_dir,
-    )
+    return decode_config(ExperimentConfig, d)
 
 
 def config_from_json(path: str | Path) -> ExperimentConfig:
@@ -353,19 +217,9 @@ class ResultsRecord:
 
 
 def _report_to_dict(report: MetricReport, wanted: tuple[str, ...]) -> dict:
-    out = {
-        "prec_t": report.prec_t,
-        "rec_e": report.rec_e,
-        "prec_point": report.prec_point,
-        "rec_point": report.rec_point,
-    }
-    for name in ("f1", "fpa1", "fc1"):
-        out[name] = getattr(report, name)
-    if "auroc" in wanted:
-        out["auroc"] = report.auroc
-    if "auprc" in wanted:
-        out["auprc"] = report.auprc
-    return out
+    """The report's F-scores and their parts, plus auroc and auprc if wanted."""
+    ranked = ("auroc", "auprc")
+    return {k: v for k, v in asdict(report).items() if k not in ranked or k in wanted}
 
 
 def _threshold_info(result) -> dict:
@@ -414,23 +268,8 @@ def _run_cell(entity: Entity, seed: int, config: ExperimentConfig) -> dict:
     cell: dict = {"entity": entity.id, "seed": seed}
 
     tc = config.threshold
-    if tc.method == "best_f":
-        result = threshold_best_f(series, truth, tc.metric)
-        report = compute_report(result.predictions, truth, series)
-        cell["threshold"] = _threshold_info(result)
-        cell["metrics"] = _report_to_dict(report, config.metrics)
-    elif tc.method == "top_k":
-        k = tc.k if tc.k is not None else int(truth.sum())
-        result = threshold_top_k(series, k)
-        report = compute_report(result.predictions, truth, series)
-        cell["threshold"] = _threshold_info(result)
-        cell["metrics"] = _report_to_dict(report, config.metrics)
-    elif tc.neg_log_eps is not None:  # tail_p, fixed eps
-        result = threshold_tail_p(series, len(scored), tc.neg_log_eps)
-        report = compute_report(result.predictions, truth, series)
-        cell["threshold"] = _threshold_info(result)
-        cell["metrics"] = _report_to_dict(report, config.metrics)
-    else:  # tail_p sweep; the runner picks one global eps afterwards
+    if tc.method == "tail_p" and tc.neg_log_eps is None:
+        # tail_p sweep; the runner picks one global eps afterwards
         sweep = {}
         ranking = None
         for eps in TAIL_P_SWEEP:
@@ -446,6 +285,16 @@ def _run_cell(entity: Entity, seed: int, config: ExperimentConfig) -> dict:
                 "metrics": _report_to_dict(report, config.metrics),
             }
         cell["tail_p_sweep"] = sweep
+    else:
+        if tc.method == "best_f":
+            result = threshold_best_f(series, truth, tc.metric)
+        elif tc.method == "top_k":
+            result = threshold_top_k(series, tc.k if tc.k is not None else int(truth.sum()))
+        else:  # tail_p, fixed eps
+            result = threshold_tail_p(series, len(scored), tc.neg_log_eps)
+        report = compute_report(result.predictions, truth, series)
+        cell["threshold"] = _threshold_info(result)
+        cell["metrics"] = _report_to_dict(report, config.metrics)
 
     if config.diagnosis.enabled:
         events = list(entity.test_events)
@@ -474,8 +323,8 @@ def _load(source: EntitySource | SyntheticSpec) -> Entity:
     if isinstance(source, SyntheticSpec):
         return generate_synthetic(source)
     return load_entity(
-        source.train_path,
-        source.test_path,
+        source.train,
+        source.test,
         label_column=source.label_column,
         cause_map=source.cause_map,
         entity_id=source.id,

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    ConfigError,
     Entity,
     Event,
     EventSet,
@@ -25,6 +24,7 @@ from .core import (
     SeriesMatrix,
     ValidationError,
     check_float_matrix,
+    decode_config,
     events_from_labels,
 )
 
@@ -65,7 +65,7 @@ class NormStats:
 class WindowSpec:
     """Sliding-window geometry: length l_w and step l_s with 1 <= l_s <= l_w."""
 
-    length: int
+    length: int = 100
     step: int = 1
 
     def __post_init__(self):
@@ -228,41 +228,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
-        known = {
-            "n_train", "n_test", "m", "period", "noise_sigma",
-            "anomalies", "seed", "entity_id",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown synthetic spec keys {sorted(unknown)}")
-        try:
-            anomalies = tuple(
-                AnomalySpec(
-                    start=int(a["start"]),
-                    length=int(a["length"]),
-                    kind=str(a["kind"]),
-                    channels=tuple(int(c) for c in a.get("channels", ())),
-                    magnitude=float(a.get("magnitude", 1.0)),
-                )
-                for a in d.get("anomalies", ())
-            )
-            period = d.get("period", 50.0)
-            if isinstance(period, list):
-                period = tuple(float(p) for p in period)
-            return cls(
-                n_train=int(d["n_train"]),
-                n_test=int(d["n_test"]),
-                m=int(d["m"]),
-                period=period,
-                noise_sigma=float(d.get("noise_sigma", 0.1)),
-                anomalies=anomalies,
-                seed=int(d.get("seed", 0)),
-                entity_id=str(d.get("entity_id", "synthetic")),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"synthetic spec missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synthetic spec: {exc}") from None
+        return decode_config(cls, d, "spec")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Entity:

@@ -8,7 +8,7 @@ position of the window ending at t.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class ModelConfig:
     or 1e-4 (fc_ae); batch_size 256 (uae) or 128 (fc_ae).
     """
 
-    kind: str
+    kind: str = "uae"
     latent_dim: int | None = None
     pca_variance_fraction: float = 0.9
     learning_rate: float | None = None
@@ -48,7 +48,7 @@ class ModelConfig:
     max_epochs: int = 100
     patience: int = 10
     validation_fraction: float = 0.25
-    seed: int = 0
+    seed: int = field(default=0, metadata={"config": False})  # set per cell from the run's seeds
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:

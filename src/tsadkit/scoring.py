@@ -32,22 +32,12 @@ from .core import (
     ScoreSeries,
     ValidationError,
     check_float_matrix,
+    resolve_scored,
 )
 
 SIGMA_FLOOR = 1e-4
 Z_CLAMP = 8.0
 _LN10 = math.log(10.0)
-
-
-def _resolve_scored(m: int, scored) -> np.ndarray:
-    if scored is None:
-        return np.arange(m, dtype=np.int64)
-    idx = np.unique(np.asarray(list(scored), dtype=np.int64))
-    if idx.size == 0:
-        raise ValidationError("scored channel set must be non-empty")
-    if idx[0] < 0 or idx[-1] >= m:
-        raise ValidationError(f"scored channels {idx.tolist()} outside 0..{m - 1}")
-    return idx
 
 
 def _neg_log10_survival(z: FloatArray) -> FloatArray:
@@ -119,7 +109,7 @@ def score_error(test_err: ErrorMatrix, train_mean: FloatArray, scored=None) -> S
         raise ValidationError(
             f"train_mean has shape {mean.shape}, expected ({err.shape[1]},)"
         )
-    idx = _resolve_scored(err.shape[1], scored)
+    idx = resolve_scored(err.shape[1], scored)
     centered = err[:, idx] - mean[idx]
     return np.sqrt(np.mean(centered * centered, axis=1))
 
@@ -141,7 +131,7 @@ def score_gauss_s(
     err = check_float_matrix(test_err, "test errors")
     if err.shape[1] != params.m:
         raise ValidationError(f"{err.shape[1]} channels, params has {params.m}")
-    idx = _resolve_scored(err.shape[1], scored)
+    idx = resolve_scored(err.shape[1], scored)
     z = np.clip((err - params.mu) / params.sigma, -Z_CLAMP, Z_CLAMP)
     channels = _neg_log10_survival(z)
     return channels, channels[:, idx].sum(axis=1)
@@ -172,7 +162,7 @@ def score_gauss_d(
     w = window.w
     if tail.shape[0] > w - 1:
         tail = tail[-(w - 1) :]
-    idx = _resolve_scored(m, scored)
+    idx = resolve_scored(m, scored)
 
     stream = np.concatenate([tail, err], axis=0)
     # center per channel for numerical conditioning; z-scores are exactly
@@ -211,7 +201,7 @@ def score_gauss_d_k(
     """
     channels_in = check_float_matrix(gauss_d_channels, "channel scores")
     n, m = channels_in.shape
-    idx = _resolve_scored(m, scored)
+    idx = resolve_scored(m, scored)
     weights = kernel.weights()
     r = kernel.radius
     smoothed = np.empty_like(channels_in)

@@ -270,3 +270,56 @@ def test_cli_import_leaves_scipy_stats_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def run_cli(*args, cwd):
+    """``python -m tsadkit.cli`` in a fresh interpreter, so stderr is all it printed."""
+    src = str(Path(tsadkit.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "tsadkit.cli", *map(str, args)],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+class TestMalformedInputsExitOne:
+    """Bad configs and label files give one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"window": 5}, "config.window must be an object, got 5"),
+        ({"model": "uae"}, 'config.model must be an object, got "uae"'),
+        ({"scoring": {"kind": "error", "windw": 3}}, "config.scoring: unknown keys ['windw']"),
+        ({"diagnosis": {"enabled": "false"}},
+         'config.diagnosis.enabled must be a boolean, got "false"'),
+    ])
+    def test_run_bad_section(self, tmp_path, overrides, message):
+        cfg = run_config(tmp_path, **overrides)
+        done = run_cli("run", "--config", cfg, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("root, message", [
+        (5, "spec must be an object, got 5"),
+        ([{}], "spec must be an object, got an array"),
+    ])
+    def test_generate_bad_root(self, tmp_path, root, message):
+        cfg = write_json(tmp_path / "spec.json", root)
+        done = run_cli("generate", "--config", cfg, "--out", tmp_path / "d", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e300"])
+    def test_compare_metrics_non_finite_label(self, tmp_path, cell):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"truth,p\n1,{cell}\n0,0\n")
+        done = run_cli("compare-metrics", labels, cwd=tmp_path)
+        assert done.returncode == 1
+        assert "Warning" not in done.stderr
+        shown = {"1e300": "1e+300"}.get(cell, cell)
+        assert done.stderr == (
+            f"error: {labels}: labels must be integers 0 or 1, found {shown}\n"
+        )

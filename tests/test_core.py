@@ -9,6 +9,7 @@ from tsadkit.core import (
     ValidationError,
     events_from_labels,
     labels_from_events,
+    resolve_scored,
     validate_labels,
 )
 from reference import events_by_scan
@@ -153,3 +154,20 @@ class TestEntity:
         test = SeriesMatrix(np.zeros((3, 2)))
         with pytest.raises(ValidationError):
             Entity("x", train, test, np.zeros(5, dtype=int))
+
+
+class TestResolveScored:
+    def test_none_is_every_channel(self):
+        assert resolve_scored(3, None).tolist() == [0, 1, 2]
+
+    def test_sorted_and_unique(self):
+        assert resolve_scored(4, [3, 1, 3]).tolist() == [1, 3]
+
+    @pytest.mark.parametrize("scored, message", [
+        ([], "scored channel set must be non-empty"),
+        ([0, 4], r"scored channels \[0, 4\] outside 0..3"),
+        ([-1], r"scored channels \[-1\] outside 0..3"),
+    ])
+    def test_rejects(self, scored, message):
+        with pytest.raises(ValidationError, match=message):
+            resolve_scored(4, scored)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from tsadkit.experiment import (
     load_results,
     run_experiment,
 )
+from tsadkit.ingest import WindowSpec
 from tsadkit.metrics import auprc, auroc
+from tsadkit.models import ModelConfig
 
 SPIKE_SPEC = {
     "entity_id": "syn0",
@@ -411,3 +415,141 @@ class TestEmitResults:
             emit_results(run_experiment(base_config(seeds=[1])), tmp_path, fmt="csv")
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert after == before  # old bytes intact, no temporary file left
+
+
+# Every field of every config class set to a value other than its default.
+FULL_CONFIG = {
+    "entities": [{
+        "id": "f0", "train": "f0_train.csv", "test": "f0_test.csv",
+        "label_column": "y", "cause_map": "f0_causes.json", "scored_channels": ["x1", "x0"],
+    }],
+    "synthetic": [{
+        "entity_id": "syn9", "n_train": 40, "n_test": 50, "m": 2, "period": [30.0, 45.5],
+        "noise_sigma": 0.2, "seed": 9,
+        "anomalies": [
+            {"start": 5, "length": 3, "kind": "level_shift", "channels": [1, 0], "magnitude": 2.5},
+            {"start": 20, "length": 10, "kind": "drift_background", "channels": [],
+             "magnitude": 0.5},
+        ],
+    }],
+    "window": {"length": 20, "step": 5},
+    "model": {
+        "kind": "fc_ae", "latent_dim": 3, "pca_variance_fraction": 0.8, "learning_rate": 0.01,
+        "batch_size": 32, "max_epochs": 7, "patience": 2, "validation_fraction": 0.3,
+    },
+    "scoring": {"kind": "gauss_d_k", "window": 50, "kernel_sigma": 1.5},
+    "threshold": {"method": "tail_p", "metric": "f1", "k": 4, "neg_log_eps": 2},
+    "metrics": ["fc1", "auroc"],
+    "diagnosis": {"enabled": True, "top_k": 2, "percent": 100, "statistic": "max"},
+    "seeds": [3, 1],
+    "output_dir": "out/full",
+}
+
+MINIMAL_SPEC = {"n_train": 10, "n_test": 10, "m": 1}
+
+
+def config_error(d) -> str:
+    with pytest.raises(ConfigError) as caught:
+        config_from_dict(d)
+    return str(caught.value)
+
+
+class TestConfigCodec:
+    def test_full_config_round_trips(self):
+        config = config_from_dict(FULL_CONFIG)
+        assert config.to_dict() == FULL_CONFIG
+        again = config_from_dict(config.to_dict())
+        assert again == config
+        assert again.digest() == config.digest()
+
+    def test_full_config_sets_every_field(self):
+        config = config_from_dict(FULL_CONFIG)
+        sections = [config, config.entities[0], config.synthetic[0], config.window,
+                    config.model, config.scoring, config.threshold, config.diagnosis,
+                    config.synthetic[0].anomalies[0]]
+        for obj in sections:
+            for f in dataclasses.fields(obj):
+                if f.name != "seed" or not isinstance(obj, ModelConfig):
+                    assert getattr(obj, f.name) != f.default, (type(obj).__name__, f.name)
+
+    def test_golden_digest(self):
+        config = config_from_dict({"synthetic": [MINIMAL_SPEC]})
+        assert config.digest() == (
+            "7fa88af0ff5c0b55f29bf3e6cae7579a850c3388e6188006385c9eebabccb194"
+        )
+
+    def test_partial_sections_take_class_defaults(self):
+        config = config_from_dict({
+            "synthetic": [MINIMAL_SPEC],
+            "window": {"step": 2},
+            "model": {"max_epochs": 3},
+            "scoring": {},
+            "threshold": {"k": 4},
+        })
+        assert config.window == WindowSpec(100, 2)
+        assert config.model.kind == "uae" and config.model.max_epochs == 3
+        assert config.scoring.kind == "gauss_s"
+        assert config.threshold.method == "best_f" and config.threshold.k == 4
+
+    def test_int_accepted_for_float(self):
+        config = config_from_dict({
+            "synthetic": [dict(MINIMAL_SPEC, noise_sigma=1, period=[25])],
+            "model": {"pca_variance_fraction": 1},
+        })
+        assert type(config.model.pca_variance_fraction) is float
+        assert config.synthetic[0].period == (25.0,)
+        assert config.to_dict()["synthetic"][0]["noise_sigma"] == 1.0
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"window": 5}, "config.window must be an object, got 5"),
+        ({"model": "uae"}, 'config.model must be an object, got "uae"'),
+        ({"diagnosis": []}, "config.diagnosis must be an object, got an array"),
+        ({"model": {"latnet_dim": 3}}, "config.model: unknown keys ['latnet_dim']"),
+        ({"scoring": {"windw": 3}}, "config.scoring: unknown keys ['windw']"),
+        ({"window": {"stpe": 1}}, "config.window: unknown keys ['stpe']"),
+        ({"diagnosis": {"enabeld": True}}, "config.diagnosis: unknown keys ['enabeld']"),
+        ({"entities": [{"id": "a", "train": "a", "test": "b", "lable_column": "y"}]},
+         "config.entities[0]: unknown keys ['lable_column']"),
+        ({"synthetic": [dict(MINIMAL_SPEC, anomalies=[
+            {"start": 1, "length": 2, "kind": "spike", "channels": [0], "magntiude": 2.0}])]},
+         "config.synthetic[0].anomalies[0]: unknown keys ['magntiude']"),
+        ({"model": {"kind": "raw", "seed": 3}}, "config.model: unknown keys ['seed']"),
+        ({"diagnosis": {"enabled": "false"}},
+         'config.diagnosis.enabled must be a boolean, got "false"'),
+        ({"window": {"length": "100"}}, 'config.window.length must be an integer, got "100"'),
+        ({"window": {"length": 2.5}}, "config.window.length must be an integer, got 2.5"),
+        ({"seeds": [True]}, "config.seeds[0] must be an integer, got true"),
+        ({"model": {"learning_rate": False}},
+         "config.model.learning_rate must be a number or null, got false"),
+        ({"synthetic": [dict(MINIMAL_SPEC, period="x")]},
+         'config.synthetic[0].period must be a number or an array, got "x"'),
+        ({"metrics": "f1"}, 'config.metrics must be an array, got "f1"'),
+        ({"output_dir": None}, "config.output_dir must be a string, got null"),
+        ({"synthetic": [{"n_train": 3}]}, "config.synthetic[0]: missing key 'n_test'"),
+        ({"entities": [{"id": "a", "train": "a"}]}, "config.entities[0]: missing key 'test'"),
+        ({"window": {"length": 0}}, "config.window: window length must be >= 1, got 0"),
+    ])
+    def test_errors_name_the_path(self, overrides, message):
+        assert config_error({"synthetic": [MINIMAL_SPEC], **overrides}) == message
+
+    def test_root_must_be_an_object(self):
+        assert config_error([1]) == "config must be an object, got an array"
+
+    def test_empty_scored_channels_rejected(self):
+        entity = {"id": "a", "train": "a.csv", "test": "b.csv", "scored_channels": []}
+        assert config_error({"entities": [entity]}) == (
+            "config.entities[0]: scored_channels must be non-empty; "
+            "omit it to score all channels"
+        )
+        assert config_from_dict({"entities": [dict(entity, scored_channels=None)]}) \
+            .entities[0].scored_channels is None
+
+    def test_readme_config_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### Experiment config"):]
+        block = section[section.index("```json") + len("```json"):section.index("```\n\n")]
+        config = config_from_dict(json.loads(block))
+        assert [e.scored_channels for e in config.entities] == [("c0", "c1", "c2")]
+        assert config.digest() == (
+            "19e56d5605a2d6b1593efe7edf76c45f29e598e411286738877ddcfa14ec5adb"
+        )

@@ -171,6 +171,29 @@ class TestSyntheticSpec:
                 {"n_train": 10, "n_test": 10, "m": 1, "bogus": 1}
             )
 
+    @pytest.mark.parametrize("raw, message", [
+        (5, "spec must be an object, got 5"),
+        ([{}], "spec must be an object, got an array"),
+        ({"n_train": 10, "n_test": 10}, "spec: missing key 'm'"),
+        ({"n_train": 10, "n_test": 10, "m": 1.0}, "spec.m must be an integer, got 1.0"),
+        ({"n_train": 10, "n_test": 10, "m": 1, "period": [20, "x"]},
+         'spec.period[1] must be a number, got "x"'),
+        ({"n_train": 10, "n_test": 10, "m": 1,
+          "anomalies": [{"start": 1, "length": 2, "kind": "spike", "channels": [0],
+                         "magntiude": 2.0}]},
+         "spec.anomalies[0]: unknown keys ['magntiude']"),
+        ({"n_train": 10, "n_test": 10, "m": 1,
+          "anomalies": [{"start": 1, "length": 2, "kind": "spike", "channels": [True]}]},
+         "spec.anomalies[0].channels[0] must be an integer, got true"),
+        ({"n_train": 10, "n_test": 10, "m": 1,
+          "anomalies": [{"start": 8, "length": 5, "kind": "spike", "channels": [0]}]},
+         "anomaly (8,12) outside test range 0..9"),
+    ])
+    def test_from_dict_errors_name_the_path(self, raw, message):
+        with pytest.raises(ConfigError) as caught:
+            SyntheticSpec.from_dict(raw)
+        assert str(caught.value) == message
+
 
 class TestGenerateSynthetic:
     def test_no_events_all_healthy(self):
