@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .core import (
     ParseError,
     ValidationError,
     check_float_matrix,
+    decode_config,
 )
 from .diagnosis import RANK_STATISTICS, event_rows, hitrate_at, rank_channels, rc_top_k
 from .experiment import (
@@ -203,33 +204,51 @@ def _cmd_rank(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _EventEntry:
+    """One item of a ``diagnose`` events file; a cause is a name or an index."""
+
+    start: int
+    end: int
+    causes: tuple[str | int, ...] | None = None
+
+
 def _load_events(path: str | Path, channel_names: list[str]) -> list[Event]:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: events file must be a JSON list")
+    if not raw:
+        raise ConfigError(f"{path}: no events")
     index_of = {name: i for i, name in enumerate(channel_names)}
     events = []
     for i, item in enumerate(raw):
+        where = f"events[{i}]"
         try:
-            start, end = int(item["start"]), int(item["end"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"{path}: event {i} needs integer start/end") from None
-        causes = item.get("causes")
-        resolved = None
-        if causes is not None:
-            idx = []
-            for c in causes:
-                if isinstance(c, str):
-                    if c not in index_of:
-                        raise ConfigError(f"{path}: event {i} unknown channel {c!r}")
-                    idx.append(index_of[c])
-                else:
-                    idx.append(int(c))
-            resolved = frozenset(idx)
-        events.append(Event(start, end, resolved))
-    if not events:
-        raise ConfigError(f"{path}: no events")
+            entry = decode_config(_EventEntry, item, where)
+            causes = None
+            if entry.causes is not None:
+                causes = frozenset(
+                    _cause_index(c, index_of, f"{where}.causes[{j}]")
+                    for j, c in enumerate(entry.causes)
+                )
+            events.append(Event(entry.start, entry.end, causes))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        except ValidationError as exc:  # Event's own checks
+            raise ConfigError(f"{path}: {where}: {exc}") from None
     return events
+
+
+def _cause_index(cause: str | int, index_of: dict[str, int], where: str) -> int:
+    if isinstance(cause, str):
+        if cause not in index_of:
+            raise ConfigError(f"{where}: unknown channel {cause!r}")
+        return index_of[cause]
+    if not 0 <= cause < len(index_of):
+        raise ConfigError(
+            f"{where}: channel index must be in 0..{len(index_of) - 1}, got {cause}"
+        )
+    return cause
 
 
 def _cmd_diagnose(args) -> int:

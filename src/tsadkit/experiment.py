@@ -24,7 +24,6 @@ import numpy as np
 from .core import (
     ConfigError,
     Entity,
-    SeriesMatrix,
     check_float_matrix,
     decode_config,
     encode_config,
@@ -242,19 +241,16 @@ def _run_cell(entity: Entity, seed: int, config: ExperimentConfig) -> dict:
     model_config = replace(config.model, seed=seed)
     model = fit(normalized, model_config, config.window)
 
-    tail = None
-    if model.window_length is not None and model.window_length > 1:
-        tail = SeriesMatrix(
-            train_norm.values[-(model.window_length - 1) :], train_norm.channel_names
-        )
-    test_err = residuals(model, test_norm, config.window, train_tail=tail)
+    # residuals prepends the last l_w - 1 training rows
+    test_err = residuals(model, test_norm, config.window, train_tail=train_norm)
 
     sc = config.scoring
     if sc.kind == "error":
-        series = score_error(test_err, model.train_error_mean, scored)
+        train_mean = model.train_residuals.mean(axis=0)
+        series = score_error(test_err, train_mean, scored)
         # per-channel view consistent with the RMS aggregate: squared
         # mean-centered errors
-        channels = (test_err - model.train_error_mean) ** 2
+        channels = (test_err - train_mean) ** 2
     elif sc.kind == "gauss_s":
         params = fit_gauss(model.train_residuals)
         channels, series = score_gauss_s(test_err, params, scored)

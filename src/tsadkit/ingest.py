@@ -467,6 +467,8 @@ def load_entity(
                 cause_map = json.loads(cause_path.read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{cause_path}: cannot read cause map: {exc}") from None
+            if not isinstance(cause_map, dict):
+                raise ParseError(f"{cause_path}: cause map must be a JSON object")
         name_to_idx = {h: i for i, h in enumerate(channels)}
         for key, names in cause_map.items():
             try:
@@ -476,6 +478,11 @@ def load_entity(
             if not (0 <= ordinal < len(events)):
                 raise ParseError(
                     f"cause map names event {ordinal} but only {len(events)} events exist"
+                )
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ParseError(
+                    f"cause map key {key!r} must map to a list of channel names, "
+                    f"got {names!r}"
                 )
             indices = set()
             for name in names:

@@ -1,5 +1,5 @@
 """Reconstruction models: raw signal, PCA, and MLP autoencoders."""
-from .mlp import Adam, MlpAutoencoder, autoencoder_widths, encoder_widths, mlp_gradient
+from .mlp import Adam, MlpAutoencoder, autoencoder_widths, encoder_widths
 from .pca import PcaModel
 from .train import MODEL_KINDS, FitReport, ModelConfig, TrainedModel, fit, residuals
 
@@ -8,7 +8,6 @@ __all__ = [
     "MlpAutoencoder",
     "autoencoder_widths",
     "encoder_widths",
-    "mlp_gradient",
     "PcaModel",
     "MODEL_KINDS",
     "FitReport",

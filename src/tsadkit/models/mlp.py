@@ -131,14 +131,6 @@ class MlpAutoencoder:
             dst[...] = src
 
 
-def mlp_gradient(
-    model: MlpAutoencoder, batch: FloatArray, target: FloatArray | None = None
-) -> list[tuple[FloatArray, FloatArray]]:
-    """Analytic gradient of the batch MSE w.r.t. all weights and biases."""
-    _, grads = model.loss_and_gradients(batch, target)
-    return grads
-
-
 class Adam:
     """Adam optimizer over a flat list of parameter arrays (in-place updates)."""
 

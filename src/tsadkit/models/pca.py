@@ -27,6 +27,8 @@ class PcaModel:
     components: FloatArray           # (q, m), orthonormal rows
     explained_variance_ratio: FloatArray  # per singular vector, all of them
 
+    window_length = 1  # reconstructs each row on its own
+
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
         comp = np.asarray(self.components, dtype=np.float64)

@@ -1,14 +1,19 @@
 """The reconstruction-model stage: raw, PCA, UAE, and FC AE.
 
-``fit`` produces a TrainedModel holding fitted parameters plus the signed
-training residuals every scoring function needs. ``residuals`` runs
-stride-1 inference; for windowed models the error at time t is the signed
-difference between the observed and reconstructed value at the LAST
-position of the window ending at t.
+``fit`` is the one place that reads the model kind. A fitted model has a
+``window_length`` (1 for raw and PCA) and ``residuals(stream)``: the
+signed errors for a stream that already holds any training tail, one row
+per window. RawModel's error is the signal; PcaModel reconstructs each
+row; WindowedAutoencoder serves UAE (one MLP per channel) and FC-AE (one
+MLP on all channels), and its error at time t is the observed minus the
+reconstructed value at the LAST position of the window ending at t.
+``residuals`` checks the series, prepends the training tail and runs
+stride-1 inference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Protocol
 
 import numpy as np
 
@@ -93,24 +98,73 @@ class FitReport:
     final_train_loss: float
 
 
-@dataclass(frozen=True)
-class TrainedModel:
-    """Fitted model stage plus the training residuals scoring needs.
+class ReconstructionModel(Protocol):
+    """A fitted model; see the module docstring."""
 
-    ``train_residuals`` rows align with training rows l_w-1, l_w, ... for
-    windowed kinds (length n1 - l_w + 1) and with every training row for
-    raw and PCA.
+    window_length: int
+
+    def residuals(self, stream: FloatArray) -> ErrorMatrix: ...
+
+
+class RawModel:
+    """No model: everything reconstructs to zero, so the error is the signal."""
+
+    window_length = 1
+
+    def residuals(self, stream: FloatArray) -> ErrorMatrix:
+        return stream.copy()
+
+
+def _group_rows(windows: FloatArray, channels: tuple[int, ...]) -> FloatArray:
+    """(count, l_w, m) windows as one row per window: the group's channels
+    flattened time-major, so the last len(channels) columns are the last
+    time-point."""
+    return np.ascontiguousarray(windows[:, :, channels].reshape(windows.shape[0], -1))
+
+
+@dataclass(frozen=True)
+class WindowedAutoencoder:
+    """MLP autoencoders on sliding windows, one per group of channels.
+
+    UAE has one group per channel, FC-AE one group of all channels. The
+    error at time t is the signed difference between the observed and the
+    reconstructed value at the last position of the window ending at t.
     """
 
-    kind: str
-    m: int
-    window_length: int | None
-    channel_models: tuple[MlpAutoencoder, ...] | None = None
-    fc_model: MlpAutoencoder | None = None
-    pca: PcaModel | None = None
-    train_residuals: ErrorMatrix | None = None
-    train_error_mean: FloatArray | None = None
-    fit_reports: tuple[FitReport, ...] = ()
+    window_length: int
+    groups: tuple[tuple[MlpAutoencoder, tuple[int, ...]], ...]
+
+    def residuals(self, stream: FloatArray) -> ErrorMatrix:
+        l_w = self.window_length
+        n_out = stream.shape[0] - l_w + 1
+        # (n_out, l_w, m), no copy
+        windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(stream, l_w, axis=0), -1, 1)
+        observed_last = stream[l_w - 1 :]
+        err = np.empty((n_out, stream.shape[1]), dtype=np.float64)
+        for model, channels in self.groups:
+            for lo in range(0, n_out, _FORWARD_CHUNK):
+                hi = min(lo + _FORWARD_CHUNK, n_out)
+                recon = model.forward(_group_rows(windows[lo:hi], channels))
+                err[lo:hi, channels] = observed_last[lo:hi, channels] - recon[:, -len(channels) :]
+        return err
+
+
+@dataclass(frozen=True)
+class TrainedModel:
+    """A fitted model plus the training residuals scoring needs.
+
+    ``train_residuals`` rows align with training rows l_w-1, l_w, ...
+    (every training row when l_w is 1). ``fit_reports`` has one entry per
+    trained autoencoder, none for raw and PCA.
+    """
+
+    model: ReconstructionModel
+    train_residuals: ErrorMatrix
+    fit_reports: tuple[FitReport, ...]
+
+    @property
+    def m(self) -> int:
+        return self.train_residuals.shape[1]
 
 
 def _chronological_split(count: int, validation_fraction: float) -> int:
@@ -124,36 +178,29 @@ def _chronological_split(count: int, validation_fraction: float) -> int:
 
 
 def _train_mlp(
-    windows: FloatArray,
-    latent_dim: int,
-    learning_rate: float,
-    batch_size: int,
-    max_epochs: int,
-    patience: int,
-    validation_fraction: float,
-    seed: int,
-    channel: int | None,
+    windows: FloatArray, config: ModelConfig, channel: int | None
 ) -> tuple[MlpAutoencoder, FitReport]:
     """Train one autoencoder on 2-D window rows with early stopping.
 
     The split is chronological: first (1 - validation_fraction) of windows
     train, the rest validate. The best-validation weights are restored.
     """
-    n_split = _chronological_split(windows.shape[0], validation_fraction)
+    n_split = _chronological_split(windows.shape[0], config.validation_fraction)
     x_train = np.ascontiguousarray(windows[:n_split])
     x_val = np.ascontiguousarray(windows[n_split:])
 
-    rng = np.random.default_rng(seed)
-    model = MlpAutoencoder(autoencoder_widths(windows.shape[1], latent_dim), rng)
+    rng = np.random.default_rng(config.seed)
+    model = MlpAutoencoder(autoencoder_widths(windows.shape[1], config.latent_dim), rng)
     params = model.parameters()
-    optimizer = Adam(params, learning_rate)
+    optimizer = Adam(params, config.learning_rate)
 
     best_val = np.inf
     best_epoch = -1
     best_params = model.copy_parameters()
     stall = 0
     epochs_run = 0
-    for epoch in range(max_epochs):
+    batch_size = config.batch_size
+    for epoch in range(config.max_epochs):
         epochs_run = epoch + 1
         order = rng.permutation(n_split)
         for lo in range(0, n_split, batch_size):
@@ -173,7 +220,7 @@ def _train_mlp(
             stall = 0
         else:
             stall += 1
-            if stall >= patience:
+            if stall >= config.patience:
                 break
     model.set_parameters(best_params)
     report = FitReport(
@@ -197,111 +244,25 @@ def fit(entity: Entity, config: ModelConfig, spec: WindowSpec) -> TrainedModel:
     train = entity.train
     m = train.m
     config = config.resolved(m)
-
+    reports: list[FitReport] = []
     if config.kind == "raw":
-        residual = train.values.copy()
-        return TrainedModel(
-            kind="raw",
-            m=m,
-            window_length=None,
-            train_residuals=residual,
-            train_error_mean=residual.mean(axis=0),
-        )
-
-    if config.kind == "pca":
-        pca = PcaModel.fit(train.values, config.pca_variance_fraction)
-        residual = pca.residuals(train.values)
-        return TrainedModel(
-            kind="pca",
-            m=m,
-            window_length=None,
-            pca=pca,
-            train_residuals=residual,
-            train_error_mean=residual.mean(axis=0),
-        )
-
-    windows = make_windows(train, spec)
-
-    if config.kind == "uae":
-        channel_models = []
-        reports = []
-        for i in range(m):
-            model_i, report_i = _train_mlp(
-                np.ascontiguousarray(windows[:, :, i]),
-                config.latent_dim,
-                config.learning_rate,
-                config.batch_size,
-                config.max_epochs,
-                config.patience,
-                config.validation_fraction,
-                config.seed,
-                channel=i,
-            )
-            channel_models.append(model_i)
-            reports.append(report_i)
-        trained = TrainedModel(
-            kind="uae",
-            m=m,
-            window_length=spec.length,
-            channel_models=tuple(channel_models),
-            fit_reports=tuple(reports),
-        )
-    else:  # fc_ae
-        flat = windows.reshape(windows.shape[0], -1)
-        fc_model, report = _train_mlp(
-            flat,
-            config.latent_dim,
-            config.learning_rate,
-            config.batch_size,
-            config.max_epochs,
-            config.patience,
-            config.validation_fraction,
-            config.seed,
-            channel=None,
-        )
-        trained = TrainedModel(
-            kind="fc_ae",
-            m=m,
-            window_length=spec.length,
-            fc_model=fc_model,
-            fit_reports=(report,),
-        )
-
-    train_res = residuals(trained, train, spec, train_tail=None)
-    return TrainedModel(
-        kind=trained.kind,
-        m=m,
-        window_length=spec.length,
-        channel_models=trained.channel_models,
-        fc_model=trained.fc_model,
-        train_residuals=train_res,
-        train_error_mean=train_res.mean(axis=0),
-        fit_reports=trained.fit_reports,
-    )
-
-
-def _sliding_last_position_residuals(model: TrainedModel, stream: FloatArray) -> ErrorMatrix:
-    l_w = model.window_length
-    n_out = stream.shape[0] - l_w + 1
-    view = np.lib.stride_tricks.sliding_window_view(stream, l_w, axis=0)
-    # view shape (n_out, m, l_w)
-    observed_last = stream[l_w - 1 :]
-    err = np.empty((n_out, model.m), dtype=np.float64)
-    if model.kind == "uae":
-        for i, channel_model in enumerate(model.channel_models):
-            for lo in range(0, n_out, _FORWARD_CHUNK):
-                hi = min(lo + _FORWARD_CHUNK, n_out)
-                chunk = np.ascontiguousarray(view[lo:hi, i, :])
-                recon = channel_model.forward(chunk)
-                err[lo:hi, i] = observed_last[lo:hi, i] - recon[:, -1]
-    else:  # fc_ae
-        m = model.m
-        for lo in range(0, n_out, _FORWARD_CHUNK):
-            hi = min(lo + _FORWARD_CHUNK, n_out)
-            chunk = np.moveaxis(view[lo:hi], -1, 1).reshape(hi - lo, l_w * m)
-            recon = model.fc_model.forward(chunk).reshape(hi - lo, l_w, m)
-            err[lo:hi] = observed_last[lo:hi] - recon[:, -1, :]
-    return err
+        model: ReconstructionModel = RawModel()
+    elif config.kind == "pca":
+        model = PcaModel.fit(train.values, config.pca_variance_fraction)
+    else:
+        # (report channel, input channels) per autoencoder
+        if config.kind == "uae":
+            groups = [(i, (i,)) for i in range(m)]
+        else:  # fc_ae
+            groups = [(None, tuple(range(m)))]
+        windows = make_windows(train, spec)
+        trained = []
+        for channel, channels in groups:
+            mlp, report = _train_mlp(_group_rows(windows, channels), config, channel)
+            trained.append((mlp, channels))
+            reports.append(report)
+        model = WindowedAutoencoder(spec.length, tuple(trained))
+    return TrainedModel(model, model.residuals(train.values), tuple(reports))
 
 
 def residuals(
@@ -313,31 +274,24 @@ def residuals(
     """Signed reconstruction errors for x, one row per scored time-point.
 
     Inference always uses stride 1 regardless of the training step. For
-    windowed models, pass the last l_w - 1 training rows as ``train_tail``
-    to obtain an error for every row of x; without a tail the first
-    l_w - 1 rows cannot be scored and the output is correspondingly
-    shorter (rows align with x rows l_w - 1 onward).
+    windowed models, pass the training rows (at least the last l_w - 1) as
+    ``train_tail`` to obtain an error for every row of x; without a tail
+    the first l_w - 1 rows cannot be scored and the output is
+    correspondingly shorter (rows align with x rows l_w - 1 onward).
     """
     if x.m != model.m:
         raise ValidationError(f"series has {x.m} channels, model has {model.m}")
-
-    if model.kind == "raw":
-        # a model that reconstructs everything to zero: error is the signal
-        return x.values.copy()
-    if model.kind == "pca":
-        return model.pca.residuals(x.values)
-
-    l_w = model.window_length
-    if train_tail is None:
-        stream = x.values
-    else:
+    keep = model.model.window_length - 1
+    stream = x.values
+    if train_tail is not None:
         if train_tail.m != model.m:
             raise ValidationError(
                 f"train_tail has {train_tail.m} channels, model has {model.m}"
             )
-        stream = np.concatenate([train_tail.values[-(l_w - 1) :], x.values], axis=0)
-    if stream.shape[0] < l_w:
+        if keep:
+            stream = np.concatenate([train_tail.values[-keep:], stream], axis=0)
+    if stream.shape[0] <= keep:
         raise InsufficientDataError(
-            f"need at least {l_w} rows for windowed inference, got {stream.shape[0]}"
+            f"need at least {keep + 1} rows for windowed inference, got {stream.shape[0]}"
         )
-    return _sliding_last_position_residuals(model, stream)
+    return model.model.residuals(stream)

@@ -312,6 +312,30 @@ class TestMalformedInputsExitOne:
         assert done.returncode == 1
         assert done.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("events, message", [
+        ([{"start": 2.7, "end": 4}], "events[0].start must be an integer, got 2.7"),
+        ([{"start": 2, "end": "4"}], 'events[0].end must be an integer, got "4"'),
+        ([{"start": 0, "end": 1}, {"start": 2, "end": 4, "causes": [True]}],
+         "events[1].causes[0] must be a string or an integer, got true"),
+        ([{"start": 2, "end": 4, "causes": "ab"}],
+         'events[0].causes must be an array or null, got "ab"'),
+        ([{"start": 2, "end": 4, "causes": [99]}],
+         "events[0].causes[0]: channel index must be in 0..1, got 99"),
+        ([{"start": 2, "end": 4, "causes": ["a", "zz"]}],
+         "events[0].causes[1]: unknown channel 'zz'"),
+        ([{"start": 4, "end": 2}], "events[0]: event needs 0 <= start <= end, got (4, 2)"),
+        ([{"start": 2, "end": 4, "cause": ["a"]}], "events[0]: unknown keys ['cause']"),
+        ({"start": 2, "end": 4}, "events file must be a JSON list"),
+    ])
+    def test_diagnose_bad_events(self, tmp_path, events, message):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("a,b\n" + "0.0,1.0\n" * 6)
+        path = write_json(tmp_path / "events.json", events)
+        done = run_cli("diagnose", scores, path, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e300"])
     def test_compare_metrics_non_finite_label(self, tmp_path, cell):
         labels = tmp_path / "labels.csv"

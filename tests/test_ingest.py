@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,24 @@ class TestLoadEntity:
                            [[0.0, 0], [1.0, 1]])
         with pytest.raises(ParseError):
             load_entity(train, test, cause_map={"0": ["nope"]})
+
+    @pytest.mark.parametrize("names", ["ab", ["a", 1], None])
+    def test_cause_map_value_must_be_list_of_names(self, tmp_path, names):
+        # a string is no list: "ab" must not read as the channels a and b
+        train = self._write(tmp_path, "train.csv", ["a", "b"], [[0.0, 0.0]])
+        test = self._write(tmp_path, "test.csv", ["a", "b", "label"],
+                           [[0.0, 0.0, 0], [1.0, 1.0, 1]])
+        with pytest.raises(ParseError, match=r"cause map key '0' must map to a list "
+                           r"of channel names, got " + re.escape(repr(names))):
+            load_entity(train, test, cause_map={"0": names})
+
+    def test_cause_map_file_must_hold_an_object(self, tmp_path):
+        train = self._write(tmp_path, "train.csv", ["a"], [[0.0]])
+        test = self._write(tmp_path, "test.csv", ["a", "label"], [[0.0, 0], [1.0, 1]])
+        cause_file = tmp_path / "causes.json"
+        cause_file.write_text(json.dumps([["a"]]))
+        with pytest.raises(ParseError, match="cause map must be a JSON object"):
+            load_entity(train, test, cause_map=cause_file)
 
     def test_scored_channel_selection(self, tmp_path):
         train = self._write(tmp_path, "train.csv", ["a", "b"], [[0.0, 0.0]])

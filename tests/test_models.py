@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from tsadkit.models import (
     autoencoder_widths,
     encoder_widths,
     fit,
-    mlp_gradient,
     residuals,
 )
 from tsadkit.models.mlp import Adam
@@ -103,14 +104,6 @@ class TestMlpAutoencoder:
             for a, b in zip(flat, fd):
                 denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
                 assert (np.abs(a - b) / denom).max() <= 1e-4
-
-    def test_mlp_gradient_wrapper(self):
-        model = MlpAutoencoder((4, 2, 4), np.random.default_rng(1))
-        x = np.random.default_rng(2).normal(size=(3, 4))
-        grads = mlp_gradient(model, x)
-        _, direct = model.loss_and_gradients(x)
-        for (gw, gb), (dw, db) in zip(grads, direct):
-            assert np.array_equal(gw, dw) and np.array_equal(gb, db)
 
     def test_adam_reduces_loss(self):
         rng = np.random.default_rng(5)
@@ -239,9 +232,32 @@ class TestFitAndResiduals:
         m1 = fit(ent, config, WindowSpec(10, 2))
         m2 = fit(ent, config, WindowSpec(10, 2))
         assert np.array_equal(m1.train_residuals, m2.train_residuals)
-        p1 = m1.fc_model.parameters()
-        p2 = m2.fc_model.parameters()
-        assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
+        assert len(m1.model.groups) == len(m2.model.groups) == 1
+        for (mlp1, channels1), (mlp2, channels2) in zip(m1.model.groups, m2.model.groups):
+            assert channels1 == channels2 == (0, 1)
+            p1, p2 = mlp1.parameters(), mlp2.parameters()
+            assert len(p1) == len(p2)
+            assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
+
+    def test_one_channel_fc_ae_matches_uae(self):
+        # with one channel, FC-AE's time-major window row is UAE's channel
+        # slice, so equal knobs train the same network bit for bit
+        rng = np.random.default_rng(15)
+        data = rng.random(size=(90, 1))
+        test = rng.random(size=(40, 1))
+        ent = entity_from(data, test)
+        spec = WindowSpec(8, 2)
+        knobs = {"latent_dim": 2, "learning_rate": 1e-2, "batch_size": 8,
+                 "max_epochs": 4, "seed": 4}
+        uae = fit(ent, ModelConfig("uae", **knobs), spec)
+        fc = fit(ent, ModelConfig("fc_ae", **knobs), spec)
+        assert np.array_equal(uae.train_residuals, fc.train_residuals)
+        assert np.abs(uae.train_residuals).max() > 0
+        tail = SeriesMatrix(data)
+        assert np.array_equal(residuals(uae, ent.test, spec, train_tail=tail),
+                              residuals(fc, ent.test, spec, train_tail=tail))
+        assert [r.channel for r in uae.fit_reports] == [0]
+        assert [r.channel for r in fc.fit_reports] == [None]
 
     def test_early_stopping_invariant(self):
         rng = np.random.default_rng(6)
@@ -291,8 +307,9 @@ class TestFitAndResiduals:
         ent = entity_from(data)
         spec = WindowSpec(6, 1)
         model = fit(ent, ModelConfig("uae", max_epochs=2, seed=0), spec)
-        object.__setattr__(model, "channel_models", (Identity(),))
-        err = residuals(model, ent.test, spec, train_tail=SeriesMatrix(data[-5:]))
+        assert [channels for _, channels in model.model.groups] == [(0,)]
+        perfect = replace(model, model=replace(model.model, groups=((Identity(), (0,)),)))
+        err = residuals(perfect, ent.test, spec, train_tail=SeriesMatrix(data[-5:]))
         assert np.abs(err).max() == 0.0
 
     def test_stride_one_inference_despite_training_stride(self):
@@ -311,7 +328,6 @@ class TestFitAndResiduals:
         ent = entity_from(data)
         model = fit(ent, ModelConfig("fc_ae", max_epochs=2, seed=0), WindowSpec(10, 2))
         assert model.train_residuals.shape == (64 - 10 + 1, 2)
-        assert model.train_error_mean.shape == (2,)
 
 
 class TestSyntheticEndToEnd:
