@@ -80,8 +80,16 @@ def _cell(value):
     return value
 
 
+def _read_json(path: str | Path):
+    """The parsed contents of a JSON file; a decode error names the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
 def _cmd_generate(args) -> int:
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    raw = _read_json(args.config)
     spec = SyntheticSpec.from_dict(raw)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed[0])
@@ -214,7 +222,7 @@ class _EventEntry:
 
 
 def _load_events(path: str | Path, channel_names: list[str]) -> list[Event]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = _read_json(path)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: events file must be a JSON list")
     if not raw:
@@ -353,7 +361,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

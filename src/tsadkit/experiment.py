@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import blas_policy, blas_threads
 from .core import (
     ConfigError,
     Entity,
@@ -39,7 +40,7 @@ from .ingest import (
     load_entity,
 )
 from .metrics import MetricReport, compute_report, rad_scores
-from .models import ModelConfig, fit, residuals
+from .models import FitReport, ModelConfig, fit, residuals
 from .scoring import (
     DynamicWindow,
     KernelSpec,
@@ -230,7 +231,10 @@ def _threshold_info(result) -> dict:
     return info
 
 
-def _run_cell(entity: Entity, seed: int, config: ExperimentConfig) -> dict:
+def _run_cell(
+    entity: Entity, seed: int, config: ExperimentConfig, threads: int = 1
+) -> tuple[dict, tuple[FitReport, ...]]:
+    """One (entity, seed) cell: its results entry and the model's fit reports."""
     truth = entity.test_labels
     scored = entity.scored_indices()
     stats = fit_normalizer(entity.train)
@@ -239,7 +243,7 @@ def _run_cell(entity: Entity, seed: int, config: ExperimentConfig) -> dict:
     normalized = replace(entity, train=train_norm, test=test_norm)
 
     model_config = replace(config.model, seed=seed)
-    model = fit(normalized, model_config, config.window)
+    model = fit(normalized, model_config, config.window, threads=threads)
 
     # residuals prepends the last l_w - 1 training rows
     test_err = residuals(model, test_norm, config.window, train_tail=train_norm)
@@ -312,7 +316,7 @@ def _run_cell(entity: Entity, seed: int, config: ExperimentConfig) -> dict:
             }
         else:
             cell["diagnosis"] = None
-    return cell
+    return cell, model.fit_reports
 
 
 def _load(source: EntitySource | SyntheticSpec) -> Entity:
@@ -445,6 +449,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
     tail-p without a fixed neg_log_eps, the sweep over 1..5 picks the one
     value maximizing the entity-and-seed-averaged selection metric, applied
     globally.
+
+    Autoencoders train their channels on threads, as many as the BLAS
+    would have used, shared out among the cells that run at once.
     """
     started = time.monotonic()
     sources = [(s.id, s) for s in config.entities] + [
@@ -453,6 +460,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
     entity_order = [eid for eid, _ in sources]
     loads = [_EntityLoad(eid, source, len(config.seeds)) for eid, source in sources]
 
+    # tasks run in entity_order x seeds, the order of cells and failures, so
+    # an entity's cells run together and it is held only while they run
+    tasks = [(load, seed) for load in loads for seed in config.seeds]
+    # None when unpinned: then the BLAS keeps its threads and training is serial
+    threads = max(1, (blas_threads() or 1) // min(workers, len(tasks)))
+
     def execute(task):
         load, seed = task
         entity, error = load.get()
@@ -460,15 +473,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
         try:
             if error is not None:
                 return None, error, None
-            return _run_cell(entity, seed, config), None, time.monotonic() - t0
+            cell, reports = _run_cell(entity, seed, config, threads)
+            return (cell, reports), None, time.monotonic() - t0
         except Exception as exc:  # cell isolation: record and continue
             return None, f"{type(exc).__name__}: {exc}", time.monotonic() - t0
         finally:
             load.release()
 
-    # tasks run in entity_order x seeds, the order of cells and failures, so
-    # an entity's cells run together and it is held only while they run
-    tasks = [(load, seed) for load in loads for seed in config.seeds]
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(execute, tasks))
@@ -478,11 +489,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
     ordered_cells: list[dict] = []
     ordered_failures: list[dict] = []
     timings: dict[str, float] = {}
-    for (load, seed), (cell, error, run_s) in zip(tasks, outcomes):
+    fit_reports: dict[str, list[dict]] = {}
+    for (load, seed), (done, error, run_s) in zip(tasks, outcomes):
         if run_s is not None:
             timings[f"{load.entity_id}/{seed}"] = run_s
-        if cell is not None:
+        if done is not None:
+            cell, reports = done
             ordered_cells.append(cell)
+            fit_reports[f"{load.entity_id}/{seed}"] = [asdict(r) for r in reports]
         else:
             ordered_failures.append({"entity": load.entity_id, "seed": seed, "error": error})
 
@@ -499,6 +513,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
         aggregates=aggregates,
         failures=tuple(ordered_failures),
         meta={
+            "blas": blas_policy(threads),
+            "fit_reports": fit_reports,
             "load_timings": {load.entity_id: load.seconds for load in loads},
             "timings": timings,
             "total_seconds": time.monotonic() - started,

@@ -429,8 +429,9 @@ def load_entity(
     The test header must contain ``label_column``; the channel columns are
     every other test column, and the train header must list exactly those
     channels (a train-side label column, if present, is ignored).
-    ``cause_map`` maps event ordinal (as emitted by run-length order) to a
-    list of channel names; it may be a dict or a path to a JSON file.
+    ``cause_map`` maps event ordinal (as emitted by run-length order,
+    written in canonical decimal such as ``"0"`` or ``"12"``) to a list of
+    channel names; it may be a dict or a path to a JSON file.
     """
     test = _CsvFile(test_path, label_column)
     test_header = test.header
@@ -471,10 +472,10 @@ def load_entity(
                 raise ParseError(f"{cause_path}: cause map must be a JSON object")
         name_to_idx = {h: i for i, h in enumerate(channels)}
         for key, names in cause_map.items():
-            try:
-                ordinal = int(key)
-            except (TypeError, ValueError):
-                raise ParseError(f"cause map key {key!r} is not an event ordinal") from None
+            # only the canonical decimal form: "+0", " 0 ", "00" and "0_0" are refused
+            if not (isinstance(key, str) and key.isdecimal() and key == str(int(key))):
+                raise ParseError(f"cause map key {key!r} is not an event ordinal")
+            ordinal = int(key)
             if not (0 <= ordinal < len(events)):
                 raise ParseError(
                     f"cause map names event {ordinal} but only {len(events)} events exist"

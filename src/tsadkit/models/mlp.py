@@ -45,18 +45,36 @@ class MlpAutoencoder:
 
     Weights start uniform in +-sqrt(6/(fan_in+fan_out)), biases at zero,
     drawn from the given generator so construction is deterministic.
+    Every weight and bias is a view into one float64 vector,
+    ``flat_params``, in ``parameters()`` order, and ``loss_and_gradients``
+    writes into a matching ``flat_grads``, so the optimizer updates and
+    checkpoints the whole network as one array.
     """
 
     def __init__(self, widths: tuple[int, ...], rng: np.random.Generator):
         if len(widths) < 2:
             raise ConfigError("need at least an input and an output layer")
         self.widths = tuple(int(w) for w in widths)
-        self.weights: list[FloatArray] = []
-        self.biases: list[FloatArray] = []
-        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
+        shapes = list(zip(self.widths[:-1], self.widths[1:]))
+        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+        self.flat_params = np.zeros(size)
+        self.flat_grads = np.zeros(size)
+        self.weights, self.biases = self._layers(self.flat_params)
+        self._grads = list(zip(*self._layers(self.flat_grads)))
+        for w, (fan_in, fan_out) in zip(self.weights, shapes):
             bound = math.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    def _layers(self, flat: FloatArray) -> tuple[list[FloatArray], list[FloatArray]]:
+        """Weight and bias views into ``flat``, laid out w0, b0, w1, b1, ..."""
+        weights, biases = [], []
+        lo = 0
+        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
+            mid = lo + fan_in * fan_out
+            weights.append(flat[lo:mid].reshape(fan_in, fan_out))
+            biases.append(flat[mid : mid + fan_out])
+            lo = mid + fan_out
+        return weights, biases
 
     @property
     def n_layers(self) -> int:
@@ -64,22 +82,23 @@ class MlpAutoencoder:
 
     def forward(self, x: FloatArray) -> FloatArray:
         h = x
-        last = self.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i != last:
-                h = np.tanh(h)
+        for i in range(self.n_layers):
+            h = self._layer(i, h)
+        return h
+
+    def _layer(self, i: int, x: FloatArray) -> FloatArray:
+        """Layer i's output for input x, in one new array."""
+        h = x @ self.weights[i]
+        h += self.biases[i]
+        if i != self.n_layers - 1:
+            np.tanh(h, out=h)
         return h
 
     def _forward_trace(self, x: FloatArray) -> list[FloatArray]:
         # activations[0] is the input; activations[i] the output of layer i-1
         acts = [x]
-        last = self.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = acts[-1] @ w + b
-            if i != last:
-                h = np.tanh(h)
-            acts.append(h)
+        for i in range(self.n_layers):
+            acts.append(self._layer(i, acts[-1]))
         return acts
 
     def loss(self, batch: FloatArray, target: FloatArray | None = None) -> float:
@@ -93,50 +112,55 @@ class MlpAutoencoder:
     def loss_and_gradients(
         self, batch: FloatArray, target: FloatArray | None = None
     ) -> tuple[float, list[tuple[FloatArray, FloatArray]]]:
-        """MSE loss and its analytic gradient for every weight and bias."""
+        """MSE loss and its analytic gradient for every weight and bias.
+
+        The gradients are (weight, bias) views into ``flat_grads``, which
+        the next call overwrites.
+        """
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
         if batch.shape[0] == 0:
             raise ValueError("batch must be non-empty")
         target = batch if target is None else np.atleast_2d(target)
         acts = self._forward_trace(batch)
-        diff = acts[-1] - target
-        loss = float(np.mean(diff * diff))
-        delta = (2.0 / diff.size) * diff
-        grads: list[tuple[FloatArray, FloatArray]] = [None] * self.n_layers  # type: ignore
+        delta = acts[-1]
+        delta -= target
+        loss = float(np.mean(delta * delta))
+        delta *= 2.0 / delta.size
         for i in range(self.n_layers - 1, -1, -1):
             a_prev = acts[i]
-            grads[i] = (a_prev.T @ delta, delta.sum(axis=0))
+            grad_w, grad_b = self._grads[i]
+            np.matmul(a_prev.T, delta, out=grad_w)
+            delta.sum(axis=0, out=grad_b)
             if i > 0:
                 delta = delta @ self.weights[i].T
-                delta = delta * (1.0 - a_prev * a_prev)  # tanh' = 1 - tanh^2
-        return loss, grads
+                # tanh' = 1 - tanh^2, from the activation this layer no longer needs
+                np.multiply(a_prev, a_prev, out=a_prev)
+                np.subtract(1.0, a_prev, out=a_prev)
+                delta *= a_prev
+        return loss, self._grads
 
     def parameters(self) -> list[FloatArray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
-    def copy_parameters(self) -> list[FloatArray]:
-        return [p.copy() for p in self.parameters()]
+    def copy_parameters(self) -> FloatArray:
+        return self.flat_params.copy()
 
-    def set_parameters(self, params: list[FloatArray]) -> None:
-        own = self.parameters()
-        if len(own) != len(params):
-            raise ValueError("parameter list length mismatch")
-        for dst, src in zip(own, params):
-            if dst.shape != src.shape:
-                raise ValueError("parameter shape mismatch")
-            dst[...] = src
+    def set_parameters(self, params: FloatArray) -> None:
+        if params.shape != self.flat_params.shape:
+            raise ValueError("parameter shape mismatch")
+        self.flat_params[...] = params
 
 
 class Adam:
-    """Adam optimizer over a flat list of parameter arrays (in-place updates)."""
+    """Adam optimizer over one flat parameter vector, updated in place.
+
+    Every step is elementwise, so one fused update of the vector rounds
+    exactly as separate updates of its pieces would.
+    """
 
     def __init__(
         self,
-        params: list[FloatArray],
+        params: FloatArray,
         learning_rate: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -147,17 +171,17 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params: list[FloatArray], grads: list[FloatArray]) -> None:
+    def step(self, params: FloatArray, grads: FloatArray) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        m, v = self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * grads
+        v *= b2
+        v += (1.0 - b2) * (grads * grads)
+        params -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

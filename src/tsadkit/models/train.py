@@ -12,11 +12,13 @@ stride-1 inference.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 import numpy as np
 
+from ..blas import one_thread
 from ..core import (
     ConfigError,
     Entity,
@@ -118,16 +120,23 @@ class RawModel:
 def _group_rows(windows: FloatArray, channels: tuple[int, ...]) -> FloatArray:
     """(count, l_w, m) windows as one row per window: the group's channels
     flattened time-major, so the last len(channels) columns are the last
-    time-point."""
-    return np.ascontiguousarray(windows[:, :, channels].reshape(windows.shape[0], -1))
+    time-point.
+
+    A group's channels are adjacent (one for UAE, all for FC-AE), so this
+    is a view of the windows. numpy multiplies a non-contiguous matrix in
+    its own loop, which rounds differently from BLAS, so callers multiply
+    contiguous copies only.
+    """
+    lo = channels[0]
+    return windows[:, :, lo : lo + len(channels)].reshape(windows.shape[0], -1)
 
 
 @dataclass(frozen=True)
 class WindowedAutoencoder:
     """MLP autoencoders on sliding windows, one per group of channels.
 
-    UAE has one group per channel, FC-AE one group of all channels. The
-    error at time t is the signed difference between the observed and the
+    UAE has one group per channel, FC-AE one group of all channels; a
+    group's channels are adjacent and ascending. The error at time t is the signed difference between the observed and the
     reconstructed value at the last position of the window ending at t.
     """
 
@@ -141,11 +150,15 @@ class WindowedAutoencoder:
         windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(stream, l_w, axis=0), -1, 1)
         observed_last = stream[l_w - 1 :]
         err = np.empty((n_out, stream.shape[1]), dtype=np.float64)
-        for model, channels in self.groups:
-            for lo in range(0, n_out, _FORWARD_CHUNK):
-                hi = min(lo + _FORWARD_CHUNK, n_out)
-                recon = model.forward(_group_rows(windows[lo:hi], channels))
-                err[lo:hi, channels] = observed_last[lo:hi, channels] - recon[:, -len(channels) :]
+        with one_thread():
+            for model, channels in self.groups:
+                for lo in range(0, n_out, _FORWARD_CHUNK):
+                    hi = min(lo + _FORWARD_CHUNK, n_out)
+                    rows = np.ascontiguousarray(_group_rows(windows[lo:hi], channels))
+                    recon = model.forward(rows)
+                    err[lo:hi, channels] = (
+                        observed_last[lo:hi, channels] - recon[:, -len(channels) :]
+                    )
         return err
 
 
@@ -186,13 +199,12 @@ def _train_mlp(
     train, the rest validate. The best-validation weights are restored.
     """
     n_split = _chronological_split(windows.shape[0], config.validation_fraction)
-    x_train = np.ascontiguousarray(windows[:n_split])
+    x_train = windows[:n_split]  # a view; each batch is gathered into a copy
     x_val = np.ascontiguousarray(windows[n_split:])
 
     rng = np.random.default_rng(config.seed)
     model = MlpAutoencoder(autoencoder_widths(windows.shape[1], config.latent_dim), rng)
-    params = model.parameters()
-    optimizer = Adam(params, config.learning_rate)
+    optimizer = Adam(model.flat_params, config.learning_rate)
 
     best_val = np.inf
     best_epoch = -1
@@ -205,11 +217,10 @@ def _train_mlp(
         order = rng.permutation(n_split)
         for lo in range(0, n_split, batch_size):
             batch = x_train[order[lo : lo + batch_size]]
-            loss, grads = model.loss_and_gradients(batch)
+            loss, _ = model.loss_and_gradients(batch)
             if not np.isfinite(loss):
                 raise TrainingError(f"training loss became non-finite at epoch {epoch}")
-            flat_grads = [g for pair in grads for g in pair]
-            optimizer.step(params, flat_grads)
+            optimizer.step(model.flat_params, model.flat_grads)
         val_loss = model.loss(x_val)
         if not np.isfinite(val_loss):
             raise TrainingError(f"validation loss became non-finite at epoch {epoch}")
@@ -228,18 +239,23 @@ def _train_mlp(
         epochs_run=epochs_run,
         best_epoch=best_epoch,
         best_val_loss=float(best_val),
-        final_train_loss=model.loss(x_train),
+        final_train_loss=model.loss(np.ascontiguousarray(x_train)),
     )
     return model, report
 
 
-def fit(entity: Entity, config: ModelConfig, spec: WindowSpec) -> TrainedModel:
+def fit(
+    entity: Entity, config: ModelConfig, spec: WindowSpec, threads: int = 1
+) -> TrainedModel:
     """Fit the configured model on the entity's training series.
 
     Deterministic for a fixed seed. Every UAE channel model draws its
     weight initialization and batch shuffles from an identically seeded
     generator, so permuting input channels permutes the per-channel
-    residuals without changing any of them.
+    residuals without changing any of them. Autoencoders train with BLAS
+    pinned to one thread (``blas.one_thread``), their groups on a pool of
+    ``threads`` workers; each group trains alone, so the pool gives the
+    serial result bit for bit.
     """
     train = entity.train
     m = train.m
@@ -256,12 +272,20 @@ def fit(entity: Entity, config: ModelConfig, spec: WindowSpec) -> TrainedModel:
         else:  # fc_ae
             groups = [(None, tuple(range(m)))]
         windows = make_windows(train, spec)
-        trained = []
-        for channel, channels in groups:
+
+        def train_group(group: tuple[int | None, tuple[int, ...]]):
+            channel, channels = group
             mlp, report = _train_mlp(_group_rows(windows, channels), config, channel)
-            trained.append((mlp, channels))
-            reports.append(report)
-        model = WindowedAutoencoder(spec.length, tuple(trained))
+            return (mlp, channels), report
+
+        with one_thread():
+            if threads > 1 and len(groups) > 1:
+                with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as pool:
+                    trained = list(pool.map(train_group, groups))
+            else:
+                trained = [train_group(group) for group in groups]
+        model = WindowedAutoencoder(spec.length, tuple(group for group, _ in trained))
+        reports = [report for _, report in trained]
     return TrainedModel(model, model.residuals(train.values), tuple(reports))
 
 

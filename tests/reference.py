@@ -247,3 +247,28 @@ def read_csv_naive(path):
                 ) from None
         values.append(parsed)
     return header, values
+
+
+class AdamPerArray:
+    """Adam as separate updates of each parameter array, in place."""
+
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = float(learning_rate)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1**self.t
+        bias2 = 1.0 - b2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

@@ -1,0 +1,206 @@
+"""The BLAS pin: one thread inside autoencoder stages, the prior count after.
+
+Tests that need numpy's bundled OpenBLAS skip, saying so, where numpy links
+another BLAS; the pin is then a no-op and the run says "unpinned".
+"""
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tsadkit
+from tsadkit import blas
+from tsadkit.core import Entity, SeriesMatrix, TrainingError
+from tsadkit.experiment import config_from_dict, run_experiment
+from tsadkit.ingest import WindowSpec
+from tsadkit.models import ModelConfig, fit, train
+
+UAE_CONFIG = {
+    "synthetic": [{
+        "n_train": 240, "n_test": 160, "m": 3, "period": [20.0, 30.0, 45.0],
+        "noise_sigma": 0.1, "seed": 8, "entity_id": "syn",
+        "anomalies": [
+            {"start": 60, "length": 10, "kind": "spike", "channels": [0, 2],
+             "magnitude": 2.0},
+        ],
+    }],
+    "window": {"length": 10, "step": 1},
+    "model": {"kind": "uae", "max_epochs": 4},
+    "scoring": {"kind": "gauss_s"},
+    "threshold": {"method": "best_f"},
+    "diagnosis": {"enabled": True},
+    "seeds": [1],
+}
+
+needs_openblas = pytest.mark.skipif(
+    blas.blas_threads() is None, reason="numpy's BLAS is not the bundled OpenBLAS: unpinned"
+)
+
+
+def raw_threads() -> int:
+    return blas._openblas()[0]()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The BLAS at 2 threads for the test, whatever it started with."""
+    get, set_ = blas._openblas()
+    before = get()
+    set_(2)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@pytest.fixture
+def inside_training(monkeypatch):
+    """Records the BLAS thread count each time a model starts training."""
+    seen = []
+    train_mlp = train._train_mlp
+
+    def spy(*args):
+        seen.append(raw_threads())
+        return train_mlp(*args)
+
+    monkeypatch.setattr(train, "_train_mlp", spy)
+    return seen
+
+
+def test_results_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A 3-channel UAE run writes the same results.json under 1 and 2 BLAS
+    threads; under 2 (on 2 or more cores) it trains its channels on a pool
+    of 2."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(UAE_CONFIG))
+    src = str(Path(tsadkit.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "tsadkit.cli", "run", "--config", str(cfg),
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        policy = json.loads((out / "run_meta.json").read_text())["blas"]
+        if policy["policy"] == "unpinned":
+            pytest.skip("numpy's BLAS is not the bundled OpenBLAS: unpinned")
+        # OpenBLAS caps the variable at the core count; one cell gets them all
+        assert 1 <= policy["threads"] <= int(threads)
+        assert policy["channel_threads"] == policy["threads"]
+        outputs[threads] = (out / "results.json").read_bytes()
+    assert outputs["1"] == outputs["2"]
+
+
+@needs_openblas
+def test_run_pins_training_and_restores(two_blas_threads, inside_training):
+    record = run_experiment(config_from_dict(UAE_CONFIG))
+    assert not record.failures
+    assert inside_training == [1, 1, 1]
+    assert raw_threads() == 2
+    assert record.meta["blas"]["threads"] == 2
+    assert record.meta["blas"]["policy"] == "pinned"
+    assert record.meta["blas"]["channel_threads"] == 2
+
+
+@needs_openblas
+def test_training_error_restores(two_blas_threads):
+    rng = np.random.default_rng(7)
+    data = SeriesMatrix(rng.random(size=(80, 2)))
+    entity = Entity("e", data, data, np.zeros(80, dtype=np.int64))
+    config = ModelConfig("uae", learning_rate=1e200, max_epochs=30, seed=0)
+    with pytest.raises(TrainingError):
+        fit(entity, config, WindowSpec(10, 1), threads=2)
+    assert raw_threads() == 2
+    assert blas.blas_threads() == 2
+
+
+@needs_openblas
+def test_overlapping_cells_share_one_pin(two_blas_threads, monkeypatch):
+    # both cells wait for each other inside the pin, so the pin overlaps
+    both_inside = threading.Barrier(2, timeout=30)
+    seen = []
+    train_mlp = train._train_mlp
+
+    def spy(*args):
+        both_inside.wait()
+        seen.append(raw_threads())
+        return train_mlp(*args)
+
+    monkeypatch.setattr(train, "_train_mlp", spy)
+    config = config_from_dict(dict(
+        UAE_CONFIG,
+        synthetic=[dict(UAE_CONFIG["synthetic"][0], m=1, period=25.0,
+                        anomalies=[dict(UAE_CONFIG["synthetic"][0]["anomalies"][0],
+                                        channels=[0])])],
+        seeds=[1, 2],
+    ))
+    record = run_experiment(config, workers=2)
+    assert not record.failures, record.failures
+    assert seen == [1, 1]
+    assert record.meta["blas"]["channel_threads"] == 1  # 2 threads over 2 cells
+    assert raw_threads() == 2
+    assert sorted(record.meta["fit_reports"]) == ["syn/1", "syn/2"]
+
+
+def test_fit_reports_in_meta_only(tmp_path):
+    record = run_experiment(config_from_dict(UAE_CONFIG))
+    reports = record.meta["fit_reports"]["syn/1"]
+    assert [r["channel"] for r in reports] == [0, 1, 2]
+    assert set(reports[0]) == {
+        "channel", "epochs_run", "best_epoch", "best_val_loss", "final_train_loss"
+    }
+    assert all(1 <= r["epochs_run"] <= 4 for r in reports)
+    assert "fit_reports" not in json.dumps(record.payload())
+
+
+def test_pin_stress_keeps_one_thread_and_restores(monkeypatch):
+    """Eight threads enter and leave one pin 2000 times each, with a short
+    switch interval; inside, the count is always 1; after, it is the prior."""
+    state = {"threads": 4}
+    monkeypatch.setattr(
+        blas, "_openblas",
+        lambda: (lambda: state["threads"], lambda n: state.update(threads=n)),
+    )
+    pin = blas._Pin()
+    wrong = []
+    start = threading.Barrier(8, timeout=30)
+
+    def worker():
+        start.wait()
+        for _ in range(2000):
+            with pin.one_thread():
+                if state["threads"] != 1:
+                    wrong.append(state["threads"])
+            if pin.threads() != 4:
+                wrong.append(("outside", pin.threads()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
+    assert state["threads"] == 4
+
+
+def test_unpinned_run_trains_serially(monkeypatch):
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    record = run_experiment(config_from_dict(UAE_CONFIG))
+    assert not record.failures
+    assert record.meta["blas"]["policy"] == "unpinned"
+    assert record.meta["blas"]["threads"] is None
+    assert record.meta["blas"]["channel_threads"] == 1

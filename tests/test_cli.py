@@ -336,6 +336,29 @@ class TestMalformedInputsExitOne:
         assert done.stdout == ""
         assert done.stderr == f"error: {path}: {message}\n"
 
+    def test_diagnose_truncated_events_names_file(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("a,b\n" + "0.0,1.0\n" * 6)
+        path = tmp_path / "events.json"
+        path.write_text('[{"start": 1,')
+        done = run_cli("diagnose", scores, path, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: {path}: invalid JSON: Expecting property name enclosed in "
+            "double quotes: line 1 column 14 (char 13)\n"
+        )
+
+    def test_generate_truncated_spec_names_file(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"entity_id": ')
+        done = run_cli("generate", "--config", path, "--out", tmp_path / "d", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr == (
+            f"error: {path}: invalid JSON: Expecting value: line 1 column 15 (char 14)\n"
+        )
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e300"])
     def test_compare_metrics_non_finite_label(self, tmp_path, cell):
         labels = tmp_path / "labels.csv"

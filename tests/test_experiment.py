@@ -261,7 +261,7 @@ class TestRunExperiment:
             metrics=["fc1", "auroc", "auprc"],
         )
         entity = experiment.generate_synthetic(config.synthetic[0])
-        cell = experiment._run_cell(entity, 0, config)
+        cell, _ = experiment._run_cell(entity, 0, config)
         sweep = cell["tail_p_sweep"]
         assert len(sweep) == len(experiment.TAIL_P_SWEEP) == len(series)
         truth = entity.test_labels

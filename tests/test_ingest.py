@@ -327,6 +327,23 @@ class TestLoadEntity:
                            r"of channel names, got " + re.escape(repr(names))):
             load_entity(train, test, cause_map={"0": names})
 
+    @pytest.mark.parametrize("key", ["+0", "+0_0", "0_0", " 0 ", "00", "-0", "0.0", "٠", ""])
+    def test_cause_map_key_must_be_canonical_ordinal(self, tmp_path, key):
+        # each of these int()-parses to 0 (or is no number); only "0" names event 0
+        train = self._write(tmp_path, "train.csv", ["a"], [[0.0]])
+        test = self._write(tmp_path, "test.csv", ["a", "label"], [[0.0, 0], [1.0, 1]])
+        with pytest.raises(ParseError,
+                           match=re.escape(f"cause map key {key!r} is not an event ordinal")):
+            load_entity(train, test, cause_map={key: ["a"]})
+
+    def test_cause_map_multi_digit_ordinal(self, tmp_path):
+        labels = [0, 1] * 11
+        train = self._write(tmp_path, "train.csv", ["a"], [[0.0]])
+        test = self._write(tmp_path, "test.csv", ["a", "label"], [[0.0, v] for v in labels])
+        ent = load_entity(train, test, cause_map={"10": ["a"]})
+        assert ent.test_events[10].causes == frozenset({0})
+        assert ent.test_events[9].causes is None
+
     def test_cause_map_file_must_hold_an_object(self, tmp_path):
         train = self._write(tmp_path, "train.csv", ["a"], [[0.0]])
         test = self._write(tmp_path, "test.csv", ["a", "label"], [[0.0, 0], [1.0, 1]])

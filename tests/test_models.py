@@ -21,7 +21,7 @@ from tsadkit.models import (
     residuals,
 )
 from tsadkit.models.mlp import Adam
-from reference import fd_gradient
+from reference import AdamPerArray, fd_gradient
 
 
 def entity_from(train, test=None, labels=None, eid="e"):
@@ -109,12 +109,43 @@ class TestMlpAutoencoder:
         rng = np.random.default_rng(5)
         model = MlpAutoencoder((4, 2, 4), rng)
         x = rng.normal(size=(32, 4))
-        opt = Adam(model.parameters(), learning_rate=1e-2)
+        opt = Adam(model.flat_params, learning_rate=1e-2)
         first = model.loss(x)
         for _ in range(200):
-            _, grads = model.loss_and_gradients(x)
-            opt.step(model.parameters(), [g for pair in grads for g in pair])
+            model.loss_and_gradients(x)
+            opt.step(model.flat_params, model.flat_grads)
         assert model.loss(x) < first * 0.5
+
+
+    def test_fused_adam_equals_per_array_updates(self):
+        # one update of the flat vector rounds exactly as one update per array
+        widths = autoencoder_widths(12, 3)
+        fused = MlpAutoencoder(widths, np.random.default_rng(9))
+        split = MlpAutoencoder(widths, np.random.default_rng(9))
+        opt = Adam(fused.flat_params, learning_rate=3e-3)
+        ref = AdamPerArray(split.parameters(), learning_rate=3e-3)
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            x = rng.normal(size=(16, 12))
+            fused.loss_and_gradients(x)
+            opt.step(fused.flat_params, fused.flat_grads)
+            _, grads = split.loss_and_gradients(x)
+            ref.step(split.parameters(), [g for pair in grads for g in pair])
+        assert np.array_equal(fused.flat_params, split.flat_params)
+        assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+        assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+
+    def test_flat_views_in_parameter_order(self):
+        model = MlpAutoencoder(autoencoder_widths(8, 2), np.random.default_rng(4))
+        joined = np.concatenate([p.ravel() for p in model.parameters()])
+        assert np.array_equal(joined, model.flat_params)
+        saved = model.copy_parameters()
+        model.weights[1][0, 0] += 1.0
+        assert model.flat_params[np.flatnonzero(model.flat_params != saved)].size == 1
+        model.set_parameters(saved)
+        assert np.array_equal(model.flat_params, saved)
+        with pytest.raises(ValueError):
+            model.set_parameters(saved[:-1])
 
 
 class TestPca:
@@ -238,6 +269,27 @@ class TestFitAndResiduals:
             p1, p2 = mlp1.parameters(), mlp2.parameters()
             assert len(p1) == len(p2)
             assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
+
+    def test_channel_pool_equals_serial_training(self):
+        rng = np.random.default_rng(16)
+        data = rng.random(size=(160, 3))
+        test = rng.random(size=(50, 3))
+        ent = entity_from(data, test)
+        spec = WindowSpec(12, 1)
+        config = ModelConfig("uae", max_epochs=6, seed=2)
+        serial = fit(ent, config, spec, threads=1)
+        pooled = fit(ent, config, spec, threads=2)
+        assert len(serial.model.groups) == len(pooled.model.groups) == 3
+        for (mlp1, channels1), (mlp2, channels2) in zip(serial.model.groups,
+                                                          pooled.model.groups):
+            assert channels1 == channels2
+            assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
+        assert np.array_equal(serial.train_residuals, pooled.train_residuals)
+        tail = SeriesMatrix(data)
+        assert np.array_equal(residuals(serial, ent.test, spec, train_tail=tail),
+                              residuals(pooled, ent.test, spec, train_tail=tail))
+        assert serial.fit_reports == pooled.fit_reports
+        assert [r.channel for r in pooled.fit_reports] == [0, 1, 2]
 
     def test_one_channel_fc_ae_matches_uae(self):
         # with one channel, FC-AE's time-major window row is UAE's channel
