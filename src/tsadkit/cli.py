@@ -20,18 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    Event,
-    ParseError,
-    ValidationError,
-    check_float_matrix,
-    decode_config,
-)
-from .diagnosis import RANK_STATISTICS, event_rows, hitrate_at, rank_channels, rc_top_k
+from .core import ConfigError, Event, ParseError, ValidationError, decode_config
+from .diagnosis import RANK_STATISTICS
 from .experiment import (
     compare_metrics,
     config_from_json,
+    diagnose_events,
     emit_results,
     run_experiment,
 )
@@ -81,9 +75,11 @@ def _cell(value):
 
 
 def _read_json(path: str | Path):
-    """The parsed contents of a JSON file; a decode error names the file."""
+    """The parsed contents of a UTF-8 JSON file; a decode error names the file."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
@@ -262,13 +258,9 @@ def _cause_index(cause: str | int, index_of: dict[str, int], where: str) -> int:
 def _cmd_diagnose(args) -> int:
     names, scores = read_csv(args.scores)
     events = _load_events(args.events, names)
-    checked = check_float_matrix(scores, "channel scores")
-    diagnoses = [
-        rank_channels(
-            *event_rows(checked, event), statistic=args.statistic, event_index=i
-        )
-        for i, event in enumerate(events)
-    ]
+    diagnoses, summary = diagnose_events(
+        scores, events, None, args.statistic, args.top_k, args.percent
+    )
     rows = [
         {
             "event": i,
@@ -278,12 +270,7 @@ def _cmd_diagnose(args) -> int:
         }
         for i, d in enumerate(diagnoses)
     ]
-    report: dict = {"statistic": args.statistic, "events": rows}
-    if any(e.causes is not None for e in events):
-        report["rc_top_k"] = rc_top_k(diagnoses, events, args.top_k)
-        report["hitrate"] = hitrate_at(diagnoses, events, args.percent)
-        report["k"] = args.top_k
-        report["percent"] = args.percent
+    report = {"statistic": args.statistic, "events": rows, **(summary or {})}
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

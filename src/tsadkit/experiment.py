@@ -189,6 +189,8 @@ def config_from_json(path: str | Path) -> ExperimentConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return config_from_dict(raw)
@@ -231,6 +233,42 @@ def _threshold_info(result) -> dict:
     return info
 
 
+def _thresholds(series, truth, n_scored: int, tc: ThresholdConfig):
+    """The cell's threshold candidates, one at a time: one for best_f, top_k
+    and a fixed tail_p eps, one per eps of ``TAIL_P_SWEEP`` for the sweep."""
+    if tc.method == "best_f":
+        yield threshold_best_f(series, truth, tc.metric)
+    elif tc.method == "top_k":
+        yield threshold_top_k(series, tc.k if tc.k is not None else int(truth.sum()))
+    else:
+        for eps in TAIL_P_SWEEP if tc.neg_log_eps is None else (tc.neg_log_eps,):
+            yield threshold_tail_p(series, n_scored, eps)
+
+
+def diagnose_events(
+    channels, events, scored, statistic: str, top_k: int, percent: int
+) -> tuple[list, dict | None]:
+    """Rank the scored channels over each event's own rows.
+
+    The score matrix is checked once, not per event. Returns the
+    diagnoses and, when any event carries causes, a summary with
+    ``rc_top_k``, ``hitrate``, ``k`` and ``percent``; else None.
+    """
+    checked = check_float_matrix(channels, "channel scores")
+    diagnoses = [
+        rank_channels(*event_rows(checked, e), scored, statistic, i)
+        for i, e in enumerate(events)
+    ]
+    if not any(e.causes is not None for e in events):
+        return diagnoses, None
+    return diagnoses, {
+        "rc_top_k": rc_top_k(diagnoses, events, top_k),
+        "hitrate": hitrate_at(diagnoses, events, percent),
+        "k": top_k,
+        "percent": percent,
+    }
+
+
 def _run_cell(
     entity: Entity, seed: int, config: ExperimentConfig, threads: int = 1
 ) -> tuple[dict, tuple[FitReport, ...]]:
@@ -265,57 +303,31 @@ def _run_cell(
         if sc.kind == "gauss_d_k":
             channels, series = score_gauss_d_k(channels, KernelSpec(sc.kernel_sigma), scored)
 
-    cell: dict = {"entity": entity.id, "seed": seed}
-
-    tc = config.threshold
-    if tc.method == "tail_p" and tc.neg_log_eps is None:
-        # tail_p sweep; the runner picks one global eps afterwards
-        sweep = {}
-        ranking = None
-        for eps in TAIL_P_SWEEP:
-            result = threshold_tail_p(series, len(scored), eps)
-            # auroc and auprc depend on the scores alone: rank them once
-            if ranking is None:
-                report = compute_report(result.predictions, truth, series)
-                ranking = {"auroc": report.auroc, "auprc": report.auprc}
-            else:
-                report = replace(compute_report(result.predictions, truth), **ranking)
-            sweep[str(eps)] = {
-                "threshold": _threshold_info(result),
-                "metrics": _report_to_dict(report, config.metrics),
-            }
-        cell["tail_p_sweep"] = sweep
-    else:
-        if tc.method == "best_f":
-            result = threshold_best_f(series, truth, tc.metric)
-        elif tc.method == "top_k":
-            result = threshold_top_k(series, tc.k if tc.k is not None else int(truth.sum()))
-        else:  # tail_p, fixed eps
-            result = threshold_tail_p(series, len(scored), tc.neg_log_eps)
-        report = compute_report(result.predictions, truth, series)
-        cell["threshold"] = _threshold_info(result)
-        cell["metrics"] = _report_to_dict(report, config.metrics)
-
-    if config.diagnosis.enabled:
-        events = list(entity.test_events)
-        annotated = [e for e in events if e.causes is not None]
-        if annotated:
-            checked = check_float_matrix(channels, "channel scores")
-            diagnoses = [
-                rank_channels(
-                    *event_rows(checked, e), scored, config.diagnosis.statistic, i
-                )
-                for i, e in enumerate(events)
-            ]
-            cell["diagnosis"] = {
-                "rc_top_k": rc_top_k(diagnoses, events, config.diagnosis.top_k),
-                "hitrate": hitrate_at(diagnoses, events, config.diagnosis.percent),
-                "k": config.diagnosis.top_k,
-                "percent": config.diagnosis.percent,
-                "rankings": [list(d.ranked_channels) for d in diagnoses],
-            }
+    cell: dict = {"entity": entity.id, "seed": seed, "candidates": []}
+    ranking = None
+    for result in _thresholds(series, truth, len(scored), config.threshold):
+        # auroc and auprc depend on the scores alone: rank them once
+        if ranking is None:
+            report = compute_report(result.predictions, truth, series)
+            ranking = {"auroc": report.auroc, "auprc": report.auprc}
         else:
-            cell["diagnosis"] = None
+            report = replace(compute_report(result.predictions, truth), **ranking)
+        cell["candidates"].append({
+            "threshold": _threshold_info(result),
+            "metrics": _report_to_dict(report, config.metrics),
+        })
+
+    dc = config.diagnosis
+    if dc.enabled:
+        events = entity.test_events
+        cell["diagnosis"] = None
+        if any(e.causes is not None for e in events):
+            diagnoses, summary = diagnose_events(
+                channels, events, scored, dc.statistic, dc.top_k, dc.percent
+            )
+            cell["diagnosis"] = {
+                **summary, "rankings": [list(d.ranked_channels) for d in diagnoses]
+            }
     return cell, model.fit_reports
 
 
@@ -366,74 +378,41 @@ class _EntityLoad:
                 self._entity = None
 
 
-def _select_tail_p(cells: list[dict], config: ExperimentConfig) -> int | None:
-    """Pick the single neg_log_eps maximizing the mean selection metric."""
-    swept = [c for c in cells if "tail_p_sweep" in c]
-    if not swept:
-        return None
+def _pick(cells: list[dict], config: ExperimentConfig) -> None:
+    """Keep one threshold candidate for the whole run in every cell: the
+    first with the highest mean selection metric over the cells."""
+    if not cells:
+        return
     metric = config.threshold.metric
-    eps_values = sorted({int(e) for c in swept for e in c["tail_p_sweep"]})
-    best_eps = eps_values[0]
-    best_value = -1.0
-    for eps in eps_values:
-        values = [
-            c["tail_p_sweep"][str(eps)]["metrics"][metric]
-            for c in swept
-            if str(eps) in c["tail_p_sweep"]
-        ]
-        mean = float(np.mean(values)) if values else 0.0
-        if mean > best_value:
-            best_value = mean
-            best_eps = eps
-    return best_eps
-
-
-def _finalize_tail_p(cells: list[dict], chosen: int) -> None:
+    means = [
+        np.mean([c["candidates"][i]["metrics"][metric] for c in cells])
+        for i in range(len(cells[0]["candidates"]))
+    ]
+    best = int(np.argmax(means))
+    swept = config.threshold.method == "tail_p" and config.threshold.neg_log_eps is None
     for cell in cells:
-        sweep = cell.pop("tail_p_sweep", None)
-        if sweep is None:
-            continue
-        picked = sweep[str(chosen)]
-        cell["threshold"] = picked["threshold"]
-        cell["metrics"] = picked["metrics"]
-        cell["tail_p_selected"] = chosen
+        cell.update(cell.pop("candidates")[best])
+        if swept:
+            cell["tail_p_selected"] = TAIL_P_SWEEP[best]
 
 
-def _aggregate(cells: list[dict], entity_order: list[str]) -> dict:
-    by_entity: dict[str, list[dict]] = {eid: [] for eid in entity_order}
-    for cell in cells:
-        by_entity[cell["entity"]].append(cell)
-
-    metric_keys: list[str] = []
-    for cell in cells:
-        for key in cell.get("metrics", {}):
-            if key not in metric_keys:
-                metric_keys.append(key)
-
+def _aggregate(cells: list[dict]) -> dict:
     def mean_or_none(values):
         values = [v for v in values if v is not None]
         return float(np.mean(values)) if values else None
 
+    metric_keys = sorted({key for cell in cells for key in cell["metrics"]})
     per_entity: dict[str, dict] = {}
-    for eid in entity_order:
-        group = by_entity[eid]
-        if not group:
-            continue
-        entry = {
-            key: mean_or_none([c["metrics"].get(key) for c in group if "metrics" in c])
-            for key in metric_keys
-        }
+    for eid in dict.fromkeys(c["entity"] for c in cells):
+        group = [c for c in cells if c["entity"] == eid]
+        entry = {key: mean_or_none([c["metrics"][key] for c in group]) for key in metric_keys}
         diag = [c["diagnosis"] for c in group if c.get("diagnosis")]
         if diag:
             entry["rc_top_k"] = mean_or_none([d["rc_top_k"] for d in diag])
             entry["hitrate"] = mean_or_none([d["hitrate"] for d in diag])
         per_entity[eid] = entry
 
-    overall_keys: list[str] = []
-    for entry in per_entity.values():
-        for key in entry:
-            if key not in overall_keys:
-                overall_keys.append(key)
+    overall_keys = sorted({key for entry in per_entity.values() for key in entry})
     overall = {
         key: mean_or_none([entry.get(key) for entry in per_entity.values()])
         for key in overall_keys
@@ -445,10 +424,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
     """Execute every (entity, seed) cell and aggregate the reports.
 
     Cells run independently (optionally in a thread pool); a failing cell
-    is recorded under ``failures`` and the rest of the run completes. For
-    tail-p without a fixed neg_log_eps, the sweep over 1..5 picks the one
-    value maximizing the entity-and-seed-averaged selection metric, applied
-    globally.
+    is recorded under ``failures`` and the rest of the run completes. Each
+    cell scores every threshold candidate; the run then keeps one candidate
+    index for all cells, the one maximizing the entity-and-seed-averaged
+    selection metric. Only the tail-p sweep over 1..5 has more than one.
 
     Autoencoders train their channels on threads, as many as the BLAS
     would have used, shared out among the cells that run at once.
@@ -457,10 +436,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
     sources = [(s.id, s) for s in config.entities] + [
         (s.entity_id, s) for s in config.synthetic
     ]
-    entity_order = [eid for eid, _ in sources]
     loads = [_EntityLoad(eid, source, len(config.seeds)) for eid, source in sources]
 
-    # tasks run in entity_order x seeds, the order of cells and failures, so
+    # tasks run in source order x seeds, the order of cells and failures, so
     # an entity's cells run together and it is held only while they run
     tasks = [(load, seed) for load in loads for seed in config.seeds]
     # None when unpinned: then the BLAS keeps its threads and training is serial
@@ -500,12 +478,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
         else:
             ordered_failures.append({"entity": load.entity_id, "seed": seed, "error": error})
 
-    if config.threshold.method == "tail_p" and config.threshold.neg_log_eps is None:
-        chosen = _select_tail_p(ordered_cells, config)
-        if chosen is not None:
-            _finalize_tail_p(ordered_cells, chosen)
-
-    aggregates = _aggregate(ordered_cells, entity_order)
+    _pick(ordered_cells, config)
+    aggregates = _aggregate(ordered_cells)
     return ResultsRecord(
         config_digest=config.digest(),
         config=config.to_dict(),
@@ -526,24 +500,16 @@ def compare_metrics(truth, named_predictions: dict, rad_seed: int = 0) -> list[d
     """Score each named prediction with all three F-scores, plus random
     baseline rows thresholded for the best value of each metric."""
     y = validate_labels(truth)
-    rows = []
-    for name, pred in named_predictions.items():
+
+    def row(name: str, pred) -> dict:
         report = compute_report(pred, y)
-        rows.append(
-            {"name": name, "f1": report.f1, "fpa1": report.fpa1, "fc1": report.fc1}
-        )
+        return {"name": name, "f1": report.f1, "fpa1": report.fpa1, "fc1": report.fc1}
+
+    rows = [row(name, pred) for name, pred in named_predictions.items()]
     scores = rad_scores(y.shape[0], rad_seed)
     for metric in BEST_F_METRICS:
         result = threshold_best_f(scores, y, metric)
-        report = compute_report(result.predictions, y)
-        rows.append(
-            {
-                "name": f"random(best {metric})",
-                "f1": report.f1,
-                "fpa1": report.fpa1,
-                "fc1": report.fc1,
-            }
-        )
+        rows.append(row(f"random(best {metric})", result.predictions))
     return rows
 
 

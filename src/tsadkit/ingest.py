@@ -279,8 +279,11 @@ def _read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: file not found")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file, expected a header row")
     header, data = rows[0], rows[1:]
@@ -466,7 +469,7 @@ def load_entity(
             cause_path = Path(cause_map)
             try:
                 cause_map = json.loads(cause_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
                 raise ParseError(f"{cause_path}: cannot read cause map: {exc}") from None
             if not isinstance(cause_map, dict):
                 raise ParseError(f"{cause_path}: cause map must be a JSON object")

@@ -65,8 +65,11 @@ class RankTable:
         path = Path(path)
         if not path.exists():
             raise ParseError(f"{path}: file not found")
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with path.open(newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
         if len(rows) < 2:
             raise ParseError(f"{path}: need a header and at least one method row")
         header = rows[0]

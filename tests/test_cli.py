@@ -370,3 +370,58 @@ class TestMalformedInputsExitOne:
         assert done.stderr == (
             f"error: {labels}: labels must be integers 0 or 1, found {shown}\n"
         )
+
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
+
+
+class TestNonUtf8InputsExitOne:
+    """A file that is not UTF-8 gives one ``error: <path>: ...`` line."""
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--config", "bad.json"],
+        ["generate", "--config", "bad.json", "--out", "d"],
+        ["diagnose", "bad.csv", "events.json"],
+        ["diagnose", "scores.csv", "bad.json"],
+        ["compare-metrics", "bad.csv"],
+        ["rank", "bad.csv"],
+    ], ids=["run", "generate", "diagnose-scores", "diagnose-events", "compare-metrics", "rank"])
+    def test_one_error_line(self, tmp_path, args):
+        (tmp_path / "scores.csv").write_text("a,b\n" + "0.0,1.0\n" * 6)
+        write_json(tmp_path / "events.json", [{"start": 1, "end": 2, "causes": ["a"]}])
+        (tmp_path / "bad.json").write_bytes(b'{"x": \xff1}\n')
+        (tmp_path / "bad.csv").write_bytes(b"a,b\n0.0,\xff1\n")
+        bad = next(arg for arg in args if arg.startswith("bad."))
+        done = run_cli(*args, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"error: {bad}: {NOT_UTF8}")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("broken", ["train", "test", "cause_map"])
+    def test_run_fails_only_the_entity_cells(self, tmp_path, broken):
+        ent = tsadkit.generate_synthetic(tsadkit.SyntheticSpec.from_dict(SPEC))
+        files = {
+            "train": tmp_path / "train.csv",
+            "test": tmp_path / "test.csv",
+            "cause_map": tmp_path / "causes.json",
+        }
+        np.savetxt(files["train"], ent.train.values, delimiter=",", header="c0,c1", comments="")
+        test = np.column_stack([ent.test.values, ent.test_labels])
+        np.savetxt(files["test"], test, delimiter=",", header="c0,c1,label", comments="",
+                   fmt=["%.18e", "%.18e", "%d"])
+        files["cause_map"].write_text('{"0": ["c1"]}')
+        files[broken].write_bytes(files[broken].read_bytes().replace(b"c1", b"c\xff", 1))
+        entities = [{"id": "file", **{k: str(v) for k, v in files.items()}}]
+        cfg = run_config(tmp_path, entities=entities, seeds=[0, 1])
+        done = run_cli("run", "--config", cfg, cwd=tmp_path)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        payload = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert [(c["entity"], c["seed"]) for c in payload["cells"]] == [("gen0", 0), ("gen0", 1)]
+        path = files[broken]
+        detail = "cannot read cause map: " if broken == "cause_map" else ""
+        for seed, failure in zip((0, 1), payload["failures"]):
+            assert failure["entity"] == "file" and failure["seed"] == seed
+            assert failure["error"].startswith(f"file: ParseError: {path}: {detail}{NOT_UTF8}")

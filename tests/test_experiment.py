@@ -262,12 +262,44 @@ class TestRunExperiment:
         )
         entity = experiment.generate_synthetic(config.synthetic[0])
         cell, _ = experiment._run_cell(entity, 0, config)
-        sweep = cell["tail_p_sweep"]
-        assert len(sweep) == len(experiment.TAIL_P_SWEEP) == len(series)
+        candidates = cell["candidates"]
+        assert len(candidates) == len(experiment.TAIL_P_SWEEP) == len(series)
+        assert [c["threshold"]["neg_log_eps"] for c in candidates] == [1, 2, 3, 4, 5]
         truth = entity.test_labels
-        for entry in sweep.values():
+        for entry in candidates:
             assert entry["metrics"]["auroc"] == auroc(series[0], truth)
             assert entry["metrics"]["auprc"] == auprc(series[0], truth)
+
+    @pytest.mark.parametrize("metric", ["fc1", "f1"])
+    def test_sweep_equals_fixed_run_at_chosen_eps(self, metric):
+        # three entities x three seeds; on fc1 the mean ties at eps 2, 3
+        # and 4, and the first of them must win
+        config = base_config(
+            synthetic=[dict(SPIKE_SPEC, entity_id=f"e{i}", seed=5 + i) for i in range(3)],
+            model={"kind": "pca"},
+            scoring={"kind": "gauss_d", "window": 40},
+            threshold={"method": "tail_p", "metric": metric},
+            metrics=["f1", "fpa1", "fc1", "auroc", "auprc"],
+            seeds=[0, 1, 2],
+        )
+        fixed = [
+            run_experiment(dataclasses.replace(
+                config, threshold=dataclasses.replace(config.threshold, neg_log_eps=eps)
+            ))
+            for eps in experiment.TAIL_P_SWEEP
+        ]
+        means = [np.mean([c["metrics"][metric] for c in r.cells]) for r in fixed]
+        if metric == "fc1":
+            assert means.count(max(means)) == 3
+        first_best = means.index(max(means))
+
+        swept = run_experiment(config)
+        cells = [dict(c) for c in swept.cells]
+        assert {c.pop("tail_p_selected") for c in cells} == {
+            experiment.TAIL_P_SWEEP[first_best]
+        }
+        assert cells == list(fixed[first_best].cells)
+        assert swept.aggregates == fixed[first_best].aggregates
 
     @pytest.mark.parametrize("statistic", ["mean", "max"])
     def test_diagnosis_rankings_equal_full_matrix(self, monkeypatch, statistic):
@@ -345,6 +377,16 @@ class TestCompareMetrics:
         assert set(names[1:]) == {
             "random(best f1)", "random(best fpa1)", "random(best fc1)",
         }
+
+    def test_named_column_like_a_baseline_keeps_both_rows(self):
+        truth = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+        rows = compare_metrics(truth, {"random(best f1)": truth.copy()})
+        names = [r["name"] for r in rows]
+        assert names == [
+            "random(best f1)", "random(best f1)", "random(best fpa1)", "random(best fc1)",
+        ]
+        assert rows[0]["f1"] == 1.0
+        assert rows[1:] == compare_metrics(truth, {})
 
     def test_length_mismatch(self):
         with pytest.raises(Exception):
