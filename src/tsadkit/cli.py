@@ -171,6 +171,9 @@ def _read_label_columns(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndar
     named = {name: matrix[:, j] for j, name in enumerate(header) if j}
     if not named:
         raise ParseError(f"{path}: need at least one prediction column after the truth column")
+    if len(named) < len(header) - 1:
+        twice = next(name for j, name in enumerate(header) if j and name in header[1:j])
+        raise ParseError(f"{path}: prediction column {twice!r} appears more than once")
     return truth, named
 
 

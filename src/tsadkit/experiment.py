@@ -94,9 +94,15 @@ class ScoringConfig:
                 raise ConfigError(
                     f"scoring kind {self.kind!r} needs a rolling window W >= 2"
                 )
+        elif self.window is not None:
+            raise ConfigError(
+                f"window is used only by gauss_d and gauss_d_k, got kind {self.kind!r}"
+            )
         if self.kind == "gauss_d_k":
             if self.kernel_sigma is None or not (self.kernel_sigma > 0):
                 raise ConfigError("gauss_d_k needs kernel_sigma > 0")
+        elif self.kernel_sigma is not None:
+            raise ConfigError(f"kernel_sigma is used only by gauss_d_k, got kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,11 @@ class ThresholdConfig:
             raise ConfigError(f"k must be >= 0, got {self.k}")
         if self.neg_log_eps is not None and self.neg_log_eps < 1:
             raise ConfigError(f"neg_log_eps must be >= 1, got {self.neg_log_eps}")
+        for key, method in (("k", "top_k"), ("neg_log_eps", "tail_p")):
+            if getattr(self, key) is not None and self.method != method:
+                raise ConfigError(
+                    f"{key} is used only by method {method}, got method {self.method!r}"
+                )
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,10 @@ class RawModel:
     window_length = 1
 
     def residuals(self, stream: FloatArray) -> ErrorMatrix:
-        return stream.copy()
+        # a read-only view: no caller writes into residuals
+        view = stream.view()
+        view.flags.writeable = False
+        return view
 
 
 def _group_rows(windows: FloatArray, channels: tuple[int, ...]) -> FloatArray:

@@ -8,7 +8,8 @@ channels plus an aggregated series over the scored channel subset.
            training residuals; channel scores are summed.
   gauss_d  the same transform with rolling mean/std over the W most
            recent errors (current point included), the training tail
-           prepended so the window never starts empty.
+           prepended so the window never starts empty; computed in row
+           blocks.
   gauss_d_k  gauss_d channel scores smoothed by a truncated, unit-sum
            Gaussian kernel before aggregation.
 
@@ -38,6 +39,18 @@ from .core import (
 SIGMA_FLOOR = 1e-4
 Z_CLAMP = 8.0
 _LN10 = math.log(10.0)
+# rows per block of gauss_d scoring and of the series sums; their
+# temporaries are sized by it, not by the test length
+_BLOCK = 1 << 14
+
+
+def _row_sums(channels: ChannelScores, idx) -> ScoreSeries:
+    """Sum of the scored channels per row, gathered one block of rows at a
+    time; a row's sum does not depend on the blocking."""
+    series = np.empty(channels.shape[0])
+    for a in range(0, channels.shape[0], _BLOCK):
+        series[a : a + _BLOCK] = channels[a : a + _BLOCK][:, idx].sum(axis=1)
+    return series
 
 
 def _neg_log10_survival(z: FloatArray) -> FloatArray:
@@ -150,6 +163,11 @@ def score_gauss_d(
     ``train_tail_err``; with a shorter tail the early windows shrink to
     the available history. A window of a single point carries no deviation
     evidence, so its z is 0.
+
+    Rows are scored in blocks of ``_BLOCK``, each with the W-1 rows before
+    it and centered on its own mean, so only the outputs are full length
+    and the prefix sums stay at the scale of one block. A level shift
+    within a block still costs digits, in proportion to (shift/noise)^2.
     """
     err = check_float_matrix(test_err, "test errors")
     m = err.shape[1]
@@ -164,31 +182,43 @@ def score_gauss_d(
         tail = tail[-(w - 1) :]
     idx = resolve_scored(m, scored)
 
-    stream = np.concatenate([tail, err], axis=0)
-    # center per channel for numerical conditioning; z-scores are exactly
-    # invariant to a constant shift
-    stream = stream - stream.mean(axis=0)
-    n_stream = stream.shape[0]
-    cs = np.zeros((n_stream + 1, m))
-    cs2 = np.zeros((n_stream + 1, m))
-    np.cumsum(stream, axis=0, out=cs[1:])
-    np.cumsum(stream * stream, axis=0, out=cs2[1:])
+    n, tail_len = err.shape[0], tail.shape[0]
+    channels = np.empty((n, m))
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        # the block's rows plus the W-1 rows before them, reaching into the
+        # tail for the first blocks; one block is the whole tail + errors
+        lo = a - (w - 1)
+        if lo < 0:
+            stream = np.concatenate([tail[max(tail_len + lo, 0) :], err[:b]], axis=0)
+        else:
+            stream = err[lo:b]
+        # center per channel on the chunk's own mean, so the prefix sums
+        # scale with the block rather than with n; z is invariant to a shift
+        stream = stream - stream.mean(axis=0)
+        n_stream = stream.shape[0]
+        cs = np.zeros((n_stream + 1, m))
+        cs2 = np.zeros((n_stream + 1, m))
+        np.cumsum(stream, axis=0, out=cs[1:])
+        np.cumsum(stream * stream, axis=0, out=cs2[1:])
 
-    tail_len = tail.shape[0]
-    end = tail_len + np.arange(1, err.shape[0] + 1)
-    win = np.minimum(w, end).astype(np.float64)[:, None]
-    start = end - win[:, 0].astype(np.int64)
-    sums = cs[end] - cs[start]
-    sums2 = cs2[end] - cs2[start]
-    mean = sums / win
-    var = (sums2 - win * mean * mean) / np.maximum(win - 1.0, 1.0)
-    sigma = np.maximum(np.sqrt(np.clip(var, 0.0, None)), SIGMA_FLOOR)
+        # the chunk starts at the stream's first row or W-1 rows back, so
+        # its local end index caps the window as the global one would
+        pre = n_stream - (b - a)
+        end = pre + np.arange(1, b - a + 1)
+        win = np.minimum(w, end).astype(np.float64)[:, None]
+        start = end - win[:, 0].astype(np.int64)
+        sums = cs[end] - cs[start]
+        sums2 = cs2[end] - cs2[start]
+        mean = sums / win
+        var = (sums2 - win * mean * mean) / np.maximum(win - 1.0, 1.0)
+        sigma = np.maximum(np.sqrt(np.clip(var, 0.0, None)), SIGMA_FLOOR)
 
-    z = (stream[tail_len:] - mean) / sigma
-    z[win[:, 0] < 2.0] = 0.0
-    z = np.clip(z, -Z_CLAMP, Z_CLAMP)
-    channels = _neg_log10_survival(z)
-    return channels, channels[:, idx].sum(axis=1)
+        z = (stream[pre:] - mean) / sigma
+        z[win[:, 0] < 2.0] = 0.0
+        z = np.clip(z, -Z_CLAMP, Z_CLAMP)
+        channels[a:b] = _neg_log10_survival(z)
+    return channels, _row_sums(channels, idx)
 
 
 def score_gauss_d_k(
@@ -208,4 +238,4 @@ def score_gauss_d_k(
     for i in range(m):
         padded = np.pad(channels_in[:, i], r, mode="edge")
         smoothed[:, i] = np.convolve(padded, weights, mode="valid")
-    return smoothed, smoothed[:, idx].sum(axis=1)
+    return smoothed, _row_sums(smoothed, idx)

@@ -371,6 +371,15 @@ class TestMalformedInputsExitOne:
             f"error: {labels}: labels must be integers 0 or 1, found {shown}\n"
         )
 
+    def test_compare_metrics_duplicate_prediction_column(self, tmp_path):
+        # a dict keyed by header name would keep only the last "p"
+        labels = tmp_path / "labels.csv"
+        labels.write_text("truth,p,q,p\n1,1,0,0\n0,0,1,1\n")
+        done = run_cli("compare-metrics", labels, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"error: {labels}: prediction column 'p' appears more than once\n"
+
 
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
 

@@ -480,13 +480,18 @@ FULL_CONFIG = {
         "batch_size": 32, "max_epochs": 7, "patience": 2, "validation_fraction": 0.3,
     },
     "scoring": {"kind": "gauss_d_k", "window": 50, "kernel_sigma": 1.5},
-    "threshold": {"method": "tail_p", "metric": "f1", "k": 4, "neg_log_eps": 2},
+    "threshold": {"method": "tail_p", "metric": "f1", "k": None, "neg_log_eps": 2},
     "metrics": ["fc1", "auroc"],
     "diagnosis": {"enabled": True, "top_k": 2, "percent": 100, "statistic": "max"},
     "seeds": [3, 1],
     "output_dir": "out/full",
 }
 
+# k belongs to top_k only, so this section sets the field FULL_CONFIG cannot
+FULL_TOP_K = {
+    **FULL_CONFIG,
+    "threshold": {"method": "top_k", "metric": "f1", "k": 4, "neg_log_eps": None},
+}
 MINIMAL_SPEC = {"n_train": 10, "n_test": 10, "m": 1}
 
 
@@ -498,21 +503,25 @@ def config_error(d) -> str:
 
 class TestConfigCodec:
     def test_full_config_round_trips(self):
-        config = config_from_dict(FULL_CONFIG)
-        assert config.to_dict() == FULL_CONFIG
-        again = config_from_dict(config.to_dict())
-        assert again == config
-        assert again.digest() == config.digest()
+        for full in (FULL_CONFIG, FULL_TOP_K):
+            config = config_from_dict(full)
+            assert config.to_dict() == full
+            again = config_from_dict(config.to_dict())
+            assert again == config
+            assert again.digest() == config.digest()
 
     def test_full_config_sets_every_field(self):
         config = config_from_dict(FULL_CONFIG)
         sections = [config, config.entities[0], config.synthetic[0], config.window,
-                    config.model, config.scoring, config.threshold, config.diagnosis,
+                    config.model, config.scoring, config.diagnosis,
                     config.synthetic[0].anomalies[0]]
         for obj in sections:
             for f in dataclasses.fields(obj):
                 if f.name != "seed" or not isinstance(obj, ModelConfig):
                     assert getattr(obj, f.name) != f.default, (type(obj).__name__, f.name)
+        thresholds = (config.threshold, config_from_dict(FULL_TOP_K).threshold)
+        for f in dataclasses.fields(ThresholdConfig):
+            assert any(getattr(t, f.name) != f.default for t in thresholds), f.name
 
     def test_golden_digest(self):
         config = config_from_dict({"synthetic": [MINIMAL_SPEC]})
@@ -526,12 +535,13 @@ class TestConfigCodec:
             "window": {"step": 2},
             "model": {"max_epochs": 3},
             "scoring": {},
-            "threshold": {"k": 4},
+            "threshold": {"metric": "f1"},
         })
         assert config.window == WindowSpec(100, 2)
         assert config.model.kind == "uae" and config.model.max_epochs == 3
         assert config.scoring.kind == "gauss_s"
-        assert config.threshold.method == "best_f" and config.threshold.k == 4
+        assert config.threshold.method == "best_f" and config.threshold.metric == "f1"
+        assert config.threshold.k is None
 
     def test_int_accepted_for_float(self):
         config = config_from_dict({
@@ -573,6 +583,37 @@ class TestConfigCodec:
     ])
     def test_errors_name_the_path(self, overrides, message):
         assert config_error({"synthetic": [MINIMAL_SPEC], **overrides}) == message
+
+    @pytest.mark.parametrize("section, message", [
+        ({"scoring": {"kind": "error", "window": 10}},
+         "config.scoring: window is used only by gauss_d and gauss_d_k, got kind 'error'"),
+        ({"scoring": {"window": 10}},
+         "config.scoring: window is used only by gauss_d and gauss_d_k, got kind 'gauss_s'"),
+        ({"scoring": {"kind": "gauss_s", "kernel_sigma": 2.0}},
+         "config.scoring: kernel_sigma is used only by gauss_d_k, got kind 'gauss_s'"),
+        ({"scoring": {"kind": "gauss_d", "window": 10, "kernel_sigma": 2.0}},
+         "config.scoring: kernel_sigma is used only by gauss_d_k, got kind 'gauss_d'"),
+        ({"threshold": {"k": 4}},
+         "config.threshold: k is used only by method top_k, got method 'best_f'"),
+        ({"threshold": {"method": "tail_p", "k": 4}},
+         "config.threshold: k is used only by method top_k, got method 'tail_p'"),
+        ({"threshold": {"method": "best_f", "neg_log_eps": 2}},
+         "config.threshold: neg_log_eps is used only by method tail_p, got method 'best_f'"),
+        ({"threshold": {"method": "top_k", "k": 3, "neg_log_eps": 2}},
+         "config.threshold: neg_log_eps is used only by method tail_p, got method 'top_k'"),
+    ], ids=["window-error", "window-gauss_s", "sigma-gauss_s", "sigma-gauss_d", "k-best_f",
+            "k-tail_p", "eps-best_f", "eps-top_k"])
+    def test_settings_the_method_ignores_rejected(self, section, message):
+        assert config_error({"synthetic": [MINIMAL_SPEC], **section}) == message
+
+    def test_null_unused_settings_accepted(self):
+        # encode_config writes every field, so a saved config carries the nulls
+        config = config_from_dict({
+            "synthetic": [MINIMAL_SPEC],
+            "scoring": {"kind": "error", "window": None, "kernel_sigma": None},
+            "threshold": {"method": "best_f", "k": None, "neg_log_eps": None},
+        })
+        assert config_from_dict(config.to_dict()) == config
 
     def test_root_must_be_an_object(self):
         assert config_error([1]) == "config must be an object, got an array"

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
+from tsadkit import scoring
 from tsadkit.core import InsufficientDataError, ValidationError
 from tsadkit.scoring import (
     SIGMA_FLOOR,
@@ -243,3 +247,113 @@ class TestGaussDConvergesToGaussS:
         _, static = score_gauss_s(test, params)
         _, dynamic = score_gauss_d(test, train[-(w - 1) :], DynamicWindow(w))
         assert np.allclose(dynamic, static, atol=1e-6)
+
+
+def oracle_gauss_d(stream, w, rows):
+    """gauss_d channel scores of a 1-D stream at the given stream rows, from
+    a two-pass mean and sample std of each window."""
+    out = []
+    for t in rows:
+        mu, sd = rolling_mean_std(stream, w, t)
+        z = 0.0 if min(w, t + 1) < 2 else (stream[t] - mu) / max(sd, SIGMA_FLOOR)
+        out.append(gauss_nls(np.clip(z, -8, 8)))
+    return np.array(out)
+
+
+# Largest |score - oracle| allowed on a channel score, which spans 0..15.2.
+ORACLE_TOL = 1e-3
+
+
+class TestGaussDOffsets:
+    """Rolling statistics from prefix sums lose digits when the stream sits
+    far from its centering point; each block is centered on its own mean."""
+
+    @pytest.mark.parametrize("offset", [0.0, 5.0, 100.0, 1e4])
+    def test_constant_offset_matches_oracle(self, offset):
+        rng = np.random.default_rng(11)
+        w, n = 200, 5000
+        stream = offset + 1e-3 * rng.normal(size=n)
+        channels, _ = score_gauss_d(
+            stream[w - 1 :, None], stream[: w - 1, None], DynamicWindow(w)
+        )
+        rows = np.arange(0, n - w + 1, 7)
+        expected = oracle_gauss_d(stream, w, rows + w - 1)
+        assert np.abs(channels[rows, 0] - expected).max() < ORACLE_TOL
+
+    def test_level_shift_on_a_long_stream_matches_oracle(self):
+        # one prefix sum over the whole stream is off by ~0.03 here; it
+        # also shows at rows far from the shift
+        rng = np.random.default_rng(0)
+        w, n = 1000, 1_000_000
+        stream = 1e-3 * rng.normal(size=n)
+        stream[n // 2 :] += 100.0
+        channels, _ = score_gauss_d(
+            stream[w - 1 :, None], stream[: w - 1, None], DynamicWindow(w)
+        )
+        top = np.argsort(channels[:, 0])[-200:]
+        rows = np.union1d(np.arange(0, n - w + 1, 997), top)
+        expected = oracle_gauss_d(stream, w, rows + w - 1)
+        assert np.abs(channels[rows, 0] - expected).max() < ORACLE_TOL
+
+
+@st.composite
+def blocked_cases(draw):
+    """(test, tail, w, block, scored): tails from none to longer than W-1,
+    blocks of 1, 7, W-1, W and W+1 rows, W above and below the block."""
+    w = draw(st.integers(2, 30))
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 3))
+    tail_len = draw(st.integers(0, w + 2))
+    block = draw(st.sampled_from([1, 7, w - 1, w, w + 1]))
+    offset = draw(st.sampled_from([0.0, 5.0, 100.0]))
+    scored = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = offset + rng.normal(size=(tail_len + n, m))
+    return values[tail_len:], values[:tail_len], w, block, sorted(scored)
+
+
+# the blocks center on other means than the one whole-stream chunk, so the
+# scores agree to rounding only
+BLOCKING_TOL = 1e-9
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(blocked_cases())
+def test_blocks_equal_one_block(case):
+    test, tail, w, block, scored = case
+    whole, _ = score_gauss_d(test, tail, DynamicWindow(w), scored)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "_BLOCK", block)
+        channels, series = score_gauss_d(test, tail, DynamicWindow(w), scored)
+        smoothed, smoothed_series = score_gauss_d_k(channels, KernelSpec(1.5), scored)
+    assert np.abs(channels - whole).max() < BLOCKING_TOL
+    assert np.array_equal(series, channels[:, scored].sum(axis=1))
+    assert np.array_equal(smoothed_series, smoothed[:, scored].sum(axis=1))
+
+
+def test_scoring_memory_is_bounded_by_the_block():
+    """Only the outputs are full length: the traced peak of each scorer is
+    under its outputs plus 16 blocks of m channels. gauss_d's per-block
+    temporaries take ~11 of them; gauss_d_k's per-column convolution holds
+    one padded column and its result, 2n floats, ~5 here."""
+    n, m, w = 1 << 18, 4, 500
+    rng = np.random.default_rng(3)
+    err = rng.normal(size=(n, m))
+    tail = rng.normal(size=(w - 1, m))
+    block_bytes = scoring._BLOCK * m * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        channels, series = score_gauss_d(err, tail, DynamicWindow(w))
+        d_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        smoothed, smoothed_series = score_gauss_d_k(channels, KernelSpec(2.0))
+        dk_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    outputs = channels.nbytes + series.nbytes
+    assert smoothed.nbytes + smoothed_series.nbytes == outputs
+    assert d_peak < outputs + 16 * block_bytes
+    assert dk_peak < outputs + 16 * block_bytes
