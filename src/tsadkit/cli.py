@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, Event, ParseError, ValidationError, decode_config
+from .core import ConfigError, Event, ParseError, ValidationError, decode_config, read_json
 from .diagnosis import RANK_STATISTICS
 from .experiment import (
     compare_metrics,
@@ -74,19 +74,8 @@ def _cell(value):
     return value
 
 
-def _read_json(path: str | Path):
-    """The parsed contents of a UTF-8 JSON file; a decode error names the file."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-
-
 def _cmd_generate(args) -> int:
-    raw = _read_json(args.config)
-    spec = SyntheticSpec.from_dict(raw)
+    spec = SyntheticSpec.from_dict(read_json(args.config))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed[0])
     entity = generate_synthetic(spec)
@@ -221,7 +210,7 @@ class _EventEntry:
 
 
 def _load_events(path: str | Path, channel_names: list[str]) -> list[Event]:
-    raw = _read_json(path)
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: events file must be a JSON list")
     if not raw:

@@ -12,6 +12,7 @@ import json
 import types
 import typing
 from dataclasses import MISSING, dataclass
+from pathlib import Path
 
 import numpy as np
 import numpy.typing as npt
@@ -45,6 +46,20 @@ class ConfigError(ValueError):
 
 class TrainingError(RuntimeError):
     """Model training failed (for example a divergent loss)."""
+
+
+def read_json(path: str | Path):
+    """The parsed contents of a UTF-8 JSON file. A missing file, bytes
+    that are not UTF-8 and text that is not JSON raise ParseError naming
+    the path; any other OSError propagates."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ParseError(f"{path}: file not found") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
 # The config codec: a config is a frozen dataclass, written as a JSON object
@@ -387,20 +402,12 @@ class Entity:
                     f"event ({e.start},{e.end}) has cause channel >= m={m}"
                 )
         if self.scored_channels is not None:
-            scored = tuple(sorted({int(c) for c in self.scored_channels}))
-            if not scored:
-                raise ValidationError("scored_channels must be non-empty when given")
-            if scored[0] < 0 or scored[-1] >= m:
-                raise ValidationError(
-                    f"scored_channels {scored} outside 0..{m - 1}"
-                )
-            object.__setattr__(self, "scored_channels", scored)
+            scored = resolve_scored(m, self.scored_channels)
+            object.__setattr__(self, "scored_channels", tuple(scored.tolist()))
 
     @property
     def m(self) -> int:
         return self.test.m
 
     def scored_indices(self) -> IntArray:
-        if self.scored_channels is None:
-            return np.arange(self.m, dtype=np.int64)
-        return np.asarray(self.scored_channels, dtype=np.int64)
+        return resolve_scored(self.m, self.scored_channels)

@@ -28,6 +28,7 @@ from .core import (
     check_float_matrix,
     decode_config,
     encode_config,
+    read_json,
     validate_labels,
 )
 from .diagnosis import RANK_STATISTICS, event_rows, hitrate_at, rank_channels, rc_top_k
@@ -195,16 +196,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def config_from_json(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    return config_from_dict(raw)
+    return config_from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -298,19 +290,14 @@ def _run_cell(
     test_err = residuals(model, test_norm, config.window, train_tail=train_norm)
 
     sc = config.scoring
+    train_err = model.train_residuals
     if sc.kind == "error":
-        train_mean = model.train_residuals.mean(axis=0)
-        series = score_error(test_err, train_mean, scored)
-        # per-channel view consistent with the RMS aggregate: squared
-        # mean-centered errors
-        channels = (test_err - train_mean) ** 2
+        channels, series = score_error(test_err, train_err.mean(axis=0), scored)
     elif sc.kind == "gauss_s":
-        params = fit_gauss(model.train_residuals)
-        channels, series = score_gauss_s(test_err, params, scored)
+        channels, series = score_gauss_s(test_err, fit_gauss(train_err), scored)
     else:
-        w = DynamicWindow(sc.window)
-        tail_err = model.train_residuals[-(sc.window - 1) :]
-        channels, series = score_gauss_d(test_err, tail_err, w, scored)
+        window = DynamicWindow(sc.window)
+        channels, series = score_gauss_d(test_err, train_err, window, scored)
         if sc.kind == "gauss_d_k":
             channels, series = score_gauss_d_k(channels, KernelSpec(sc.kernel_sigma), scored)
 
@@ -583,4 +570,4 @@ def emit_results(record: ResultsRecord, out_dir: str | Path, fmt: str = "json") 
 
 def load_results(path: str | Path) -> dict:
     """Reload a results.json payload."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return read_json(path)

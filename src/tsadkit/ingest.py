@@ -7,7 +7,6 @@ from a JSON mapping of event ordinal to a list of channel names.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .core import (
     check_float_matrix,
     decode_config,
     events_from_labels,
+    read_json,
 )
 
 ANOMALY_KINDS = ("spike", "level_shift", "drift_background")
@@ -275,7 +275,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Entity:
     )
 
 
-def _read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the data rows of a CSV file, each row as wide as the header."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: file not found")
@@ -299,7 +300,7 @@ def _read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return header, data
 
 
-def _parse_floats(path, data: list[list[str]], header: list[str], columns: list[int]) -> FloatArray:
+def parse_floats(path, data: list[list[str]], header: list[str], columns: list[int]) -> FloatArray:
     out = np.empty((len(data), len(columns)), dtype=np.float64)
     for r, row in enumerate(data):
         for j, c in enumerate(columns):
@@ -372,7 +373,7 @@ class _CsvFile:
         self.label_column = label_column
         bulk = _bulk_table(Path(path), label_column)
         if bulk is None:
-            self.header, self._rows = _read_csv(self.path)
+            self.header, self._rows = read_csv_rows(self.path)
             self._table = None
         else:
             self.header, self._table = bulk
@@ -380,7 +381,7 @@ class _CsvFile:
     def floats(self, columns: list[int]) -> FloatArray:
         if self._table is not None:
             return self._table[:, columns]
-        return _parse_floats(self.path, self._rows, self.header, columns)
+        return parse_floats(self.path, self._rows, self.header, columns)
 
     def labels(self) -> IntArray:
         """The label column as 0/1 flags; cells must read 0 or 1 once stripped."""
@@ -467,10 +468,7 @@ def load_entity(
     if cause_map is not None:
         if not isinstance(cause_map, dict):
             cause_path = Path(cause_map)
-            try:
-                cause_map = json.loads(cause_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-                raise ParseError(f"{cause_path}: cannot read cause map: {exc}") from None
+            cause_map = read_json(cause_path)
             if not isinstance(cause_map, dict):
                 raise ParseError(f"{cause_path}: cause map must be a JSON object")
         name_to_idx = {h: i for i, h in enumerate(channels)}

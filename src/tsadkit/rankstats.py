@@ -6,7 +6,6 @@ rank-difference z-test feeding it.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,6 +13,7 @@ import numpy as np
 from scipy import special
 
 from .core import FloatArray, ParseError, ValidationError, midranks
+from .ingest import parse_floats, read_csv_rows
 
 
 @dataclass(frozen=True)
@@ -63,32 +63,11 @@ class RankTable:
         Layout: header ``method,<group>,...``, one row per method.
         """
         path = Path(path)
-        if not path.exists():
-            raise ParseError(f"{path}: file not found")
-        try:
-            with path.open(newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-        if len(rows) < 2:
-            raise ParseError(f"{path}: need a header and at least one method row")
-        header = rows[0]
+        header, rows = read_csv_rows(path)
         if len(header) < 3:
             raise ParseError(f"{path}: need a method column and at least 2 groups")
-        groups = tuple(header[1:])
-        methods = []
-        values = []
-        for i, row in enumerate(rows[1:]):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path} line {i + 2}: expected {len(header)} cells, got {len(row)}"
-                )
-            methods.append(row[0])
-            try:
-                values.append([float(c) for c in row[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path} line {i + 2}: {exc}") from None
-        return cls(np.array(values), tuple(methods), groups)
+        values = parse_floats(path, rows, header, list(range(1, len(header))))
+        return cls(values, tuple(row[0] for row in rows), tuple(header[1:]))
 
 
 def average_ranks(table: RankTable, higher_is_better: bool = True) -> FloatArray:

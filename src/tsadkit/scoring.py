@@ -3,7 +3,7 @@
 Four scorers share the same shape contract: per-channel scores for all m
 channels plus an aggregated series over the scored channel subset.
 
-  error    RMS of mean-centered residuals across scored channels.
+  error    squared mean-centered residuals; the series is their RMS.
   gauss_s  -log10 survival of a static per-channel Gaussian fitted on
            training residuals; channel scores are summed.
   gauss_d  the same transform with rolling mean/std over the W most
@@ -111,8 +111,11 @@ class KernelSpec:
         return w / w.sum()
 
 
-def score_error(test_err: ErrorMatrix, train_mean: FloatArray, scored=None) -> ScoreSeries:
-    """Root-mean-square of mean-centered errors across scored channels.
+def score_error(
+    test_err: ErrorMatrix, train_mean: FloatArray, scored=None
+) -> tuple[ChannelScores, ScoreSeries]:
+    """Squared mean-centered errors per channel; the series is their
+    root mean over the scored channels.
 
     a_t = sqrt(mean_i (Er_t^i - train_mean^i)^2) over i in the scored set.
     """
@@ -123,8 +126,8 @@ def score_error(test_err: ErrorMatrix, train_mean: FloatArray, scored=None) -> S
             f"train_mean has shape {mean.shape}, expected ({err.shape[1]},)"
         )
     idx = resolve_scored(err.shape[1], scored)
-    centered = err[:, idx] - mean[idx]
-    return np.sqrt(np.mean(centered * centered, axis=1))
+    channels = (err - mean) ** 2
+    return channels, np.sqrt(_row_sums(channels, idx) / idx.size)
 
 
 def fit_gauss(train_err: ErrorMatrix) -> GaussParams:

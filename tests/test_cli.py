@@ -185,6 +185,21 @@ class TestRankCommand:
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["rank", str(tmp_path / "none.csv")]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "{path}: empty file, expected a header row"),
+        ("method,g1,g2\n", "{path}: no data rows after the header"),
+        ("method,g1,g2\nA,1,2\nB,3\n", "{path} line 3: expected 3 cells, got 2"),
+        ("method,g1,g2\nA,1,x\nB,3,4\n", "{path} line 2 column 'g2': non-numeric value 'x'"),
+        ("method,g1\nA,1\nB,2\n", "{path}: need a method column and at least 2 groups"),
+    ], ids=["empty", "header-only", "ragged-row", "non-numeric", "one-group"])
+    def test_bad_table_exit_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        assert main(["rank", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(path=path)}\n"
+
 
 class TestDiagnoseCommand:
     def _scores(self, tmp_path):
@@ -382,10 +397,19 @@ class TestMalformedInputsExitOne:
 
 
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
+# what each unreadable input file of test_one_error_line gives after "<path>: "
+UNREADABLE = {
+    "bad.json": NOT_UTF8,
+    "bad.csv": NOT_UTF8,
+    "missing.json": "file not found",
+    "broken.json": "invalid JSON: Expecting property name enclosed in double quotes: "
+                   "line 1 column 9 (char 8)",
+}
 
 
 class TestNonUtf8InputsExitOne:
-    """A file that is not UTF-8 gives one ``error: <path>: ...`` line."""
+    """A file that is not UTF-8, or a JSON input that is missing or is not
+    JSON, gives one ``error: <path>: ...`` line."""
 
     @pytest.mark.parametrize("args", [
         ["run", "--config", "bad.json"],
@@ -394,22 +418,39 @@ class TestNonUtf8InputsExitOne:
         ["diagnose", "scores.csv", "bad.json"],
         ["compare-metrics", "bad.csv"],
         ["rank", "bad.csv"],
-    ], ids=["run", "generate", "diagnose-scores", "diagnose-events", "compare-metrics", "rank"])
+        ["run", "--config", "missing.json"],
+        ["run", "--config", "broken.json"],
+        ["generate", "--config", "missing.json", "--out", "d"],
+        ["generate", "--config", "broken.json", "--out", "d"],
+        ["diagnose", "scores.csv", "missing.json"],
+        ["diagnose", "scores.csv", "broken.json"],
+    ], ids=[
+        "run", "generate", "diagnose-scores", "diagnose-events", "compare-metrics", "rank",
+        "run-missing", "run-invalid-json", "generate-missing", "generate-invalid-json",
+        "diagnose-events-missing", "diagnose-events-invalid-json",
+    ])
     def test_one_error_line(self, tmp_path, args):
         (tmp_path / "scores.csv").write_text("a,b\n" + "0.0,1.0\n" * 6)
         write_json(tmp_path / "events.json", [{"start": 1, "end": 2, "causes": ["a"]}])
         (tmp_path / "bad.json").write_bytes(b'{"x": \xff1}\n')
         (tmp_path / "bad.csv").write_bytes(b"a,b\n0.0,\xff1\n")
-        bad = next(arg for arg in args if arg.startswith("bad."))
+        (tmp_path / "broken.json").write_text('{"x": 1,')
+        bad = next(arg for arg in args if arg in UNREADABLE)
         done = run_cli(*args, cwd=tmp_path)
         assert done.returncode == 1
         assert done.stdout == ""
-        assert done.stderr.startswith(f"error: {bad}: {NOT_UTF8}")
+        assert done.stderr.startswith(f"error: {bad}: {UNREADABLE[bad]}")
         assert done.stderr.count("\n") == 1
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("broken", ["train", "test", "cause_map"])
-    def test_run_fails_only_the_entity_cells(self, tmp_path, broken):
+    @pytest.mark.parametrize("broken, message", [
+        ("train", NOT_UTF8),
+        ("test", NOT_UTF8),
+        ("cause_map", NOT_UTF8),
+        ("cause_map", "file not found"),
+        ("cause_map", "invalid JSON: Expecting ',' delimiter: line 1 column 13 (char 12)"),
+    ], ids=["train", "test", "cause_map", "cause_map-missing", "cause_map-invalid-json"])
+    def test_run_fails_only_the_entity_cells(self, tmp_path, broken, message):
         ent = tsadkit.generate_synthetic(tsadkit.SyntheticSpec.from_dict(SPEC))
         files = {
             "train": tmp_path / "train.csv",
@@ -421,7 +462,12 @@ class TestNonUtf8InputsExitOne:
         np.savetxt(files["test"], test, delimiter=",", header="c0,c1,label", comments="",
                    fmt=["%.18e", "%.18e", "%d"])
         files["cause_map"].write_text('{"0": ["c1"]}')
-        files[broken].write_bytes(files[broken].read_bytes().replace(b"c1", b"c\xff", 1))
+        if message == NOT_UTF8:
+            files[broken].write_bytes(files[broken].read_bytes().replace(b"c1", b"c\xff", 1))
+        elif message == "file not found":
+            files[broken].unlink()
+        else:  # the cause map cut short
+            files[broken].write_text('{"0": ["c1"]')
         entities = [{"id": "file", **{k: str(v) for k, v in files.items()}}]
         cfg = run_config(tmp_path, entities=entities, seeds=[0, 1])
         done = run_cli("run", "--config", cfg, cwd=tmp_path)
@@ -430,7 +476,6 @@ class TestNonUtf8InputsExitOne:
         payload = json.loads((tmp_path / "out" / "results.json").read_text())
         assert [(c["entity"], c["seed"]) for c in payload["cells"]] == [("gen0", 0), ("gen0", 1)]
         path = files[broken]
-        detail = "cannot read cause map: " if broken == "cause_map" else ""
         for seed, failure in zip((0, 1), payload["failures"]):
             assert failure["entity"] == "file" and failure["seed"] == seed
-            assert failure["error"].startswith(f"file: ParseError: {path}: {detail}{NOT_UTF8}")
+            assert failure["error"].startswith(f"file: ParseError: {path}: {message}")

@@ -1,6 +1,9 @@
 """Property tests pinning the one-pass metrics, numpy midranks and the bulk
 CSV reader to the slow oracles in reference.py, on random inputs."""
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -142,3 +145,32 @@ def test_read_csv_matches_naive(case):
     assert got.shape == expected.shape
     # bit equality: nan payloads and the sign of zero included
     assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+FAILING_PROPERTY = textwrap.dedent("""\
+    from hypothesis import given, settings, strategies as st
+
+
+    @settings(derandomize=True, database=None)
+    @given(st.integers())
+    def test_fails(x):
+        assert x < 10
+
+
+    def test_passes():
+        pass
+""")
+
+
+def test_failing_property_does_not_abort_pytest(tmp_path):
+    # reporting a failing example makes Hypothesis import libcst, whose
+    # DeprecationWarning the error filter would turn into an INTERNALERROR
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "-p", "no:cacheprovider", str(probe)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

@@ -30,22 +30,38 @@ def col(*values):
 class TestScoreError:
     def test_zero_when_errors_match_train_mean(self):
         err = np.full((4, 3), 0.2)
-        out = score_error(err, np.full(3, 0.2))
+        channels, out = score_error(err, np.full(3, 0.2))
         assert np.abs(out).max() == 0.0
+        assert np.abs(channels).max() == 0.0
 
     def test_single_channel_identity(self):
-        out = score_error(col(3.5), np.array([0.5]))
+        _, out = score_error(col(3.5), np.array([0.5]))
         assert out[0] == pytest.approx(3.0)
 
     def test_two_channel_rms(self):
         err = np.array([[3.0, 4.0]])
-        out = score_error(err, np.zeros(2))
+        _, out = score_error(err, np.zeros(2))
         assert out[0] == pytest.approx(math.sqrt(12.5))
 
     def test_scored_subset(self):
         err = np.array([[3.0, 100.0]])
-        out = score_error(err, np.zeros(2), scored=np.array([0]))
+        channels, out = score_error(err, np.zeros(2), scored=np.array([0]))
         assert out[0] == pytest.approx(3.0)
+        assert channels.tolist() == [[9.0, 10000.0]]
+
+    @pytest.mark.parametrize("scored", [None, [2], [0, 3], [3, 1, 2]])
+    def test_channels_are_squared_centered_errors(self, scored):
+        rng = np.random.default_rng(4)
+        # more rows than one block of the series sums
+        err = rng.normal(size=(scoring._BLOCK + 7, 4))
+        mean = rng.normal(size=4)
+        channels, series = score_error(err, mean, scored=scored)
+        # every channel, scored or not, is the squared centered error
+        np.testing.assert_array_equal(channels, (err - mean) * (err - mean))
+        # the series is the root of their row mean over the scored set
+        idx = sorted(scored) if scored is not None else list(range(4))
+        centered = err[:, idx] - mean[idx]
+        np.testing.assert_array_equal(series, np.sqrt(np.mean(centered * centered, axis=1)))
 
     def test_empty_scored_rejected(self):
         with pytest.raises(ValidationError):
