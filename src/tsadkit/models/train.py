@@ -134,6 +134,14 @@ def _group_rows(windows: FloatArray, channels: tuple[int, ...]) -> FloatArray:
     return windows[:, :, lo : lo + len(channels)].reshape(windows.shape[0], -1)
 
 
+def _pool_map(fn, items, threads: int) -> list:
+    """``fn`` over ``items`` in order, on up to ``threads`` pool workers."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 @dataclass(frozen=True)
 class WindowedAutoencoder:
     """MLP autoencoders on sliding windows, one per group of channels.
@@ -141,10 +149,13 @@ class WindowedAutoencoder:
     UAE has one group per channel, FC-AE one group of all channels; a
     group's channels are adjacent and ascending. The error at time t is the signed difference between the observed and the
     reconstructed value at the last position of the window ending at t.
+    ``threads`` is the size of the pool ``fit`` trained the groups on;
+    inference maps the groups over a pool of the same size.
     """
 
     window_length: int
     groups: tuple[tuple[MlpAutoencoder, tuple[int, ...]], ...]
+    threads: int
 
     def residuals(self, stream: FloatArray) -> ErrorMatrix:
         l_w = self.window_length
@@ -153,15 +164,20 @@ class WindowedAutoencoder:
         windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(stream, l_w, axis=0), -1, 1)
         observed_last = stream[l_w - 1 :]
         err = np.empty((n_out, stream.shape[1]), dtype=np.float64)
+
+        def infer_group(group: tuple[MlpAutoencoder, tuple[int, ...]]) -> None:
+            # each group writes only its own columns of err
+            model, channels = group
+            for lo in range(0, n_out, _FORWARD_CHUNK):
+                hi = min(lo + _FORWARD_CHUNK, n_out)
+                rows = np.ascontiguousarray(_group_rows(windows[lo:hi], channels))
+                recon = model.forward(rows)
+                err[lo:hi, channels] = (
+                    observed_last[lo:hi, channels] - recon[:, -len(channels) :]
+                )
+
         with one_thread():
-            for model, channels in self.groups:
-                for lo in range(0, n_out, _FORWARD_CHUNK):
-                    hi = min(lo + _FORWARD_CHUNK, n_out)
-                    rows = np.ascontiguousarray(_group_rows(windows[lo:hi], channels))
-                    recon = model.forward(rows)
-                    err[lo:hi, channels] = (
-                        observed_last[lo:hi, channels] - recon[:, -len(channels) :]
-                    )
+            _pool_map(infer_group, self.groups, self.threads)
         return err
 
 
@@ -257,8 +273,8 @@ def fit(
     generator, so permuting input channels permutes the per-channel
     residuals without changing any of them. Autoencoders train with BLAS
     pinned to one thread (``blas.one_thread``), their groups on a pool of
-    ``threads`` workers; each group trains alone, so the pool gives the
-    serial result bit for bit.
+    ``threads`` workers, which also run their inference; each group trains
+    and infers alone, so the pool gives the serial result bit for bit.
     """
     train = entity.train
     m = train.m
@@ -282,12 +298,10 @@ def fit(
             return (mlp, channels), report
 
         with one_thread():
-            if threads > 1 and len(groups) > 1:
-                with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as pool:
-                    trained = list(pool.map(train_group, groups))
-            else:
-                trained = [train_group(group) for group in groups]
-        model = WindowedAutoencoder(spec.length, tuple(group for group, _ in trained))
+            trained = _pool_map(train_group, groups, threads)
+        model = WindowedAutoencoder(
+            spec.length, tuple(group for group, _ in trained), threads
+        )
         reports = [report for _, report in trained]
     return TrainedModel(model, model.residuals(train.values), tuple(reports))
 

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._special import neg_log_normal_sf
 from .core import (
     ChannelScores,
     ErrorMatrix,
@@ -54,8 +54,8 @@ def _row_sums(channels: ChannelScores, idx) -> ScoreSeries:
 
 
 def _neg_log10_survival(z: FloatArray) -> FloatArray:
-    # -log10(1 - Phi(z)) = -log(Phi(-z))/ln(10), stable deep into the tail
-    return -special.log_ndtr(-z) / _LN10
+    # -log10(1 - Phi(z)), stable deep into the upper tail
+    return neg_log_normal_sf(z) / _LN10
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ no shared code with the package internals.
 from __future__ import annotations
 
 import csv
+import decimal
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -107,6 +108,61 @@ def rolling_mean_std(stream, w, t):
 def gauss_nls(z):
     """-log10 of the Gaussian survival function, safe for z <= 8."""
     return float(-np.log10(special.ndtr(-z)))
+
+
+def neg_log_normal_sf(z):
+    """-ln(1 - Phi(z)) elementwise, from scipy's log_ndtr."""
+    return -special.log_ndtr(-np.asarray(z, dtype=np.float64))
+
+
+def two_sided_normal_p(z):
+    """2 * (1 - Phi(|z|)) elementwise, from scipy's ndtr."""
+    return 2.0 * special.ndtr(-np.abs(np.asarray(z, dtype=np.float64)))
+
+
+def chi2_sf_scipy(stat, df):
+    """Chi-squared survival from scipy's regularized upper incomplete gamma."""
+    return float(special.gammaincc(df / 2.0, stat / 2.0))
+
+
+def _decimal_pi():
+    """pi to the current decimal precision, by Machin's formula."""
+    def arctan_inv(x):
+        eps = decimal.Decimal(10) ** -(decimal.getcontext().prec + 2)
+        total, power, k = decimal.Decimal(0), decimal.Decimal(1) / x, 0
+        while power > eps:
+            total += (-1) ** k * power / (2 * k + 1)
+            power /= x * x
+            k += 1
+        return total
+
+    return 16 * arctan_inv(5) - 4 * arctan_inv(239)
+
+
+def chi2_sf_decimal(stat, df, digits=400):
+    """Chi-squared survival at a float ``stat`` with integer ``df``, as
+    1 - P(df/2, stat/2) from the lower series e^-h h^a sum_n h^n/Gamma(a+n+1)
+    in ``digits``-digit decimals: the subtraction leaves ~100 digits down to
+    1e-300, where scipy's gammaincc is itself off by ~1e-12 near df = 1000.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        h = D(stat) / 2  # exact: every float is a finite decimal
+        a = D(df) / 2
+        # Gamma(a + 1) by a*Gamma(a), from Gamma(1) = 1 or Gamma(1/2) = sqrt(pi)
+        t = D(1) if df % 2 == 0 else D(1) / 2
+        gamma = D(1) if df % 2 == 0 else _decimal_pi().sqrt()
+        while t <= a:
+            gamma *= t
+            t += 1
+        term = (-h).exp() * h**a / gamma if h else D(0)
+        lower, n, eps = term, 0, D(10) ** -(digits + 5)
+        while term > eps or n < h:
+            n += 1
+            term = term * h / (a + n)
+            lower += term
+        return float(1 - lower)
 
 
 def fd_gradient(loss_fn, params, h=1e-5):

@@ -273,9 +273,12 @@ class TestParserBehavior:
         assert main([]) == 1
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def test_cli_import_leaves_scipy_out():
     src = str(Path(tsadkit.__file__).resolve().parents[1])
-    probe = "import sys, tsadkit.cli; print('scipy.stats' in sys.modules)"
+    probe = (
+        "import sys, tsadkit.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -284,7 +287,44 @@ def test_cli_import_leaves_scipy_stats_out():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+# runs tsadkit.cli.main in an interpreter where any scipy import fails
+WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+import tsadkit.cli
+sys.exit(tsadkit.cli.main(sys.argv[1:]))
+"""
+
+
+def test_run_and_rank_need_no_scipy(tmp_path):
+    src = str(Path(tsadkit.__file__).resolve().parents[1])
+    cfg = run_config(
+        tmp_path,
+        scoring={"kind": "gauss_d_k", "window": 20, "kernel_sigma": 1.0},
+        threshold={"method": "tail_p"},
+        diagnosis={"enabled": True},
+    )
+    for args in (["run", "--config", cfg], ["rank", str(FIXTURE)]):
+        done = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, *args],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, (args[0], done.stderr)
+        assert done.stdout.strip(), args[0]
+    assert (tmp_path / "out" / "results.json").is_file()
 
 
 def run_cli(*args, cwd):

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -290,6 +291,31 @@ class TestFitAndResiduals:
                               residuals(pooled, ent.test, spec, train_tail=tail))
         assert serial.fit_reports == pooled.fit_reports
         assert [r.channel for r in pooled.fit_reports] == [0, 1, 2]
+        # inference maps the groups over the same pool, and equals the same
+        # weights inferred one group after another
+        assert (serial.model.threads, pooled.model.threads) == (1, 2)
+        stream = np.concatenate([data, test])
+        one_by_one = replace(pooled.model, threads=1)
+        assert np.array_equal(pooled.model.residuals(stream), one_by_one.residuals(stream))
+        assert np.array_equal(pooled.model.residuals(data), pooled.train_residuals)
+
+    def test_pooled_inference_under_thread_switching(self):
+        # more workers than cores, switching every microsecond, several
+        # chunks per group: a lost or misplaced column write shows as a
+        # difference from one group after another
+        rng = np.random.default_rng(17)
+        data = rng.random(size=(80, 6))
+        model = fit(entity_from(data), ModelConfig("uae", max_epochs=1, seed=3),
+                    WindowSpec(8, 1)).model
+        stream = rng.random(size=(20_000, 6))
+        serial = replace(model, threads=1).residuals(stream)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = replace(model, threads=6).residuals(stream)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(pooled, serial)
 
     def test_one_channel_fc_ae_matches_uae(self):
         # with one channel, FC-AE's time-major window row is UAE's channel
