@@ -20,8 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, Event, ParseError, ValidationError, decode_config, read_json
-from .diagnosis import RANK_STATISTICS
+from .core import (
+    ConfigError,
+    Event,
+    ParseError,
+    ValidationError,
+    check_float_matrix,
+    decode_config,
+    read_json,
+)
+from .diagnosis import RANK_STATISTICS, event_rows
 from .experiment import (
     compare_metrics,
     config_from_json,
@@ -42,6 +50,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(_USAGE_EXIT)
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}: need one integer >= 0")
+    return seed
 
 
 def _seed_list(text: str) -> list[int]:
@@ -77,7 +95,7 @@ def _cell(value):
 def _cmd_generate(args) -> int:
     spec = SyntheticSpec.from_dict(read_json(args.config))
     if args.seed is not None:
-        spec = replace(spec, seed=args.seed[0])
+        spec = replace(spec, seed=args.seed)
     entity = generate_synthetic(spec)
     out = Path(args.out) if args.out else Path(spec.entity_id)
     out.mkdir(parents=True, exist_ok=True)
@@ -168,7 +186,7 @@ def _read_label_columns(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndar
 
 def _cmd_compare(args) -> int:
     truth, named = _read_label_columns(args.labels)
-    rows = compare_metrics(truth, named, rad_seed=args.seed[0] if args.seed else 0)
+    rows = compare_metrics(truth, named, rad_seed=args.seed)
     _print_table(rows, ["name", "f1", "fpa1", "fc1"], args.format)
     return 0
 
@@ -250,8 +268,10 @@ def _cause_index(cause: str | int, index_of: dict[str, int], where: str) -> int:
 def _cmd_diagnose(args) -> int:
     names, scores = read_csv(args.scores)
     events = _load_events(args.events, names)
+    checked = check_float_matrix(scores, "channel scores")
     diagnoses, summary = diagnose_events(
-        scores, events, None, args.statistic, args.top_k, args.percent
+        [event_rows(checked, e) for e in events],
+        events, None, args.statistic, args.top_k, args.percent,
     )
     rows = [
         {
@@ -286,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic dataset as CSV files")
     p.add_argument("--config", required=True, help="synthetic spec JSON")
-    p.add_argument("--seed", type=_seed_list, help="override the spec seed")
+    p.add_argument("--seed", type=_seed, help="override the spec seed")
     p.add_argument("--out", help="output directory (default: entity id)")
     p.set_defaults(func=_cmd_generate)
 
@@ -303,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="score labeled predictions: CSV columns = truth, then predictions",
     )
     p.add_argument("labels", help="CSV with a truth column then prediction columns")
-    p.add_argument("--seed", type=_seed_list, help="random-baseline seed")
+    p.add_argument("--seed", type=_seed, default=0, help="random-baseline seed")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_compare)
 

@@ -5,6 +5,14 @@ threshold -> metrics (-> diagnosis) for every (entity, seed) cell,
 deterministically per (config, seed). Cell failures are recorded and the
 remaining cells still run. The deterministic results payload carries no
 timestamps; wall-clock timings live in a separate metadata dict.
+
+A cell's test side is one loop over row blocks on the scoring grid:
+each block is normalized, reconstructed, scored and (for gauss_d_k)
+smoothed with the context rows its stages need carried over from the
+block before, so a cell holds its entity, the (n,) score series and the
+channel rows that labeled events span, never a test-length copy of the
+channels. Every stage is row-wise or already blocked on that grid, so
+the series is the whole-stream series bit for bit.
 """
 from __future__ import annotations
 
@@ -25,13 +33,14 @@ from .blas import blas_policy, blas_threads
 from .core import (
     ConfigError,
     Entity,
-    check_float_matrix,
+    Event,
+    SeriesMatrix,
     decode_config,
     encode_config,
     read_json,
     validate_labels,
 )
-from .diagnosis import RANK_STATISTICS, event_rows, hitrate_at, rank_channels, rc_top_k
+from .diagnosis import RANK_STATISTICS, hitrate_at, rank_channels, rc_top_k
 from .ingest import (
     SyntheticSpec,
     WindowSpec,
@@ -45,7 +54,9 @@ from .models import FitReport, ModelConfig, fit, residuals
 from .scoring import (
     DynamicWindow,
     KernelSpec,
+    WorkBuffers,
     fit_gauss,
+    row_blocks,
     score_error,
     score_gauss_d,
     score_gauss_d_k,
@@ -249,18 +260,19 @@ def _thresholds(series, truth, n_scored: int, tc: ThresholdConfig):
 
 
 def diagnose_events(
-    channels, events, scored, statistic: str, top_k: int, percent: int
+    spans, events, scored, statistic: str, top_k: int, percent: int
 ) -> tuple[list, dict | None]:
     """Rank the scored channels over each event's own rows.
 
-    The score matrix is checked once, not per event. Returns the
-    diagnoses and, when any event carries causes, a summary with
-    ``rc_top_k``, ``hitrate``, ``k`` and ``percent``; else None.
+    ``spans`` holds, per event, the score rows it spans and the event
+    re-based to row 0, as :func:`event_rows` cuts them from a checked
+    score matrix. Returns the diagnoses and, when any event carries
+    causes, a summary with ``rc_top_k``, ``hitrate``, ``k`` and
+    ``percent``; else None.
     """
-    checked = check_float_matrix(channels, "channel scores")
     diagnoses = [
-        rank_channels(*event_rows(checked, e), scored, statistic, i)
-        for i, e in enumerate(events)
+        rank_channels(rows, event, scored, statistic, i)
+        for i, (rows, event) in enumerate(spans)
     ]
     if not any(e.causes is not None for e in events):
         return diagnoses, None
@@ -272,6 +284,91 @@ def diagnose_events(
     }
 
 
+def _last_rows(before: np.ndarray, block: np.ndarray, k: int) -> np.ndarray:
+    """The last ``k`` rows of ``before`` followed by ``block``, as a new
+    array that holds on to neither."""
+    take = min(k, block.shape[0])
+    return np.concatenate(
+        [before[max(before.shape[0] - (k - take), 0) :], block[block.shape[0] - take :]]
+    )
+
+
+def _error_blocks(entity, stats, model, train_norm, spec):
+    """(a, b, errors) per row block: the block normalized and reconstructed
+    with the l_w - 1 normalized rows before it, from the training tail for
+    the first block."""
+    test, names = entity.test.values, entity.test.channel_names
+    keep = model.model.window_length - 1
+    lead = train_norm
+    for a, b in row_blocks(entity.test.n):
+        x = apply_normalizer(SeriesMatrix(test[a:b], names), stats, "test")
+        yield a, b, residuals(model, x, spec, train_tail=lead)
+        if keep:
+            lead = SeriesMatrix(_last_rows(lead.values, x.values, keep), names)
+
+
+def _gauss_d_blocks(blocks, train_err, window: DynamicWindow, scored):
+    """gauss_d per error block, with the W - 1 error rows before it and one
+    set of work buffers for all blocks."""
+    history, buffers = train_err, WorkBuffers()
+    for a, b, err in blocks:
+        yield a, b, *score_gauss_d(err, history, window, scored, buffers)
+        history = _last_rows(history, err, window.w - 1)
+
+
+def _smoothed_blocks(blocks, kernel: KernelSpec, scored, n: int):
+    """gauss_d_k over gauss_d blocks: a row is smoothed once the kernel
+    radius of rows after it has arrived, or the stream has ended, with the
+    radius of rows before it carried over. Edges are replicated only at
+    the stream's two ends."""
+    r = kernel.radius
+    held, first, done = None, 0, 0  # gauss_d rows [first, b); [0, done) smoothed
+    for _, b, channels, _ in blocks:
+        held = channels if held is None else np.concatenate([held, channels])
+        ready = b if b == n else b - r
+        if ready <= done:
+            continue
+        yield done, ready, *score_gauss_d_k(held, kernel, scored, (done - first, b - ready))
+        keep = max(ready - r, 0)
+        held, first, done = held[keep - first :], keep, ready
+
+
+def _score_test(entity, stats, model, train_norm, config, scored, events):
+    """The test side of a cell, block by block: the (n,) score series and,
+    per event, its channel-score rows with the event re-based to row 0,
+    as :func:`event_rows` would cut them from the whole matrix."""
+    n, m = entity.test.n, entity.test.m
+    sc = config.scoring
+    train_err = model.train_residuals
+    blocks = _error_blocks(entity, stats, model, train_norm, config.window)
+    if sc.kind == "error":
+        mean = train_err.mean(axis=0)
+        scored_blocks = ((a, b, *score_error(err, mean, scored)) for a, b, err in blocks)
+    elif sc.kind == "gauss_s":
+        params = fit_gauss(train_err)
+        scored_blocks = ((a, b, *score_gauss_s(err, params, scored)) for a, b, err in blocks)
+    else:
+        scored_blocks = _gauss_d_blocks(blocks, train_err, DynamicWindow(sc.window), scored)
+        if sc.kind == "gauss_d_k":
+            scored_blocks = _smoothed_blocks(
+                scored_blocks, KernelSpec(sc.kernel_sigma), scored, n
+            )
+
+    series = np.empty(n)
+    spans = [(np.empty((e.length, m)), Event(0, e.length - 1)) for e in events]
+    first = 0  # events before it end before the rows written so far
+    for lo, hi, channels, part in scored_blocks:
+        series[lo:hi] = part
+        while first < len(events) and events[first].end < lo:
+            first += 1
+        for e, (rows, _) in zip(events[first:], spans[first:]):
+            if e.start >= hi:
+                break
+            s, t = max(e.start, lo), min(e.end + 1, hi)
+            rows[s - e.start : t - e.start] = channels[s - lo : t - lo]
+    return series, spans
+
+
 def _run_cell(
     entity: Entity, seed: int, config: ExperimentConfig, threads: int = 1
 ) -> tuple[dict, tuple[FitReport, ...]]:
@@ -280,26 +377,15 @@ def _run_cell(
     scored = entity.scored_indices()
     stats = fit_normalizer(entity.train)
     train_norm = apply_normalizer(entity.train, stats, "train")
-    test_norm = apply_normalizer(entity.test, stats, "test")
-    normalized = replace(entity, train=train_norm, test=test_norm)
-
     model_config = replace(config.model, seed=seed)
-    model = fit(normalized, model_config, config.window, threads=threads)
+    model = fit(replace(entity, train=train_norm), model_config, config.window, threads=threads)
 
-    # residuals prepends the last l_w - 1 training rows
-    test_err = residuals(model, test_norm, config.window, train_tail=train_norm)
-
-    sc = config.scoring
-    train_err = model.train_residuals
-    if sc.kind == "error":
-        channels, series = score_error(test_err, train_err.mean(axis=0), scored)
-    elif sc.kind == "gauss_s":
-        channels, series = score_gauss_s(test_err, fit_gauss(train_err), scored)
-    else:
-        window = DynamicWindow(sc.window)
-        channels, series = score_gauss_d(test_err, train_err, window, scored)
-        if sc.kind == "gauss_d_k":
-            channels, series = score_gauss_d_k(channels, KernelSpec(sc.kernel_sigma), scored)
+    dc = config.diagnosis
+    events = entity.test_events
+    diagnosed = dc.enabled and any(e.causes is not None for e in events)
+    series, spans = _score_test(
+        entity, stats, model, train_norm, config, scored, events.events if diagnosed else ()
+    )
 
     cell: dict = {"entity": entity.id, "seed": seed, "candidates": []}
     ranking = None
@@ -315,13 +401,11 @@ def _run_cell(
             "metrics": _report_to_dict(report, config.metrics),
         })
 
-    dc = config.diagnosis
     if dc.enabled:
-        events = entity.test_events
         cell["diagnosis"] = None
-        if any(e.causes is not None for e in events):
+        if diagnosed:
             diagnoses, summary = diagnose_events(
-                channels, events, scored, dc.statistic, dc.top_k, dc.percent
+                spans, events, scored, dc.statistic, dc.top_k, dc.percent
             )
             cell["diagnosis"] = {
                 **summary, "rankings": [list(d.ranked_channels) for d in diagnoses]

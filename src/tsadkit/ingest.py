@@ -198,6 +198,8 @@ class SyntheticSpec:
             raise ValidationError("n_train, n_test and m must all be >= 1")
         if self.noise_sigma < 0:
             raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.period, (int, float)):
             periods = (float(self.period),) * self.m
         else:
@@ -232,18 +234,23 @@ class SyntheticSpec:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Entity:
-    """Generate an Entity from the spec; bit-identical for equal specs."""
+    """Generate an Entity from the spec; bit-identical for equal specs.
+
+    Train and test are two row-slices of one array: the noise is drawn
+    straight into it (``normal(0, s)`` is ``s`` times a standard normal)
+    and each channel's sinusoid added in place, so building an entity
+    takes its own floats plus a few of length n.
+    """
     n = spec.n_train + spec.n_test
     t = np.arange(n, dtype=np.float64)
-    rng = np.random.default_rng(spec.seed)
-    noise = rng.normal(0.0, spec.noise_sigma, size=(n, spec.m)) if spec.noise_sigma > 0 \
-        else np.zeros((n, spec.m))
-    values = np.empty((n, spec.m), dtype=np.float64)
+    values = np.zeros((n, spec.m))
+    if spec.noise_sigma > 0:
+        np.random.default_rng(spec.seed).standard_normal(out=values)
+        values *= spec.noise_sigma
     for i, period in enumerate(spec.period):
-        values[:, i] = np.sin(2.0 * np.pi * t / period)
-    values += noise
+        values[:, i] += np.sin(2.0 * np.pi * t / period)
 
-    test = values[spec.n_train :].copy()
+    test = values[spec.n_train :]
     # healthy per-channel value range, captured before any injection; spike
     # amplitudes are expressed relative to it
     healthy_range = values.max(axis=0) - values.min(axis=0)

@@ -13,6 +13,12 @@ channels plus an aggregated series over the scored channel subset.
   gauss_d_k  gauss_d channel scores smoothed by a truncated, unit-sum
            Gaussian kernel before aggregation.
 
+Every scorer works on any run of rows: error and gauss_s row by row,
+gauss_d on the ``row_blocks`` grid given the W-1 error rows before a
+piece, gauss_d_k given the kernel radius of rows on each side. A run
+scores its test stream one block at a time this way (see experiment)
+and gets the whole-stream scores bit for bit.
+
 All logs are base 10 so that the tail-p threshold -m*log10(eps) lives on
 the same scale as the scores. z-scores are clamped to [-8, 8] before the
 survival function, capping each channel score near 15.2.
@@ -51,6 +57,17 @@ def _row_sums(channels: ChannelScores, idx) -> ScoreSeries:
     for a in range(0, channels.shape[0], _BLOCK):
         series[a : a + _BLOCK] = channels[a : a + _BLOCK][:, idx].sum(axis=1)
     return series
+
+
+def row_blocks(n: int):
+    """[a, b) blocks of ``_BLOCK`` rows on the grid gauss_d scores on; the
+    last block also takes the rows left over, so no block is shorter than
+    ``_BLOCK`` unless the stream is. A product over a few rows can round
+    differently from the same rows inside a larger one: numpy sends a
+    single row to gemv, and OpenBLAS sends small products to other
+    kernels."""
+    starts = range(0, n - _BLOCK + 1, _BLOCK) or range(1)
+    return zip(starts, [*starts[1:], n])
 
 
 def _neg_log10_survival(z: FloatArray) -> FloatArray:
@@ -153,11 +170,29 @@ def score_gauss_s(
     return channels, channels[:, idx].sum(axis=1)
 
 
+class WorkBuffers:
+    """Work arrays reused by every block a caller scores, each grown only
+    when a block needs more rows than it has. A stream scored block by
+    block would otherwise hand the allocator a block's temporaries back
+    and fault them in again on the next block."""
+
+    def __init__(self):
+        self._arrays: dict[str, FloatArray] = {}
+
+    def get(self, name: str, rows: int, m: int) -> FloatArray:
+        """The first ``rows`` rows of the (at least rows, m) array ``name``."""
+        array = self._arrays.get(name)
+        if array is None or array.shape[0] < rows or array.shape[1] != m:
+            array = self._arrays[name] = np.empty((rows, m))
+        return array[:rows]
+
+
 def score_gauss_d(
     test_err: ErrorMatrix,
     train_tail_err: ErrorMatrix | None,
     window: DynamicWindow,
     scored=None,
+    buffers: WorkBuffers | None = None,
 ) -> tuple[ChannelScores, ScoreSeries]:
     """Gaussian survival scores with rolling mean and sample std.
 
@@ -171,6 +206,10 @@ def score_gauss_d(
     it and centered on its own mean, so only the outputs are full length
     and the prefix sums stay at the scale of one block. A level shift
     within a block still costs digits, in proportion to (shift/noise)^2.
+    A caller that scores a stream in pieces passes each piece starting on
+    that grid, the W-1 error rows before it as the tail, and the same
+    ``buffers`` every time; it then gets the whole-stream scores bit for
+    bit.
     """
     err = check_float_matrix(test_err, "test errors")
     m = err.shape[1]
@@ -184,61 +223,98 @@ def score_gauss_d(
     if tail.shape[0] > w - 1:
         tail = tail[-(w - 1) :]
     idx = resolve_scored(m, scored)
+    if buffers is None:
+        buffers = WorkBuffers()
 
     n, tail_len = err.shape[0], tail.shape[0]
+    rows = min(n, _BLOCK)
+    chunk = buffers.get("chunk", rows + w - 1, m)
+    scratch = buffers.get("scratch", rows + w - 1, m)
+    cs = buffers.get("cs", rows + w, m)
+    cs2 = buffers.get("cs2", rows + w, m)
+    cs[0] = cs2[0] = 0.0
+    mean = buffers.get("mean", rows, m)
+    sigma = buffers.get("sigma", rows, m)
     channels = np.empty((n, m))
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
+        k = b - a
         # the block's rows plus the W-1 rows before them, reaching into the
         # tail for the first blocks; one block is the whole tail + errors
-        lo = a - (w - 1)
-        if lo < 0:
-            stream = np.concatenate([tail[max(tail_len + lo, 0) :], err[:b]], axis=0)
-        else:
-            stream = err[lo:b]
+        back = min(a, w - 1)
+        head = tail[max(tail_len - (w - 1 - back), 0) :]
+        pre = head.shape[0] + back
+        n_stream = pre + k
+        stream = chunk[:n_stream]
+        stream[: head.shape[0]] = head
+        stream[head.shape[0] :] = err[a - back : b]
         # center per channel on the chunk's own mean, so the prefix sums
         # scale with the block rather than with n; z is invariant to a shift
-        stream = stream - stream.mean(axis=0)
-        n_stream = stream.shape[0]
-        cs = np.zeros((n_stream + 1, m))
-        cs2 = np.zeros((n_stream + 1, m))
-        np.cumsum(stream, axis=0, out=cs[1:])
-        np.cumsum(stream * stream, axis=0, out=cs2[1:])
+        stream -= stream.mean(axis=0)
+        np.cumsum(stream, axis=0, out=cs[1 : n_stream + 1])
+        square = np.multiply(stream, stream, out=scratch[:n_stream])
+        np.cumsum(square, axis=0, out=cs2[1 : n_stream + 1])
 
         # the chunk starts at the stream's first row or W-1 rows back, so
         # its local end index caps the window as the global one would
-        pre = n_stream - (b - a)
-        end = pre + np.arange(1, b - a + 1)
+        end = pre + np.arange(1, k + 1)
         win = np.minimum(w, end).astype(np.float64)[:, None]
         start = end - win[:, 0].astype(np.int64)
-        sums = cs[end] - cs[start]
-        sums2 = cs2[end] - cs2[start]
-        mean = sums / win
-        var = (sums2 - win * mean * mean) / np.maximum(win - 1.0, 1.0)
-        sigma = np.maximum(np.sqrt(np.clip(var, 0.0, None)), SIGMA_FLOOR)
+        # take with mode="clip" writes straight into ``out``; every index
+        # is in range, so it is the plain gather
+        mu = np.take(cs, end, axis=0, out=mean[:k], mode="clip")
+        mu -= np.take(cs, start, axis=0, out=scratch[:k], mode="clip")
+        mu /= win
+        var = np.take(cs2, end, axis=0, out=sigma[:k], mode="clip")
+        var -= np.take(cs2, start, axis=0, out=scratch[:k], mode="clip")
+        spread = np.multiply(win, mu, out=scratch[:k])
+        spread *= mu
+        var -= spread
+        var /= np.maximum(win - 1.0, 1.0)
+        np.clip(var, 0.0, None, out=var)
+        sd = np.sqrt(var, out=var)
+        np.maximum(sd, SIGMA_FLOOR, out=sd)
 
-        z = (stream[pre:] - mean) / sigma
+        z = np.subtract(stream[pre:], mu, out=scratch[:k])
+        z /= sd
         z[win[:, 0] < 2.0] = 0.0
-        z = np.clip(z, -Z_CLAMP, Z_CLAMP)
+        np.clip(z, -Z_CLAMP, Z_CLAMP, out=z)
         channels[a:b] = _neg_log10_survival(z)
     return channels, _row_sums(channels, idx)
 
 
 def score_gauss_d_k(
-    gauss_d_channels: ChannelScores, kernel: KernelSpec, scored=None
+    gauss_d_channels: ChannelScores,
+    kernel: KernelSpec,
+    scored=None,
+    context: tuple[int, int] = (0, 0),
 ) -> tuple[ChannelScores, ScoreSeries]:
     """Smooth gauss_d channel scores with a truncated Gaussian kernel.
 
     Each channel is convolved with the unit-sum kernel, boundaries handled
     by edge replication, then aggregated by the usual channel sum.
+
+    ``context`` counts rows at the start and at the end of the input that
+    only feed their neighbours' smoothing; the output covers the rows
+    between them. Each side is replicated from its outermost row for the
+    part of the kernel radius its context does not cover, so a caller
+    smoothing a stream in pieces passes the radius of rows on each side,
+    or fewer only where the piece reaches the stream's end; it then gets
+    the whole-stream smoothing bit for bit.
     """
     channels_in = check_float_matrix(gauss_d_channels, "channel scores")
-    n, m = channels_in.shape
+    n_in, m = channels_in.shape
     idx = resolve_scored(m, scored)
-    weights = kernel.weights()
     r = kernel.radius
-    smoothed = np.empty_like(channels_in)
+    before, after = context
+    if min(before, after) < 0 or before + after >= n_in:
+        raise ValidationError(f"context {context} leaves no rows of {n_in} to smooth")
+    # context beyond the radius reaches no output row
+    rows = channels_in[before - min(before, r) : n_in - after + min(after, r)]
+    pad = (r - min(before, r), r - min(after, r))
+    weights = kernel.weights()
+    smoothed = np.empty((n_in - before - after, m))
     for i in range(m):
-        padded = np.pad(channels_in[:, i], r, mode="edge")
+        padded = np.pad(rows[:, i], pad, mode="edge")
         smoothed[:, i] = np.convolve(padded, weights, mode="valid")
     return smoothed, _row_sums(smoothed, idx)

@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 import tsadkit
+from tsadkit import scoring
 from tsadkit.cli import main
 from tsadkit.ingest import load_entity
 
 FIXTURE = Path(__file__).parent / "data" / "benchmark_fc1.csv"
+# the config CI runs on the numpy-only install: a test set of two blocks
+# and 701 rows, gauss_d_k, the tail_p sweep and diagnosis
+BLOCKWISE_RUN = Path(__file__).parent / "data" / "blockwise_run.json"
 
 SPEC = {
     "entity_id": "gen0",
@@ -95,6 +99,14 @@ class TestRun:
         payload = json.loads((tmp_path / "r" / "results.json").read_text())
         assert [c["seed"] for c in payload["cells"]] == [3, 4]
         assert payload["config"]["seeds"] == [3, 4]
+
+    def test_committed_blockwise_config(self, tmp_path):
+        assert main(["run", "--config", str(BLOCKWISE_RUN), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "results.json").read_text())
+        assert payload["config"]["synthetic"][0]["n_test"] > 2 * scoring._BLOCK
+        (cell,) = payload["cells"]
+        assert cell["tail_p_selected"] in (1, 2, 3, 4, 5)
+        assert len(cell["diagnosis"]["rankings"]) == 8
 
     def test_partial_failure_exit_two(self, tmp_path, capsys):
         bad_train = tmp_path / "bad_train.csv"
@@ -434,6 +446,55 @@ class TestMalformedInputsExitOne:
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr == f"error: {labels}: prediction column 'p' appears more than once\n"
+
+
+class TestSingleSeedFlag:
+    """generate and compare-metrics take one seed: a bad one exits 1 with
+    the usage and one argparse error line, never a traceback."""
+
+    @pytest.mark.parametrize("seed", ["", "1,2", "-3", "x"])
+    @pytest.mark.parametrize("command", ["generate", "compare-metrics"])
+    def test_bad_seed_exits_one(self, tmp_path, command, seed):
+        spec = write_json(tmp_path / "spec.json", SPEC)
+        (tmp_path / "labels.csv").write_text("truth,p\n1,1\n0,0\n")
+        args = (
+            ["generate", "--config", spec, "--out", "d"]
+            if command == "generate" else ["compare-metrics", "labels.csv"]
+        )
+        done = run_cli(*args, "--seed", seed, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        usage, error = done.stderr.rstrip("\n").rsplit("\n", 1)
+        assert usage.startswith(f"usage: tsadkit {command} ")
+        assert error == (
+            f"tsadkit {command}: error: argument --seed: "
+            f"bad seed {seed!r}: need one integer >= 0"
+        )
+        assert not (tmp_path / "d").exists()
+
+    def test_one_seed_is_used(self, tmp_path):
+        spec = write_json(tmp_path / "spec.json", SPEC)
+        for out in ("a", "b"):
+            assert run_cli(
+                "generate", "--config", spec, "--seed", "99", "--out", out, cwd=tmp_path
+            ).returncode == 0
+        direct = write_json(tmp_path / "spec99.json", {**SPEC, "seed": 99})
+        assert run_cli("generate", "--config", direct, "--out", "c", cwd=tmp_path).returncode == 0
+        csv = [(tmp_path / d / "test.csv").read_text() for d in "abc"]
+        assert csv[0] == csv[1] == csv[2]
+        (tmp_path / "labels.csv").write_text("truth,p\n1,1\n0,0\n1,0\n0,1\n")
+        shown = {
+            seed: run_cli("compare-metrics", "labels.csv", *args, cwd=tmp_path).stdout
+            for seed, args in (("default", []), ("0", ["--seed", "0"]), ("5", ["--seed", "5"]))
+        }
+        assert shown["default"] == shown["0"] != ""
+        assert shown["5"] != ""
+
+    def test_negative_spec_seed_exits_one(self, tmp_path):
+        spec = write_json(tmp_path / "spec.json", {**SPEC, "seed": -1})
+        done = run_cli("generate", "--config", spec, "--out", "d", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr == "error: seed must be >= 0, got -1\n"
 
 
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"

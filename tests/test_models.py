@@ -11,7 +11,16 @@ from tsadkit.core import (
     SeriesMatrix,
     TrainingError,
 )
-from tsadkit.ingest import AnomalySpec, SyntheticSpec, WindowSpec, generate_synthetic
+from tsadkit import scoring
+from tsadkit.experiment import _error_blocks
+from tsadkit.ingest import (
+    AnomalySpec,
+    SyntheticSpec,
+    WindowSpec,
+    apply_normalizer,
+    fit_normalizer,
+    generate_synthetic,
+)
 from tsadkit.models import (
     MlpAutoencoder,
     ModelConfig,
@@ -420,3 +429,40 @@ class TestSyntheticEndToEnd:
         inside = np.abs(err[150:170, 1]).mean()
         outside = np.abs(err[:150, 1]).mean()
         assert inside > 3 * outside
+
+
+class TestBlockedResiduals:
+    """A cell's test side runs the model one row block at a time, each block
+    with the l_w - 1 normalized rows before it carried over. The errors must
+    be the whole-stream errors bit for bit.
+
+    The lengths leave 1, 2, 8191 and 8193 rows after the last full block.
+    Those rows go with the block before them: a PCA product over one row
+    goes to gemv and differs from the same row inside a larger product, and
+    OpenBLAS sends small products to other kernels. Autoencoder inference
+    runs in chunks of 8192 windows from the start of each call, which
+    16,384-row blocks keep on the whole-stream grid.
+    """
+
+    @pytest.mark.parametrize("extra", [1, 2, 8191, 8193])
+    @pytest.mark.parametrize("kind", ["raw", "pca", "uae", "fc_ae"])
+    def test_blocks_equal_the_whole_stream(self, kind, extra):
+        block = scoring._BLOCK
+        n_test = 2 * block + extra
+        spec = SyntheticSpec(
+            400, n_test, 3, period=(17.0, 29.0, 41.0), noise_sigma=0.1, seed=5,
+            anomalies=(AnomalySpec(block - 4, 9, "level_shift", (1,), 2.0),),
+        )
+        ent = generate_synthetic(spec)
+        stats = fit_normalizer(ent.train)
+        train_norm = apply_normalizer(ent.train, stats, "train")
+        window = WindowSpec(12, 3)
+        config = ModelConfig(kind, max_epochs=2, pca_variance_fraction=0.8, seed=0)
+        model = fit(replace(ent, train=train_norm), config, window, threads=2)
+        test_norm = apply_normalizer(ent.test, stats, "test")
+        whole = residuals(model, test_norm, window, train_tail=train_norm)
+
+        blocks = list(_error_blocks(ent, stats, model, train_norm, window))
+        assert [(a, b) for a, b, _ in blocks] == [(0, block), (block, n_test)]
+        blocked = np.concatenate([err for _, _, err in blocks])
+        assert blocked.tobytes() == whole.tobytes()

@@ -1,5 +1,7 @@
-"""Property tests pinning the one-pass metrics, numpy midranks and the bulk
-CSV reader to the slow oracles in reference.py, on random inputs."""
+"""Property tests pinning the one-pass metrics, the threshold sweeps, numpy
+midranks and the bulk CSV reader to the slow oracles in reference.py, on
+random inputs."""
+import math
 import subprocess
 import sys
 import tempfile
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from tsadkit import ingest
 from tsadkit.core import ParseError, midranks
 from tsadkit.metrics import auprc, auroc, compute_report
+from tsadkit.thresholding import BEST_F_METRICS, threshold_best_f, threshold_top_k
 import reference
 
 # derandomized so a tier-1 run never depends on which examples were drawn
@@ -67,6 +70,68 @@ def test_ranking_metrics_match_oracles(case):
         assert (report.auroc, report.auprc) == (auroc(scores, truth), auprc(scores, truth))
     else:
         assert report.auroc is None and report.auprc is None
+
+
+@st.composite
+def threshold_cases(draw, max_n=300):
+    """(scores, truth) arrays of one length <= max_n: truth as runs, as in
+    scored_labels, and scores on 1 to 64 levels, so ties reach every
+    candidate of a sweep."""
+    truth, _, _ = draw(scored_labels(max_n))
+    levels = draw(st.sampled_from([1, 2, 4, 16, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.integers(0, levels, size=len(truth)) / 8.0
+    return scores, np.array(truth, dtype=np.int64)
+
+
+def sorted_order_top(scores, k: int) -> tuple[list[int], float]:
+    """The k highest scores, earlier points first on ties, by a plain sort:
+    their indicator and the k-th score (+inf for k = 0)."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    pred = [0] * len(scores)
+    for i in order[:k]:
+        pred[i] = 1
+    return pred, (float(scores[order[k - 1]]) if k else math.inf)
+
+
+@PROPERTY
+@given(threshold_cases(), st.sampled_from(BEST_F_METRICS))
+def test_best_f_matches_exhaustive_sweep(case, metric):
+    scores, truth = case
+    result = threshold_best_f(scores, truth, metric)
+    threshold, value = reference.best_f_exhaustive(scores.tolist(), truth.tolist(), metric)
+    assert result.threshold == threshold
+    assert abs(result.metadata["value"] - value) <= 1e-12
+    # the predictions are the points at or above the threshold: the top
+    # count of them in sorted order, ties included whole
+    pred = [int(s >= threshold) for s in scores]
+    assert result.predictions.tolist() == pred
+    assert sorted_order_top(scores, sum(pred))[0] == pred
+
+
+@PROPERTY
+@given(threshold_cases(), st.data())
+def test_top_k_matches_sorted_order(case, data):
+    scores, _ = case
+    k = data.draw(st.integers(0, len(scores)))
+    result = threshold_top_k(scores, k)
+    pred, threshold = sorted_order_top(scores, k)
+    assert result.predictions.tolist() == pred
+    assert result.threshold == threshold
+
+
+@PROPERTY
+@given(threshold_cases(), st.sampled_from(BEST_F_METRICS))
+def test_top_k_at_the_best_count_is_the_best_f(case, metric):
+    # top_k asked for as many points as the exhaustive best threshold keeps
+    # predicts those points and scores the best value
+    scores, truth = case
+    threshold, value = reference.best_f_exhaustive(scores.tolist(), truth.tolist(), metric)
+    k = int((scores >= threshold).sum())
+    pred = threshold_top_k(scores, k).predictions
+    assert pred.tolist() == [int(s >= threshold) for s in scores]
+    naive = {"f1": reference.f1_naive, "fpa1": reference.fpa1_naive, "fc1": reference.fc1_naive}
+    assert abs(naive[metric](pred.tolist(), truth.tolist()) - value) <= 1e-12
 
 
 @PROPERTY

@@ -9,6 +9,8 @@ from scipy import special
 
 from tsadkit import scoring
 from tsadkit.core import InsufficientDataError, ValidationError
+from tsadkit.experiment import _gauss_d_blocks, _run_cell, _smoothed_blocks, config_from_dict
+from tsadkit.ingest import generate_synthetic
 from tsadkit.scoring import (
     SIGMA_FLOOR,
     DynamicWindow,
@@ -19,6 +21,7 @@ from tsadkit.scoring import (
     score_gauss_d,
     score_gauss_d_k,
     score_gauss_s,
+    row_blocks,
 )
 from reference import convolve_edge, gauss_nls, rolling_mean_std
 
@@ -373,3 +376,157 @@ def test_scoring_memory_is_bounded_by_the_block():
     assert smoothed.nbytes + smoothed_series.nbytes == outputs
     assert d_peak < outputs + 16 * block_bytes
     assert dk_peak < outputs + 16 * block_bytes
+
+
+@pytest.mark.parametrize("n", [1, 5, scoring._BLOCK - 1, scoring._BLOCK, scoring._BLOCK + 1,
+                               2 * scoring._BLOCK + 1, 3 * scoring._BLOCK - 1])
+def test_row_blocks_tile_the_grid(n):
+    blocks = list(row_blocks(n))
+    assert [a for a, _ in blocks] == list(range(0, max(n - scoring._BLOCK, 0) + 1, scoring._BLOCK))
+    assert blocks[-1][1] == n
+    assert all(b == a2 for (_, b), (a2, _) in zip(blocks, blocks[1:]))
+    # the rows after the last full block join it
+    assert all(b - a >= min(n, scoring._BLOCK) for a, b in blocks)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(blocked_cases())
+def test_carried_gauss_d_equals_the_whole_stream(case):
+    # pieces on the block grid, each with the W-1 error rows before it
+    # carried over and one set of buffers, give the whole-stream bytes
+    test, tail, w, block, scored = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "_BLOCK", block)
+        whole, whole_series = score_gauss_d(test, tail, DynamicWindow(w), scored)
+        pieces = [(a, b, test[a:b]) for a, b in row_blocks(test.shape[0])]
+        out = list(_gauss_d_blocks(iter(pieces), tail, DynamicWindow(w), scored))
+    assert np.concatenate([rows for _, _, rows, _ in out]).tobytes() == whole.tobytes()
+    assert np.concatenate([part for *_, part in out]).tobytes() == whole_series.tobytes()
+
+
+@st.composite
+def smoothing_cases(draw):
+    """gauss_d-like channels, a kernel and a block size: streams shorter
+    than one block and than the kernel, radii wider than a block."""
+    sigma = draw(st.sampled_from([0.3, 1.0, 1.5, 2.0, 4.5, 9.0]))
+    block = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 160))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((n, m)) * 15.0, KernelSpec(sigma), block
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(smoothing_cases())
+def test_carried_smoothing_equals_the_whole_stream(case):
+    channels, kernel, block = case
+    n, m = channels.shape
+    scored = list(range(0, m, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "_BLOCK", block)
+        pieces = [(a, b, channels[a:b], None) for a, b in row_blocks(n)]
+        out = list(_smoothed_blocks(iter(pieces), kernel, scored, n))
+    # every row once, in order
+    assert [lo for lo, *_ in out] == [0] + [hi for _, hi, *_ in out[:-1]]
+    assert out[-1][1] == n
+    smoothed = np.concatenate([rows for _, _, rows, _ in out])
+    series = np.concatenate([part for *_, part in out])
+    whole, whole_series = score_gauss_d_k(channels, kernel, scored)
+    assert smoothed.tobytes() == whole.tobytes()
+    assert series.tobytes() == whole_series.tobytes()
+    weights, r = kernel.weights(), kernel.radius
+    for i in range(m):
+        padded = np.pad(channels[:, i], r, mode="edge")
+        assert smoothed[:, i].tobytes() == np.convolve(padded, weights, mode="valid").tobytes()
+        ref = convolve_edge(channels[:, i], weights)
+        if len(weights) <= 7:
+            # the dot under np.convolve sums a short kernel in order, as the
+            # oracle does; from 13 taps on it sums in lanes and rounds apart
+            assert smoothed[:, i].tobytes() == ref.tobytes()
+        else:
+            assert np.abs(smoothed[:, i] - ref).max() <= 1e-12
+
+
+def test_carried_smoothing_on_the_real_grid():
+    # long_stream's kernel on full blocks, the last one taking 5 extra rows
+    n = 2 * scoring._BLOCK + 5
+    rng = np.random.default_rng(12)
+    channels = rng.random((n, 4)) * 15.0
+    kernel = KernelSpec(2.0)
+    pieces = [(a, b, channels[a:b], None) for a, b in row_blocks(n)]
+    out = list(_smoothed_blocks(iter(pieces), kernel, None, n))
+    assert [(lo, hi) for lo, hi, *_ in out] == [
+        (0, scoring._BLOCK - kernel.radius), (scoring._BLOCK - kernel.radius, n)
+    ]
+    whole, whole_series = score_gauss_d_k(channels, kernel)
+    assert np.concatenate([rows for _, _, rows, _ in out]).tobytes() == whole.tobytes()
+    assert np.concatenate([part for *_, part in out]).tobytes() == whole_series.tobytes()
+
+
+@pytest.mark.parametrize("context", [(-1, 0), (0, -1), (3, 3), (6, 0)])
+def test_smoothing_context_must_leave_rows(context):
+    with pytest.raises(ValidationError):
+        score_gauss_d_k(np.zeros((6, 2)), KernelSpec(1.0), None, context)
+
+
+def _long_cell_config(n_test: int, m: int) -> dict:
+    anomalies = [
+        {"start": start, "length": 12, "kind": "spike", "channels": [start % m], "magnitude": 3.0}
+        for start in range(700, n_test - 20, 3000)
+    ]
+    return {
+        "synthetic": [{
+            "entity_id": "long", "n_train": 3000, "n_test": n_test, "m": m,
+            "period": 30.0, "noise_sigma": 0.1, "seed": 3, "anomalies": anomalies,
+        }],
+        "model": {"kind": "raw"},
+        "scoring": {"kind": "gauss_d_k", "window": 500, "kernel_sigma": 2.0},
+        "threshold": {"method": "tail_p"},
+        "diagnosis": {"enabled": True},
+    }
+
+
+def test_cell_memory_is_bounded_by_the_block():
+    """A long raw / gauss_d_k / tail_p cell holds its entity, the (n,)
+    series and the event rows, never a test-length copy of the channels.
+    Over the entity, its traced peak stays under 12 floats per test row
+    (the series, and the ranking temporaries of the first metric report,
+    ~10 of them) plus 24 blocks of m channels (the blocks' work: ~19).
+    Each test-length n x m array is 12 blocks here, and the whole-stream
+    test side held three of them at once, ~48 blocks."""
+    m, n_test = 16, 12 * scoring._BLOCK + 5
+    config = config_from_dict(_long_cell_config(n_test, m))
+    block_bytes = scoring._BLOCK * m * 8
+    tracemalloc.start()
+    try:
+        entity = generate_synthetic(config.synthetic[0])
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        cell, _ = _run_cell(entity, 0, config)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert cell["diagnosis"]["rankings"]
+    assert peak < 12 * n_test * 8 + 24 * block_bytes
+
+
+def test_generation_memory_is_its_output():
+    """generate_synthetic builds train and test as two row-slices of one
+    array: its traced peak is that array, the labels and the n x m byte
+    finiteness masks of the two SeriesMatrix checks, plus under 6 floats
+    per row (the time axis and one channel's sinusoid temporaries). The
+    old build held the noise, the signal and a test copy, ~3 arrays."""
+    m, n_test = 16, 12 * scoring._BLOCK + 5
+    spec = config_from_dict(_long_cell_config(n_test, m)).synthetic[0]
+    n = spec.n_train + spec.n_test
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        entity = generate_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert entity.train.values.base is entity.test.values.base
+    output = n * m * 8 + entity.test_labels.nbytes
+    assert peak < output + n * m + 6 * n * 8
