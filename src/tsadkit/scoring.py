@@ -9,7 +9,8 @@ channels plus an aggregated series over the scored channel subset.
   gauss_d  the same transform with rolling mean/std over the W most
            recent errors (current point included), the training tail
            prepended so the window never starts empty; computed in row
-           blocks.
+           blocks, each block's window statistics and survival in
+           steps of ``_STEP`` rows.
   gauss_d_k  gauss_d channel scores smoothed by a truncated, unit-sum
            Gaussian kernel before aggregation.
 
@@ -48,6 +49,11 @@ _LN10 = math.log(10.0)
 # rows per block of gauss_d scoring and of the series sums; their
 # temporaries are sized by it, not by the test length
 _BLOCK = 1 << 14
+# rows per step of gauss_d's window statistics and survival within a
+# block: each row needs only its own prefix sums, so the step sizes their
+# temporaries and not the block; two cells scoring at once then hold two
+# blocks of prefix sums rather than two blocks of survival temporaries
+_STEP = 1 << 11
 
 
 def _row_sums(channels: ChannelScores, idx) -> ScoreSeries:
@@ -228,13 +234,14 @@ def score_gauss_d(
 
     n, tail_len = err.shape[0], tail.shape[0]
     rows = min(n, _BLOCK)
+    step = min(rows, _STEP)
     chunk = buffers.get("chunk", rows + w - 1, m)
-    scratch = buffers.get("scratch", rows + w - 1, m)
     cs = buffers.get("cs", rows + w, m)
     cs2 = buffers.get("cs2", rows + w, m)
     cs[0] = cs2[0] = 0.0
-    mean = buffers.get("mean", rows, m)
-    sigma = buffers.get("sigma", rows, m)
+    mean = buffers.get("mean", step, m)
+    sigma = buffers.get("sigma", step, m)
+    scratch = buffers.get("scratch", step, m)
     channels = np.empty((n, m))
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
@@ -252,34 +259,37 @@ def score_gauss_d(
         # scale with the block rather than with n; z is invariant to a shift
         stream -= stream.mean(axis=0)
         np.cumsum(stream, axis=0, out=cs[1 : n_stream + 1])
-        square = np.multiply(stream, stream, out=scratch[:n_stream])
-        np.cumsum(square, axis=0, out=cs2[1 : n_stream + 1])
+        square = np.multiply(stream, stream, out=cs2[1 : n_stream + 1])
+        np.cumsum(square, axis=0, out=square)
 
-        # the chunk starts at the stream's first row or W-1 rows back, so
-        # its local end index caps the window as the global one would
-        end = pre + np.arange(1, k + 1)
-        win = np.minimum(w, end).astype(np.float64)[:, None]
-        start = end - win[:, 0].astype(np.int64)
-        # take with mode="clip" writes straight into ``out``; every index
-        # is in range, so it is the plain gather
-        mu = np.take(cs, end, axis=0, out=mean[:k], mode="clip")
-        mu -= np.take(cs, start, axis=0, out=scratch[:k], mode="clip")
-        mu /= win
-        var = np.take(cs2, end, axis=0, out=sigma[:k], mode="clip")
-        var -= np.take(cs2, start, axis=0, out=scratch[:k], mode="clip")
-        spread = np.multiply(win, mu, out=scratch[:k])
-        spread *= mu
-        var -= spread
-        var /= np.maximum(win - 1.0, 1.0)
-        np.clip(var, 0.0, None, out=var)
-        sd = np.sqrt(var, out=var)
-        np.maximum(sd, SIGMA_FLOOR, out=sd)
+        for s in range(0, k, step):
+            e = min(s + step, k)
+            j = e - s
+            # the chunk starts at the stream's first row or W-1 rows back,
+            # so its local end index caps the window as the global one would
+            end = pre + np.arange(s + 1, e + 1)
+            win = np.minimum(w, end).astype(np.float64)[:, None]
+            start = end - win[:, 0].astype(np.int64)
+            # take with mode="clip" writes straight into ``out``; every
+            # index is in range, so it is the plain gather
+            mu = np.take(cs, end, axis=0, out=mean[:j], mode="clip")
+            mu -= np.take(cs, start, axis=0, out=scratch[:j], mode="clip")
+            mu /= win
+            var = np.take(cs2, end, axis=0, out=sigma[:j], mode="clip")
+            var -= np.take(cs2, start, axis=0, out=scratch[:j], mode="clip")
+            spread = np.multiply(win, mu, out=scratch[:j])
+            spread *= mu
+            var -= spread
+            var /= np.maximum(win - 1.0, 1.0)
+            np.clip(var, 0.0, None, out=var)
+            sd = np.sqrt(var, out=var)
+            np.maximum(sd, SIGMA_FLOOR, out=sd)
 
-        z = np.subtract(stream[pre:], mu, out=scratch[:k])
-        z /= sd
-        z[win[:, 0] < 2.0] = 0.0
-        np.clip(z, -Z_CLAMP, Z_CLAMP, out=z)
-        channels[a:b] = _neg_log10_survival(z)
+            z = np.subtract(stream[pre + s : pre + e], mu, out=scratch[:j])
+            z /= sd
+            z[win[:, 0] < 2.0] = 0.0
+            np.clip(z, -Z_CLAMP, Z_CLAMP, out=z)
+            channels[a + s : a + e] = _neg_log10_survival(z)
     return channels, _row_sums(channels, idx)
 
 

@@ -350,11 +350,30 @@ def test_blocks_equal_one_block(case):
     assert np.array_equal(smoothed_series, smoothed[:, scored].sum(axis=1))
 
 
+@pytest.mark.parametrize("step", [1, 3, 100])
+def test_steps_within_a_block_move_no_bit(step):
+    """gauss_d's window statistics and survival of a row read only that
+    row's prefix sums, so how many rows a step takes moves no score."""
+    rng = np.random.default_rng(8)
+    err = rng.normal(size=(3 * 512 + 5, 3))
+    err[700:760, 1] += 6.0
+    tail = rng.normal(size=(99, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "_BLOCK", 512)
+        whole = score_gauss_d(err, tail, DynamicWindow(100))
+        mp.setattr(scoring, "_STEP", step)
+        stepped = score_gauss_d(err, tail, DynamicWindow(100))
+    assert np.array_equal(stepped[0], whole[0])
+    assert np.array_equal(stepped[1], whole[1])
+
+
 def test_scoring_memory_is_bounded_by_the_block():
-    """Only the outputs are full length: the traced peak of each scorer is
-    under its outputs plus 16 blocks of m channels. gauss_d's per-block
-    temporaries take ~11 of them; gauss_d_k's per-column convolution holds
-    one padded column and its result, 2n floats, ~5 here."""
+    """Only the outputs are full length: the traced peak of gauss_d is
+    under its outputs plus 8 blocks of m channels, that of gauss_d_k under
+    its outputs plus 16. gauss_d's block of errors and its two prefix sums
+    take ~5, its steps' temporaries a fraction of one; gauss_d_k's
+    per-column convolution holds one padded column and its result, 2n
+    floats, ~5 here."""
     n, m, w = 1 << 18, 4, 500
     rng = np.random.default_rng(3)
     err = rng.normal(size=(n, m))
@@ -374,7 +393,7 @@ def test_scoring_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     outputs = channels.nbytes + series.nbytes
     assert smoothed.nbytes + smoothed_series.nbytes == outputs
-    assert d_peak < outputs + 16 * block_bytes
+    assert d_peak < outputs + 8 * block_bytes
     assert dk_peak < outputs + 16 * block_bytes
 
 
