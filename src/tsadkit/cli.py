@@ -28,6 +28,7 @@ from .core import (
     check_float_matrix,
     decode_config,
     read_json,
+    write_atomic,
 )
 from .diagnosis import RANK_STATISTICS, event_rows
 from .experiment import (
@@ -64,13 +65,16 @@ def _seed(text: str) -> int:
 
 def _seed_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        seeds = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from None
+        seeds = None
+    if seeds is None or any(seed < 0 for seed in seeds):
+        raise argparse.ArgumentTypeError(f"bad seed list {text!r}: need integers >= 0")
+    return seeds
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -123,9 +127,8 @@ def _cmd_generate(args) -> int:
     }
     if causes:
         cause_path = out / "causes.json"
-        cause_path.write_text(
-            json.dumps(causes, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        with write_atomic(cause_path) as fh:
+            fh.write(json.dumps(causes, indent=2, sort_keys=True) + "\n")
         written.append(cause_path)
     for path in written:
         print(path)

@@ -9,8 +9,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 
@@ -60,6 +62,28 @@ def read_json(path: str | Path):
         raise ParseError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
+@contextmanager
+def write_atomic(path: Path):
+    """Yield a UTF-8 text file that replaces ``path`` in one rename.
+
+    The file is fsynced before the rename. A failed write leaves the
+    previous file intact and removes the temporary file. The temporary
+    file sits beside the target because a rename is atomic only within
+    one file system. Newlines are written as given (``newline=""``), as
+    the csv module expects.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # The config codec: a config is a frozen dataclass, written as a JSON object

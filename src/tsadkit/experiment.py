@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +37,7 @@ from .core import (
     encode_config,
     read_json,
     validate_labels,
+    write_atomic,
 )
 from .diagnosis import RANK_STATISTICS, hitrate_at, rank_channels, rc_top_k
 from .ingest import (
@@ -182,6 +181,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown metrics {unknown}; valid: {METRIC_NAMES}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be unique, got {list(self.seeds)}")
         ids = [e.id for e in self.entities] + [s.entity_id for s in self.synthetic]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"entity ids must be unique, got {ids}")
@@ -595,25 +598,6 @@ def compare_metrics(truth, named_predictions: dict, rad_seed: int = 0) -> list[d
     return rows
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace ``path`` by ``data`` in one rename.
-
-    A failed write leaves the previous file intact and removes its
-    temporary file. The temporary file sits beside the target because a
-    rename is atomic only within one file system.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def emit_results(record: ResultsRecord, out_dir: str | Path, fmt: str = "json") -> dict:
     """Write results.json (deterministic), run_meta.json, and a summary.
 
@@ -625,31 +609,25 @@ def emit_results(record: ResultsRecord, out_dir: str | Path, fmt: str = "json") 
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
     out = Path(out_dir)
-    texts = {
-        "results": json.dumps(record.payload(), sort_keys=True, indent=2) + "\n",
-        "meta": json.dumps(record.meta, sort_keys=True, indent=2) + "\n",
-    }
+    paths = {"results": out / "results.json", "meta": out / "run_meta.json"}
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["entity", "seed", "metric", "value"])
-        for cell in record.cells:
-            for key, value in sorted(cell.get("metrics", {}).items()):
-                shown = "" if value is None else f"{value:.10g}"
-                writer.writerow([cell["entity"], cell["seed"], key, shown])
-        texts["summary"] = buffer.getvalue()
-    paths = {
-        "results": out / "results.json",
-        "meta": out / "run_meta.json",
-        "summary": out / "summary.csv",
-    }
+        paths["summary"] = out / "summary.csv"
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, text in texts.items():
-            _write_atomic(paths[name], text.encode("utf-8"))
+        for name, payload in (("results", record.payload()), ("meta", record.meta)):
+            with write_atomic(paths[name]) as fh:
+                fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        if fmt == "csv":
+            with write_atomic(paths["summary"]) as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["entity", "seed", "metric", "value"])
+                for cell in record.cells:
+                    for key, value in sorted(cell.get("metrics", {}).items()):
+                        shown = "" if value is None else f"{value:.10g}"
+                        writer.writerow([cell["entity"], cell["seed"], key, shown])
     except OSError as exc:
         raise ConfigError(f"cannot write results to {out}: {exc}") from None
-    return {name: str(paths[name]) for name in texts}
+    return {name: str(path) for name, path in paths.items()}
 
 
 def load_results(path: str | Path) -> dict:

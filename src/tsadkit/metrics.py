@@ -45,10 +45,9 @@ class ConfusionCounts:
 class MetricReport:
     """All detection metrics for one prediction against one truth vector.
 
-    prec_t equals prec_point by definition (both are the point precision);
-    both fields are kept because they feed different formulas downstream.
-    auroc and auprc are None when no scores were given or the truth is
-    single-class.
+    prec_point duplicates prec_t (both are the point precision); it stays
+    in the results until results schema 2 drops it. auroc and auprc are
+    None when no scores were given or the truth is single-class.
     """
 
     f1: float
@@ -72,6 +71,32 @@ def _pair(pred, truth) -> tuple[LabelVector, LabelVector]:
 
 def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
+
+
+def _f_terms(metric: str, tp, fp, n_pos, tp_adjusted, tp_e, n_events):
+    """One F-score as a (numerator, denominator) pair of integer counts:
+    of Python ints, which _ratio divides once to the correctly rounded
+    value of the exact rational (chaining precision, recall and the
+    harmonic mean can land one ulp off), or of arrays, one per threshold.
+
+    tp_adjusted is the total length of the detected events, tp_e the
+    detected events out of n_events.
+    """
+    if metric == "f1":
+        return 2 * tp, tp + fp + n_pos  # 2tp + fp + fn
+    if metric == "fpa1":
+        # the adjusted prediction keeps every false positive; its misses
+        # are the points of undetected events
+        return 2 * tp_adjusted, tp_adjusted + fp + n_pos
+    # fc1: 2*prec_t*rec_e/(prec_t + rec_e) over the common denominator
+    return 2 * tp * tp_e, tp * n_events + tp_e * (tp + fp)
+
+
+def _f_score(metric: str, counts: ConfusionCounts, tp_adjusted: int = 0) -> float:
+    return _ratio(*_f_terms(
+        metric, counts.tp_t, counts.fp_t, counts.tp_t + counts.fn_t,
+        tp_adjusted, counts.tp_e, counts.n_events,
+    ))
 
 
 def _counts(p: LabelVector, y: LabelVector) -> tuple[ConfusionCounts, int]:
@@ -109,13 +134,9 @@ def confusion(pred, truth) -> ConfusionCounts:
 
 
 def f1_point(counts: ConfusionCounts) -> float:
-    """Point-wise F1 from confusion counts.
-
-    Computed as one division of integer counts, 2tp/(2tp+fp+fn), so the
-    result is the correctly rounded value of the exact rational. Chaining
-    precision, recall and the harmonic mean can land one ulp off.
-    """
-    return _ratio(2 * counts.tp_t, 2 * counts.tp_t + counts.fp_t + counts.fn_t)
+    """Point-wise F1 from confusion counts, one division of 2tp by
+    2tp+fp+fn."""
+    return _f_score("f1", counts)
 
 
 def adjusted_prediction(pred, truth) -> LabelVector:
@@ -128,32 +149,13 @@ def adjusted_prediction(pred, truth) -> LabelVector:
     return adjusted
 
 
-def _f1_adjusted(counts: ConfusionCounts, tp_adjusted: int) -> float:
-    # the adjusted prediction keeps every false positive; its misses are the
-    # points of undetected events
-    n_pos = counts.tp_t + counts.fn_t
-    return _ratio(2 * tp_adjusted, tp_adjusted + counts.fp_t + n_pos)
-
-
 def f1_point_adjusted(pred, truth) -> float:
     """Point-adjusted F1: point F1 of the event-expanded prediction.
 
     Detecting a single point of a long event earns credit for the whole
     span, which is exactly the leniency this metric is known for.
     """
-    return _f1_adjusted(*_counts(*_pair(pred, truth)))
-
-
-def _fc1(counts: ConfusionCounts) -> tuple[float, float, float]:
-    prec_t = _ratio(counts.tp_t, counts.tp_t + counts.fp_t)
-    rec_e = _ratio(counts.tp_e, counts.n_events)
-    # single division of integer counts, same rounding policy as f1_point;
-    # algebraically 2*prec_t*rec_e/(prec_t + rec_e) with 0/0 -> 0
-    value = _ratio(
-        2 * counts.tp_t * counts.tp_e,
-        counts.tp_t * counts.n_events + counts.tp_e * (counts.tp_t + counts.fp_t),
-    )
-    return value, prec_t, rec_e
+    return compute_report(pred, truth).fpa1
 
 
 def fc1(pred, truth) -> tuple[float, float, float]:
@@ -162,7 +164,8 @@ def fc1(pred, truth) -> tuple[float, float, float]:
     Returns (fc1, prec_t, rec_e). Any 0/0 component defines to 0, which
     makes fc1 itself 0 whenever either component vanishes.
     """
-    return _fc1(confusion(pred, truth))
+    report = compute_report(pred, truth)
+    return report.fc1, report.prec_t, report.rec_e
 
 
 def _checked(scores: ScoreSeries, truth) -> tuple[ScoreSeries, LabelVector]:
@@ -173,16 +176,17 @@ def _checked(scores: ScoreSeries, truth) -> tuple[ScoreSeries, LabelVector]:
     return s, y
 
 
-def _cuts(s: ScoreSeries, y: LabelVector) -> tuple[np.ndarray, np.ndarray]:
-    """Tie blocks of one stable descending sort of the scores.
+def _cuts(s: ScoreSeries, y: LabelVector) -> tuple[np.ndarray, np.ndarray, ScoreSeries]:
+    """Tie blocks of one stable descending sort of non-empty scores.
 
     Returns each block's exclusive end in sorted order (the number of
-    points scoring at or above the block) and the positives up to it.
+    points scoring at or above the block), the positives up to it and
+    the block's score value.
     """
     order = np.argsort(-s, kind="stable")
     sorted_scores = s[order]
     stops = np.concatenate((np.flatnonzero(np.diff(sorted_scores) != 0) + 1, [s.shape[0]]))
-    return stops, np.cumsum(y[order])[stops - 1]
+    return stops, np.cumsum(y[order])[stops - 1], sorted_scores[stops - 1]
 
 
 def _auroc(stops: np.ndarray, tp: np.ndarray) -> float:
@@ -211,7 +215,7 @@ def auroc(scores: ScoreSeries, truth) -> float:
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.shape[0]:
         raise ValidationError("auroc needs both classes present in the truth")
-    return _auroc(*_cuts(s, y))
+    return _auroc(*_cuts(s, y)[:2])
 
 
 def auprc(scores: ScoreSeries, truth) -> float:
@@ -223,7 +227,7 @@ def auprc(scores: ScoreSeries, truth) -> float:
     s, y = _checked(scores, truth)
     if not y.any():
         raise ValidationError("auprc needs at least one positive in the truth")
-    return _auprc(*_cuts(s, y))
+    return _auprc(*_cuts(s, y)[:2])
 
 
 def rad_scores(n: int, seed: int) -> ScoreSeries:
@@ -241,19 +245,19 @@ def compute_report(pred, truth, scores: ScoreSeries | None = None) -> MetricRepo
     """
     p, y = _pair(pred, truth)
     counts, tp_adjusted = _counts(p, y)
-    composite, prec_t, rec_e = _fc1(counts)
+    prec_t = _ratio(counts.tp_t, counts.tp_t + counts.fp_t)
     roc = prc = None
     if scores is not None:
         n_pos = counts.tp_t + counts.fn_t
         if 0 < n_pos < counts.n:
-            cuts = _cuts(*_checked(scores, y))
+            cuts = _cuts(*_checked(scores, y))[:2]
             roc, prc = _auroc(*cuts), _auprc(*cuts)
     return MetricReport(
-        f1=f1_point(counts),
-        fpa1=_f1_adjusted(counts, tp_adjusted),
-        fc1=composite,
+        f1=_f_score("f1", counts),
+        fpa1=_f_score("fpa1", counts, tp_adjusted),
+        fc1=_f_score("fc1", counts),
         prec_t=prec_t,
-        rec_e=rec_e,
+        rec_e=_ratio(counts.tp_e, counts.n_events),
         prec_point=prec_t,
         rec_point=_ratio(counts.tp_t, counts.tp_t + counts.fn_t),
         auroc=roc,

@@ -4,6 +4,10 @@ Predictions follow the >= rule: a point is anomalous when its score is at
 or above the threshold. The one documented exception is top-k with ties
 at the boundary, where earlier time-points win so the positive count is
 exactly k.
+
+best_f sweeps the same tie-block cuts and divides the same F-score
+formulas as the metrics module, so the value it reports is the value
+compute_report gives its prediction.
 """
 from __future__ import annotations
 
@@ -17,9 +21,10 @@ from .core import (
     ScoreSeries,
     ValidationError,
     check_score_series,
-    events_from_labels,
+    run_bounds,
     validate_labels,
 )
+from .metrics import _checked, _cuts, _f_terms
 
 BEST_F_METRICS = ("f1", "fpa1", "fc1")
 
@@ -80,84 +85,43 @@ def threshold_tail_p(scores: ScoreSeries, m_scored: int, neg_log_eps: int) -> Th
 def threshold_best_f(scores: ScoreSeries, truth, metric: str = "fc1") -> ThresholdResult:
     """The threshold maximizing f1, fpa1, or fc1 against the given truth.
 
-    Candidates are the distinct score values plus +inf; all three metrics
-    are step functions of the threshold, so nothing between distinct
-    values can do better. Ties in the metric resolve toward the larger
-    threshold (fewer positives). Evaluation-only: requires test labels.
+    Candidates are +inf and the distinct score values, the tie-block cuts
+    of the metrics module's one descending sort; all three metrics are
+    step functions of the threshold, so nothing between distinct values
+    can do better. Ties in the metric resolve toward the larger threshold
+    (fewer positives). Evaluation-only: requires test labels.
 
-    The sweep is incremental, O(n log n): points enter in descending
-    score order and point/event counts update per distinct-value group.
+    One O(n log n) sweep: the cuts give each candidate's positives and
+    true positives, a search over the events' peak scores gives the
+    events it detects and their covered length, and the metrics module's
+    F-score pair divides once per candidate.
     """
     if metric not in BEST_F_METRICS:
         raise ConfigError(f"metric must be one of {BEST_F_METRICS}, got {metric!r}")
-    s = check_score_series(scores)
-    y = validate_labels(truth)
-    n = s.shape[0]
-    if n == 0:
+    s, y = _checked(scores, truth)
+    if s.shape[0] == 0:
         raise ValidationError("cannot threshold an empty score series")
-    if y.shape[0] != n:
-        raise ValidationError(f"{y.shape[0]} labels for {n} scores")
+    stops, tp, values = _cuts(s, y)
+    # the first candidate, +inf, predicts nothing
+    stops, tp = np.concatenate(([0], stops)), np.concatenate(([0], tp))
+    values = np.concatenate(([np.inf], values))
 
-    order = np.argsort(-s, kind="stable")
-    sorted_scores = s[order]
-    change = np.flatnonzero(np.diff(sorted_scores) != 0)
-    prefix = np.concatenate((change + 1, [n]))  # positives at each candidate
+    # an event is detected at every cut at or below its highest score
+    starts, ends = run_bounds(y)
+    peaks = np.maximum.reduceat(np.where(y == 1, s, -np.inf), starts)
+    by_peak = np.argsort(-peaks)
+    detected = np.searchsorted(-peaks[by_peak], -values, side="right")
+    covered = np.concatenate(([0], np.cumsum((ends - starts)[by_peak])))[detected]
 
-    tp_cum = np.cumsum(y[order])
-    tp = tp_cum[prefix - 1].astype(np.float64)
-    pos = prefix.astype(np.float64)
-    fp = pos - tp
-    total_pos = float(y.sum())
-    fn = total_pos - tp
-
-    events = events_from_labels(y)
-    n_events = len(events)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    if n_events:
-        first_hit = np.array(
-            [rank[e.start : e.end + 1].min() for e in events], dtype=np.int64
-        )
-        lengths = np.array([e.length for e in events], dtype=np.float64)
-        hit_order = np.argsort(first_hit)
-        first_sorted = first_hit[hit_order]
-        covered_cum = np.concatenate(([0.0], np.cumsum(lengths[hit_order])))
-        detected = np.searchsorted(first_sorted, prefix, side="left").astype(np.float64)
-        covered = covered_cum[detected.astype(np.int64)]
-    else:
-        detected = np.zeros(prefix.shape[0])
-        covered = np.zeros(prefix.shape[0])
-
-    # prepend the +inf candidate: zero positives
-    tp = np.concatenate(([0.0], tp))
-    fp = np.concatenate(([0.0], fp))
-    fn = np.concatenate(([total_pos], fn))
-    pos = np.concatenate(([0.0], pos))
-    detected = np.concatenate(([0.0], detected))
-    covered = np.concatenate(([0.0], covered))
-
-    if metric == "f1":
-        denom = 2.0 * tp + fp + fn
-        values = np.divide(2.0 * tp, denom, out=np.zeros_like(denom), where=denom > 0)
-    elif metric == "fpa1":
-        fn_adj = total_pos - covered
-        denom = 2.0 * covered + fp + fn_adj
-        values = np.divide(2.0 * covered, denom, out=np.zeros_like(denom), where=denom > 0)
-    else:  # fc1; integer-count form so exact ties compare equal in floats
-        denom = tp * n_events + detected * pos
-        values = np.divide(
-            2.0 * tp * detected, denom, out=np.zeros_like(denom), where=denom > 0
-        )
-
-    best = int(np.argmax(values))  # first max = largest threshold
-    if best == 0:
-        threshold = float("inf")
-    else:
-        threshold = float(sorted_scores[prefix[best - 1] - 1])
-    preds = (s >= threshold).astype(np.int64)
+    num, den = _f_terms(
+        metric, tp, stops - tp, int(tp[-1]), covered, detected, starts.shape[0]
+    )
+    f = np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
+    best = int(np.argmax(f))  # the first maximum: the largest threshold
+    threshold = float(values[best])
     return ThresholdResult(
         threshold,
-        preds,
+        (s >= threshold).astype(np.int64),
         "best_f",
-        {"metric": metric, "value": float(values[best])},
+        {"metric": metric, "value": float(f[best])},
     )

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -16,6 +17,9 @@ FIXTURE = Path(__file__).parent / "data" / "benchmark_fc1.csv"
 # the config CI runs on the numpy-only install: a test set of two blocks
 # and 701 rows, gauss_d_k, the tail_p sweep and diagnosis
 BLOCKWISE_RUN = Path(__file__).parent / "data" / "blockwise_run.json"
+# the labels CI scores on the numpy-only install: five events, two
+# prediction columns, and the best-F random baselines for all three metrics
+LABELS = Path(__file__).parent / "data" / "labels.csv"
 
 SPEC = {
     "entity_id": "gen0",
@@ -70,6 +74,33 @@ class TestGenerate:
         a = (tmp_path / "a" / "train.csv").read_text()
         b = (tmp_path / "b" / "train.csv").read_text()
         assert a != b
+
+    def test_failed_write_keeps_previous_csv(self, tmp_path, monkeypatch, capsys):
+        cfg = write_json(tmp_path / "spec.json", SPEC)
+        out = tmp_path / "d"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        real_writer = csv.writer
+
+        class FailingWriter:
+            """Writes the header and 50 rows, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.inner = real_writer(fh)
+                self.writerow = self.inner.writerow
+
+            def writerows(self, rows):
+                for i, row in enumerate(rows):
+                    if i == 50:
+                        raise OSError("disk full")
+                    self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailingWriter)
+        # another seed: a write that got through would change the bytes
+        assert main(["generate", "--config", cfg, "--seed", "99", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        # train.csv untouched, and no temporary file left beside it
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
     def test_bad_spec_exits_one(self, tmp_path):
         cfg = write_json(tmp_path / "spec.json", {"n_train": 5})
@@ -174,6 +205,21 @@ class TestCompareMetricsCommand:
         assert main(["compare-metrics", str(labels), "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "name,f1,fpa1,fc1"
+
+    def test_committed_labels_fixture(self, tmp_path):
+        done = run_cli("compare-metrics", LABELS, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        # sparse: 3 of 22 positives hit, 2 false alarms, 3 of 5 events found
+        assert json.loads(done.stdout) == [
+            {"name": "sparse", "f1": 6 / 27, "fpa1": 34 / 41, "fc1": 0.6},
+            {"name": "long_only", "f1": 0.625, "fpa1": 0.625, "fc1": 1 / 3},
+            {"name": "random(best f1)", "f1": 0.6363636363636364,
+             "fpa1": 0.6567164179104478, "fc1": 0.6461538461538462},
+            {"name": "random(best fpa1)", "f1": 0.4666666666666667,
+             "fpa1": 0.9302325581395349, "fc1": 0.835820895522388},
+            {"name": "random(best fc1)", "f1": 0.4666666666666667,
+             "fpa1": 0.9302325581395349, "fc1": 0.835820895522388},
+        ]
 
     def test_non_binary_labels_exit_one(self, tmp_path):
         labels = tmp_path / "labels.csv"
@@ -495,6 +541,41 @@ class TestSingleSeedFlag:
         done = run_cli("generate", "--config", spec, "--out", "d", cwd=tmp_path)
         assert done.returncode == 1
         assert done.stderr == "error: seed must be >= 0, got -1\n"
+
+
+class TestRunSeeds:
+    """A run's seeds are distinct integers >= 0: a config or ``--seed`` that
+    breaks this exits 1 with one error line and writes nothing."""
+
+    def test_negative_config_seed_exits_one(self, tmp_path):
+        cfg = run_config(tmp_path, seeds=[0, -1])
+        done = run_cli("run", "--config", cfg, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "error: seeds must be >= 0, got [0, -1]\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "2,-1"])
+    def test_negative_seed_flag_exits_one(self, tmp_path, seed):
+        cfg = run_config(tmp_path)
+        done = run_cli("run", "--config", cfg, f"--seed={seed}", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        usage, error = done.stderr.rstrip("\n").rsplit("\n", 1)
+        assert usage.startswith("usage: tsadkit run ")
+        assert error == (
+            f"tsadkit run: error: argument --seed: bad seed list {seed!r}: need integers >= 0"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [["--seed", "1,1"], []])
+    def test_duplicate_seeds_exit_one(self, tmp_path, args):
+        cfg = run_config(tmp_path, seeds=[1, 1] if not args else [0])
+        done = run_cli("run", "--config", cfg, *args, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "error: seeds must be unique, got [1, 1]\n"
+        assert not (tmp_path / "out").exists()
 
 
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"

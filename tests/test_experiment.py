@@ -103,6 +103,17 @@ class TestConfigParsing:
             base_config(scoring={"kind": "error"},
                         threshold={"method": "tail_p", "neg_log_eps": 2})
 
+    @pytest.mark.parametrize("seeds, message", [
+        ([-1], "seeds must be >= 0, got [-1]"),
+        ([3, -2], "seeds must be >= 0, got [3, -2]"),
+        ([1, 1], "seeds must be unique, got [1, 1]"),
+        ([0, 4, 0], "seeds must be unique, got [0, 4, 0]"),
+    ])
+    def test_bad_seeds_rejected(self, seeds, message):
+        with pytest.raises(ConfigError) as err:
+            base_config(seeds=seeds)
+        assert str(err.value) == message
+
     def test_digest_stable_and_canonical(self):
         a = base_config()
         b = base_config()
@@ -121,8 +132,8 @@ class TestRunExperiment:
         assert cell["threshold"]["k"] == 30
 
     def test_repeated_seed_identical_reports(self):
-        record = run_experiment(base_config(seeds=[1, 1]))
-        a, b = record.cells
+        # a config may name a seed once, so the repeat is a second run
+        a, b = (run_experiment(base_config(seeds=[1])).cells[0] for _ in range(2))
         assert a["metrics"] == b["metrics"]
 
     def test_aggregate_is_entity_mean(self):

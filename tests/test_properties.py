@@ -101,7 +101,10 @@ def test_best_f_matches_exhaustive_sweep(case, metric):
     result = threshold_best_f(scores, truth, metric)
     threshold, value = reference.best_f_exhaustive(scores.tolist(), truth.tolist(), metric)
     assert result.threshold == threshold
-    assert abs(result.metadata["value"] - value) <= 1e-12
+    # one division of exact integer counts: the correctly rounded rational,
+    # and the value compute_report gives the chosen prediction
+    assert result.metadata["value"] == value
+    assert getattr(compute_report(result.predictions, truth), metric) == value
     # the predictions are the points at or above the threshold: the top
     # count of them in sorted order, ties included whole
     pred = [int(s >= threshold) for s in scores]
