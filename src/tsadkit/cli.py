@@ -360,10 +360,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, ValidationError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

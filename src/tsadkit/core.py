@@ -12,6 +12,7 @@ import json
 import os
 import types
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass
 from pathlib import Path
@@ -84,6 +85,14 @@ def write_atomic(path: Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def pool_map(fn, items, threads: int) -> list:
+    """``fn`` over ``items`` in order, on up to ``threads`` pool workers."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 # The config codec: a config is a frozen dataclass, written as a JSON object

@@ -21,7 +21,6 @@ import hashlib
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .core import (
     SeriesMatrix,
     decode_config,
     encode_config,
+    pool_map,
     read_json,
     validate_labels,
     write_atomic,
@@ -49,12 +49,12 @@ from .ingest import (
     load_entity,
 )
 from .metrics import MetricReport, compute_report, rad_scores
-from .models import FitReport, ModelConfig, fit, residuals
+from .models import FitReport, ModelConfig, encoder_widths, fit, residuals
 from .scoring import (
     DynamicWindow,
     KernelSpec,
-    WorkBuffers,
     fit_gauss,
+    last_rows,
     row_blocks,
     score_error,
     score_gauss_d,
@@ -195,6 +195,26 @@ class ExperimentConfig:
                 "threshold method 'tail_p' needs a Gauss-family scoring kind "
                 "(gauss_s, gauss_d, gauss_d_k), got scoring kind 'error'"
             )
+        # an autoencoder's input must be wider than its latent size, the rule
+        # its layers apply at fit: window.length for a UAE (whose latent
+        # default ignores m), window.length x m for an FC-AE. A file
+        # entity's m is known only once its cell loads it, so an FC-AE is
+        # checked here on the synthetic specs alone.
+        length = self.window.length
+        inputs = {
+            "uae": [("", length, 1)],
+            "fc_ae": [(f" x synthetic {s.entity_id!r} m {s.m}", length * s.m, s.m)
+                      for s in self.synthetic],
+        }.get(self.model.kind, [])
+        for spanned, width, m in inputs:
+            latent = self.model.resolved(m).latent_dim
+            try:
+                encoder_widths(width, latent)
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"{self.model.kind} window.length {length}{spanned} is too short "
+                    f"for model.latent_dim {latent}: {exc}"
+                ) from None
 
     def to_dict(self) -> dict:
         return encode_config(self)
@@ -287,15 +307,6 @@ def diagnose_events(
     }
 
 
-def _last_rows(before: np.ndarray, block: np.ndarray, k: int) -> np.ndarray:
-    """The last ``k`` rows of ``before`` followed by ``block``, as a new
-    array that holds on to neither."""
-    take = min(k, block.shape[0])
-    return np.concatenate(
-        [before[max(before.shape[0] - (k - take), 0) :], block[block.shape[0] - take :]]
-    )
-
-
 def _error_blocks(entity, stats, model, train_norm, spec):
     """(a, b, errors) per row block: the block normalized and reconstructed
     with the l_w - 1 normalized rows before it, from the training tail for
@@ -307,16 +318,15 @@ def _error_blocks(entity, stats, model, train_norm, spec):
         x = apply_normalizer(SeriesMatrix(test[a:b], names), stats, "test")
         yield a, b, residuals(model, x, spec, train_tail=lead)
         if keep:
-            lead = SeriesMatrix(_last_rows(lead.values, x.values, keep), names)
+            lead = SeriesMatrix(last_rows(lead.values, x.values, keep), names)
 
 
 def _gauss_d_blocks(blocks, train_err, window: DynamicWindow, scored):
-    """gauss_d per error block, with the W - 1 error rows before it and one
-    set of work buffers for all blocks."""
-    history, buffers = train_err, WorkBuffers()
+    """gauss_d per error block, with the W - 1 error rows before it."""
+    history = train_err
     for a, b, err in blocks:
-        yield a, b, *score_gauss_d(err, history, window, scored, buffers)
-        history = _last_rows(history, err, window.w - 1)
+        yield a, b, *score_gauss_d(err, history, window, scored)
+        history = last_rows(history, err, window.w - 1)
 
 
 def _smoothed_blocks(blocks, kernel: KernelSpec, scored, n: int):
@@ -543,11 +553,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
         finally:
             load.release()
 
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute, tasks))
-    else:
-        outcomes = [execute(task) for task in tasks]
+    outcomes = pool_map(execute, tasks, workers)
 
     ordered_cells: list[dict] = []
     ordered_failures: list[dict] = []

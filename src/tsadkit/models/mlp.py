@@ -101,18 +101,17 @@ class MlpAutoencoder:
             acts.append(self._layer(i, acts[-1]))
         return acts
 
-    def loss(self, batch: FloatArray, target: FloatArray | None = None) -> float:
-        """Mean squared error over every element of the batch."""
-        target = batch if target is None else target
-        diff = self.forward(batch) - target
+    def loss(self, batch: FloatArray) -> float:
+        """Mean squared reconstruction error over every element of the batch."""
+        diff = self.forward(batch) - batch
         # overflow to inf is fine here; callers treat non-finite loss as divergence
         with np.errstate(over="ignore"):
             return float(np.mean(diff * diff))
 
     def loss_and_gradients(
-        self, batch: FloatArray, target: FloatArray | None = None
+        self, batch: FloatArray
     ) -> tuple[float, list[tuple[FloatArray, FloatArray]]]:
-        """MSE loss and its analytic gradient for every weight and bias.
+        """Reconstruction MSE and its analytic gradient for every weight and bias.
 
         The gradients are (weight, bias) views into ``flat_grads``, which
         the next call overwrites.
@@ -120,10 +119,9 @@ class MlpAutoencoder:
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
         if batch.shape[0] == 0:
             raise ValueError("batch must be non-empty")
-        target = batch if target is None else np.atleast_2d(target)
         acts = self._forward_trace(batch)
         delta = acts[-1]
-        delta -= target
+        delta -= batch
         loss = float(np.mean(delta * delta))
         delta *= 2.0 / delta.size
         for i in range(self.n_layers - 1, -1, -1):

@@ -12,7 +12,6 @@ stride-1 inference.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
@@ -28,6 +27,7 @@ from ..core import (
     SeriesMatrix,
     TrainingError,
     ValidationError,
+    pool_map,
 )
 from ..ingest import WindowSpec, make_windows
 from .mlp import Adam, MlpAutoencoder, autoencoder_widths
@@ -134,14 +134,6 @@ def _group_rows(windows: FloatArray, channels: tuple[int, ...]) -> FloatArray:
     return windows[:, :, lo : lo + len(channels)].reshape(windows.shape[0], -1)
 
 
-def _pool_map(fn, items, threads: int) -> list:
-    """``fn`` over ``items`` in order, on up to ``threads`` pool workers."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 @dataclass(frozen=True)
 class WindowedAutoencoder:
     """MLP autoencoders on sliding windows, one per group of channels.
@@ -177,7 +169,7 @@ class WindowedAutoencoder:
                 )
 
         with one_thread():
-            _pool_map(infer_group, self.groups, self.threads)
+            pool_map(infer_group, self.groups, self.threads)
         return err
 
 
@@ -298,7 +290,7 @@ def fit(
             return (mlp, channels), report
 
         with one_thread():
-            trained = _pool_map(train_group, groups, threads)
+            trained = pool_map(train_group, groups, threads)
         model = WindowedAutoencoder(
             spec.length, tuple(group for group, _ in trained), threads
         )

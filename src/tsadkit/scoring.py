@@ -14,11 +14,14 @@ channels plus an aggregated series over the scored channel subset.
   gauss_d_k  gauss_d channel scores smoothed by a truncated, unit-sum
            Gaussian kernel before aggregation.
 
-Every scorer works on any run of rows: error and gauss_s row by row,
-gauss_d on the ``row_blocks`` grid given the W-1 error rows before a
-piece, gauss_d_k given the kernel radius of rows on each side. A run
-scores its test stream one block at a time this way (see experiment)
-and gets the whole-stream scores bit for bit.
+Every scorer is a pure function of its inputs: it allocates its own
+work arrays and keeps nothing between calls, so calls on other threads
+share no state. Each works on any run of rows: error and gauss_s row by
+row, gauss_d on the ``row_blocks`` grid given the W-1 error rows before
+a piece, gauss_d_k given the kernel radius of rows on each side. A run
+scores its test stream one block at a time this way (see experiment),
+carrying rows with ``last_rows`` as gauss_d does between its own
+blocks, and gets the whole-stream scores bit for bit.
 
 All logs are base 10 so that the tail-p threshold -m*log10(eps) lives on
 the same scale as the scores. z-scores are clamped to [-8, 8] before the
@@ -74,6 +77,16 @@ def row_blocks(n: int):
     kernels."""
     starts = range(0, n - _BLOCK + 1, _BLOCK) or range(1)
     return zip(starts, [*starts[1:], n])
+
+
+def last_rows(before: FloatArray, block: FloatArray, k: int) -> FloatArray:
+    """The last ``k`` rows of ``before`` followed by ``block``, as a new
+    array that holds on to neither: the rows a stage carries from one
+    block to the next."""
+    take = min(k, block.shape[0])
+    return np.concatenate(
+        [before[max(before.shape[0] - (k - take), 0) :], block[block.shape[0] - take :]]
+    )
 
 
 def _neg_log10_survival(z: FloatArray) -> FloatArray:
@@ -173,24 +186,7 @@ def score_gauss_s(
     idx = resolve_scored(err.shape[1], scored)
     z = np.clip((err - params.mu) / params.sigma, -Z_CLAMP, Z_CLAMP)
     channels = _neg_log10_survival(z)
-    return channels, channels[:, idx].sum(axis=1)
-
-
-class WorkBuffers:
-    """Work arrays reused by every block a caller scores, each grown only
-    when a block needs more rows than it has. A stream scored block by
-    block would otherwise hand the allocator a block's temporaries back
-    and fault them in again on the next block."""
-
-    def __init__(self):
-        self._arrays: dict[str, FloatArray] = {}
-
-    def get(self, name: str, rows: int, m: int) -> FloatArray:
-        """The first ``rows`` rows of the (at least rows, m) array ``name``."""
-        array = self._arrays.get(name)
-        if array is None or array.shape[0] < rows or array.shape[1] != m:
-            array = self._arrays[name] = np.empty((rows, m))
-        return array[:rows]
+    return channels, _row_sums(channels, idx)
 
 
 def score_gauss_d(
@@ -198,7 +194,6 @@ def score_gauss_d(
     train_tail_err: ErrorMatrix | None,
     window: DynamicWindow,
     scored=None,
-    buffers: WorkBuffers | None = None,
 ) -> tuple[ChannelScores, ScoreSeries]:
     """Gaussian survival scores with rolling mean and sample std.
 
@@ -209,53 +204,39 @@ def score_gauss_d(
     evidence, so its z is 0.
 
     Rows are scored in blocks of ``_BLOCK``, each with the W-1 rows before
-    it and centered on its own mean, so only the outputs are full length
-    and the prefix sums stay at the scale of one block. A level shift
-    within a block still costs digits, in proportion to (shift/noise)^2.
-    A caller that scores a stream in pieces passes each piece starting on
-    that grid, the W-1 error rows before it as the tail, and the same
-    ``buffers`` every time; it then gets the whole-stream scores bit for
-    bit.
+    it carried over by ``last_rows`` and centered on its own mean, so only
+    the outputs are full length and the prefix sums stay at the scale of
+    one block. A level shift within a block still costs digits, in
+    proportion to (shift/noise)^2. A caller that scores a stream in pieces
+    passes each piece starting on that grid with the W-1 error rows before
+    it as the tail; it then gets the whole-stream scores bit for bit.
     """
     err = check_float_matrix(test_err, "test errors")
     m = err.shape[1]
     if train_tail_err is None:
-        tail = np.empty((0, m), dtype=np.float64)
+        history = np.empty((0, m), dtype=np.float64)
     else:
-        tail = check_float_matrix(train_tail_err, "train tail errors")
-        if tail.shape[1] != m:
-            raise ValidationError(f"tail has {tail.shape[1]} channels, errors have {m}")
+        history = check_float_matrix(train_tail_err, "train tail errors")
+        if history.shape[1] != m:
+            raise ValidationError(f"tail has {history.shape[1]} channels, errors have {m}")
     w = window.w
-    if tail.shape[0] > w - 1:
-        tail = tail[-(w - 1) :]
+    history = history[max(history.shape[0] - (w - 1), 0) :]
     idx = resolve_scored(m, scored)
-    if buffers is None:
-        buffers = WorkBuffers()
 
-    n, tail_len = err.shape[0], tail.shape[0]
-    rows = min(n, _BLOCK)
-    step = min(rows, _STEP)
-    chunk = buffers.get("chunk", rows + w - 1, m)
-    cs = buffers.get("cs", rows + w, m)
-    cs2 = buffers.get("cs2", rows + w, m)
+    n = err.shape[0]
+    step = min(n, _STEP)
+    cs = np.empty((min(n, _BLOCK) + w, m))
+    cs2 = np.empty_like(cs)
     cs[0] = cs2[0] = 0.0
-    mean = buffers.get("mean", step, m)
-    sigma = buffers.get("sigma", step, m)
-    scratch = buffers.get("scratch", step, m)
+    mean, sigma, scratch = (np.empty((step, m)) for _ in range(3))
     channels = np.empty((n, m))
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
-        k = b - a
-        # the block's rows plus the W-1 rows before them, reaching into the
-        # tail for the first blocks; one block is the whole tail + errors
-        back = min(a, w - 1)
-        head = tail[max(tail_len - (w - 1 - back), 0) :]
-        pre = head.shape[0] + back
+        k, pre = b - a, history.shape[0]
+        stream = np.concatenate([history, err[a:b]])
+        history = last_rows(history, err[a:b], w - 1)
         n_stream = pre + k
-        stream = chunk[:n_stream]
-        stream[: head.shape[0]] = head
-        stream[head.shape[0] :] = err[a - back : b]
-        # center per channel on the chunk's own mean, so the prefix sums
+        # center per channel on the stream's own mean, so the prefix sums
         # scale with the block rather than with n; z is invariant to a shift
         stream -= stream.mean(axis=0)
         np.cumsum(stream, axis=0, out=cs[1 : n_stream + 1])
@@ -265,8 +246,8 @@ def score_gauss_d(
         for s in range(0, k, step):
             e = min(s + step, k)
             j = e - s
-            # the chunk starts at the stream's first row or W-1 rows back,
-            # so its local end index caps the window as the global one would
+            # the stream starts at the first row or W-1 rows back, so its
+            # local end index caps the window as the global one would
             end = pre + np.arange(s + 1, e + 1)
             win = np.minimum(w, end).astype(np.float64)[:, None]
             start = end - win[:, 0].astype(np.int64)

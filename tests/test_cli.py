@@ -578,6 +578,28 @@ class TestRunSeeds:
         assert not (tmp_path / "out").exists()
 
 
+class TestAutoencoderWindowExitsOne:
+    """An autoencoder whose input is not wider than its latent size exits
+    1 at config load with one error line naming the keys, not 2 with
+    every cell failed at fit."""
+
+    @pytest.mark.parametrize("model, message", [
+        ({"kind": "uae"},
+         "uae window.length 5 is too short for model.latent_dim 5: "
+         "input_dim must exceed latent_dim, got 5 <= 5"),
+        ({"kind": "fc_ae", "latent_dim": 40},
+         "fc_ae window.length 5 x synthetic 'gen0' m 2 is too short for model.latent_dim 40: "
+         "input_dim must exceed latent_dim, got 10 <= 40"),
+    ])
+    def test_exits_one(self, tmp_path, model, message):
+        cfg = run_config(tmp_path, window={"length": 5, "step": 1}, model=model)
+        done = run_cli("run", "--config", cfg, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
 # what each unreadable input file of test_one_error_line gives after "<path>: "
 UNREADABLE = {

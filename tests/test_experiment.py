@@ -114,6 +114,50 @@ class TestConfigParsing:
             base_config(seeds=seeds)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("length, model, synthetic, message", [
+        (5, {"kind": "uae"}, [SPIKE_SPEC],
+         "uae window.length 5 is too short for model.latent_dim 5: "
+         "input_dim must exceed latent_dim, got 5 <= 5"),
+        (3, {"kind": "uae", "latent_dim": 4}, [SPIKE_SPEC],
+         "uae window.length 3 is too short for model.latent_dim 4: "
+         "input_dim must exceed latent_dim, got 3 <= 4"),
+        (5, {"kind": "fc_ae", "latent_dim": 40}, [SPIKE_SPEC],
+         "fc_ae window.length 5 x synthetic 'syn0' m 2 is too short for model.latent_dim 40: "
+         "input_dim must exceed latent_dim, got 10 <= 40"),
+        # the default latent of one channel is 1; the second spec is named
+        (1, {"kind": "fc_ae"}, [SPIKE_SPEC, dict(SPIKE_SPEC, entity_id="one", m=1, anomalies=[])],
+         "fc_ae window.length 1 x synthetic 'one' m 1 is too short for model.latent_dim 1: "
+         "input_dim must exceed latent_dim, got 1 <= 1"),
+    ])
+    def test_autoencoder_input_must_exceed_latent(self, length, model, synthetic, message):
+        with pytest.raises(ConfigError) as err:
+            base_config(window={"length": length}, model=model, synthetic=synthetic)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("length, model", [
+        (6, {"kind": "uae"}),
+        (4, {"kind": "uae", "latent_dim": 3}),
+        (1, {"kind": "fc_ae"}),  # 2 channels, latent 1
+        (5, {"kind": "fc_ae", "latent_dim": 9}),
+        (1, {"kind": "raw"}),
+        (1, {"kind": "pca"}),
+    ])
+    def test_autoencoder_input_wider_than_latent_loads(self, length, model):
+        config = base_config(window={"length": length}, model=model)
+        assert config.window.length == length
+
+    def test_fc_ae_too_narrow_for_a_file_entity_fails_its_cells(self, tmp_path):
+        # a file entity's m is unknown at load: its cells fail at fit
+        config = base_config(
+            synthetic=[], entities=file_entities(tmp_path, 1),
+            window={"length": 5}, model={"kind": "fc_ae", "latent_dim": 40},
+        )
+        record = run_experiment(config)
+        assert record.cells == ()
+        assert [f["error"] for f in record.failures] == [
+            "ConfigError: input_dim must exceed latent_dim, got 10 <= 40"
+        ]
+
     def test_digest_stable_and_canonical(self):
         a = base_config()
         b = base_config()

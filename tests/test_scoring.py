@@ -17,6 +17,7 @@ from tsadkit.scoring import (
     GaussParams,
     KernelSpec,
     fit_gauss,
+    last_rows,
     score_error,
     score_gauss_d,
     score_gauss_d_k,
@@ -408,11 +409,24 @@ def test_row_blocks_tile_the_grid(n):
     assert all(b - a >= min(n, scoring._BLOCK) for a, b in blocks)
 
 
+@pytest.mark.parametrize("before_rows, block_rows, k", [
+    (0, 5, 3), (2, 5, 3), (7, 5, 3), (7, 2, 4), (1, 2, 4), (7, 5, 0), (0, 0, 2),
+])
+def test_last_rows_carries_the_rows_before_the_next_block(before_rows, block_rows, k):
+    rng = np.random.default_rng(before_rows * 10 + block_rows)
+    before, block = rng.normal(size=(before_rows, 3)), rng.normal(size=(block_rows, 3))
+    carried = last_rows(before, block, k)
+    joined = np.concatenate([before, block])
+    assert carried.tobytes() == joined[joined.shape[0] - min(k, joined.shape[0]) :].tobytes()
+    assert carried.shape[1] == 3
+    assert not np.shares_memory(carried, before) and not np.shares_memory(carried, block)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(blocked_cases())
 def test_carried_gauss_d_equals_the_whole_stream(case):
     # pieces on the block grid, each with the W-1 error rows before it
-    # carried over and one set of buffers, give the whole-stream bytes
+    # carried over, give the whole-stream bytes
     test, tail, w, block, scored = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "_BLOCK", block)
