@@ -53,14 +53,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_EXIT)
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise argparse.ArgumentTypeError(f"bad seed {text!r}: need one integer >= 0")
-    return seed
+def _integer(what: str, low: int):
+    """An argparse type: one integer >= low, or an error naming ``what``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: need one integer >= {low}")
+        return value
+
+    return parse
+
+
+_seed = _integer("seed", 0)
+_positive = _integer("value", 1)
 
 
 def _seed_list(text: str) -> list[int]:
@@ -345,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scores", help="CSV of per-channel scores, header = channel names")
     p.add_argument("events", help="JSON list of {start, end, causes?}")
     p.add_argument("--statistic", choices=RANK_STATISTICS, default="mean")
-    p.add_argument("--top-k", type=int, default=3)
-    p.add_argument("--percent", type=int, default=150)
+    p.add_argument("--top-k", type=_positive, default=3)
+    p.add_argument("--percent", type=_positive, default=150)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_diagnose)
     return parser

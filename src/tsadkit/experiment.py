@@ -48,7 +48,7 @@ from .ingest import (
     generate_synthetic,
     load_entity,
 )
-from .metrics import MetricReport, compute_report, rad_scores
+from .metrics import compute_report, rad_scores
 from .models import FitReport, ModelConfig, encoder_widths, fit, residuals
 from .scoring import (
     DynamicWindow,
@@ -70,9 +70,8 @@ from .thresholding import (
 
 SCORING_KINDS = ("error", "gauss_s", "gauss_d", "gauss_d_k")
 THRESHOLD_METHODS = ("best_f", "top_k", "tail_p")
-METRIC_NAMES = ("f1", "fpa1", "fc1", "auroc", "auprc")
 TAIL_P_SWEEP = (1, 2, 3, 4, 5)
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,6 @@ class ExperimentConfig:
     model: ModelConfig = ModelConfig()
     scoring: ScoringConfig = ScoringConfig()
     threshold: ThresholdConfig = ThresholdConfig()
-    metrics: tuple[str, ...] = METRIC_NAMES
     diagnosis: DiagnosisConfig = DiagnosisConfig()
     seeds: tuple[int, ...] = (0,)
     output_dir: str = "results"
@@ -176,9 +174,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.entities and not self.synthetic:
             raise ConfigError("config needs file entities or synthetic specs")
-        unknown = [m for m in self.metrics if m not in METRIC_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown metrics {unknown}; valid: {METRIC_NAMES}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
@@ -255,12 +250,6 @@ class ResultsRecord:
         }
 
 
-def _report_to_dict(report: MetricReport, wanted: tuple[str, ...]) -> dict:
-    """The report's F-scores and their parts, plus auroc and auprc if wanted."""
-    ranked = ("auroc", "auprc")
-    return {k: v for k, v in asdict(report).items() if k not in ranked or k in wanted}
-
-
 def _threshold_info(result) -> dict:
     info = {"method": result.method, "threshold": result.threshold}
     info.update(result.metadata)
@@ -307,7 +296,7 @@ def diagnose_events(
     }
 
 
-def _error_blocks(entity, stats, model, train_norm, spec):
+def _error_blocks(entity, stats, model, train_norm):
     """(a, b, errors) per row block: the block normalized and reconstructed
     with the l_w - 1 normalized rows before it, from the training tail for
     the first block."""
@@ -316,7 +305,7 @@ def _error_blocks(entity, stats, model, train_norm, spec):
     lead = train_norm
     for a, b in row_blocks(entity.test.n):
         x = apply_normalizer(SeriesMatrix(test[a:b], names), stats, "test")
-        yield a, b, residuals(model, x, spec, train_tail=lead)
+        yield a, b, residuals(model, x, train_tail=lead)
         if keep:
             lead = SeriesMatrix(last_rows(lead.values, x.values, keep), names)
 
@@ -353,7 +342,7 @@ def _score_test(entity, stats, model, train_norm, config, scored, events):
     n, m = entity.test.n, entity.test.m
     sc = config.scoring
     train_err = model.train_residuals
-    blocks = _error_blocks(entity, stats, model, train_norm, config.window)
+    blocks = _error_blocks(entity, stats, model, train_norm)
     if sc.kind == "error":
         mean = train_err.mean(axis=0)
         scored_blocks = ((a, b, *score_error(err, mean, scored)) for a, b, err in blocks)
@@ -411,7 +400,7 @@ def _run_cell(
             report = replace(compute_report(result.predictions, truth), **ranking)
         cell["candidates"].append({
             "threshold": _threshold_info(result),
-            "metrics": _report_to_dict(report, config.metrics),
+            "metrics": asdict(report),
         })
 
     if dc.enabled:
@@ -484,11 +473,8 @@ def _pick(cells: list[dict], config: ExperimentConfig) -> None:
         for i in range(len(cells[0]["candidates"]))
     ]
     best = int(np.argmax(means))
-    swept = config.threshold.method == "tail_p" and config.threshold.neg_log_eps is None
     for cell in cells:
         cell.update(cell.pop("candidates")[best])
-        if swept:
-            cell["tail_p_selected"] = TAIL_P_SWEEP[best]
 
 
 def _aggregate(cells: list[dict]) -> dict:

@@ -45,9 +45,10 @@ class ConfusionCounts:
 class MetricReport:
     """All detection metrics for one prediction against one truth vector.
 
-    prec_point duplicates prec_t (both are the point precision); it stays
-    in the results until results schema 2 drops it. auroc and auprc are
-    None when no scores were given or the truth is single-class.
+    The three F-scores; fc1's parts, the point precision prec_t and the
+    event recall rec_e; the point recall rec_point; and the ranking
+    metrics auroc and auprc, which are None when no scores were given or
+    the truth is single-class. Every results cell writes all of these.
     """
 
     f1: float
@@ -55,7 +56,6 @@ class MetricReport:
     fc1: float
     prec_t: float
     rec_e: float
-    prec_point: float
     rec_point: float
     auroc: float | None = None
     auprc: float | None = None
@@ -245,7 +245,6 @@ def compute_report(pred, truth, scores: ScoreSeries | None = None) -> MetricRepo
     """
     p, y = _pair(pred, truth)
     counts, tp_adjusted = _counts(p, y)
-    prec_t = _ratio(counts.tp_t, counts.tp_t + counts.fp_t)
     roc = prc = None
     if scores is not None:
         n_pos = counts.tp_t + counts.fn_t
@@ -256,9 +255,8 @@ def compute_report(pred, truth, scores: ScoreSeries | None = None) -> MetricRepo
         f1=_f_score("f1", counts),
         fpa1=_f_score("fpa1", counts, tp_adjusted),
         fc1=_f_score("fc1", counts),
-        prec_t=prec_t,
+        prec_t=_ratio(counts.tp_t, counts.tp_t + counts.fp_t),
         rec_e=_ratio(counts.tp_e, counts.n_events),
-        prec_point=prec_t,
         rec_point=_ratio(counts.tp_t, counts.tp_t + counts.fn_t),
         auroc=roc,
         auprc=prc,

@@ -301,7 +301,6 @@ def fit(
 def residuals(
     model: TrainedModel,
     x: SeriesMatrix,
-    spec: WindowSpec,
     train_tail: SeriesMatrix | None = None,
 ) -> ErrorMatrix:
     """Signed reconstruction errors for x, one row per scored time-point.

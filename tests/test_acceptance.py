@@ -195,7 +195,7 @@ def _uae_scores(ent, seed, window, roll_window):
     tail = SeriesMatrix(
         train_n.values[-(window.length - 1) :], train_n.channel_names
     )
-    err = residuals(model, test_n, window, train_tail=tail)
+    err = residuals(model, test_n, train_tail=tail)
     static = score_gauss_s(err, fit_gauss(model.train_residuals))
     dynamic = score_gauss_d(
         err,

@@ -20,6 +20,10 @@ BLOCKWISE_RUN = Path(__file__).parent / "data" / "blockwise_run.json"
 # the labels CI scores on the numpy-only install: five events, two
 # prediction columns, and the best-F random baselines for all three metrics
 LABELS = Path(__file__).parent / "data" / "labels.csv"
+# the spec CI generates on the numpy-only install, then diagnoses the test
+# channels against the events: a spike on c1 over rows 20..25
+TINY_SPEC = Path(__file__).parent / "data" / "tiny_spec.json"
+TINY_EVENTS = Path(__file__).parent / "data" / "tiny_events.json"
 
 SPEC = {
     "entity_id": "gen0",
@@ -43,7 +47,6 @@ def run_config(tmp_path, out_name="out", **overrides):
         "model": {"kind": "raw"},
         "scoring": {"kind": "error"},
         "threshold": {"method": "top_k"},
-        "metrics": ["f1", "fc1"],
         "seeds": [0],
         "output_dir": str(tmp_path / out_name),
     }
@@ -135,8 +138,9 @@ class TestRun:
         assert main(["run", "--config", str(BLOCKWISE_RUN), "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "results.json").read_text())
         assert payload["config"]["synthetic"][0]["n_test"] > 2 * scoring._BLOCK
+        assert payload["config"]["threshold"]["neg_log_eps"] is None  # the sweep
         (cell,) = payload["cells"]
-        assert cell["tail_p_selected"] in (1, 2, 3, 4, 5)
+        assert cell["threshold"]["neg_log_eps"] in (1, 2, 3, 4, 5)
         assert len(cell["diagnosis"]["rankings"]) == 8
 
     def test_partial_failure_exit_two(self, tmp_path, capsys):
@@ -286,6 +290,20 @@ class TestDiagnoseCommand:
         report = json.loads(capsys.readouterr().out)
         assert "rc_top_k" not in report
 
+    def test_committed_tiny_spec_and_events(self, tmp_path, capsys):
+        assert main(["generate", "--config", str(TINY_SPEC), "--out", str(tmp_path)]) == 0
+        # the channel columns of the generated test file, without its labels
+        with (tmp_path / "test.csv").open(newline="") as fh:
+            rows = [row[:3] for row in csv.reader(fh)]
+        assert rows[0] == ["c0", "c1", "c2"]
+        channels = tmp_path / "channels.csv"
+        channels.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        capsys.readouterr()
+        assert main(["diagnose", str(channels), str(TINY_EVENTS)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["events"][0]["ranking"][0] == "c1"
+        assert report["rc_top_k"] == report["hitrate"] == 1.0
+
     def test_nan_outside_events_exit_one(self, tmp_path, capsys):
         lines = self._scores(tmp_path).read_text().splitlines()
         lines[9] = "nan,0.0,0.0"  # row 8; the event spans rows 2..4
@@ -407,6 +425,8 @@ class TestMalformedInputsExitOne:
         ({"scoring": {"kind": "error", "windw": 3}}, "config.scoring: unknown keys ['windw']"),
         ({"diagnosis": {"enabled": "false"}},
          'config.diagnosis.enabled must be a boolean, got "false"'),
+        # every cell reports every metric, so there is no metric list to set
+        ({"metrics": ["f1", "fc1"]}, "config: unknown keys ['metrics']"),
     ])
     def test_run_bad_section(self, tmp_path, overrides, message):
         cfg = run_config(tmp_path, **overrides)
@@ -448,6 +468,24 @@ class TestMalformedInputsExitOne:
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("causes", [["a"], None], ids=["causes", "no-causes"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--top-k", "0"), ("--top-k", "-3"), ("--top-k", "x"), ("--percent", "0"),
+    ])
+    def test_diagnose_bad_count_flag(self, tmp_path, flag, value, causes):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("a,b\n" + "0.0,1.0\n" * 3)
+        path = write_json(tmp_path / "events.json", [{"start": 0, "end": 1, "causes": causes}])
+        done = run_cli("diagnose", scores, path, flag, value, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        usage, error = done.stderr.rstrip("\n").rsplit("\n", 1)
+        assert usage.startswith("usage: tsadkit diagnose ")
+        assert error == (
+            f"tsadkit diagnose: error: argument {flag}: "
+            f"bad value {value!r}: need one integer >= 1"
+        )
 
     def test_diagnose_truncated_events_names_file(self, tmp_path):
         scores = tmp_path / "scores.csv"

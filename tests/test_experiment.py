@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -20,7 +21,7 @@ from tsadkit.experiment import (
     run_experiment,
 )
 from tsadkit.ingest import WindowSpec
-from tsadkit.metrics import auprc, auroc
+from tsadkit.metrics import MetricReport, auprc, auroc
 from tsadkit.models import ModelConfig
 
 SPIKE_SPEC = {
@@ -41,7 +42,6 @@ def base_config(**overrides):
         "model": {"kind": "raw"},
         "scoring": {"kind": "error"},
         "threshold": {"method": "top_k"},
-        "metrics": ["f1", "fpa1", "fc1"],
         "seeds": [0],
         "output_dir": "unused",
     }
@@ -284,11 +284,14 @@ class TestRunExperiment:
             seeds=[0, 1],
         )
         record = run_experiment(config)
-        chosen = {c["tail_p_selected"] for c in record.cells}
-        assert len(chosen) == 1  # one global value across cells
-        eps = chosen.pop()
-        assert 1 <= eps <= 5
-        assert record.cells[0]["threshold"]["neg_log_eps"] == eps
+        # the run's exponent: the first best mean fc1 over the cells' candidates
+        entity = experiment.generate_synthetic(config.synthetic[0])
+        candidates = [experiment._run_cell(entity, seed, config)[0]["candidates"]
+                      for seed in config.seeds]
+        means = [np.mean([c[i]["metrics"]["fc1"] for c in candidates])
+                 for i in range(len(experiment.TAIL_P_SWEEP))]
+        chosen = experiment.TAIL_P_SWEEP[int(np.argmax(means))]
+        assert [c["threshold"]["neg_log_eps"] for c in record.cells] == [chosen, chosen]
 
     def test_fixed_eps_skips_sweep(self):
         config = base_config(
@@ -297,7 +300,7 @@ class TestRunExperiment:
         )
         record = run_experiment(config)
         assert record.cells[0]["threshold"]["neg_log_eps"] == 2
-        assert "tail_p_selected" not in record.cells[0]
+        assert set(record.cells[0]) == {"entity", "seed", "threshold", "metrics"}
 
     def test_sweep_ranking_metrics_equal_standalone(self, monkeypatch):
         # every eps reuses the first report's ranking metrics; they must be
@@ -313,7 +316,6 @@ class TestRunExperiment:
         config = base_config(
             scoring={"kind": "gauss_d", "window": 40},
             threshold={"method": "tail_p"},
-            metrics=["fc1", "auroc", "auprc"],
         )
         entity = experiment.generate_synthetic(config.synthetic[0])
         cell, _ = experiment._run_cell(entity, 0, config)
@@ -334,7 +336,6 @@ class TestRunExperiment:
             model={"kind": "pca"},
             scoring={"kind": "gauss_d", "window": 40},
             threshold={"method": "tail_p", "metric": metric},
-            metrics=["f1", "fpa1", "fc1", "auroc", "auprc"],
             seeds=[0, 1, 2],
         )
         fixed = [
@@ -349,11 +350,10 @@ class TestRunExperiment:
         first_best = means.index(max(means))
 
         swept = run_experiment(config)
-        cells = [dict(c) for c in swept.cells]
-        assert {c.pop("tail_p_selected") for c in cells} == {
+        assert {c["threshold"]["neg_log_eps"] for c in swept.cells} == {
             experiment.TAIL_P_SWEEP[first_best]
         }
-        assert cells == list(fixed[first_best].cells)
+        assert swept.cells == fixed[first_best].cells
         assert swept.aggregates == fixed[first_best].aggregates
 
     @pytest.mark.parametrize("statistic", ["mean", "max"])
@@ -454,7 +454,7 @@ class TestEmitResults:
         paths = emit_results(record, tmp_path)
         payload = load_results(paths["results"])
         assert payload == record.payload()
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
 
     def test_byte_identical_reruns(self, tmp_path):
         config = base_config(seeds=[0, 2])
@@ -465,14 +465,24 @@ class TestEmitResults:
         assert a == b
 
     def test_csv_summary_rows(self, tmp_path):
-        config = base_config(seeds=[0, 1], metrics=["f1", "fc1"])
-        record = run_experiment(config)
-        paths = emit_results(record, tmp_path, fmt="csv")
-        lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
-        assert lines[0] == "entity,seed,metric,value"
-        # one row per (entity, seed, metric) incl. the component columns
-        n_metrics = len(record.cells[0]["metrics"])
-        assert len(lines) - 1 == 2 * n_metrics
+        spec2 = dict(SPIKE_SPEC, entity_id="syn1", seed=6)
+        config = base_config(synthetic=[SPIKE_SPEC, spec2], seeds=[0, 1])
+        emit_results(run_experiment(config), tmp_path, fmt="csv")
+        payload = load_results(tmp_path / "results.json")
+        # every cell reports every MetricReport field, and nothing else
+        fields = [f.name for f in dataclasses.fields(MetricReport)]
+        assert sorted(payload["cells"][0]["metrics"]) == sorted(fields)
+        with (tmp_path / "summary.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["entity", "seed", "metric", "value"]
+        # one row per (entity, seed, metric), in cell order, metrics sorted
+        expected = [
+            [cell["entity"], str(cell["seed"]), key, "" if value is None else f"{value:.10g}"]
+            for cell in payload["cells"]
+            for key, value in sorted(cell["metrics"].items())
+        ]
+        assert rows[1:] == expected
+        assert len(expected) == 4 * len(fields)
 
     def test_timings_kept_out_of_payload(self, tmp_path):
         record = run_experiment(base_config())
@@ -536,7 +546,6 @@ FULL_CONFIG = {
     },
     "scoring": {"kind": "gauss_d_k", "window": 50, "kernel_sigma": 1.5},
     "threshold": {"method": "tail_p", "metric": "f1", "k": None, "neg_log_eps": 2},
-    "metrics": ["fc1", "auroc"],
     "diagnosis": {"enabled": True, "top_k": 2, "percent": 100, "statistic": "max"},
     "seeds": [3, 1],
     "output_dir": "out/full",
@@ -581,7 +590,7 @@ class TestConfigCodec:
     def test_golden_digest(self):
         config = config_from_dict({"synthetic": [MINIMAL_SPEC]})
         assert config.digest() == (
-            "7fa88af0ff5c0b55f29bf3e6cae7579a850c3388e6188006385c9eebabccb194"
+            "36162f9b3547549d691096cd7649921a4958954c2272df6dc2409e7477d4f917"
         )
 
     def test_partial_sections_take_class_defaults(self):
@@ -630,11 +639,12 @@ class TestConfigCodec:
          "config.model.learning_rate must be a number or null, got false"),
         ({"synthetic": [dict(MINIMAL_SPEC, period="x")]},
          'config.synthetic[0].period must be a number or an array, got "x"'),
-        ({"metrics": "f1"}, 'config.metrics must be an array, got "f1"'),
+        ({"metrics": ["f1"]}, "config: unknown keys ['metrics']"),
         ({"output_dir": None}, "config.output_dir must be a string, got null"),
         ({"synthetic": [{"n_train": 3}]}, "config.synthetic[0]: missing key 'n_test'"),
         ({"entities": [{"id": "a", "train": "a"}]}, "config.entities[0]: missing key 'test'"),
         ({"window": {"length": 0}}, "config.window: window length must be >= 1, got 0"),
+        ({"seeds": "1"}, 'config.seeds must be an array, got "1"'),
     ])
     def test_errors_name_the_path(self, overrides, message):
         assert config_error({"synthetic": [MINIMAL_SPEC], **overrides}) == message
@@ -689,5 +699,5 @@ class TestConfigCodec:
         config = config_from_dict(json.loads(block))
         assert [e.scored_channels for e in config.entities] == [("c0", "c1", "c2")]
         assert config.digest() == (
-            "19e56d5605a2d6b1593efe7edf76c45f29e598e411286738877ddcfa14ec5adb"
+            "f0e17a2b8c1a2d7759c17c1a5ba7fb684e248535e9190ba56dc32cf971a341c5"
         )

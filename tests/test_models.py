@@ -232,7 +232,7 @@ class TestFitAndResiduals:
     def test_raw_error_is_signal(self):
         ent = entity_from([[0.1, 0.2], [0.3, 0.4]], [[0.7, 0.5]])
         model = fit(ent, ModelConfig("raw"), WindowSpec(1, 1))
-        err = residuals(model, ent.test, WindowSpec(1, 1))
+        err = residuals(model, ent.test)
         assert err[0, 0] == 0.7 and err[0, 1] == 0.5
 
     def test_pca_residuals_near_zero_on_rank_one(self):
@@ -241,7 +241,7 @@ class TestFitAndResiduals:
         data = np.column_stack([c, -3.0 * c])
         ent = entity_from(data, data)
         model = fit(ent, ModelConfig("pca"), WindowSpec(1, 1))
-        err = residuals(model, ent.test, WindowSpec(1, 1))
+        err = residuals(model, ent.test)
         assert np.abs(err).max() < 1e-10
 
     def test_uae_learns_pure_sinusoid(self):
@@ -296,8 +296,8 @@ class TestFitAndResiduals:
             assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
         assert np.array_equal(serial.train_residuals, pooled.train_residuals)
         tail = SeriesMatrix(data)
-        assert np.array_equal(residuals(serial, ent.test, spec, train_tail=tail),
-                              residuals(pooled, ent.test, spec, train_tail=tail))
+        assert np.array_equal(residuals(serial, ent.test, train_tail=tail),
+                              residuals(pooled, ent.test, train_tail=tail))
         assert serial.fit_reports == pooled.fit_reports
         assert [r.channel for r in pooled.fit_reports] == [0, 1, 2]
         # inference maps the groups over the same pool, and equals the same
@@ -341,8 +341,8 @@ class TestFitAndResiduals:
         assert np.array_equal(uae.train_residuals, fc.train_residuals)
         assert np.abs(uae.train_residuals).max() > 0
         tail = SeriesMatrix(data)
-        assert np.array_equal(residuals(uae, ent.test, spec, train_tail=tail),
-                              residuals(fc, ent.test, spec, train_tail=tail))
+        assert np.array_equal(residuals(uae, ent.test, train_tail=tail),
+                              residuals(fc, ent.test, train_tail=tail))
         assert [r.channel for r in uae.fit_reports] == [0]
         assert [r.channel for r in fc.fit_reports] == [None]
 
@@ -378,11 +378,11 @@ class TestFitAndResiduals:
         spec = WindowSpec(8, 1)
         model = fit(ent, ModelConfig("uae", max_epochs=3, seed=1), spec)
         tail = SeriesMatrix(data[-(spec.length - 1) :])
-        err = residuals(model, ent.test, spec, train_tail=tail)
+        err = residuals(model, ent.test, train_tail=tail)
         assert err.shape == (37, 2)
         # without the tail the head of the test set cannot be scored
         with pytest.raises(InsufficientDataError):
-            residuals(model, SeriesMatrix(test[:5]), spec)
+            residuals(model, SeriesMatrix(test[:5]))
 
     def test_perfect_model_stub_zero_errors(self):
         class Identity:
@@ -396,7 +396,7 @@ class TestFitAndResiduals:
         model = fit(ent, ModelConfig("uae", max_epochs=2, seed=0), spec)
         assert [channels for _, channels in model.model.groups] == [(0,)]
         perfect = replace(model, model=replace(model.model, groups=((Identity(), (0,)),)))
-        err = residuals(perfect, ent.test, spec, train_tail=SeriesMatrix(data[-5:]))
+        err = residuals(perfect, ent.test, train_tail=SeriesMatrix(data[-5:]))
         assert np.abs(err).max() == 0.0
 
     def test_stride_one_inference_despite_training_stride(self):
@@ -406,7 +406,7 @@ class TestFitAndResiduals:
         spec = WindowSpec(9, 3)
         model = fit(ent, ModelConfig("uae", max_epochs=2, seed=0), spec)
         tail = SeriesMatrix(data[-8:])
-        err = residuals(model, ent.test, spec, train_tail=tail)
+        err = residuals(model, ent.test, train_tail=tail)
         assert err.shape[0] == 90
 
     def test_train_residual_row_count(self):
@@ -425,7 +425,7 @@ class TestSyntheticEndToEnd:
         w = WindowSpec(20, 1)
         model = fit(ent, ModelConfig("uae", max_epochs=60, seed=0), w)
         tail = SeriesMatrix(ent.train.values[-19:], ent.train.channel_names)
-        err = residuals(model, ent.test, w, train_tail=tail)
+        err = residuals(model, ent.test, train_tail=tail)
         inside = np.abs(err[150:170, 1]).mean()
         outside = np.abs(err[:150, 1]).mean()
         assert inside > 3 * outside
@@ -460,9 +460,9 @@ class TestBlockedResiduals:
         config = ModelConfig(kind, max_epochs=2, pca_variance_fraction=0.8, seed=0)
         model = fit(replace(ent, train=train_norm), config, window, threads=2)
         test_norm = apply_normalizer(ent.test, stats, "test")
-        whole = residuals(model, test_norm, window, train_tail=train_norm)
+        whole = residuals(model, test_norm, train_tail=train_norm)
 
-        blocks = list(_error_blocks(ent, stats, model, train_norm, window))
+        blocks = list(_error_blocks(ent, stats, model, train_norm))
         assert [(a, b) for a, b, _ in blocks] == [(0, block), (block, n_test)]
         blocked = np.concatenate([err for _, _, err in blocks])
         assert blocked.tobytes() == whole.tobytes()
