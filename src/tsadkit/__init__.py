@@ -78,7 +78,6 @@ from .rankstats import (
     hochberg_stepup,
 )
 from .scoring import (
-    DynamicWindow,
     GaussParams,
     KernelSpec,
     fit_gauss,
@@ -101,7 +100,6 @@ __all__ = [
     "ConfigError",
     "ConfusionCounts",
     "DiagnosisConfig",
-    "DynamicWindow",
     "Entity",
     "EntitySource",
     "Event",

@@ -30,7 +30,7 @@ from .core import (
     read_json,
     write_atomic,
 )
-from .diagnosis import RANK_STATISTICS, event_rows
+from .diagnosis import RANK_STATISTICS
 from .experiment import (
     compare_metrics,
     config_from_json,
@@ -281,8 +281,12 @@ def _cmd_diagnose(args) -> int:
     names, scores = read_csv(args.scores)
     events = _load_events(args.events, names)
     checked = check_float_matrix(scores, "channel scores")
+    n = checked.shape[0]
+    for e in events:
+        if e.end >= n:
+            raise ValidationError(f"event ({e.start},{e.end}) outside score range 0..{n - 1}")
     diagnoses, summary = diagnose_events(
-        [event_rows(checked, e) for e in events],
+        [checked[e.start : e.end + 1] for e in events],
         events, None, args.statistic, args.top_k, args.percent,
     )
     rows = [

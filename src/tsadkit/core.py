@@ -101,12 +101,11 @@ def pool_map(fn, items, threads: int) -> list:
 
 @functools.cache
 def _config_fields(cls) -> dict[str, tuple[object, bool]]:
-    """Field name -> (resolved type, required) for the config fields of ``cls``."""
+    """Field name -> (resolved type, required) for every field of ``cls``."""
     hints = typing.get_type_hints(cls)
     return {
         f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
         for f in dataclasses.fields(cls)
-        if f.metadata.get("config", True)
     }
 
 
@@ -170,8 +169,7 @@ def decode_config(cls, value, path: str = "config"):
     """Build the config dataclass ``cls`` from a parsed JSON value.
 
     Keys are field names; nested dataclasses are objects, tuples arrays. A
-    field with ``metadata={"config": False}`` is not accepted, and a left
-    out field takes its default. Unknown keys, missing required keys and
+    left out field takes its default. Unknown keys, missing required keys and
     wrong JSON types (true for a number, 2.5 for an integer) raise a
     ConfigError naming the path, e.g. ``config.model.latent_dim``; an
     integer becomes a float where one is declared. A nested object's own

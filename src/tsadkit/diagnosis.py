@@ -67,22 +67,6 @@ def rank_channels(
     )
 
 
-def event_rows(channel_scores: ChannelScores, event: Event) -> tuple[ChannelScores, Event]:
-    """The rows of a score matrix that one event spans, and the event
-    re-based to start at row 0.
-
-    Ranking these rows ranks the event exactly as ranking the full matrix
-    would, while :func:`rank_channels` checks only the event's rows. Check
-    the full matrix once with ``check_float_matrix`` before slicing it.
-    """
-    n = channel_scores.shape[0]
-    if event.end >= n:
-        raise ValidationError(
-            f"event ({event.start},{event.end}) outside score range 0..{n - 1}"
-        )
-    return channel_scores[event.start : event.end + 1], Event(0, event.end - event.start)
-
-
 def _paired(diagnoses: Sequence[EventDiagnosis], events: Sequence[Event]):
     if len(diagnoses) != len(events):
         raise ValidationError(

@@ -51,7 +51,6 @@ from .ingest import (
 from .metrics import compute_report, rad_scores
 from .models import FitReport, ModelConfig, encoder_widths, fit, residuals
 from .scoring import (
-    DynamicWindow,
     KernelSpec,
     fit_gauss,
     last_rows,
@@ -272,19 +271,19 @@ def _thresholds(series, truth, n_scored: int, tc: ThresholdConfig):
 
 
 def diagnose_events(
-    spans, events, scored, statistic: str, top_k: int, percent: int
+    rows, events, scored, statistic: str, top_k: int, percent: int
 ) -> tuple[list, dict | None]:
     """Rank the scored channels over each event's own rows.
 
-    ``spans`` holds, per event, the score rows it spans and the event
-    re-based to row 0, as :func:`event_rows` cuts them from a checked
-    score matrix. Returns the diagnoses and, when any event carries
+    ``rows`` holds, per event, the channel-score rows it spans, its first
+    row first. Ranking them ranks the event as ranking the whole score
+    matrix would. Returns the diagnoses and, when any event carries
     causes, a summary with ``rc_top_k``, ``hitrate``, ``k`` and
     ``percent``; else None.
     """
     diagnoses = [
-        rank_channels(rows, event, scored, statistic, i)
-        for i, (rows, event) in enumerate(spans)
+        rank_channels(span, Event(0, e.end - e.start), scored, statistic, i)
+        for i, (span, e) in enumerate(zip(rows, events))
     ]
     if not any(e.causes is not None for e in events):
         return diagnoses, None
@@ -296,26 +295,26 @@ def diagnose_events(
     }
 
 
-def _error_blocks(entity, stats, model, train_norm):
-    """(a, b, errors) per row block: the block normalized and reconstructed
-    with the l_w - 1 normalized rows before it, from the training tail for
-    the first block."""
-    test, names = entity.test.values, entity.test.channel_names
+def _error_blocks(test, stats, model, train_norm):
+    """(a, b, errors) per row block of the test series: the block
+    normalized and reconstructed with the l_w - 1 normalized rows before
+    it, from the training tail for the first block."""
+    names = test.channel_names
     keep = model.model.window_length - 1
     lead = train_norm
-    for a, b in row_blocks(entity.test.n):
-        x = apply_normalizer(SeriesMatrix(test[a:b], names), stats, "test")
+    for a, b in row_blocks(test.n):
+        x = apply_normalizer(SeriesMatrix(test.values[a:b], names), stats, "test")
         yield a, b, residuals(model, x, train_tail=lead)
         if keep:
             lead = SeriesMatrix(last_rows(lead.values, x.values, keep), names)
 
 
-def _gauss_d_blocks(blocks, train_err, window: DynamicWindow, scored):
+def _gauss_d_blocks(blocks, train_err, w: int, scored):
     """gauss_d per error block, with the W - 1 error rows before it."""
     history = train_err
     for a, b, err in blocks:
-        yield a, b, *score_gauss_d(err, history, window, scored)
-        history = last_rows(history, err, window.w - 1)
+        yield a, b, *score_gauss_d(err, history, w, scored)
+        history = last_rows(history, err, w - 1)
 
 
 def _smoothed_blocks(blocks, kernel: KernelSpec, scored, n: int):
@@ -335,14 +334,12 @@ def _smoothed_blocks(blocks, kernel: KernelSpec, scored, n: int):
         held, first, done = held[keep - first :], keep, ready
 
 
-def _score_test(entity, stats, model, train_norm, config, scored, events):
+def _score_test(test, stats, model, train_norm, sc, scored, events):
     """The test side of a cell, block by block: the (n,) score series and,
-    per event, its channel-score rows with the event re-based to row 0,
-    as :func:`event_rows` would cut them from the whole matrix."""
-    n, m = entity.test.n, entity.test.m
-    sc = config.scoring
+    per event, the channel-score rows it spans."""
+    n, m = test.n, test.m
     train_err = model.train_residuals
-    blocks = _error_blocks(entity, stats, model, train_norm)
+    blocks = _error_blocks(test, stats, model, train_norm)
     if sc.kind == "error":
         mean = train_err.mean(axis=0)
         scored_blocks = ((a, b, *score_error(err, mean, scored)) for a, b, err in blocks)
@@ -350,25 +347,25 @@ def _score_test(entity, stats, model, train_norm, config, scored, events):
         params = fit_gauss(train_err)
         scored_blocks = ((a, b, *score_gauss_s(err, params, scored)) for a, b, err in blocks)
     else:
-        scored_blocks = _gauss_d_blocks(blocks, train_err, DynamicWindow(sc.window), scored)
+        scored_blocks = _gauss_d_blocks(blocks, train_err, sc.window, scored)
         if sc.kind == "gauss_d_k":
             scored_blocks = _smoothed_blocks(
                 scored_blocks, KernelSpec(sc.kernel_sigma), scored, n
             )
 
     series = np.empty(n)
-    spans = [(np.empty((e.length, m)), Event(0, e.length - 1)) for e in events]
+    rows = [np.empty((e.length, m)) for e in events]
     first = 0  # events before it end before the rows written so far
     for lo, hi, channels, part in scored_blocks:
         series[lo:hi] = part
         while first < len(events) and events[first].end < lo:
             first += 1
-        for e, (rows, _) in zip(events[first:], spans[first:]):
+        for e, span in zip(events[first:], rows[first:]):
             if e.start >= hi:
                 break
             s, t = max(e.start, lo), min(e.end + 1, hi)
-            rows[s - e.start : t - e.start] = channels[s - lo : t - lo]
-    return series, spans
+            span[s - e.start : t - e.start] = channels[s - lo : t - lo]
+    return series, rows
 
 
 def _run_cell(
@@ -379,14 +376,14 @@ def _run_cell(
     scored = entity.scored_indices()
     stats = fit_normalizer(entity.train)
     train_norm = apply_normalizer(entity.train, stats, "train")
-    model_config = replace(config.model, seed=seed)
-    model = fit(replace(entity, train=train_norm), model_config, config.window, threads=threads)
+    model = fit(train_norm, config.model, config.window, seed, threads)
 
     dc = config.diagnosis
     events = entity.test_events
     diagnosed = dc.enabled and any(e.causes is not None for e in events)
-    series, spans = _score_test(
-        entity, stats, model, train_norm, config, scored, events.events if diagnosed else ()
+    series, rows = _score_test(
+        entity.test, stats, model, train_norm, config.scoring, scored,
+        events.events if diagnosed else (),
     )
 
     cell: dict = {"entity": entity.id, "seed": seed, "candidates": []}
@@ -407,7 +404,7 @@ def _run_cell(
         cell["diagnosis"] = None
         if diagnosed:
             diagnoses, summary = diagnose_events(
-                spans, events, scored, dc.statistic, dc.top_k, dc.percent
+                rows, events, scored, dc.statistic, dc.top_k, dc.percent
             )
             cell["diagnosis"] = {
                 **summary, "rankings": [list(d.ranked_channels) for d in diagnoses]

@@ -1,6 +1,6 @@
 """The reconstruction-model stage: raw, PCA, UAE, and FC AE.
 
-``fit`` is the one place that reads the model kind. A fitted model has a
+``fit`` builds the model its config's kind names. A fitted model has a
 ``window_length`` (1 for raw and PCA) and ``residuals(stream)``: the
 signed errors for a stream that already holds any training tail, one row
 per window. RawModel's error is the signal; PcaModel reconstructs each
@@ -12,7 +12,7 @@ stride-1 inference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Protocol
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 from ..blas import one_thread
 from ..core import (
     ConfigError,
-    Entity,
     ErrorMatrix,
     FloatArray,
     InsufficientDataError,
@@ -55,7 +54,6 @@ class ModelConfig:
     max_epochs: int = 100
     patience: int = 10
     validation_fraction: float = 0.25
-    seed: int = field(default=0, metadata={"config": False})  # set per cell from the run's seeds
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -202,7 +200,7 @@ def _chronological_split(count: int, validation_fraction: float) -> int:
 
 
 def _train_mlp(
-    windows: FloatArray, config: ModelConfig, channel: int | None
+    windows: FloatArray, config: ModelConfig, seed: int, channel: int | None
 ) -> tuple[MlpAutoencoder, FitReport]:
     """Train one autoencoder on 2-D window rows with early stopping.
 
@@ -213,7 +211,7 @@ def _train_mlp(
     x_train = windows[:n_split]  # a view; each batch is gathered into a copy
     x_val = np.ascontiguousarray(windows[n_split:])
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     model = MlpAutoencoder(autoencoder_widths(windows.shape[1], config.latent_dim), rng)
     optimizer = Adam(model.flat_params, config.learning_rate)
 
@@ -256,9 +254,9 @@ def _train_mlp(
 
 
 def fit(
-    entity: Entity, config: ModelConfig, spec: WindowSpec, threads: int = 1
+    train: SeriesMatrix, config: ModelConfig, window: WindowSpec, seed: int = 0, threads: int = 1
 ) -> TrainedModel:
-    """Fit the configured model on the entity's training series.
+    """Fit the configured model on a (normalized) training series.
 
     Deterministic for a fixed seed. Every UAE channel model draws its
     weight initialization and batch shuffles from an identically seeded
@@ -268,7 +266,6 @@ def fit(
     ``threads`` workers, which also run their inference; each group trains
     and infers alone, so the pool gives the serial result bit for bit.
     """
-    train = entity.train
     m = train.m
     config = config.resolved(m)
     reports: list[FitReport] = []
@@ -282,17 +279,17 @@ def fit(
             groups = [(i, (i,)) for i in range(m)]
         else:  # fc_ae
             groups = [(None, tuple(range(m)))]
-        windows = make_windows(train, spec)
+        windows = make_windows(train, window)
 
         def train_group(group: tuple[int | None, tuple[int, ...]]):
             channel, channels = group
-            mlp, report = _train_mlp(_group_rows(windows, channels), config, channel)
+            mlp, report = _train_mlp(_group_rows(windows, channels), config, seed, channel)
             return (mlp, channels), report
 
         with one_thread():
             trained = pool_map(train_group, groups, threads)
         model = WindowedAutoencoder(
-            spec.length, tuple(group for group, _ in trained), threads
+            window.length, tuple(group for group, _ in trained), threads
         )
         reports = [report for _, report in trained]
     return TrainedModel(model, model.residuals(train.values), tuple(reports))

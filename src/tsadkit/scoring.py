@@ -57,6 +57,10 @@ _BLOCK = 1 << 14
 # temporaries and not the block; two cells scoring at once then hold two
 # blocks of prefix sums rather than two blocks of survival temporaries
 _STEP = 1 << 11
+# a window whose squared spread is below this fraction of its row's prefix
+# sum of squares keeps fewer than ~32 of its 53 bits through the difference
+# of two prefix sums, so gauss_d sums it again from its own rows
+_LOST = 2.0**-20
 
 
 def _row_sums(channels: ChannelScores, idx) -> ScoreSeries:
@@ -114,17 +118,6 @@ class GaussParams:
     @property
     def m(self) -> int:
         return self.mu.shape[0]
-
-
-@dataclass(frozen=True)
-class DynamicWindow:
-    """Rolling window length for gauss_d; at least 2 points."""
-
-    w: int
-
-    def __post_init__(self):
-        if self.w < 2:
-            raise ValidationError(f"dynamic window must be >= 2, got {self.w}")
 
 
 @dataclass(frozen=True)
@@ -189,28 +182,50 @@ def score_gauss_s(
     return channels, _row_sums(channels, idx)
 
 
+def _sum_again(stream, end, w: int, lost, mu, q) -> None:
+    """Two-pass mean and squared spread of the ``lost`` windows, the last
+    ``w`` rows of ``stream`` before ``end`` (fewer at its start), over
+    their entries of ``mu`` and ``q``; a step array's worth at a time."""
+    rows, cols = np.nonzero(lost)
+    span = np.arange(w)
+    chunk = max(1, _STEP * stream.shape[1] // w)
+    for lo in range(0, rows.size, chunk):
+        r, c = rows[lo : lo + chunk], cols[lo : lo + chunk]
+        at = end[r, None] - w + span
+        x = stream[np.maximum(at, 0), c[:, None]]
+        x[at < 0] = 0.0
+        mu[r, c] = x.sum(axis=1) / np.minimum(w, end[r])
+        x -= mu[r, c][:, None]
+        x[at < 0] = 0.0
+        q[r, c] = (x * x).sum(axis=1)
+
+
 def score_gauss_d(
     test_err: ErrorMatrix,
     train_tail_err: ErrorMatrix | None,
-    window: DynamicWindow,
+    w: int,
     scored=None,
 ) -> tuple[ChannelScores, ScoreSeries]:
     """Gaussian survival scores with rolling mean and sample std.
 
-    The statistics at time t cover the W most recent errors ending at and
-    including t. The last W-1 training residual rows should be passed as
-    ``train_tail_err``; with a shorter tail the early windows shrink to
-    the available history. A window of a single point carries no deviation
-    evidence, so its z is 0.
+    The statistics at time t cover the W = ``w`` >= 2 most recent errors
+    ending at and including t. The last W-1 training residual rows should
+    be passed as ``train_tail_err``; with a shorter tail the early windows
+    shrink to the available history. A window of a single point carries no
+    deviation evidence, so its z is 0.
 
     Rows are scored in blocks of ``_BLOCK``, each with the W-1 rows before
     it carried over by ``last_rows`` and centered on its own mean, so only
     the outputs are full length and the prefix sums stay at the scale of
-    one block. A level shift within a block still costs digits, in
-    proportion to (shift/noise)^2. A caller that scores a stream in pieces
-    passes each piece starting on that grid with the W-1 error rows before
+    one block. A window whose squared spread falls below ``_LOST`` of its
+    row's prefix sum of squares, as after a level shift within the block,
+    would keep too few digits of it, so its mean and spread are summed
+    again from its own rows. A caller that scores a stream in pieces passes
+    each piece starting on that grid with the W-1 error rows before
     it as the tail; it then gets the whole-stream scores bit for bit.
     """
+    if w < 2:
+        raise ValidationError(f"dynamic window must be >= 2, got {w}")
     err = check_float_matrix(test_err, "test errors")
     m = err.shape[1]
     if train_tail_err is None:
@@ -219,7 +234,6 @@ def score_gauss_d(
         history = check_float_matrix(train_tail_err, "train tail errors")
         if history.shape[1] != m:
             raise ValidationError(f"tail has {history.shape[1]} channels, errors have {m}")
-    w = window.w
     history = history[max(history.shape[0] - (w - 1), 0) :]
     idx = resolve_scored(m, scored)
 
@@ -261,6 +275,13 @@ def score_gauss_d(
             spread = np.multiply(win, mu, out=scratch[:j])
             spread *= mu
             var -= spread
+            limit = np.take(cs2, end, axis=0, out=scratch[:j], mode="clip")
+            limit *= _LOST
+            lost = var < limit
+            if lost.any():
+                # a window flagged under a limit below the floor gets SIGMA_FLOOR anyway
+                lost &= limit > SIGMA_FLOOR**2
+                _sum_again(stream, end, w, lost, mu, var)
             var /= np.maximum(win - 1.0, 1.0)
             np.clip(var, 0.0, None, out=var)
             sd = np.sqrt(var, out=var)

@@ -8,7 +8,6 @@ cover, as a single go/no-go list for the whole package.
 import csv
 import json
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,7 +45,7 @@ from tsadkit.models import (
     residuals,
 )
 from tsadkit.rankstats import RankTable, average_ranks, friedman
-from tsadkit.scoring import DynamicWindow, fit_gauss, score_gauss_d, score_gauss_s
+from tsadkit.scoring import fit_gauss, score_gauss_d, score_gauss_s
 from tsadkit.thresholding import threshold_best_f, threshold_tail_p, threshold_top_k
 
 from reference import f1_naive, fc1_naive, fd_gradient, fpa1_naive, midranks
@@ -187,21 +186,13 @@ def _uae_scores(ent, seed, window, roll_window):
     stats = fit_normalizer(ent.train)
     train_n = apply_normalizer(ent.train, stats, "train")
     test_n = apply_normalizer(ent.test, stats, "test")
-    model = fit(
-        replace(ent, train=train_n, test=test_n),
-        replace(ModelConfig("uae"), seed=seed),
-        window,
-    )
+    model = fit(train_n, ModelConfig("uae"), window, seed)
     tail = SeriesMatrix(
         train_n.values[-(window.length - 1) :], train_n.channel_names
     )
     err = residuals(model, test_n, train_tail=tail)
     static = score_gauss_s(err, fit_gauss(model.train_residuals))
-    dynamic = score_gauss_d(
-        err,
-        model.train_residuals[-(roll_window - 1) :],
-        DynamicWindow(roll_window),
-    )
+    dynamic = score_gauss_d(err, model.train_residuals[-(roll_window - 1) :], roll_window)
     return static, dynamic
 
 

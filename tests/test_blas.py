@@ -15,7 +15,7 @@ import pytest
 
 import tsadkit
 from tsadkit import blas
-from tsadkit.core import Entity, SeriesMatrix, TrainingError
+from tsadkit.core import SeriesMatrix, TrainingError
 from tsadkit.experiment import config_from_dict, run_experiment
 from tsadkit.ingest import WindowSpec
 from tsadkit.models import ModelConfig, fit, train
@@ -114,10 +114,9 @@ def test_run_pins_training_and_restores(two_blas_threads, inside_training):
 def test_training_error_restores(two_blas_threads):
     rng = np.random.default_rng(7)
     data = SeriesMatrix(rng.random(size=(80, 2)))
-    entity = Entity("e", data, data, np.zeros(80, dtype=np.int64))
-    config = ModelConfig("uae", learning_rate=1e200, max_epochs=30, seed=0)
+    config = ModelConfig("uae", learning_rate=1e200, max_epochs=30)
     with pytest.raises(TrainingError):
-        fit(entity, config, WindowSpec(10, 1), threads=2)
+        fit(data, config, WindowSpec(10, 1), threads=2)
     assert raw_threads() == 2
     assert blas.blas_threads() == 2
 

@@ -469,6 +469,15 @@ class TestMalformedInputsExitOne:
         assert done.stdout == ""
         assert done.stderr == f"error: {path}: {message}\n"
 
+    def test_diagnose_event_past_score_rows(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("a,b\n" + "0.0,1.0\n" * 2)
+        path = write_json(tmp_path / "events.json", [{"start": 0, "end": 5}])
+        done = run_cli("diagnose", scores, path, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "error: event (0,5) outside score range 0..1\n"
+
     @pytest.mark.parametrize("causes", [["a"], None], ids=["causes", "no-causes"])
     @pytest.mark.parametrize("flag, value", [
         ("--top-k", "0"), ("--top-k", "-3"), ("--top-k", "x"), ("--percent", "0"),

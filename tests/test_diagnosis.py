@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsadkit.core import Event, ValidationError
-from tsadkit.diagnosis import event_rows, hitrate_at, rank_channels, rc_top_k
+from tsadkit.diagnosis import hitrate_at, rank_channels, rc_top_k
+from tsadkit.experiment import diagnose_events
 
 
 def diags_for(ranks_per_event, events):
@@ -72,23 +75,30 @@ class TestRankChannels:
         assert a == b
 
 
-class TestEventRows:
-    @pytest.mark.parametrize("statistic", ["mean", "max"])
-    def test_ranking_equals_full_matrix(self, statistic):
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            n, m = int(rng.integers(1, 40)), int(rng.integers(1, 7))
-            scores = rng.integers(0, 4, size=(n, m)).astype(float)  # ties
-            start = int(rng.integers(0, n))
-            event = Event(start, int(rng.integers(start, n)))
-            scored = None if rng.random() < 0.5 else sorted({0, m - 1})
-            full = rank_channels(scores, event, scored, statistic, 3)
-            rows = rank_channels(*event_rows(scores, event), scored, statistic, 3)
-            assert rows == full
+@st.composite
+def events_on_scores(draw):
+    """(scores, events, scored): a tied score matrix and events on it."""
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.integers(0, 4, size=(n, m)).astype(float)  # ties
+    starts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    events = [Event(s, draw(st.integers(s, n - 1))) for s in starts]
+    scored = draw(st.sampled_from([None, sorted({0, m - 1})]))
+    return scores, events, scored
 
-    def test_event_outside_range(self):
-        with pytest.raises(ValidationError, match=r"event \(3,5\) outside score range 0..4"):
-            event_rows(np.zeros((5, 2)), Event(3, 5))
+
+@pytest.mark.parametrize("statistic", ["mean", "max"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=events_on_scores())
+def test_event_rows_rank_as_full_matrix(statistic, case):
+    """Ranking each event's own rows, sliced as the runner and ``diagnose``
+    slice them, gives the ranking of the event on the whole matrix."""
+    scores, events, scored = case
+    rows = [scores[e.start : e.end + 1] for e in events]
+    diagnoses, _ = diagnose_events(rows, events, scored, statistic, 3, 150)
+    assert diagnoses == [
+        rank_channels(scores, e, scored, statistic, i) for i, e in enumerate(events)
+    ]
 
 
 class TestRcTopK:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tsadkit import experiment
-from tsadkit.core import ConfigError
+from tsadkit.core import ConfigError, encode_config
 from tsadkit.diagnosis import rank_channels
 from tsadkit.experiment import (
     ExperimentConfig,
@@ -22,7 +22,6 @@ from tsadkit.experiment import (
 )
 from tsadkit.ingest import WindowSpec
 from tsadkit.metrics import MetricReport, auprc, auroc
-from tsadkit.models import ModelConfig
 
 SPIKE_SPEC = {
     "entity_id": "syn0",
@@ -581,11 +580,24 @@ class TestConfigCodec:
                     config.synthetic[0].anomalies[0]]
         for obj in sections:
             for f in dataclasses.fields(obj):
-                if f.name != "seed" or not isinstance(obj, ModelConfig):
-                    assert getattr(obj, f.name) != f.default, (type(obj).__name__, f.name)
+                assert getattr(obj, f.name) != f.default, (type(obj).__name__, f.name)
         thresholds = (config.threshold, config_from_dict(FULL_TOP_K).threshold)
         for f in dataclasses.fields(ThresholdConfig):
             assert any(getattr(t, f.name) != f.default for t in thresholds), f.name
+
+    def test_no_config_class_hides_a_field(self):
+        # every field of every section is a config key, so the encoded
+        # config (and its digest) names all that a run reads from it
+        config = config_from_dict(FULL_CONFIG)
+        sections = [config, config.entities[0], config.synthetic[0],
+                    config.synthetic[0].anomalies[0], config.window, config.model,
+                    config.scoring, config.threshold, config.diagnosis]
+        assert {type(obj).__name__ for obj in sections} == {
+            "ExperimentConfig", "EntitySource", "SyntheticSpec", "AnomalySpec", "WindowSpec",
+            "ModelConfig", "ScoringConfig", "ThresholdConfig", "DiagnosisConfig",
+        }
+        for obj in sections:
+            assert set(encode_config(obj)) == {f.name for f in dataclasses.fields(obj)}
 
     def test_golden_digest(self):
         config = config_from_dict({"synthetic": [MINIMAL_SPEC]})

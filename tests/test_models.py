@@ -231,7 +231,7 @@ class TestModelConfig:
 class TestFitAndResiduals:
     def test_raw_error_is_signal(self):
         ent = entity_from([[0.1, 0.2], [0.3, 0.4]], [[0.7, 0.5]])
-        model = fit(ent, ModelConfig("raw"), WindowSpec(1, 1))
+        model = fit(ent.train, ModelConfig("raw"), WindowSpec(1, 1))
         err = residuals(model, ent.test)
         assert err[0, 0] == 0.7 and err[0, 1] == 0.5
 
@@ -240,7 +240,7 @@ class TestFitAndResiduals:
         c = rng.normal(size=60)
         data = np.column_stack([c, -3.0 * c])
         ent = entity_from(data, data)
-        model = fit(ent, ModelConfig("pca"), WindowSpec(1, 1))
+        model = fit(ent.train, ModelConfig("pca"), WindowSpec(1, 1))
         err = residuals(model, ent.test)
         assert np.abs(err).max() < 1e-10
 
@@ -248,8 +248,8 @@ class TestFitAndResiduals:
         t = np.arange(600)
         sig = 0.5 + 0.5 * np.sin(2 * np.pi * t / 50.0)
         ent = entity_from(sig[:, None])
-        config = ModelConfig("uae", max_epochs=200, seed=0)
-        model = fit(ent, config, WindowSpec(20, 1))
+        config = ModelConfig("uae", max_epochs=200)
+        model = fit(ent.train, config, WindowSpec(20, 1), seed=0)
         assert float(np.mean(model.train_residuals**2)) < 0.01
 
     def test_uae_channel_permutation_property(self):
@@ -260,18 +260,18 @@ class TestFitAndResiduals:
         perm = [2, 0, 1]
         ent_p = entity_from(base[:, perm])
         spec = WindowSpec(10, 1)
-        config = ModelConfig("uae", max_epochs=5, seed=3)
-        r1 = fit(ent, config, spec).train_residuals
-        r2 = fit(ent_p, config, spec).train_residuals
+        config = ModelConfig("uae", max_epochs=5)
+        r1 = fit(ent.train, config, spec, seed=3).train_residuals
+        r2 = fit(ent_p.train, config, spec, seed=3).train_residuals
         assert np.allclose(r1[:, perm], r2)
 
     def test_fit_deterministic(self):
         rng = np.random.default_rng(1)
         data = rng.random(size=(120, 2))
         ent = entity_from(data)
-        config = ModelConfig("fc_ae", max_epochs=8, seed=5)
-        m1 = fit(ent, config, WindowSpec(10, 2))
-        m2 = fit(ent, config, WindowSpec(10, 2))
+        config = ModelConfig("fc_ae", max_epochs=8)
+        m1 = fit(ent.train, config, WindowSpec(10, 2), seed=5)
+        m2 = fit(ent.train, config, WindowSpec(10, 2), seed=5)
         assert np.array_equal(m1.train_residuals, m2.train_residuals)
         assert len(m1.model.groups) == len(m2.model.groups) == 1
         for (mlp1, channels1), (mlp2, channels2) in zip(m1.model.groups, m2.model.groups):
@@ -286,9 +286,9 @@ class TestFitAndResiduals:
         test = rng.random(size=(50, 3))
         ent = entity_from(data, test)
         spec = WindowSpec(12, 1)
-        config = ModelConfig("uae", max_epochs=6, seed=2)
-        serial = fit(ent, config, spec, threads=1)
-        pooled = fit(ent, config, spec, threads=2)
+        config = ModelConfig("uae", max_epochs=6)
+        serial = fit(ent.train, config, spec, seed=2, threads=1)
+        pooled = fit(ent.train, config, spec, seed=2, threads=2)
         assert len(serial.model.groups) == len(pooled.model.groups) == 3
         for (mlp1, channels1), (mlp2, channels2) in zip(serial.model.groups,
                                                           pooled.model.groups):
@@ -314,8 +314,8 @@ class TestFitAndResiduals:
         # difference from one group after another
         rng = np.random.default_rng(17)
         data = rng.random(size=(80, 6))
-        model = fit(entity_from(data), ModelConfig("uae", max_epochs=1, seed=3),
-                    WindowSpec(8, 1)).model
+        model = fit(SeriesMatrix(data), ModelConfig("uae", max_epochs=1), WindowSpec(8, 1),
+                    seed=3).model
         stream = rng.random(size=(20_000, 6))
         serial = replace(model, threads=1).residuals(stream)
         interval = sys.getswitchinterval()
@@ -334,10 +334,9 @@ class TestFitAndResiduals:
         test = rng.random(size=(40, 1))
         ent = entity_from(data, test)
         spec = WindowSpec(8, 2)
-        knobs = {"latent_dim": 2, "learning_rate": 1e-2, "batch_size": 8,
-                 "max_epochs": 4, "seed": 4}
-        uae = fit(ent, ModelConfig("uae", **knobs), spec)
-        fc = fit(ent, ModelConfig("fc_ae", **knobs), spec)
+        knobs = {"latent_dim": 2, "learning_rate": 1e-2, "batch_size": 8, "max_epochs": 4}
+        uae = fit(ent.train, ModelConfig("uae", **knobs), spec, seed=4)
+        fc = fit(ent.train, ModelConfig("fc_ae", **knobs), spec, seed=4)
         assert np.array_equal(uae.train_residuals, fc.train_residuals)
         assert np.abs(uae.train_residuals).max() > 0
         tail = SeriesMatrix(data)
@@ -350,8 +349,8 @@ class TestFitAndResiduals:
         rng = np.random.default_rng(6)
         data = rng.random(size=(200, 1))
         ent = entity_from(data)
-        config = ModelConfig("uae", max_epochs=40, patience=3, seed=2)
-        model = fit(ent, config, WindowSpec(12, 1))
+        config = ModelConfig("uae", max_epochs=40, patience=3)
+        model = fit(ent.train, config, WindowSpec(12, 1), seed=2)
         report = model.fit_reports[0]
         assert report.best_epoch < report.epochs_run <= 40
         assert report.best_val_loss <= report.final_train_loss * 100  # sanity
@@ -361,14 +360,14 @@ class TestFitAndResiduals:
         data = rng.random(size=(80, 1))
         ent = entity_from(data)
         # absurd learning rate blows the loss up to inf/nan quickly
-        config = ModelConfig("uae", learning_rate=1e200, max_epochs=30, seed=0)
+        config = ModelConfig("uae", learning_rate=1e200, max_epochs=30)
         with pytest.raises(TrainingError, match="epoch"):
-            fit(ent, config, WindowSpec(10, 1))
+            fit(ent.train, config, WindowSpec(10, 1))
 
     def test_insufficient_train_data(self):
         ent = entity_from(np.zeros((4, 1)))
         with pytest.raises(InsufficientDataError):
-            fit(ent, ModelConfig("uae"), WindowSpec(10, 1))
+            fit(ent.train, ModelConfig("uae"), WindowSpec(10, 1))
 
     def test_train_tail_makes_every_test_point_scored(self):
         rng = np.random.default_rng(3)
@@ -376,7 +375,7 @@ class TestFitAndResiduals:
         test = rng.random(size=(37, 2))
         ent = entity_from(data, test)
         spec = WindowSpec(8, 1)
-        model = fit(ent, ModelConfig("uae", max_epochs=3, seed=1), spec)
+        model = fit(ent.train, ModelConfig("uae", max_epochs=3), spec, seed=1)
         tail = SeriesMatrix(data[-(spec.length - 1) :])
         err = residuals(model, ent.test, train_tail=tail)
         assert err.shape == (37, 2)
@@ -393,7 +392,7 @@ class TestFitAndResiduals:
         data = rng.random(size=(60, 1))
         ent = entity_from(data)
         spec = WindowSpec(6, 1)
-        model = fit(ent, ModelConfig("uae", max_epochs=2, seed=0), spec)
+        model = fit(ent.train, ModelConfig("uae", max_epochs=2), spec)
         assert [channels for _, channels in model.model.groups] == [(0,)]
         perfect = replace(model, model=replace(model.model, groups=((Identity(), (0,)),)))
         err = residuals(perfect, ent.test, train_tail=SeriesMatrix(data[-5:]))
@@ -404,7 +403,7 @@ class TestFitAndResiduals:
         data = rng.random(size=(90, 1))
         ent = entity_from(data)
         spec = WindowSpec(9, 3)
-        model = fit(ent, ModelConfig("uae", max_epochs=2, seed=0), spec)
+        model = fit(ent.train, ModelConfig("uae", max_epochs=2), spec)
         tail = SeriesMatrix(data[-8:])
         err = residuals(model, ent.test, train_tail=tail)
         assert err.shape[0] == 90
@@ -413,7 +412,7 @@ class TestFitAndResiduals:
         rng = np.random.default_rng(14)
         data = rng.random(size=(64, 2))
         ent = entity_from(data)
-        model = fit(ent, ModelConfig("fc_ae", max_epochs=2, seed=0), WindowSpec(10, 2))
+        model = fit(ent.train, ModelConfig("fc_ae", max_epochs=2), WindowSpec(10, 2))
         assert model.train_residuals.shape == (64 - 10 + 1, 2)
 
 
@@ -423,7 +422,7 @@ class TestSyntheticEndToEnd:
                              anomalies=(AnomalySpec(150, 20, "spike", (1,), 2.0),))
         ent = generate_synthetic(spec)
         w = WindowSpec(20, 1)
-        model = fit(ent, ModelConfig("uae", max_epochs=60, seed=0), w)
+        model = fit(ent.train, ModelConfig("uae", max_epochs=60), w)
         tail = SeriesMatrix(ent.train.values[-19:], ent.train.channel_names)
         err = residuals(model, ent.test, train_tail=tail)
         inside = np.abs(err[150:170, 1]).mean()
@@ -457,12 +456,12 @@ class TestBlockedResiduals:
         stats = fit_normalizer(ent.train)
         train_norm = apply_normalizer(ent.train, stats, "train")
         window = WindowSpec(12, 3)
-        config = ModelConfig(kind, max_epochs=2, pca_variance_fraction=0.8, seed=0)
-        model = fit(replace(ent, train=train_norm), config, window, threads=2)
+        config = ModelConfig(kind, max_epochs=2, pca_variance_fraction=0.8)
+        model = fit(train_norm, config, window, threads=2)
         test_norm = apply_normalizer(ent.test, stats, "test")
         whole = residuals(model, test_norm, train_tail=train_norm)
 
-        blocks = list(_error_blocks(ent, stats, model, train_norm))
+        blocks = list(_error_blocks(ent.test, stats, model, train_norm))
         assert [(a, b) for a, b, _ in blocks] == [(0, block), (block, n_test)]
         blocked = np.concatenate([err for _, _, err in blocks])
         assert blocked.tobytes() == whole.tobytes()

@@ -13,7 +13,6 @@ from tsadkit.experiment import _gauss_d_blocks, _run_cell, _smoothed_blocks, con
 from tsadkit.ingest import generate_synthetic
 from tsadkit.scoring import (
     SIGMA_FLOOR,
-    DynamicWindow,
     GaussParams,
     KernelSpec,
     fit_gauss,
@@ -149,14 +148,14 @@ class TestGaussD:
     def test_constant_stream(self):
         tail = np.full((9, 1), 0.7)
         test = np.full((30, 1), 0.7)
-        _, series = score_gauss_d(test, tail, DynamicWindow(10))
+        _, series = score_gauss_d(test, tail, 10)
         assert np.allclose(series, -math.log10(0.5), atol=1e-12)
 
     def test_rolling_example_w3(self):
         # window [1, 1, 4] at the last point: mean 2, sample std sqrt(3)
         tail = col(1.0, 1.0)
         test = col(4.0)
-        channels, _ = score_gauss_d(test, tail, DynamicWindow(3))
+        channels, _ = score_gauss_d(test, tail, 3)
         z = (4.0 - 2.0) / math.sqrt(3.0)
         assert channels[0, 0] == pytest.approx(gauss_nls(z), rel=1e-9)
 
@@ -165,7 +164,7 @@ class TestGaussD:
         for w in (2, 3, 7, 16):
             tail = rng.normal(size=(w - 1, 2))
             test = rng.normal(size=(40, 2))
-            channels, _ = score_gauss_d(test, tail, DynamicWindow(w))
+            channels, _ = score_gauss_d(test, tail, w)
             stream = np.vstack([tail, test])
             for t in range(40):
                 for i in range(2):
@@ -177,7 +176,7 @@ class TestGaussD:
     def test_short_tail_shrinks_window(self):
         # no tail at all: the first point has a single-sample window, z=0
         test = col(5.0, 5.0, 9.0)
-        channels, _ = score_gauss_d(test, np.zeros((0, 1)), DynamicWindow(10))
+        channels, _ = score_gauss_d(test, np.zeros((0, 1)), 10)
         assert channels[0, 0] == pytest.approx(-math.log10(0.5))
         stream = test[:, 0]
         for t in (1, 2):
@@ -196,13 +195,13 @@ class TestGaussD:
         test = err[1000:]
         params = fit_gauss(train)
         _, static = score_gauss_s(test, params)
-        _, dynamic = score_gauss_d(test, train[-199:], DynamicWindow(200))
+        _, dynamic = score_gauss_d(test, train[-199:], 200)
         assert static[-100:].mean() > 10.0  # pinned at the clamp cap
         assert dynamic[-100:].mean() < 2.0
 
     def test_window_validation(self):
-        with pytest.raises(ValidationError):
-            DynamicWindow(1)
+        with pytest.raises(ValidationError, match="dynamic window must be >= 2, got 1"):
+            score_gauss_d(np.zeros((3, 1)), None, 1)
 
 
 class TestGaussDK:
@@ -265,7 +264,7 @@ class TestGaussDConvergesToGaussS:
         test = np.tile(base, 12).reshape(-1, 1)
         params = fit_gauss(train)
         _, static = score_gauss_s(test, params)
-        _, dynamic = score_gauss_d(test, train[-(w - 1) :], DynamicWindow(w))
+        _, dynamic = score_gauss_d(test, train[-(w - 1) :], w)
         assert np.allclose(dynamic, static, atol=1e-6)
 
 
@@ -294,7 +293,7 @@ class TestGaussDOffsets:
         w, n = 200, 5000
         stream = offset + 1e-3 * rng.normal(size=n)
         channels, _ = score_gauss_d(
-            stream[w - 1 :, None], stream[: w - 1, None], DynamicWindow(w)
+            stream[w - 1 :, None], stream[: w - 1, None], w
         )
         rows = np.arange(0, n - w + 1, 7)
         expected = oracle_gauss_d(stream, w, rows + w - 1)
@@ -308,12 +307,37 @@ class TestGaussDOffsets:
         stream = 1e-3 * rng.normal(size=n)
         stream[n // 2 :] += 100.0
         channels, _ = score_gauss_d(
-            stream[w - 1 :, None], stream[: w - 1, None], DynamicWindow(w)
+            stream[w - 1 :, None], stream[: w - 1, None], w
         )
         top = np.argsort(channels[:, 0])[-200:]
         rows = np.union1d(np.arange(0, n - w + 1, 997), top)
         expected = oracle_gauss_d(stream, w, rows + w - 1)
         assert np.abs(channels[rows, 0] - expected).max() < ORACLE_TOL
+
+    def test_quiet_windows_are_summed_again(self):
+        # after a shift of 1e4 over 1e-3 noise, each window's spread is
+        # ~1e-14 of its row's prefix sum of squares: subtracting two prefix
+        # sums would leave none of its digits
+        rng = np.random.default_rng(0)
+        w, n = 1000, 40_000
+        stream = 1e-3 * rng.normal(size=n)
+        stream[n // 2 :] += 1e4
+        channels, _ = score_gauss_d(stream[w - 1 :, None], stream[: w - 1, None], w)
+        rows = np.arange(0, n - w + 1, 97)
+        expected = oracle_gauss_d(stream, w, rows + w - 1)
+        assert np.abs(channels[rows, 0] - expected).max() < 1e-6
+
+    def test_close_pair_scores_alike_in_any_block(self):
+        # W = 2 over two errors 3.3e-4 apart among unit-spread ones: the
+        # spread of that window is ~1e-9 of the stream's sum of squares
+        rng = np.random.default_rng(5)
+        err = rng.normal(size=(60, 1))
+        err[-1] = err[-2] + 3.3e-4
+        whole, _ = score_gauss_d(err[1:], err[:1], 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "_BLOCK", 1)
+            blocked, _ = score_gauss_d(err[1:], err[:1], 2)
+        assert np.abs(blocked - whole).max() < BLOCKING_TOL
 
 
 @st.composite
@@ -341,10 +365,10 @@ BLOCKING_TOL = 1e-9
 @given(blocked_cases())
 def test_blocks_equal_one_block(case):
     test, tail, w, block, scored = case
-    whole, _ = score_gauss_d(test, tail, DynamicWindow(w), scored)
+    whole, _ = score_gauss_d(test, tail, w, scored)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "_BLOCK", block)
-        channels, series = score_gauss_d(test, tail, DynamicWindow(w), scored)
+        channels, series = score_gauss_d(test, tail, w, scored)
         smoothed, smoothed_series = score_gauss_d_k(channels, KernelSpec(1.5), scored)
     assert np.abs(channels - whole).max() < BLOCKING_TOL
     assert np.array_equal(series, channels[:, scored].sum(axis=1))
@@ -361,9 +385,9 @@ def test_steps_within_a_block_move_no_bit(step):
     tail = rng.normal(size=(99, 3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "_BLOCK", 512)
-        whole = score_gauss_d(err, tail, DynamicWindow(100))
+        whole = score_gauss_d(err, tail, 100)
         mp.setattr(scoring, "_STEP", step)
-        stepped = score_gauss_d(err, tail, DynamicWindow(100))
+        stepped = score_gauss_d(err, tail, 100)
     assert np.array_equal(stepped[0], whole[0])
     assert np.array_equal(stepped[1], whole[1])
 
@@ -384,7 +408,7 @@ def test_scoring_memory_is_bounded_by_the_block():
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        channels, series = score_gauss_d(err, tail, DynamicWindow(w))
+        channels, series = score_gauss_d(err, tail, w)
         d_peak = tracemalloc.get_traced_memory()[1] - start
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
@@ -430,9 +454,9 @@ def test_carried_gauss_d_equals_the_whole_stream(case):
     test, tail, w, block, scored = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "_BLOCK", block)
-        whole, whole_series = score_gauss_d(test, tail, DynamicWindow(w), scored)
+        whole, whole_series = score_gauss_d(test, tail, w, scored)
         pieces = [(a, b, test[a:b]) for a, b in row_blocks(test.shape[0])]
-        out = list(_gauss_d_blocks(iter(pieces), tail, DynamicWindow(w), scored))
+        out = list(_gauss_d_blocks(iter(pieces), tail, w, scored))
     assert np.concatenate([rows for _, _, rows, _ in out]).tobytes() == whole.tobytes()
     assert np.concatenate([part for *_, part in out]).tobytes() == whole_series.tobytes()
 
