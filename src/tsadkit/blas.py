@@ -1,17 +1,17 @@
-"""One BLAS thread for autoencoder training and inference.
+"""One BLAS thread for autoencoder groups, which train on the BLAS's threads.
 
 OpenBLAS splits even a small matrix product across its threads, and the
 split changes how the product rounds, so autoencoder weights trained
-under 1 and 2 BLAS threads differ in their last bits. ``one_thread()``
-pins numpy's bundled OpenBLAS to a single thread for the length of a
-``with`` block, and the autoencoder stage runs its parallelism on its
-own channel threads instead.
+under 1 and 2 BLAS threads differ in their last bits. ``lend_threads()``
+pins numpy's bundled OpenBLAS to one thread for a ``with`` block and
+lends the block the B threads it took, as a pool of B workers.
 
 The thread count is process-wide, so overlapping blocks (two cells on a
-``--workers`` pool) share one pin: the first to enter records the count
-and sets 1, the last to leave restores it, also on an exception. Where
-numpy links another BLAS, the library is not found, the run is
-"unpinned" and ``one_thread()`` does nothing.
+``--workers`` pool) share one pin and one pool: the first to enter
+records B, sets 1 and starts the pool; the last to leave shuts it down
+and restores B, also on an exception. Where numpy links another BLAS,
+the run is "unpinned": the BLAS keeps its threads and each block gets a
+pool of one.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import ctypes
 import functools
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -49,12 +50,13 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 
 
 class _Pin:
-    """The process's one BLAS pin; see the module docstring."""
+    """The process's one BLAS pin and its pool; see the module docstring."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
         self._saved = 0
+        self._pool: ThreadPoolExecutor | None = None
 
     def threads(self) -> int | None:
         """The BLAS's own thread count outside any pin; None if unpinned."""
@@ -65,35 +67,41 @@ class _Pin:
             return self._saved if self._depth else api[0]()
 
     @contextlib.contextmanager
-    def one_thread(self) -> Iterator[None]:
+    def lend_threads(self) -> Iterator[ThreadPoolExecutor]:
         api = _openblas()
         if api is None:
-            yield
+            with ThreadPoolExecutor(1) as pool:
+                yield pool
             return
         get, set_ = api
         with self._lock:
             if not self._depth:
                 self._saved = get()
                 set_(1)
+                self._pool = ThreadPoolExecutor(self._saved)
             self._depth += 1
+            pool = self._pool
         try:
-            yield
+            yield pool
         finally:
             with self._lock:
                 self._depth -= 1
                 if not self._depth:
+                    # no worker may run on the restored count
+                    self._pool.shutdown()
+                    self._pool = None
                     set_(self._saved)
 
 
 _PIN = _Pin()
 blas_threads = _PIN.threads
-one_thread = _PIN.one_thread
+lend_threads = _PIN.lend_threads
 
 
-def blas_policy(channel_threads: int) -> dict:
+def blas_policy() -> dict:
     """What a run records about its BLAS: the library, its thread count
-    before any pin, whether the pin is available, and the channel threads
-    the autoencoder stage trains on."""
+    before any pin (the size of the autoencoder groups' pool), and whether
+    the pin is available."""
     config = getattr(np.__config__, "CONFIG", {})
     blas = config.get("Build Dependencies", {}).get("blas", {})
     threads = blas_threads()
@@ -102,5 +110,4 @@ def blas_policy(channel_threads: int) -> dict:
         "version": blas.get("version"),
         "threads": threads,
         "policy": "unpinned" if threads is None else "pinned",
-        "channel_threads": channel_threads,
     }

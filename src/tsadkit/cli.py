@@ -38,7 +38,7 @@ from .experiment import (
     emit_results,
     run_experiment,
 )
-from .ingest import SyntheticSpec, generate_synthetic, read_csv
+from .ingest import SyntheticSpec, check_unique, generate_synthetic, read_csv
 from .rankstats import RankTable, compare_to_best
 
 _USAGE_EXIT = 1
@@ -74,7 +74,7 @@ _positive = _integer("value", 1)
 
 def _seed_list(text: str) -> list[int]:
     try:
-        seeds = [int(part) for part in text.split(",") if part != ""]
+        seeds = [int(part) for part in text.split(",")]
     except ValueError:
         seeds = None
     if seeds is None or any(seed < 0 for seed in seeds):
@@ -190,9 +190,7 @@ def _read_label_columns(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndar
     named = {name: matrix[:, j] for j, name in enumerate(header) if j}
     if not named:
         raise ParseError(f"{path}: need at least one prediction column after the truth column")
-    if len(named) < len(header) - 1:
-        twice = next(name for j, name in enumerate(header) if j and name in header[1:j])
-        raise ParseError(f"{path}: prediction column {twice!r} appears more than once")
+    check_unique(path, header[1:], "prediction column")
     return truth, named
 
 
@@ -279,6 +277,7 @@ def _cause_index(cause: str | int, index_of: dict[str, int], where: str) -> int:
 
 def _cmd_diagnose(args) -> int:
     names, scores = read_csv(args.scores)
+    check_unique(args.scores, names, "channel")
     events = _load_events(args.events, names)
     checked = check_float_matrix(scores, "channel scores")
     n = checked.shape[0]

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blas import blas_policy, blas_threads
+from .blas import blas_policy
 from .core import (
     ConfigError,
     Entity,
@@ -369,14 +369,14 @@ def _score_test(test, stats, model, train_norm, sc, scored, events):
 
 
 def _run_cell(
-    entity: Entity, seed: int, config: ExperimentConfig, threads: int = 1
+    entity: Entity, seed: int, config: ExperimentConfig
 ) -> tuple[dict, tuple[FitReport, ...]]:
     """One (entity, seed) cell: its results entry and the model's fit reports."""
     truth = entity.test_labels
     scored = entity.scored_indices()
     stats = fit_normalizer(entity.train)
     train_norm = apply_normalizer(entity.train, stats, "train")
-    model = fit(train_norm, config.model, config.window, seed, threads)
+    model = fit(train_norm, config.model, config.window, seed)
 
     dc = config.diagnosis
     events = entity.test_events
@@ -506,9 +506,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
     cell scores every threshold candidate; the run then keeps one candidate
     index for all cells, the one maximizing the entity-and-seed-averaged
     selection metric. Only the tail-p sweep over 1..5 has more than one.
-
-    Autoencoders train their channels on threads, as many as the BLAS
-    would have used, shared out among the cells that run at once.
     """
     started = time.monotonic()
     sources = [(s.id, s) for s in config.entities] + [
@@ -519,8 +516,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
     # tasks run in source order x seeds, the order of cells and failures, so
     # an entity's cells run together and it is held only while they run
     tasks = [(load, seed) for load in loads for seed in config.seeds]
-    # None when unpinned: then the BLAS keeps its threads and training is serial
-    threads = max(1, (blas_threads() or 1) // min(workers, len(tasks)))
 
     def execute(task):
         load, seed = task
@@ -529,7 +524,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
         try:
             if error is not None:
                 return None, error, None
-            cell, reports = _run_cell(entity, seed, config, threads)
+            cell, reports = _run_cell(entity, seed, config)
             return (cell, reports), None, time.monotonic() - t0
         except Exception as exc:  # cell isolation: record and continue
             return None, f"{type(exc).__name__}: {exc}", time.monotonic() - t0
@@ -561,7 +556,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
         aggregates=aggregates,
         failures=tuple(ordered_failures),
         meta={
-            "blas": blas_policy(threads),
+            "blas": blas_policy(),
             "fit_reports": fit_reports,
             "load_timings": {load.entity_id: load.seconds for load in loads},
             "timings": timings,

@@ -7,6 +7,7 @@ from a JSON mapping of event ordinal to a list of channel names.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -419,6 +420,13 @@ def read_csv(path: str | Path) -> tuple[list[str], FloatArray]:
     return table.header, table.floats(list(range(len(table.header))))
 
 
+def check_unique(path, names: list[str], what: str) -> None:
+    """Refuse a header that repeats a name."""
+    twice = [name for name, count in Counter(names).items() if count > 1]
+    if twice:
+        raise ParseError(f"{path}: {what} {twice[0]!r} appears more than once")
+
+
 def _check_finite(path, values: FloatArray, header: list[str], columns: list[int]) -> None:
     if not np.all(np.isfinite(values)):
         r, j = np.argwhere(~np.isfinite(values))[0]
@@ -452,6 +460,7 @@ def load_entity(
         )
     label_idx = test_header.index(label_column)
     channels = [h for i, h in enumerate(test_header) if i != label_idx]
+    check_unique(test_path, channels, "channel")
 
     train = _CsvFile(train_path, label_column)
     train_header = train.header

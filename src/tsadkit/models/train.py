@@ -12,12 +12,13 @@ stride-1 inference.
 """
 from __future__ import annotations
 
+from concurrent.futures import wait
 from dataclasses import dataclass, replace
 from typing import Protocol
 
 import numpy as np
 
-from ..blas import one_thread
+from ..blas import lend_threads
 from ..core import (
     ConfigError,
     ErrorMatrix,
@@ -26,7 +27,6 @@ from ..core import (
     SeriesMatrix,
     TrainingError,
     ValidationError,
-    pool_map,
 )
 from ..ingest import WindowSpec, make_windows
 from .mlp import Adam, MlpAutoencoder, autoencoder_widths
@@ -137,15 +137,14 @@ class WindowedAutoencoder:
     """MLP autoencoders on sliding windows, one per group of channels.
 
     UAE has one group per channel, FC-AE one group of all channels; a
-    group's channels are adjacent and ascending. The error at time t is the signed difference between the observed and the
-    reconstructed value at the last position of the window ending at t.
-    ``threads`` is the size of the pool ``fit`` trained the groups on;
-    inference maps the groups over a pool of the same size.
+    group's channels are adjacent and ascending. The error at time t is
+    the signed difference between the observed and the reconstructed
+    value at the last position of the window ending at t. Inference maps
+    the groups over the BLAS's lent threads, as ``fit`` trained them.
     """
 
     window_length: int
     groups: tuple[tuple[MlpAutoencoder, tuple[int, ...]], ...]
-    threads: int
 
     def residuals(self, stream: FloatArray) -> ErrorMatrix:
         l_w = self.window_length
@@ -166,9 +165,22 @@ class WindowedAutoencoder:
                     observed_last[lo:hi, channels] - recon[:, -len(channels) :]
                 )
 
-        with one_thread():
-            pool_map(infer_group, self.groups, self.threads)
+        _on_lent_threads(infer_group, self.groups)
         return err
+
+
+def _on_lent_threads(fn, groups) -> list:
+    """``fn`` over ``groups`` in order, on the BLAS's lent threads."""
+    with lend_threads() as pool:
+        futures = [pool.submit(fn, group) for group in groups]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            # after a failure the pin is left only once this call's queued
+            # groups are cancelled and its running ones done
+            for future in futures:
+                future.cancel()
+            wait(futures)
 
 
 @dataclass(frozen=True)
@@ -254,17 +266,16 @@ def _train_mlp(
 
 
 def fit(
-    train: SeriesMatrix, config: ModelConfig, window: WindowSpec, seed: int = 0, threads: int = 1
+    train: SeriesMatrix, config: ModelConfig, window: WindowSpec, seed: int = 0
 ) -> TrainedModel:
     """Fit the configured model on a (normalized) training series.
 
     Deterministic for a fixed seed. Every UAE channel model draws its
     weight initialization and batch shuffles from an identically seeded
     generator, so permuting input channels permutes the per-channel
-    residuals without changing any of them. Autoencoders train with BLAS
-    pinned to one thread (``blas.one_thread``), their groups on a pool of
-    ``threads`` workers, which also run their inference; each group trains
-    and infers alone, so the pool gives the serial result bit for bit.
+    residuals without changing any of them. Autoencoders train and infer
+    their groups on the threads ``blas.lend_threads`` takes from the BLAS,
+    each group alone on one thread, so the result is the serial one.
     """
     m = train.m
     config = config.resolved(m)
@@ -286,11 +297,8 @@ def fit(
             mlp, report = _train_mlp(_group_rows(windows, channels), config, seed, channel)
             return (mlp, channels), report
 
-        with one_thread():
-            trained = pool_map(train_group, groups, threads)
-        model = WindowedAutoencoder(
-            window.length, tuple(group for group, _ in trained), threads
-        )
+        trained = _on_lent_threads(train_group, groups)
+        model = WindowedAutoencoder(window.length, tuple(group for group, _ in trained))
         reports = [report for _, report in trained]
     return TrainedModel(model, model.residuals(train.values), tuple(reports))
 

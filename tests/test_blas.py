@@ -1,4 +1,5 @@
-"""The BLAS pin: one thread inside autoencoder stages, the prior count after.
+"""The BLAS pin: one thread inside autoencoder stages, its threads lent to
+the autoencoder groups as one shared pool, the prior count after.
 
 Tests that need numpy's bundled OpenBLAS skip, saying so, where numpy links
 another BLAS; the pin is then a no-op and the run says "unpinned".
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,31 @@ def two_blas_threads():
 
 
 @pytest.fixture
+def groups_in_flight(monkeypatch):
+    """Records, while models train, the most trained at once and the
+    threads they trained on; each training holds its thread a moment so
+    that groups which may overlap do."""
+    lock = threading.Lock()
+    seen = {"now": 0, "most": 0, "threads": set()}
+    train_mlp = train._train_mlp
+
+    def spy(*args):
+        with lock:
+            seen["now"] += 1
+            seen["most"] = max(seen["most"], seen["now"])
+            seen["threads"].add(threading.get_ident())
+        try:
+            time.sleep(0.05)
+            return train_mlp(*args)
+        finally:
+            with lock:
+                seen["now"] -= 1
+
+    monkeypatch.setattr(train, "_train_mlp", spy)
+    return seen
+
+
+@pytest.fixture
 def inside_training(monkeypatch):
     """Records the BLAS thread count each time a model starts training."""
     seen = []
@@ -74,8 +101,8 @@ def inside_training(monkeypatch):
 
 def test_results_bytes_do_not_depend_on_blas_threads(tmp_path):
     """A 3-channel UAE run writes the same results.json under 1 and 2 BLAS
-    threads; under 2 (on 2 or more cores) it trains its channels on a pool
-    of 2."""
+    threads; under 2 (on 2 or more cores) the pin lends its channels a
+    pool of 2."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(UAE_CONFIG))
     src = str(Path(tsadkit.__file__).resolve().parents[1])
@@ -92,9 +119,9 @@ def test_results_bytes_do_not_depend_on_blas_threads(tmp_path):
         policy = json.loads((out / "run_meta.json").read_text())["blas"]
         if policy["policy"] == "unpinned":
             pytest.skip("numpy's BLAS is not the bundled OpenBLAS: unpinned")
-        # OpenBLAS caps the variable at the core count; one cell gets them all
+        # OpenBLAS caps the variable at the core count
         assert 1 <= policy["threads"] <= int(threads)
-        assert policy["channel_threads"] == policy["threads"]
+        assert "channel_threads" not in policy
         outputs[threads] = (out / "results.json").read_bytes()
     assert outputs["1"] == outputs["2"]
 
@@ -107,7 +134,7 @@ def test_run_pins_training_and_restores(two_blas_threads, inside_training):
     assert raw_threads() == 2
     assert record.meta["blas"]["threads"] == 2
     assert record.meta["blas"]["policy"] == "pinned"
-    assert record.meta["blas"]["channel_threads"] == 2
+    assert set(record.meta["blas"]) == {"name", "version", "threads", "policy"}
 
 
 @needs_openblas
@@ -115,10 +142,38 @@ def test_training_error_restores(two_blas_threads):
     rng = np.random.default_rng(7)
     data = SeriesMatrix(rng.random(size=(80, 2)))
     config = ModelConfig("uae", learning_rate=1e200, max_epochs=30)
+    before = set(threading.enumerate())
     with pytest.raises(TrainingError):
-        fit(data, config, WindowSpec(10, 1), threads=2)
+        fit(data, config, WindowSpec(10, 1))
     assert raw_threads() == 2
     assert blas.blas_threads() == 2
+    # the last holder left, so the lent pool is shut down and its threads gone
+    assert set(threading.enumerate()) <= before
+    assert blas._PIN._pool is None
+
+
+@needs_openblas
+def test_failing_group_waits_for_its_other_groups(two_blas_threads, monkeypatch):
+    """Another holder keeps the pool open, yet the failing fit leaves the pin
+    only once its running group is done and its queued ones are cancelled."""
+    started, finished = [], []
+
+    def spy(windows, config, seed, channel):
+        started.append(channel)
+        if channel == 0:
+            raise TrainingError("channel 0 fails at once")
+        time.sleep(0.2)
+        finished.append(channel)
+        return None, None
+
+    monkeypatch.setattr(train, "_train_mlp", spy)
+    data = SeriesMatrix(np.random.default_rng(7).random(size=(80, 4)))
+    with blas.lend_threads() as pool:
+        with pytest.raises(TrainingError):
+            fit(data, ModelConfig("uae", max_epochs=1), WindowSpec(10, 1))
+        assert sorted(finished) == sorted(c for c in started if c != 0)
+        assert pool is blas._PIN._pool
+    assert raw_threads() == 2
 
 
 @needs_openblas
@@ -144,9 +199,26 @@ def test_overlapping_cells_share_one_pin(two_blas_threads, monkeypatch):
     record = run_experiment(config, workers=2)
     assert not record.failures, record.failures
     assert seen == [1, 1]
-    assert record.meta["blas"]["channel_threads"] == 1  # 2 threads over 2 cells
     assert raw_threads() == 2
     assert sorted(record.meta["fit_reports"]) == ["syn/1", "syn/2"]
+
+
+@needs_openblas
+@pytest.mark.parametrize("count", [1, 2])
+def test_overlapping_cells_share_one_pool(count, groups_in_flight):
+    """Two 3-channel cells at --workers 2 train at most B groups at once, on
+    at most B threads, whatever the cell pool runs."""
+    get, set_ = blas._openblas()
+    before = get()
+    set_(count)
+    try:
+        record = run_experiment(config_from_dict(dict(UAE_CONFIG, seeds=[1, 2])), workers=2)
+    finally:
+        set_(before)
+    assert not record.failures, record.failures
+    assert record.meta["blas"]["threads"] == count
+    assert 1 <= groups_in_flight["most"] <= count
+    assert len(groups_in_flight["threads"]) <= count
 
 
 def test_fit_reports_in_meta_only(tmp_path):
@@ -175,9 +247,11 @@ def test_pin_stress_keeps_one_thread_and_restores(monkeypatch):
     def worker():
         start.wait()
         for _ in range(2000):
-            with pin.one_thread():
+            with pin.lend_threads() as pool:
                 if state["threads"] != 1:
                     wrong.append(state["threads"])
+                if pool is not pin._pool:
+                    wrong.append("a second pool")
             if pin.threads() != 4:
                 wrong.append(("outside", pin.threads()))
 
@@ -194,12 +268,13 @@ def test_pin_stress_keeps_one_thread_and_restores(monkeypatch):
     assert not any(w.is_alive() for w in workers)
     assert wrong == []
     assert state["threads"] == 4
+    assert pin._pool is None
 
 
-def test_unpinned_run_trains_serially(monkeypatch):
+def test_unpinned_run_trains_serially(monkeypatch, groups_in_flight):
     monkeypatch.setattr(blas, "_openblas", lambda: None)
     record = run_experiment(config_from_dict(UAE_CONFIG))
     assert not record.failures
     assert record.meta["blas"]["policy"] == "unpinned"
     assert record.meta["blas"]["threads"] is None
-    assert record.meta["blas"]["channel_threads"] == 1
+    assert groups_in_flight["most"] == 1

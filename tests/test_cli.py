@@ -17,6 +17,9 @@ FIXTURE = Path(__file__).parent / "data" / "benchmark_fc1.csv"
 # the config CI runs on the numpy-only install: a test set of two blocks
 # and 701 rows, gauss_d_k, the tail_p sweep and diagnosis
 BLOCKWISE_RUN = Path(__file__).parent / "data" / "blockwise_run.json"
+# the UAE config CI runs at --workers 1 and 2 on the numpy-only install:
+# two cells of three channel groups each, on the BLAS's lent threads
+TINY_UAE_RUN = Path(__file__).parent / "data" / "tiny_uae_run.json"
 # the labels CI scores on the numpy-only install: five events, two
 # prediction columns, and the best-F random baselines for all three metrics
 LABELS = Path(__file__).parent / "data" / "labels.csv"
@@ -142,6 +145,19 @@ class TestRun:
         (cell,) = payload["cells"]
         assert cell["threshold"]["neg_log_eps"] in (1, 2, 3, 4, 5)
         assert len(cell["diagnosis"]["rankings"]) == 8
+
+    def test_committed_uae_config_same_bytes_at_any_workers(self, tmp_path):
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            args = ["run", "--config", str(TINY_UAE_RUN), "--seed", "0,1",
+                    "--workers", workers, "--out", str(out)]
+            assert main(args) == 0
+            outputs.append((out / "results.json").read_bytes())
+        payload = json.loads(outputs[0])
+        assert payload["config"]["model"]["kind"] == "uae"
+        assert [cell["seed"] for cell in payload["cells"]] == [0, 1]
+        assert outputs[0] == outputs[1]
 
     def test_partial_failure_exit_two(self, tmp_path, capsys):
         bad_train = tmp_path / "bad_train.csv"
@@ -478,6 +494,17 @@ class TestMalformedInputsExitOne:
         assert done.stdout == ""
         assert done.stderr == "error: event (0,5) outside score range 0..1\n"
 
+    @pytest.mark.parametrize("causes", [["a"], [0]], ids=["name", "index"])
+    def test_diagnose_repeated_channel(self, tmp_path, causes):
+        # a name-to-column map would resolve "a" to one of its two columns
+        scores = tmp_path / "scores.csv"
+        scores.write_text("a,a,b\n" + "0.0,1.0,2.0\n" * 3)
+        path = write_json(tmp_path / "events.json", [{"start": 0, "end": 1, "causes": causes}])
+        done = run_cli("diagnose", scores, path, cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"error: {scores}: channel 'a' appears more than once\n"
+
     @pytest.mark.parametrize("causes", [["a"], None], ids=["causes", "no-causes"])
     @pytest.mark.parametrize("flag, value", [
         ("--top-k", "0"), ("--top-k", "-3"), ("--top-k", "x"), ("--percent", "0"),
@@ -602,7 +629,8 @@ class TestRunSeeds:
         assert done.stderr == "error: seeds must be >= 0, got [0, -1]\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("seed", ["-1", "2,-1"])
+    # an empty item ("1,,2", "1,", ",3") is a typo, not a seed to skip
+    @pytest.mark.parametrize("seed", ["-1", "2,-1", "1,,2", "1,", ",3", ""])
     def test_negative_seed_flag_exits_one(self, tmp_path, seed):
         cfg = run_config(tmp_path)
         done = run_cli("run", "--config", cfg, f"--seed={seed}", cwd=tmp_path)

@@ -295,6 +295,14 @@ class TestLoadEntity:
         with pytest.raises(ParseError):
             load_entity(train, test)
 
+    def test_repeated_channel_names_file(self, tmp_path):
+        # matched by name, both "a" columns would read the first one
+        train = self._write(tmp_path, "train.csv", ["a", "a", "b"], [[0.0, 1.0, 2.0]])
+        test = self._write(tmp_path, "test.csv", ["a", "a", "b", "label"], [[0.0, 1.0, 2.0, 0]])
+        with pytest.raises(ParseError) as info:
+            load_entity(train, test)
+        assert str(info.value) == f"{test}: channel 'a' appears more than once"
+
     def test_label_values_strict(self, tmp_path):
         train = self._write(tmp_path, "train.csv", ["a"], [[0.0]])
         test = self._write(tmp_path, "test.csv", ["a", "label"], [[0.0, 2]])

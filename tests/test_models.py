@@ -1,9 +1,11 @@
+import contextlib
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tsadkit import blas
 from tsadkit.core import (
     ConfigError,
     Entity,
@@ -32,6 +34,25 @@ from tsadkit.models import (
 )
 from tsadkit.models.mlp import Adam
 from reference import AdamPerArray, fd_gradient
+
+
+needs_openblas = pytest.mark.skipif(
+    blas.blas_threads() is None, reason="numpy's BLAS is not the bundled OpenBLAS: unpinned"
+)
+
+
+@contextlib.contextmanager
+def blas_at(count: int):
+    """numpy's OpenBLAS at ``count`` threads for the block, so the pin lends
+    a pool of ``count``; the prior count after."""
+    get, set_ = blas._openblas()
+    before = get()
+    set_(count)
+    try:
+        assert blas.blas_threads() == count
+        yield
+    finally:
+        set_(before)
 
 
 def entity_from(train, test=None, labels=None, eid="e"):
@@ -280,34 +301,42 @@ class TestFitAndResiduals:
             assert len(p1) == len(p2)
             assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
 
+    @needs_openblas
     def test_channel_pool_equals_serial_training(self):
+        # the groups train on a pool of the BLAS's own count: 1 (serial)
+        # against 2 and 6 (more workers than groups)
         rng = np.random.default_rng(16)
         data = rng.random(size=(160, 3))
         test = rng.random(size=(50, 3))
         ent = entity_from(data, test)
         spec = WindowSpec(12, 1)
         config = ModelConfig("uae", max_epochs=6)
-        serial = fit(ent.train, config, spec, seed=2, threads=1)
-        pooled = fit(ent.train, config, spec, seed=2, threads=2)
-        assert len(serial.model.groups) == len(pooled.model.groups) == 3
-        for (mlp1, channels1), (mlp2, channels2) in zip(serial.model.groups,
-                                                          pooled.model.groups):
-            assert channels1 == channels2
-            assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
-        assert np.array_equal(serial.train_residuals, pooled.train_residuals)
         tail = SeriesMatrix(data)
-        assert np.array_equal(residuals(serial, ent.test, train_tail=tail),
-                              residuals(pooled, ent.test, train_tail=tail))
-        assert serial.fit_reports == pooled.fit_reports
-        assert [r.channel for r in pooled.fit_reports] == [0, 1, 2]
-        # inference maps the groups over the same pool, and equals the same
-        # weights inferred one group after another
-        assert (serial.model.threads, pooled.model.threads) == (1, 2)
         stream = np.concatenate([data, test])
-        one_by_one = replace(pooled.model, threads=1)
-        assert np.array_equal(pooled.model.residuals(stream), one_by_one.residuals(stream))
-        assert np.array_equal(pooled.model.residuals(data), pooled.train_residuals)
+        with blas_at(1):
+            serial = fit(ent.train, config, spec, seed=2)
+            serial_test = residuals(serial, ent.test, train_tail=tail)
+        for count in (2, 6):
+            with blas_at(count):
+                pooled = fit(ent.train, config, spec, seed=2)
+                pooled_test = residuals(pooled, ent.test, train_tail=tail)
+                pooled_stream = pooled.model.residuals(stream)
+            assert len(serial.model.groups) == len(pooled.model.groups) == 3
+            for (mlp1, channels1), (mlp2, channels2) in zip(serial.model.groups,
+                                                              pooled.model.groups):
+                assert channels1 == channels2
+                assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
+            assert np.array_equal(serial.train_residuals, pooled.train_residuals)
+            assert np.array_equal(serial_test, pooled_test)
+            assert serial.fit_reports == pooled.fit_reports
+            assert [r.channel for r in pooled.fit_reports] == [0, 1, 2]
+            # inference maps the groups over the same pool, and equals the
+            # same weights inferred one group after another
+            with blas_at(1):
+                assert np.array_equal(pooled.model.residuals(stream), pooled_stream)
+            assert np.array_equal(pooled.model.residuals(data), pooled.train_residuals)
 
+    @needs_openblas
     def test_pooled_inference_under_thread_switching(self):
         # more workers than cores, switching every microsecond, several
         # chunks per group: a lost or misplaced column write shows as a
@@ -317,11 +346,13 @@ class TestFitAndResiduals:
         model = fit(SeriesMatrix(data), ModelConfig("uae", max_epochs=1), WindowSpec(8, 1),
                     seed=3).model
         stream = rng.random(size=(20_000, 6))
-        serial = replace(model, threads=1).residuals(stream)
+        with blas_at(1):
+            serial = model.residuals(stream)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = replace(model, threads=6).residuals(stream)
+            with blas_at(6):
+                pooled = model.residuals(stream)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(pooled, serial)
@@ -457,7 +488,7 @@ class TestBlockedResiduals:
         train_norm = apply_normalizer(ent.train, stats, "train")
         window = WindowSpec(12, 3)
         config = ModelConfig(kind, max_epochs=2, pca_variance_fraction=0.8)
-        model = fit(train_norm, config, window, threads=2)
+        model = fit(train_norm, config, window)
         test_norm = apply_normalizer(ent.test, stats, "test")
         whole = residuals(model, test_norm, train_tail=train_norm)
 
