@@ -13,7 +13,6 @@ from .core import (
     ConfigError,
     Entity,
     Event,
-    EventSet,
     InsufficientDataError,
     ParseError,
     SeriesMatrix,
@@ -104,7 +103,6 @@ __all__ = [
     "EntitySource",
     "Event",
     "EventDiagnosis",
-    "EventSet",
     "ExperimentConfig",
     "GaussParams",
     "InsufficientDataError",

@@ -7,9 +7,10 @@ pins numpy's bundled OpenBLAS to one thread for a ``with`` block and
 lends the block the B threads it took, as a pool of B workers.
 
 The thread count is process-wide, so overlapping blocks (two cells on a
-``--workers`` pool) share one pin and one pool: the first to enter
-records B, sets 1 and starts the pool; the last to leave shuts it down
-and restores B, also on an exception. Where numpy links another BLAS,
+``--workers`` pool) share one pin: the first to enter records B and sets
+1; the last to leave restores B, also on an exception. Every block at B
+gets one pool of B workers, which lives for the process, so blocks that
+follow one another reuse its threads. Where numpy links another BLAS,
 the run is "unpinned": the BLAS keeps its threads and each block gets a
 pool of one.
 """
@@ -49,14 +50,17 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     return None
 
 
+# one pool per thread count, for the life of the process
+_pool = functools.cache(ThreadPoolExecutor)
+
+
 class _Pin:
-    """The process's one BLAS pin and its pool; see the module docstring."""
+    """The process's one BLAS pin; see the module docstring."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
         self._saved = 0
-        self._pool: ThreadPoolExecutor | None = None
 
     def threads(self) -> int | None:
         """The BLAS's own thread count outside any pin; None if unpinned."""
@@ -78,18 +82,14 @@ class _Pin:
             if not self._depth:
                 self._saved = get()
                 set_(1)
-                self._pool = ThreadPoolExecutor(self._saved)
             self._depth += 1
-            pool = self._pool
+            pool = _pool(self._saved)
         try:
             yield pool
         finally:
             with self._lock:
                 self._depth -= 1
                 if not self._depth:
-                    # no worker may run on the restored count
-                    self._pool.shutdown()
-                    self._pool = None
                     set_(self._saved)
 
 

@@ -129,11 +129,7 @@ def _cmd_generate(args) -> int:
         ),
     )
     written = [out / "train.csv", out / "test.csv"]
-    causes = {
-        str(i): [names[c] for c in sorted(e.causes)]
-        for i, e in enumerate(entity.test_events)
-        if e.causes is not None
-    }
+    causes = {str(i): [names[c] for c in sorted(cs)] for i, cs in entity.causes.items()}
     if causes:
         cause_path = out / "causes.json"
         with write_atomic(cause_path) as fh:

@@ -1,8 +1,8 @@
 """Shared domain types: series matrices, labels, events, entities.
 
 Everything here is immutable after construction and safe to share across
-worker threads. Time indices are 0-based throughout; label vectors and
-event spans refer to the same axis.
+worker threads. Time indices are 0-based throughout; an event is a
+maximal run of 1s in a label vector, its span on the same axis.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import json
 import os
 import types
 import typing
+from collections.abc import Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass
@@ -296,53 +297,20 @@ class Event:
         return self.end - self.start + 1
 
 
-@dataclass(frozen=True)
-class EventSet:
-    """Events sorted by start, pairwise disjoint and non-adjacent.
-
-    Adjacent runs (no healthy gap between them) are rejected rather than
-    merged so that hand-built fixtures stay unambiguous.
-    """
-
-    events: tuple[Event, ...] = ()
-
-    def __post_init__(self):
-        events = tuple(self.events)
-        for prev, cur in zip(events, events[1:]):
-            if cur.start <= prev.end + 1:
-                raise ValidationError(
-                    f"events ({prev.start},{prev.end}) and ({cur.start},{cur.end}) "
-                    "overlap or touch; a gap of at least one healthy point is required"
-                )
-        object.__setattr__(self, "events", events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __getitem__(self, i: int) -> Event:
-        return self.events[i]
-
-    def spans(self) -> tuple[tuple[int, int], ...]:
-        return tuple((e.start, e.end) for e in self.events)
-
-
 def run_bounds(labels: LabelVector) -> tuple[IntArray, IntArray]:
     """Starts and exclusive stops of the maximal runs of 1s, in time order.
 
     ``labels`` must already be validated; this is the array form of
-    :func:`events_from_labels` for callers that only count.
+    :func:`events_from_labels`, for ``Entity`` and for callers that count.
     """
     edges = np.diff(np.concatenate(([0], labels, [0])))
     return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
-def events_from_labels(labels) -> EventSet:
+def events_from_labels(labels) -> tuple[Event, ...]:
     """Enumerate maximal runs of 1s as events, in time order."""
     starts, stops = run_bounds(validate_labels(labels))
-    return EventSet(tuple(Event(int(s), int(e) - 1) for s, e in zip(starts, stops)))
+    return tuple(Event(s, e - 1) for s, e in zip(starts.tolist(), stops.tolist()))
 
 
 def midranks(values) -> FloatArray:
@@ -375,7 +343,7 @@ def resolve_scored(m: int, scored) -> IntArray:
     return idx
 
 
-def labels_from_events(events: EventSet, n: int) -> LabelVector:
+def labels_from_events(events: Iterable[Event], n: int) -> LabelVector:
     """Exact inverse of :func:`events_from_labels` for events within [0, n)."""
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
@@ -393,18 +361,20 @@ def labels_from_events(events: EventSet, n: int) -> LabelVector:
 class Entity:
     """One physical unit: its train/test series, labels, and events.
 
-    ``test_events`` may be omitted, in which case it is derived from
-    ``test_labels``. When provided (for example with cause annotations) its
-    spans must agree with the labels exactly. ``scored_channels`` restricts
-    score aggregation to a channel subset; None means all channels.
+    ``test_events`` are the runs of 1s in ``test_labels``, in time order,
+    derived once. ``causes`` maps an event's ordinal (0..k-1) to its cause
+    channel indices, kept as a read-only copy that ``dataclasses.replace``
+    carries over; an event it leaves out has none. ``scored_channels``
+    restricts score aggregation to a channel subset; None means all.
     """
 
     id: str
     train: SeriesMatrix
     test: SeriesMatrix
     test_labels: LabelVector
-    test_events: EventSet | None = None
+    causes: Mapping[int, Iterable[int]] = dataclasses.field(default_factory=dict)
     scored_channels: tuple[int, ...] | None = None
+    test_events: tuple[Event, ...] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if self.train.m != self.test.m:
@@ -419,20 +389,18 @@ class Entity:
         y.flags.writeable = False
         object.__setattr__(self, "test_labels", y)
 
-        derived = events_from_labels(y)
-        if self.test_events is None:
-            object.__setattr__(self, "test_events", derived)
-        else:
-            if self.test_events.spans() != derived.spans():
-                raise ValidationError(
-                    "test_events spans disagree with test_labels runs"
-                )
-        m = self.test.m
-        for e in self.test_events:
-            if e.causes is not None and any(c >= m for c in e.causes):
-                raise ValidationError(
-                    f"event ({e.start},{e.end}) has cause channel >= m={m}"
-                )
+        causes = {int(i): frozenset(int(c) for c in cs) for i, cs in self.causes.items()}
+        starts, stops = run_bounds(y)
+        k, m = len(starts), self.test.m
+        for i, cs in causes.items():
+            if not 0 <= i < k:
+                raise ValidationError(f"causes name event {i} but the labels have {k} events")
+            if max(cs, default=0) >= m:
+                raise ValidationError(f"event {i} has cause channel >= m={m}")
+        spans = zip(starts.tolist(), (stops - 1).tolist())
+        events = tuple(Event(s, e, causes.get(i)) for i, (s, e) in enumerate(spans))
+        object.__setattr__(self, "causes", types.MappingProxyType(causes))
+        object.__setattr__(self, "test_events", events)
         if self.scored_channels is not None:
             scored = resolve_scored(m, self.scored_channels)
             object.__setattr__(self, "scored_channels", tuple(scored.tolist()))

@@ -380,10 +380,10 @@ def _run_cell(
 
     dc = config.diagnosis
     events = entity.test_events
-    diagnosed = dc.enabled and any(e.causes is not None for e in events)
+    diagnosed = dc.enabled and bool(entity.causes)
     series, rows = _score_test(
         entity.test, stats, model, train_norm, config.scoring, scored,
-        events.events if diagnosed else (),
+        events if diagnosed else (),
     )
 
     cell: dict = {"entity": entity.id, "seed": seed, "candidates": []}

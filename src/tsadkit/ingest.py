@@ -1,8 +1,9 @@
 """Dataset loading, normalization, windowing, and synthetic benchmarks.
 
 CSV layout: UTF-8 with a header row, one row per time-point, float cells.
-The test file carries an extra binary label column. Cause annotations come
-from a JSON mapping of event ordinal to a list of channel names.
+The test file carries an extra binary label column, whose runs of 1s are
+the entity's events. Cause annotations come from a JSON mapping of event
+ordinal to a list of channel names.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ import numpy as np
 
 from .core import (
     Entity,
-    Event,
-    EventSet,
     FloatArray,
     InsufficientDataError,
     IntArray,
@@ -25,8 +24,8 @@ from .core import (
     ValidationError,
     check_float_matrix,
     decode_config,
-    events_from_labels,
     read_json,
+    run_bounds,
 )
 
 ANOMALY_KINDS = ("spike", "level_shift", "drift_background")
@@ -256,7 +255,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Entity:
     # amplitudes are expressed relative to it
     healthy_range = values.max(axis=0) - values.min(axis=0)
     labels = np.zeros(spec.n_test, dtype=np.int64)
-    events: list[Event] = []
+    causes = {}
     for a in sorted(spec.anomalies, key=lambda a: a.start):
         span = slice(a.start, a.end + 1)
         if a.kind == "spike":
@@ -270,8 +269,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Entity:
             test[span, :] += ramp[:, None]
             test[a.end + 1 :, :] += a.magnitude
         if a.labeled:
+            # labeled anomalies never touch, so each is one label run
+            causes[len(causes)] = a.channels
             labels[span] = 1
-            events.append(Event(a.start, a.end, causes=frozenset(a.channels)))
 
     channel_names = tuple(f"c{i}" for i in range(spec.m))
     return Entity(
@@ -279,7 +279,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Entity:
         train=SeriesMatrix(values[: spec.n_train], channel_names),
         test=SeriesMatrix(test, channel_names),
         test_labels=labels,
-        test_events=EventSet(tuple(events)),
+        causes=causes,
     )
 
 
@@ -448,9 +448,10 @@ def load_entity(
     The test header must contain ``label_column``; the channel columns are
     every other test column, and the train header must list exactly those
     channels (a train-side label column, if present, is ignored).
-    ``cause_map`` maps event ordinal (as emitted by run-length order,
-    written in canonical decimal such as ``"0"`` or ``"12"``) to a list of
-    channel names; it may be a dict or a path to a JSON file.
+    The events are the runs of 1s in the label column. ``cause_map`` maps
+    an event's ordinal in time order, written in canonical decimal such as
+    ``"0"`` or ``"12"``, to a non-empty list of channel names; it may be a
+    dict or a path to a JSON file. Its faults raise ParseError.
     """
     test = _CsvFile(test_path, label_column)
     test_header = test.header
@@ -479,8 +480,7 @@ def load_entity(
     _check_finite(test_path, test_values, test_header, test_cols)
     labels = test.labels()
 
-    derived = events_from_labels(labels)
-    events = list(derived.events)
+    causes = {}
     if cause_map is not None:
         if not isinstance(cause_map, dict):
             cause_path = Path(cause_map)
@@ -488,29 +488,27 @@ def load_entity(
             if not isinstance(cause_map, dict):
                 raise ParseError(f"{cause_path}: cause map must be a JSON object")
         name_to_idx = {h: i for i, h in enumerate(channels)}
+        k = len(run_bounds(labels)[0])
         for key, names in cause_map.items():
             # only the canonical decimal form: "+0", " 0 ", "00" and "0_0" are refused
             if not (isinstance(key, str) and key.isdecimal() and key == str(int(key))):
                 raise ParseError(f"cause map key {key!r} is not an event ordinal")
             ordinal = int(key)
-            if not (0 <= ordinal < len(events)):
-                raise ParseError(
-                    f"cause map names event {ordinal} but only {len(events)} events exist"
-                )
+            if not (0 <= ordinal < k):
+                raise ParseError(f"cause map names event {ordinal} but only {k} events exist")
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise ParseError(
                     f"cause map key {key!r} must map to a list of channel names, "
                     f"got {names!r}"
                 )
-            indices = set()
+            if not names:
+                raise ParseError(
+                    f"cause map key {key!r} must map to a non-empty list of channel names, got []"
+                )
             for name in names:
                 if name not in name_to_idx:
-                    raise ParseError(
-                        f"cause map channel {name!r} not among columns {channels}"
-                    )
-                indices.add(name_to_idx[name])
-            e = events[ordinal]
-            events[ordinal] = Event(e.start, e.end, causes=frozenset(indices))
+                    raise ParseError(f"cause map channel {name!r} not among columns {channels}")
+            causes[ordinal] = [name_to_idx[name] for name in names]
 
     scored_idx: tuple[int, ...] | None = None
     if scored_channels is not None:
@@ -526,6 +524,6 @@ def load_entity(
         train=SeriesMatrix(train_values, tuple(channels)),
         test=SeriesMatrix(test_values, tuple(channels)),
         test_labels=labels,
-        test_events=EventSet(tuple(events)),
+        causes=causes,
         scored_channels=scored_idx,
     )

@@ -43,7 +43,8 @@ class ModelConfig:
 
     Fields left at None resolve to per-kind defaults at fit time:
     latent_dim 5 (uae) or max(1, m//2) (fc_ae); learning_rate 1e-3 (uae)
-    or 1e-4 (fc_ae); batch_size 256 (uae) or 128 (fc_ae).
+    or 1e-4 (fc_ae); batch_size 256 (uae) or 128 (fc_ae). Raw and PCA
+    refuse them set.
     """
 
     kind: str = "uae"
@@ -70,6 +71,9 @@ class ModelConfig:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        for key in ("latent_dim", "learning_rate", "batch_size"):
+            if self.kind in ("raw", "pca") and getattr(self, key) is not None:
+                raise ConfigError(f"{key} is used only by uae and fc_ae, got kind {self.kind!r}")
 
     def resolved(self, m: int) -> "ModelConfig":
         """Fill kind-specific defaults for an entity with m channels."""

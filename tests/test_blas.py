@@ -1,5 +1,6 @@
 """The BLAS pin: one thread inside autoencoder stages, its threads lent to
-the autoencoder groups as one shared pool, the prior count after.
+the autoencoder groups as one pool that lives for the process, the prior
+count after.
 
 Tests that need numpy's bundled OpenBLAS skip, saying so, where numpy links
 another BLAS; the pin is then a no-op and the run says "unpinned".
@@ -138,18 +139,30 @@ def test_run_pins_training_and_restores(two_blas_threads, inside_training):
 
 
 @needs_openblas
-def test_training_error_restores(two_blas_threads):
+def test_training_error_restores(two_blas_threads, monkeypatch):
+    lock = threading.Lock()
+    running = {"now": 0}
+    train_mlp = train._train_mlp
+
+    def spy(*args):
+        with lock:
+            running["now"] += 1
+        try:
+            return train_mlp(*args)
+        finally:
+            with lock:
+                running["now"] -= 1
+
+    monkeypatch.setattr(train, "_train_mlp", spy)
     rng = np.random.default_rng(7)
     data = SeriesMatrix(rng.random(size=(80, 2)))
     config = ModelConfig("uae", learning_rate=1e200, max_epochs=30)
-    before = set(threading.enumerate())
     with pytest.raises(TrainingError):
         fit(data, config, WindowSpec(10, 1))
+    # the pool outlives the pin, but no group of the failed fit runs on
+    assert running["now"] == 0
     assert raw_threads() == 2
     assert blas.blas_threads() == 2
-    # the last holder left, so the lent pool is shut down and its threads gone
-    assert set(threading.enumerate()) <= before
-    assert blas._PIN._pool is None
 
 
 @needs_openblas
@@ -172,8 +185,30 @@ def test_failing_group_waits_for_its_other_groups(two_blas_threads, monkeypatch)
         with pytest.raises(TrainingError):
             fit(data, ModelConfig("uae", max_epochs=1), WindowSpec(10, 1))
         assert sorted(finished) == sorted(c for c in started if c != 0)
-        assert pool is blas._PIN._pool
+        with blas.lend_threads() as inner:
+            assert inner is pool
     assert raw_threads() == 2
+
+
+@needs_openblas
+def test_later_pin_reuses_the_pool_threads(two_blas_threads):
+    """A pin taken after the last one ended gets the same pool, and its work
+    runs on the threads that pool already started."""
+    both_running = threading.Barrier(2, timeout=30)
+
+    def thread_id(_):
+        both_running.wait()  # so each pin's two tasks run on two threads
+        return threading.get_ident()
+
+    seen = []
+    for _ in range(2):
+        with blas.lend_threads() as pool:
+            seen.append((pool, set(pool.map(thread_id, range(2)))))
+        assert raw_threads() == 2
+    (first, first_threads), (second, second_threads) = seen
+    assert second is first
+    assert len(first_threads) == 2
+    assert second_threads == first_threads
 
 
 @needs_openblas
@@ -242,6 +277,7 @@ def test_pin_stress_keeps_one_thread_and_restores(monkeypatch):
     )
     pin = blas._Pin()
     wrong = []
+    pools = set()
     start = threading.Barrier(8, timeout=30)
 
     def worker():
@@ -250,8 +286,7 @@ def test_pin_stress_keeps_one_thread_and_restores(monkeypatch):
             with pin.lend_threads() as pool:
                 if state["threads"] != 1:
                     wrong.append(state["threads"])
-                if pool is not pin._pool:
-                    wrong.append("a second pool")
+                pools.add(pool)
             if pin.threads() != 4:
                 wrong.append(("outside", pin.threads()))
 
@@ -268,7 +303,8 @@ def test_pin_stress_keeps_one_thread_and_restores(monkeypatch):
     assert not any(w.is_alive() for w in workers)
     assert wrong == []
     assert state["threads"] == 4
-    assert pin._pool is None
+    # every holder, overlapping or not, got the one pool for B = 4
+    assert pools == {blas._pool(4)}
 
 
 def test_unpinned_run_trains_serially(monkeypatch, groups_in_flight):

@@ -27,6 +27,9 @@ LABELS = Path(__file__).parent / "data" / "labels.csv"
 # channels against the events: a spike on c1 over rows 20..25
 TINY_SPEC = Path(__file__).parent / "data" / "tiny_spec.json"
 TINY_EVENTS = Path(__file__).parent / "data" / "tiny_events.json"
+# the file entity CI runs from the directory that holds tiny_spec.json's
+# generated files (tiny/train.csv, tiny/test.csv and tiny/causes.json)
+TINY_FILE_RUN = Path(__file__).parent / "data" / "tiny_file_run.json"
 
 SPEC = {
     "entity_id": "gen0",
@@ -69,7 +72,7 @@ class TestGenerate:
             tmp_path / "d" / "test.csv",
             cause_map=tmp_path / "d" / "causes.json",
         )
-        assert ent.test_events.spans() == ((40, 49),)
+        assert [(e.start, e.end) for e in ent.test_events] == [(40, 49)]
         assert ent.test_events[0].causes == frozenset({1})
         assert ent.train.n == 120
 
@@ -158,6 +161,24 @@ class TestRun:
         assert payload["config"]["model"]["kind"] == "uae"
         assert [cell["seed"] for cell in payload["cells"]] == [0, 1]
         assert outputs[0] == outputs[1]
+
+    def test_generated_files_run_like_their_spec(self, tmp_path, monkeypatch):
+        # the file entity and the spec build one Entity, so one result
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--config", str(TINY_SPEC), "--out", "tiny"]) == 0
+        assert main(["run", "--config", str(TINY_FILE_RUN), "--out", "files"]) == 0
+        config = json.loads(TINY_FILE_RUN.read_text())
+        del config["entities"]
+        config["synthetic"] = [json.loads(TINY_SPEC.read_text())]
+        cfg = write_json(tmp_path / "synthetic.json", config)
+        assert main(["run", "--config", cfg, "--out", "synthetic"]) == 0
+        files, synthetic = (
+            json.loads((tmp_path / out / "results.json").read_text())
+            for out in ("files", "synthetic")
+        )
+        assert [cell["diagnosis"]["rankings"][0][0] for cell in files["cells"]] == [1, 1]
+        assert files["cells"] == synthetic["cells"]
+        assert files["aggregates"] == synthetic["aggregates"]
 
     def test_partial_failure_exit_two(self, tmp_path, capsys):
         bad_train = tmp_path / "bad_train.csv"
@@ -443,6 +464,8 @@ class TestMalformedInputsExitOne:
          'config.diagnosis.enabled must be a boolean, got "false"'),
         # every cell reports every metric, so there is no metric list to set
         ({"metrics": ["f1", "fc1"]}, "config: unknown keys ['metrics']"),
+        ({"model": {"kind": "pca", "latent_dim": 99, "learning_rate": 5}},
+         "config.model: latent_dim is used only by uae and fc_ae, got kind 'pca'"),
     ])
     def test_run_bad_section(self, tmp_path, overrides, message):
         cfg = run_config(tmp_path, **overrides)

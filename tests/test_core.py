@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tsadkit.core import (
     Entity,
     Event,
-    EventSet,
     SeriesMatrix,
     ValidationError,
     events_from_labels,
@@ -72,66 +73,89 @@ class TestEvents:
         with pytest.raises(ValidationError):
             Event(0, 1, frozenset())
 
-    def test_events_sorted_and_disjoint(self):
-        es = EventSet((Event(0, 2), Event(5, 6)))
-        assert len(es) == 2
-        with pytest.raises(ValidationError):
-            EventSet((Event(5, 6), Event(0, 2)))
-        with pytest.raises(ValidationError):
-            EventSet((Event(0, 5), Event(3, 8)))
-
-    def test_adjacent_events_rejected(self):
-        # touching runs would merge under run-length extraction
-        with pytest.raises(ValidationError):
-            EventSet((Event(0, 2), Event(3, 4)))
-
     def test_from_labels_example(self):
-        es = events_from_labels([0, 1, 1, 0, 1])
-        assert es.spans() == ((1, 2), (4, 4))
+        assert events_from_labels([0, 1, 1, 0, 1]) == (Event(1, 2), Event(4, 4))
 
     def test_label_round_trip_random(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(1, 40))
             labels = (rng.random(n) < 0.3).astype(np.int64)
-            es = events_from_labels(labels)
-            assert es.spans() == tuple(events_by_scan(labels))
-            back = labels_from_events(es, n)
+            events = events_from_labels(labels)
+            assert [(e.start, e.end) for e in events] == events_by_scan(labels)
+            back = labels_from_events(events, n)
             assert np.array_equal(back, labels)
 
     def test_all_zero_labels(self):
-        assert len(events_from_labels(np.zeros(10, dtype=int))) == 0
+        assert events_from_labels(np.zeros(10, dtype=int)) == ()
 
     def test_labels_from_events_bounds(self):
-        es = EventSet((Event(2, 4),))
         with pytest.raises(ValidationError):
-            labels_from_events(es, 4)
+            labels_from_events((Event(2, 4),), 4)
 
 
 class TestEntity:
-    def _entity(self, labels, events=None, scored=None):
+    def _entity(self, labels, causes=None, scored=None):
         train = SeriesMatrix(np.zeros((6, 2)), ("a", "b"))
         test = SeriesMatrix(np.zeros((len(labels), 2)), ("a", "b"))
-        return Entity("e1", train, test, np.asarray(labels), events, scored)
+        return Entity("e1", train, test, np.asarray(labels), causes or {}, scored)
 
     def test_events_derived_from_labels(self):
         ent = self._entity([0, 1, 1, 0])
-        assert ent.test_events.spans() == ((1, 2),)
+        assert ent.test_events == (Event(1, 2),)
         assert ent.m == 2
 
-    def test_given_events_must_match_labels(self):
-        with pytest.raises(ValidationError, match="label"):
-            self._entity([0, 1, 1, 0], EventSet((Event(0, 1),)))
+    def test_events_sorted_and_disjoint(self):
+        ent = self._entity([1, 0, 0, 1, 1, 0, 1])
+        assert ent.test_events == (Event(0, 0), Event(3, 4), Event(6, 6))
+        for prev, cur in zip(ent.test_events, ent.test_events[1:]):
+            assert cur.start > prev.end + 1
+
+    def test_touching_runs_are_one_event(self):
+        # labels cannot tell two adjacent anomalies apart: they are one run
+        ent = self._entity([0, 1, 1, 1, 1, 0], {0: [0, 1]})
+        assert ent.test_events == (Event(1, 4, frozenset({0, 1})),)
+        with pytest.raises(ValidationError, match="causes name event 1 but the labels have 1 events"):
+            self._entity([0, 1, 1, 1, 1, 0], {0: [0], 1: [1]})
 
     def test_causes_attach(self):
-        es = EventSet((Event(1, 2, frozenset({1})),))
-        ent = self._entity([0, 1, 1, 0], es)
-        assert ent.test_events[0].causes == frozenset({1})
+        ent = self._entity([1, 0, 1, 1, 0], {1: [1]})
+        assert ent.test_events == (Event(0, 0), Event(2, 3, frozenset({1})))
+        assert dict(ent.causes) == {1: frozenset({1})}
+
+    @pytest.mark.parametrize("ordinal", [-1, 2])
+    def test_cause_ordinal_out_of_range(self, ordinal):
+        message = f"causes name event {ordinal} but the labels have 2 events"
+        with pytest.raises(ValidationError, match=message):
+            self._entity([1, 0, 1, 1, 0], {ordinal: [0]})
 
     def test_cause_channel_out_of_range(self):
-        es = EventSet((Event(1, 2, frozenset({7})),))
-        with pytest.raises(ValidationError):
-            self._entity([0, 1, 1, 0], es)
+        with pytest.raises(ValidationError, match="cause channel >= m=2"):
+            self._entity([0, 1, 1, 0], {0: [7]})
+
+    @pytest.mark.parametrize("channels, message", [
+        ([], "must be non-empty"),
+        ([-1], ">= 0"),
+    ])
+    def test_event_checks_apply_to_causes(self, channels, message):
+        with pytest.raises(ValidationError, match=message):
+            self._entity([0, 1, 1, 0], {0: channels})
+
+    def test_causes_are_a_read_only_copy(self):
+        given = {0: [1]}
+        ent = self._entity([0, 1, 1, 0], given)
+        given[0].append(0)
+        assert ent.test_events[0].causes == frozenset({1})
+        with pytest.raises(TypeError):
+            ent.causes[0] = frozenset({0})
+
+    def test_replace_keeps_causes(self):
+        ent = self._entity([0, 1, 1, 0], {0: [1]}, scored=(0, 1))
+        moved = dataclasses.replace(ent, train=SeriesMatrix(np.ones((4, 2)), ("a", "b")))
+        assert moved.causes == ent.causes
+        assert moved.test_events == ent.test_events
+        with pytest.raises(ValueError, match="test_events"):
+            dataclasses.replace(ent, test_events=())
 
     def test_scored_channels(self):
         ent = self._entity([0, 0, 0], scored=(1,))

@@ -657,6 +657,12 @@ class TestConfigCodec:
         ({"entities": [{"id": "a", "train": "a"}]}, "config.entities[0]: missing key 'test'"),
         ({"window": {"length": 0}}, "config.window: window length must be >= 1, got 0"),
         ({"seeds": "1"}, 'config.seeds must be an array, got "1"'),
+        ({"model": {"kind": "pca", "latent_dim": 99}},
+         "config.model: latent_dim is used only by uae and fc_ae, got kind 'pca'"),
+        ({"model": {"kind": "pca", "learning_rate": 5}},
+         "config.model: learning_rate is used only by uae and fc_ae, got kind 'pca'"),
+        ({"model": {"kind": "raw", "batch_size": 7}},
+         "config.model: batch_size is used only by uae and fc_ae, got kind 'raw'"),
     ])
     def test_errors_name_the_path(self, overrides, message):
         assert config_error({"synthetic": [MINIMAL_SPEC], **overrides}) == message
@@ -689,6 +695,8 @@ class TestConfigCodec:
             "synthetic": [MINIMAL_SPEC],
             "scoring": {"kind": "error", "window": None, "kernel_sigma": None},
             "threshold": {"method": "best_f", "k": None, "neg_log_eps": None},
+            "model": {"kind": "pca", "latent_dim": None, "learning_rate": None,
+                      "batch_size": None},
         })
         assert config_from_dict(config.to_dict()) == config
 

@@ -217,7 +217,7 @@ class TestGenerateSynthetic:
             AnomalySpec(40, 8, "level_shift", (1,), 2.0),
         ))
         ent = generate_synthetic(spec)
-        assert ent.test_events.spans() == ((10, 14), (40, 47))
+        assert [(e.start, e.end) for e in ent.test_events] == [(10, 14), (40, 47)]
         assert ent.test_events[0].causes == frozenset({0, 2})
         assert ent.test_events[1].causes == frozenset({1})
 
@@ -257,7 +257,7 @@ class TestGenerateSynthetic:
             AnomalySpec(100, 10, "spike", (0,), 2.0),
         ))
         ent = generate_synthetic(spec)
-        assert ent.test_events.spans() == ((100, 109),)
+        assert [(e.start, e.end) for e in ent.test_events] == [(100, 109)]
 
 
 class TestLoadEntity:
@@ -274,7 +274,7 @@ class TestLoadEntity:
                            [[0.0, 1.0, 0], [5.0, 1.0, 1], [0.0, 1.0, 0]])
         ent = load_entity(train, test)
         assert ent.train.channel_names == ("a", "b")
-        assert ent.test_events.spans() == ((1, 1),)
+        assert [(e.start, e.end) for e in ent.test_events] == [(1, 1)]
         assert ent.id == "test"
 
     def test_missing_label_column(self, tmp_path):
@@ -334,6 +334,23 @@ class TestLoadEntity:
         with pytest.raises(ParseError, match=r"cause map key '0' must map to a list "
                            r"of channel names, got " + re.escape(repr(names))):
             load_entity(train, test, cause_map={"0": names})
+
+    def test_cause_map_empty_list(self, tmp_path):
+        # refused at load, naming the key, rather than in every cell that uses it
+        train = self._write(tmp_path, "train.csv", ["a"], [[0.0]])
+        test = self._write(tmp_path, "test.csv", ["a", "label"], [[0.0, 0], [1.0, 1]])
+        with pytest.raises(ParseError) as info:
+            load_entity(train, test, cause_map={"0": []})
+        assert str(info.value) == (
+            "cause map key '0' must map to a non-empty list of channel names, got []"
+        )
+
+    def test_cause_map_ordinal_beyond_the_events(self, tmp_path):
+        train = self._write(tmp_path, "train.csv", ["a"], [[0.0]])
+        test = self._write(tmp_path, "test.csv", ["a", "label"], [[0.0, 0], [1.0, 1]])
+        with pytest.raises(ParseError) as info:
+            load_entity(train, test, cause_map={"1": ["a"]})
+        assert str(info.value) == "cause map names event 1 but only 1 events exist"
 
     @pytest.mark.parametrize("key", ["+0", "+0_0", "0_0", " 0 ", "00", "-0", "0.0", "٠", ""])
     def test_cause_map_key_must_be_canonical_ordinal(self, tmp_path, key):

@@ -1,6 +1,7 @@
 """Property tests pinning the one-pass metrics, the threshold sweeps, numpy
-midranks and the bulk CSV reader to the slow oracles in reference.py, on
-random inputs."""
+midranks, the bulk CSV reader and an entity's events to the slow oracles in
+reference.py, on random inputs."""
+import dataclasses
 import math
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsadkit import ingest
-from tsadkit.core import ParseError, midranks
+from tsadkit.core import Entity, ParseError, SeriesMatrix, midranks
 from tsadkit.metrics import auprc, auroc, compute_report
 from tsadkit.thresholding import BEST_F_METRICS, threshold_best_f, threshold_top_k
 import reference
@@ -141,6 +142,32 @@ def test_top_k_at_the_best_count_is_the_best_f(case, metric):
 @given(st.lists(st.integers(-2, 2).map(float), max_size=500))
 def test_midranks_match_reference(values):
     assert midranks(values).tolist() == reference.midranks(values)
+
+
+@st.composite
+def labels_and_causes(draw, m=4):
+    """0/1 labels and a sparse cause map over their runs, by run ordinal."""
+    labels = draw(st.lists(st.integers(0, 1), min_size=1, max_size=200))
+    k = len(reference.events_by_scan(labels))
+    if not k:
+        return labels, {}
+    channels = st.lists(st.integers(0, m - 1), min_size=1, max_size=m)
+    return labels, draw(st.dictionaries(st.integers(0, k - 1), channels, max_size=k))
+
+
+@PROPERTY
+@given(labels_and_causes())
+def test_entity_events_are_the_label_runs_with_their_causes(case):
+    labels, causes = case
+    entity = Entity("e", SeriesMatrix(np.zeros((2, 4))), SeriesMatrix(np.zeros((len(labels), 4))),
+                    labels, causes)
+    expected = [
+        (start, end, frozenset(causes[i]) if i in causes else None)
+        for i, (start, end) in enumerate(reference.events_by_scan(labels))
+    ]
+    assert [(e.start, e.end, e.causes) for e in entity.test_events] == expected
+    moved = dataclasses.replace(entity, train=SeriesMatrix(np.ones((3, 4))))
+    assert moved.test_events == entity.test_events
 
 
 NUMBERS = st.one_of(
