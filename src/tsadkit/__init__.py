@@ -18,11 +18,9 @@ from .core import (
     SeriesMatrix,
     TrainingError,
     ValidationError,
-    events_from_labels,
-    labels_from_events,
     validate_labels,
 )
-from .diagnosis import EventDiagnosis, hitrate_at, rank_channels, rc_top_k
+from .diagnosis import hitrate_at, rank_channels, rc_top_k
 from .experiment import (
     DiagnosisConfig,
     EntitySource,
@@ -102,7 +100,6 @@ __all__ = [
     "Entity",
     "EntitySource",
     "Event",
-    "EventDiagnosis",
     "ExperimentConfig",
     "GaussParams",
     "InsufficientDataError",
@@ -136,7 +133,6 @@ __all__ = [
     "config_from_json",
     "confusion",
     "emit_results",
-    "events_from_labels",
     "f1_point",
     "f1_point_adjusted",
     "fc1",
@@ -147,7 +143,6 @@ __all__ = [
     "generate_synthetic",
     "hitrate_at",
     "hochberg_stepup",
-    "labels_from_events",
     "load_entity",
     "load_results",
     "make_windows",

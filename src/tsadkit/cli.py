@@ -25,7 +25,6 @@ from .core import (
     Event,
     ParseError,
     ValidationError,
-    check_float_matrix,
     decode_config,
     read_json,
     write_atomic,
@@ -38,7 +37,7 @@ from .experiment import (
     emit_results,
     run_experiment,
 )
-from .ingest import SyntheticSpec, check_unique, generate_synthetic, read_csv
+from .ingest import SyntheticSpec, check_finite, check_unique, generate_synthetic, read_csv
 from .rankstats import RankTable, compare_to_best
 
 _USAGE_EXIT = 1
@@ -275,23 +274,18 @@ def _cmd_diagnose(args) -> int:
     names, scores = read_csv(args.scores)
     check_unique(args.scores, names, "channel")
     events = _load_events(args.events, names)
-    checked = check_float_matrix(scores, "channel scores")
-    n = checked.shape[0]
+    check_finite(args.scores, scores, names)
+    n = scores.shape[0]
     for e in events:
         if e.end >= n:
             raise ValidationError(f"event ({e.start},{e.end}) outside score range 0..{n - 1}")
-    diagnoses, summary = diagnose_events(
-        [checked[e.start : e.end + 1] for e in events],
+    rankings, summary = diagnose_events(
+        [scores[e.start : e.end + 1] for e in events],
         events, None, args.statistic, args.top_k, args.percent,
     )
     rows = [
-        {
-            "event": i,
-            "start": events[i].start,
-            "end": events[i].end,
-            "ranking": [names[c] for c in d.ranked_channels],
-        }
-        for i, d in enumerate(diagnoses)
+        {"event": i, "start": e.start, "end": e.end, "ranking": [names[c] for c in r]}
+        for i, (e, r) in enumerate(zip(events, rankings))
     ]
     report = {"statistic": args.statistic, "events": rows, **(summary or {})}
     if args.format == "json":

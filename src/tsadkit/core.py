@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import json
 import os
+import sys
 import types
 import typing
 from collections.abc import Iterable, Mapping
@@ -62,7 +63,7 @@ def read_json(path: str | Path):
         raise ParseError(f"{path}: file not found") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4,300 digits
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -144,7 +145,12 @@ def _decode(tp, value, path: str):
     if loaded is list:
         item = typing.get_args(arm)[0]
         return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value))
-    return float(value) if arm is float else value
+    if arm is not float:
+        return value
+    # json.loads takes NaN, Infinity and integers beyond the float range
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite number, got {_shown(value)}")
+    return float(value)
 
 
 def _build(cls, value, path: str, prefix: str):
@@ -300,17 +306,10 @@ class Event:
 def run_bounds(labels: LabelVector) -> tuple[IntArray, IntArray]:
     """Starts and exclusive stops of the maximal runs of 1s, in time order.
 
-    ``labels`` must already be validated; this is the array form of
-    :func:`events_from_labels`, for ``Entity`` and for callers that count.
+    ``labels`` must already be validated.
     """
     edges = np.diff(np.concatenate(([0], labels, [0])))
     return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-
-
-def events_from_labels(labels) -> tuple[Event, ...]:
-    """Enumerate maximal runs of 1s as events, in time order."""
-    starts, stops = run_bounds(validate_labels(labels))
-    return tuple(Event(s, e - 1) for s, e in zip(starts.tolist(), stops.tolist()))
 
 
 def midranks(values) -> FloatArray:
@@ -341,20 +340,6 @@ def resolve_scored(m: int, scored) -> IntArray:
     if idx[0] < 0 or idx[-1] >= m:
         raise ValidationError(f"scored channels {idx.tolist()} outside 0..{m - 1}")
     return idx
-
-
-def labels_from_events(events: Iterable[Event], n: int) -> LabelVector:
-    """Exact inverse of :func:`events_from_labels` for events within [0, n)."""
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    y = np.zeros(n, dtype=np.int64)
-    for e in events:
-        if e.end >= n:
-            raise ValidationError(
-                f"event ({e.start},{e.end}) out of range for n={n}"
-            )
-        y[e.start : e.end + 1] = 1
-    return y
 
 
 @dataclass(frozen=True)

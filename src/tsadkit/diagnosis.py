@@ -1,17 +1,16 @@
 """Anomaly diagnosis: rank channels per event, then score the rankings.
 
-Diagnosis consumes the true event intervals, never predicted ones, and
-ranks the scored channels by their anomaly scores over the event span.
+Diagnosis consumes the true event intervals, never predicted ones. Each
+event's own channel-score rows rank the scored channels; RC-top-k and
+HitRate@P then score the rankings against the events' causes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    ChannelScores,
     ConfigError,
     Event,
     ValidationError,
@@ -22,64 +21,40 @@ from .core import (
 RANK_STATISTICS = ("mean", "max")
 
 
-@dataclass(frozen=True)
-class EventDiagnosis:
-    """A full ranking of the scored channels for one event."""
+def rank_channels(rows, scored=None, statistic: str = "mean") -> tuple[int, ...]:
+    """The scored channels, most anomalous first, over one event's rows.
 
-    event_index: int
-    ranked_channels: tuple[int, ...]  # most anomalous first
-    statistic: str
-
-
-def rank_channels(
-    channel_scores: ChannelScores,
-    event: Event,
-    scored=None,
-    statistic: str = "mean",
-    event_index: int = 0,
-) -> EventDiagnosis:
-    """Sort scored channels by descending score over the event span.
-
-    The aggregation statistic over the span is the mean by default; "max"
-    is available as a config switch. Ties break toward the lower channel
-    index so rankings are deterministic.
+    ``rows`` holds the channel-score rows the event spans. The aggregation
+    statistic over them is the mean by default; "max" is available as a
+    config switch. Ties break toward the lower channel index so rankings
+    are deterministic.
     """
     if statistic not in RANK_STATISTICS:
         raise ConfigError(
             f"statistic must be one of {RANK_STATISTICS}, got {statistic!r}"
         )
-    scores = check_float_matrix(channel_scores, "channel scores")
-    n, m = scores.shape
-    if event.end >= n:
-        raise ValidationError(
-            f"event ({event.start},{event.end}) outside score range 0..{n - 1}"
-        )
-    idx = resolve_scored(m, scored)
+    scores = check_float_matrix(rows, "channel scores")
+    if not scores.shape[0]:
+        raise ValidationError("an event spans at least one row, got none")
+    idx = resolve_scored(scores.shape[1], scored)
 
-    span = scores[event.start : event.end + 1, idx]
+    span = scores[:, idx]
     agg = span.mean(axis=0) if statistic == "mean" else span.max(axis=0)
     # stable sort on descending score keeps ascending channel index on ties
-    order = np.argsort(-agg, kind="stable")
-    return EventDiagnosis(
-        event_index=event_index,
-        ranked_channels=tuple(int(idx[j]) for j in order),
-        statistic=statistic,
-    )
+    return tuple(idx[np.argsort(-agg, kind="stable")].tolist())
 
 
-def _paired(diagnoses: Sequence[EventDiagnosis], events: Sequence[Event]):
-    if len(diagnoses) != len(events):
-        raise ValidationError(
-            f"{len(diagnoses)} diagnoses for {len(events)} events"
-        )
-    pairs = [(d, e) for d, e in zip(diagnoses, events) if e.causes is not None]
+def _paired(rankings: Sequence[tuple[int, ...]], events: Sequence[Event]):
+    if len(rankings) != len(events):
+        raise ValidationError(f"{len(rankings)} rankings for {len(events)} events")
+    pairs = [(r, e) for r, e in zip(rankings, events) if e.causes is not None]
     if not pairs:
         raise ValidationError("no events carry cause annotations")
     return pairs
 
 
 def rc_top_k(
-    diagnoses: Sequence[EventDiagnosis], events: Sequence[Event], k: int = 3
+    rankings: Sequence[tuple[int, ...]], events: Sequence[Event], k: int = 3
 ) -> float:
     """Fraction of cause-annotated events with any true cause in the top k.
 
@@ -87,15 +62,13 @@ def rc_top_k(
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    pairs = _paired(diagnoses, events)
-    hits = sum(
-        1 for d, e in pairs if set(d.ranked_channels[:k]) & e.causes
-    )
+    pairs = _paired(rankings, events)
+    hits = sum(1 for r, e in pairs if set(r[:k]) & e.causes)
     return hits / len(pairs)
 
 
 def hitrate_at(
-    diagnoses: Sequence[EventDiagnosis], events: Sequence[Event], percent: int = 150
+    rankings: Sequence[tuple[int, ...]], events: Sequence[Event], percent: int = 150
 ) -> float:
     """Mean overlap of true causes with the top floor(percent/100 * c).
 
@@ -105,10 +78,9 @@ def hitrate_at(
     """
     if percent < 1:
         raise ValidationError(f"percent must be >= 1, got {percent}")
-    pairs = _paired(diagnoses, events)
+    pairs = _paired(rankings, events)
     total = 0.0
-    for d, e in pairs:
+    for r, e in pairs:
         c = len(e.causes)
-        top = d.ranked_channels[: (percent * c) // 100]
-        total += len(set(top) & e.causes) / c
+        total += len(set(r[: (percent * c) // 100]) & e.causes) / c
     return total / len(pairs)

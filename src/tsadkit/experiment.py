@@ -30,7 +30,6 @@ from .blas import blas_policy
 from .core import (
     ConfigError,
     Entity,
-    Event,
     SeriesMatrix,
     decode_config,
     encode_config,
@@ -275,21 +274,17 @@ def diagnose_events(
 ) -> tuple[list, dict | None]:
     """Rank the scored channels over each event's own rows.
 
-    ``rows`` holds, per event, the channel-score rows it spans, its first
-    row first. Ranking them ranks the event as ranking the whole score
-    matrix would. Returns the diagnoses and, when any event carries
-    causes, a summary with ``rc_top_k``, ``hitrate``, ``k`` and
-    ``percent``; else None.
+    ``rows`` holds, per event, the channel-score rows it spans. Returns
+    one ranking per event, most anomalous channel first, and, when any
+    event carries causes, a summary with ``rc_top_k``, ``hitrate``, ``k``
+    and ``percent``; else None.
     """
-    diagnoses = [
-        rank_channels(span, Event(0, e.end - e.start), scored, statistic, i)
-        for i, (span, e) in enumerate(zip(rows, events))
-    ]
+    rankings = [rank_channels(span, scored, statistic) for span in rows]
     if not any(e.causes is not None for e in events):
-        return diagnoses, None
-    return diagnoses, {
-        "rc_top_k": rc_top_k(diagnoses, events, top_k),
-        "hitrate": hitrate_at(diagnoses, events, percent),
+        return rankings, None
+    return rankings, {
+        "rc_top_k": rc_top_k(rankings, events, top_k),
+        "hitrate": hitrate_at(rankings, events, percent),
         "k": top_k,
         "percent": percent,
     }
@@ -403,12 +398,10 @@ def _run_cell(
     if dc.enabled:
         cell["diagnosis"] = None
         if diagnosed:
-            diagnoses, summary = diagnose_events(
+            rankings, summary = diagnose_events(
                 rows, events, scored, dc.statistic, dc.top_k, dc.percent
             )
-            cell["diagnosis"] = {
-                **summary, "rankings": [list(d.ranked_channels) for d in diagnoses]
-            }
+            cell["diagnosis"] = {**summary, "rankings": [list(r) for r in rankings]}
     return cell, model.fit_reports
 
 

@@ -427,12 +427,12 @@ def check_unique(path, names: list[str], what: str) -> None:
         raise ParseError(f"{path}: {what} {twice[0]!r} appears more than once")
 
 
-def _check_finite(path, values: FloatArray, header: list[str], columns: list[int]) -> None:
+def check_finite(path, values: FloatArray, names: list[str]) -> None:
+    """Refuse a NaN or infinite cell of a CSV read into ``values``, whose
+    column j is named ``names[j]``, naming its line and column."""
     if not np.all(np.isfinite(values)):
         r, j = np.argwhere(~np.isfinite(values))[0]
-        raise ParseError(
-            f"{path} line {r + 2} column {header[columns[j]]!r}: non-finite value"
-        )
+        raise ParseError(f"{path} line {r + 2} column {names[j]!r}: non-finite value")
 
 
 def load_entity(
@@ -475,9 +475,9 @@ def load_entity(
     train_cols = [train_header.index(h) for h in channels]
     test_cols = [test_header.index(h) for h in channels]
     train_values = train.floats(train_cols)
-    _check_finite(train_path, train_values, train_header, train_cols)
+    check_finite(train_path, train_values, channels)
     test_values = test.floats(test_cols)
-    _check_finite(test_path, test_values, test_header, test_cols)
+    check_finite(test_path, test_values, channels)
     labels = test.labels()
 
     causes = {}

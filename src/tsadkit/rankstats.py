@@ -14,7 +14,7 @@ import numpy as np
 
 from ._special import chi2_sf, erfc
 from .core import FloatArray, ParseError, ValidationError, midranks
-from .ingest import parse_floats, read_csv_rows
+from .ingest import check_finite, parse_floats, read_csv_rows
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ class RankTable:
         if len(header) < 3:
             raise ParseError(f"{path}: need a method column and at least 2 groups")
         values = parse_floats(path, rows, header, list(range(1, len(header))))
+        check_finite(path, values, header[1:])
         return cls(values, tuple(row[0] for row in rows), tuple(header[1:]))
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -290,7 +291,8 @@ class TestRankCommand:
         ("method,g1,g2\nA,1,2\nB,3\n", "{path} line 3: expected 3 cells, got 2"),
         ("method,g1,g2\nA,1,x\nB,3,4\n", "{path} line 2 column 'g2': non-numeric value 'x'"),
         ("method,g1\nA,1\nB,2\n", "{path}: need a method column and at least 2 groups"),
-    ], ids=["empty", "header-only", "ragged-row", "non-numeric", "one-group"])
+        ("method,g1,g2\nA,1,2\nB,3,nan\n", "{path} line 3 column 'g2': non-finite value"),
+    ], ids=["empty", "header-only", "ragged-row", "non-numeric", "one-group", "non-finite"])
     def test_bad_table_exit_one(self, tmp_path, capsys, text, message):
         path = tmp_path / "table.csv"
         path.write_text(text)
@@ -349,7 +351,7 @@ class TestDiagnoseCommand:
         events = write_json(tmp_path / "events.json",
                             [{"start": 2, "end": 4, "causes": ["c"]}])
         assert main(["diagnose", str(scores), events]) == 1
-        assert "NaN" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {scores} line 10 column 'a': non-finite value\n"
 
     def test_ragged_scores_report_line_exit_one(self, tmp_path, capsys):
         lines = self._scores(tmp_path).read_text().splitlines()
@@ -466,6 +468,15 @@ class TestMalformedInputsExitOne:
         ({"metrics": ["f1", "fc1"]}, "config: unknown keys ['metrics']"),
         ({"model": {"kind": "pca", "latent_dim": 99, "learning_rate": 5}},
          "config.model: latent_dim is used only by uae and fc_ae, got kind 'pca'"),
+        # json.dumps writes these as NaN, Infinity and a 401-digit integer literal
+        ({"model": {"kind": "uae", "learning_rate": math.nan}},
+         "config.model.learning_rate must be a finite number, got NaN"),
+        ({"synthetic": [dict(SPEC, noise_sigma=math.nan)]},
+         "config.synthetic[0].noise_sigma must be a finite number, got NaN"),
+        ({"scoring": {"kind": "gauss_d_k", "window": 5, "kernel_sigma": math.inf}},
+         "config.scoring.kernel_sigma must be a finite number, got Infinity"),
+        ({"model": {"kind": "uae", "learning_rate": 10**400}},
+         f"config.model.learning_rate must be a finite number, got {10**400}"),
     ])
     def test_run_bad_section(self, tmp_path, overrides, message):
         cfg = run_config(tmp_path, **overrides)
@@ -477,6 +488,10 @@ class TestMalformedInputsExitOne:
     @pytest.mark.parametrize("root, message", [
         (5, "spec must be an object, got 5"),
         ([{}], "spec must be an object, got an array"),
+        (dict(SPEC, noise_sigma=math.nan), "spec.noise_sigma must be a finite number, got NaN"),
+        (dict(SPEC, period=-math.inf), "spec.period must be a finite number, got -Infinity"),
+        (dict(SPEC, noise_sigma=10**400),
+         f"spec.noise_sigma must be a finite number, got {10**400}"),
     ])
     def test_generate_bad_root(self, tmp_path, root, message):
         cfg = write_json(tmp_path / "spec.json", root)
@@ -567,6 +582,16 @@ class TestMalformedInputsExitOne:
         assert done.stderr == (
             f"error: {path}: invalid JSON: Expecting value: line 1 column 15 (char 14)\n"
         )
+        assert not (tmp_path / "d").exists()
+
+    def test_generate_integer_past_parser_limit(self, tmp_path):
+        # json.loads refuses an integer of over 4,300 digits with a bare ValueError
+        path = tmp_path / "spec.json"
+        path.write_text('{"seed": ' + "1" * 5000 + "}")
+        done = run_cli("generate", "--config", path, "--out", tmp_path / "d", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {path}: invalid JSON: Exceeds the limit")
+        assert done.stderr.count("\n") == 1
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e300"])

@@ -8,12 +8,9 @@ from tsadkit.core import (
     Event,
     SeriesMatrix,
     ValidationError,
-    events_from_labels,
-    labels_from_events,
     resolve_scored,
     validate_labels,
 )
-from reference import events_by_scan
 
 
 class TestSeriesMatrix:
@@ -73,25 +70,17 @@ class TestEvents:
         with pytest.raises(ValidationError):
             Event(0, 1, frozenset())
 
-    def test_from_labels_example(self):
-        assert events_from_labels([0, 1, 1, 0, 1]) == (Event(1, 2), Event(4, 4))
+    # an entity's events are the maximal runs of 1s in its test labels
+    @staticmethod
+    def _events(labels):
+        test = SeriesMatrix(np.zeros((len(labels), 1)))
+        return Entity("e", SeriesMatrix(np.zeros((2, 1))), test, labels).test_events
 
-    def test_label_round_trip_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            n = int(rng.integers(1, 40))
-            labels = (rng.random(n) < 0.3).astype(np.int64)
-            events = events_from_labels(labels)
-            assert [(e.start, e.end) for e in events] == events_by_scan(labels)
-            back = labels_from_events(events, n)
-            assert np.array_equal(back, labels)
+    def test_from_labels_example(self):
+        assert self._events([0, 1, 1, 0, 1]) == (Event(1, 2), Event(4, 4))
 
     def test_all_zero_labels(self):
-        assert events_from_labels(np.zeros(10, dtype=int)) == ()
-
-    def test_labels_from_events_bounds(self):
-        with pytest.raises(ValidationError):
-            labels_from_events((Event(2, 4),), 4)
+        assert self._events(np.zeros(10, dtype=int)) == ()
 
 
 class TestEntity:

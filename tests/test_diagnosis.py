@@ -3,20 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsadkit.core import Event, ValidationError
+from tsadkit.core import ConfigError, Event, ValidationError
 from tsadkit.diagnosis import hitrate_at, rank_channels, rc_top_k
-from tsadkit.experiment import diagnose_events
 
 
 def diags_for(ranks_per_event, events):
-    """Build EventDiagnosis list from explicit ranked channel orders."""
+    """Rankings of event rows built to rank as the given channel orders."""
     out = []
-    for i, order in enumerate(ranks_per_event):
+    for order, e in zip(ranks_per_event, events):
         n = len(order)
-        scores = np.zeros((events[i].end + 1, n))
+        rows = np.zeros((e.length, n))
         for pos, ch in enumerate(order):
-            scores[events[i].start : events[i].end + 1, ch] = n - pos
-        out.append(rank_channels(scores, events[i], event_index=i))
+            rows[:, ch] = n - pos
+        out.append(rank_channels(rows))
     return out
 
 
@@ -24,13 +23,10 @@ class TestRankChannels:
     def test_dominant_channel_first(self):
         scores = np.zeros((10, 3))
         scores[2:5, 2] = 10.0
-        d = rank_channels(scores, Event(2, 4))
-        assert d.ranked_channels[0] == 2
+        assert rank_channels(scores[2:5])[0] == 2
 
     def test_all_tied_identity_order(self):
-        scores = np.ones((6, 4))
-        d = rank_channels(scores, Event(1, 3))
-        assert d.ranked_channels == (0, 1, 2, 3)
+        assert rank_channels(np.ones((3, 4))) == (0, 1, 2, 3)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(19)
@@ -38,67 +34,68 @@ class TestRankChannels:
             scores = rng.random((20, 4))
             start = int(rng.integers(0, 15))
             end = int(rng.integers(start, 20))
-            d = rank_channels(scores, Event(start, end))
+            ranking = rank_channels(scores[start : end + 1])
             means = scores[start : end + 1].mean(axis=0)
-            expected = sorted(range(4), key=lambda i: (-means[i], i))
-            assert list(d.ranked_channels) == expected
+            assert list(ranking) == sorted(range(4), key=lambda i: (-means[i], i))
 
     def test_max_statistic(self):
         scores = np.zeros((8, 2))
         scores[3, 0] = 100.0  # one huge instant on channel 0
         scores[2:6, 1] = 2.0  # sustained but lower on channel 1
-        event = Event(2, 5)
-        by_mean = rank_channels(scores, event, statistic="mean")
-        by_max = rank_channels(scores, event, statistic="max")
-        assert by_mean.ranked_channels[0] == 0  # 100/4 = 25 > 2
-        assert by_max.ranked_channels[0] == 0
+        rows = scores[2:6]
+        assert rank_channels(rows, statistic="mean")[0] == 0  # 100/4 = 25 > 2
+        assert rank_channels(rows, statistic="max")[0] == 0
         scores[3, 0] = 3.0
-        assert rank_channels(scores, event, statistic="mean").ranked_channels[0] == 1
-        assert rank_channels(scores, event, statistic="max").ranked_channels[0] == 0
+        assert rank_channels(rows, statistic="mean")[0] == 1
+        assert rank_channels(rows, statistic="max")[0] == 0
 
-    def test_event_outside_range(self):
-        with pytest.raises(ValidationError):
-            rank_channels(np.zeros((5, 2)), Event(3, 7))
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValidationError, match="at least one row"):
+            rank_channels(np.zeros((0, 2)))
+
+    def test_unknown_statistic_rejected(self):
+        with pytest.raises(ConfigError, match="statistic must be one of"):
+            rank_channels(np.zeros((2, 2)), statistic="median")
+
+    def test_non_finite_rows_rejected(self):
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            rank_channels(np.array([[0.0, np.inf]]))
 
     def test_scored_subset_only(self):
         scores = np.zeros((5, 3))
         scores[:, 1] = 9.0
-        d = rank_channels(scores, Event(0, 4), scored=np.array([0, 2]))
-        assert set(d.ranked_channels) == {0, 2}
+        assert rank_channels(scores, scored=np.array([2, 0])) == (0, 2)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(20)
-        scores = rng.random((12, 5))
-        event = Event(2, 9)
-        a = rank_channels(scores, event).ranked_channels
-        b = rank_channels(scores * 37.5, event).ranked_channels
-        assert a == b
+        rows = rng.random((8, 5))
+        assert rank_channels(rows) == rank_channels(rows * 37.5)
 
 
 @st.composite
-def events_on_scores(draw):
-    """(scores, events, scored): a tied score matrix and events on it."""
-    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+def tied_rows(draw):
+    """(rows, scored): event rows on a few tied levels and a scored subset."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scores = rng.integers(0, 4, size=(n, m)).astype(float)  # ties
-    starts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
-    events = [Event(s, draw(st.integers(s, n - 1))) for s in starts]
-    scored = draw(st.sampled_from([None, sorted({0, m - 1})]))
-    return scores, events, scored
+    levels = draw(st.lists(st.floats(-5, 5), min_size=1, max_size=3, unique=True))
+    rows = np.array(levels)[rng.integers(0, len(levels), size=(n, m))]
+    scored = draw(st.none() | st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+    return rows, scored
 
 
 @pytest.mark.parametrize("statistic", ["mean", "max"])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(case=events_on_scores())
-def test_event_rows_rank_as_full_matrix(statistic, case):
-    """Ranking each event's own rows, sliced as the runner and ``diagnose``
-    slice them, gives the ranking of the event on the whole matrix."""
-    scores, events, scored = case
-    rows = [scores[e.start : e.end + 1] for e in events]
-    diagnoses, _ = diagnose_events(rows, events, scored, statistic, 3, 150)
-    assert diagnoses == [
-        rank_channels(scores, e, scored, statistic, i) for i, e in enumerate(events)
-    ]
+@given(case=tied_rows())
+def test_ranking_matches_plain_sort(statistic, case):
+    """The ranking is the scored channels sorted by descending statistic
+    over the rows, ties toward the lower index, in plain Python."""
+    rows, scored = case
+    columns = [[float(row[c]) for row in rows] for c in range(rows.shape[1])]
+    # np.mean adds a column's rows in order, as sum() does
+    stat = [sum(col) / len(col) if statistic == "mean" else max(col) for col in columns]
+    chosen = range(rows.shape[1]) if scored is None else set(scored)
+    expected = tuple(sorted(chosen, key=lambda c: (-stat[c], c)))
+    assert rank_channels(rows, scored, statistic) == expected
 
 
 class TestRcTopK:
@@ -133,8 +130,7 @@ class TestRcTopK:
             events = [
                 Event(0, 3, frozenset(int(c) for c in rng.choice(m, 2, replace=False)))
             ]
-            scores = rng.random((4, m))
-            d = [rank_channels(scores, events[0])]
+            d = [rank_channels(rng.random((4, m)))]
             values = [rc_top_k(d, events, k) for k in range(1, m + 1)]
             assert values == sorted(values)
             assert values[-1] == 1.0
@@ -169,7 +165,6 @@ class TestHitRate:
         rng = np.random.default_rng(22)
         m = 8
         events = [Event(0, 3, frozenset(int(c) for c in rng.choice(m, 3, replace=False)))]
-        scores = rng.random((4, m))
-        d = [rank_channels(scores, events[0])]
+        d = [rank_channels(rng.random((4, m)))]
         values = [hitrate_at(d, events, percent=p) for p in (50, 100, 150, 200, 300)]
         assert values == sorted(values)

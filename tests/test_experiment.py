@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -376,8 +378,8 @@ class TestRunExperiment:
         rankings = record.cells[0]["diagnosis"]["rankings"]
         entity = experiment.generate_synthetic(config.synthetic[0])
         expected = [
-            list(rank_channels(captured[0], e, None, statistic, i).ranked_channels)
-            for i, e in enumerate(entity.test_events)
+            list(rank_channels(captured[0][e.start : e.end + 1], None, statistic))
+            for e in entity.test_events
         ]
         assert rankings == expected
 
@@ -628,6 +630,11 @@ class TestConfigCodec:
         assert config.synthetic[0].period == (25.0,)
         assert config.to_dict()["synthetic"][0]["noise_sigma"] == 1.0
 
+    def test_largest_float_accepted(self):
+        largest = int(sys.float_info.max)  # the next integer up rounds to inf
+        config = config_from_dict({"synthetic": [MINIMAL_SPEC], "model": {"learning_rate": largest}})
+        assert config.model.learning_rate == sys.float_info.max
+
     @pytest.mark.parametrize("overrides, message", [
         ({"window": 5}, "config.window must be an object, got 5"),
         ({"model": "uae"}, 'config.model must be an object, got "uae"'),
@@ -663,6 +670,17 @@ class TestConfigCodec:
          "config.model: learning_rate is used only by uae and fc_ae, got kind 'pca'"),
         ({"model": {"kind": "raw", "batch_size": 7}},
          "config.model: batch_size is used only by uae and fc_ae, got kind 'raw'"),
+        # json.loads takes NaN, Infinity and -Infinity, and integers past the float range
+        ({"model": {"learning_rate": math.nan}},
+         "config.model.learning_rate must be a finite number, got NaN"),
+        ({"synthetic": [dict(MINIMAL_SPEC, noise_sigma=math.nan)]},
+         "config.synthetic[0].noise_sigma must be a finite number, got NaN"),
+        ({"scoring": {"kind": "gauss_d_k", "kernel_sigma": math.inf}},
+         "config.scoring.kernel_sigma must be a finite number, got Infinity"),
+        ({"synthetic": [dict(MINIMAL_SPEC, period=[25, -math.inf])]},
+         "config.synthetic[0].period[1] must be a finite number, got -Infinity"),
+        ({"model": {"learning_rate": 10**400}},
+         f"config.model.learning_rate must be a finite number, got {10**400}"),
     ])
     def test_errors_name_the_path(self, overrides, message):
         assert config_error({"synthetic": [MINIMAL_SPEC], **overrides}) == message
