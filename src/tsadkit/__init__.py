@@ -32,7 +32,6 @@ from .experiment import (
     config_from_dict,
     config_from_json,
     emit_results,
-    load_results,
     run_experiment,
 )
 from .ingest import (
@@ -46,19 +45,7 @@ from .ingest import (
     load_entity,
     make_windows,
 )
-from .metrics import (
-    ConfusionCounts,
-    MetricReport,
-    adjusted_prediction,
-    auprc,
-    auroc,
-    compute_report,
-    confusion,
-    f1_point,
-    f1_point_adjusted,
-    fc1,
-    rad_scores,
-)
+from .metrics import MetricReport, compute_report, rad_scores
 from .models import (
     MlpAutoencoder,
     ModelConfig,
@@ -95,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnomalySpec",
     "ConfigError",
-    "ConfusionCounts",
     "DiagnosisConfig",
     "Entity",
     "EntitySource",
@@ -121,21 +107,14 @@ __all__ = [
     "TrainingError",
     "ValidationError",
     "WindowSpec",
-    "adjusted_prediction",
     "apply_normalizer",
-    "auprc",
-    "auroc",
     "average_ranks",
     "compare_metrics",
     "compare_to_best",
     "compute_report",
     "config_from_dict",
     "config_from_json",
-    "confusion",
     "emit_results",
-    "f1_point",
-    "f1_point_adjusted",
-    "fc1",
     "fit",
     "fit_gauss",
     "fit_normalizer",
@@ -144,7 +123,6 @@ __all__ = [
     "hitrate_at",
     "hochberg_stepup",
     "load_entity",
-    "load_results",
     "make_windows",
     "rad_scores",
     "rank_channels",

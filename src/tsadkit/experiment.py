@@ -606,7 +606,3 @@ def emit_results(record: ResultsRecord, out_dir: str | Path, fmt: str = "json") 
         raise ConfigError(f"cannot write results to {out}: {exc}") from None
     return {name: str(path) for name, path in paths.items()}
 
-
-def load_results(path: str | Path) -> dict:
-    """Reload a results.json payload."""
-    return read_json(path)

@@ -196,6 +196,11 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_train < 1 or self.n_test < 1 or self.m < 1:
             raise ValidationError("n_train, n_test and m must all be >= 1")
+        if (self.n_train + self.n_test) * self.m * 8 > np.iinfo(np.intp).max:
+            raise ValidationError(
+                f"{self.n_train + self.n_test} rows x {self.m} channels of float64 "
+                "exceed numpy's array size limit"
+            )
         if self.noise_sigma < 0:
             raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.seed < 0:

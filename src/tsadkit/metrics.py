@@ -22,26 +22,6 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    """Point-level and event-level confusion counts."""
-
-    tp_t: int
-    fp_t: int
-    fn_t: int
-    tn_t: int
-    tp_e: int
-    fn_e: int
-
-    @property
-    def n(self) -> int:
-        return self.tp_t + self.fp_t + self.fn_t + self.tn_t
-
-    @property
-    def n_events(self) -> int:
-        return self.tp_e + self.fn_e
-
-
-@dataclass(frozen=True)
 class MetricReport:
     """All detection metrics for one prediction against one truth vector.
 
@@ -92,15 +72,8 @@ def _f_terms(metric: str, tp, fp, n_pos, tp_adjusted, tp_e, n_events):
     return 2 * tp * tp_e, tp * n_events + tp_e * (tp + fp)
 
 
-def _f_score(metric: str, counts: ConfusionCounts, tp_adjusted: int = 0) -> float:
-    return _ratio(*_f_terms(
-        metric, counts.tp_t, counts.fp_t, counts.tp_t + counts.fn_t,
-        tp_adjusted, counts.tp_e, counts.n_events,
-    ))
-
-
-def _counts(p: LabelVector, y: LabelVector) -> tuple[ConfusionCounts, int]:
-    """Confusion counts and the point-adjusted true-positive count.
+def _counts(p: LabelVector, y: LabelVector) -> tuple[int, int, int, int, int, int]:
+    """(tp, fp, n_pos, tp_adjusted, tp_e, n_events) in _f_terms order.
 
     One pass: prefix sums of the prediction give each truth event's hits,
     and every count follows from those as an integer. All true positives
@@ -112,60 +85,15 @@ def _counts(p: LabelVector, y: LabelVector) -> tuple[ConfusionCounts, int]:
     hits = predicted_before[stops] - predicted_before[starts]
     lengths = stops - starts
     detected = hits > 0
-    tp_t = int(hits.sum())
-    n_pred = int(predicted_before[-1])
-    n_pos = int(lengths.sum())
-    tp_e = int(detected.sum())
-    counts = ConfusionCounts(
-        tp_t=tp_t,
-        fp_t=n_pred - tp_t,
-        fn_t=n_pos - tp_t,
-        tn_t=y.shape[0] - n_pred - n_pos + tp_t,
-        tp_e=tp_e,
-        fn_e=starts.shape[0] - tp_e,
+    tp = int(hits.sum())
+    return (
+        tp,
+        int(predicted_before[-1]) - tp,
+        int(lengths.sum()),
+        int(lengths[detected].sum()),
+        int(detected.sum()),
+        starts.shape[0],
     )
-    return counts, int(lengths[detected].sum())
-
-
-def confusion(pred, truth) -> ConfusionCounts:
-    """Point counts by element-wise comparison; event counts by the
-    at-least-one-true-positive rule over runs of the truth vector."""
-    return _counts(*_pair(pred, truth))[0]
-
-
-def f1_point(counts: ConfusionCounts) -> float:
-    """Point-wise F1 from confusion counts, one division of 2tp by
-    2tp+fp+fn."""
-    return _f_score("f1", counts)
-
-
-def adjusted_prediction(pred, truth) -> LabelVector:
-    """Expand every detected true event to its full span in the prediction."""
-    p, y = _pair(pred, truth)
-    adjusted = p.copy()
-    for start, stop in zip(*run_bounds(y)):
-        if p[start:stop].any():
-            adjusted[start:stop] = 1
-    return adjusted
-
-
-def f1_point_adjusted(pred, truth) -> float:
-    """Point-adjusted F1: point F1 of the event-expanded prediction.
-
-    Detecting a single point of a long event earns credit for the whole
-    span, which is exactly the leniency this metric is known for.
-    """
-    return compute_report(pred, truth).fpa1
-
-
-def fc1(pred, truth) -> tuple[float, float, float]:
-    """Composite F-score: harmonic mean of point precision and event recall.
-
-    Returns (fc1, prec_t, rec_e). Any 0/0 component defines to 0, which
-    makes fc1 itself 0 whenever either component vanishes.
-    """
-    report = compute_report(pred, truth)
-    return report.fc1, report.prec_t, report.rec_e
 
 
 def _checked(scores: ScoreSeries, truth) -> tuple[ScoreSeries, LabelVector]:
@@ -190,6 +118,7 @@ def _cuts(s: ScoreSeries, y: LabelVector) -> tuple[np.ndarray, np.ndarray, Score
 
 
 def _auroc(stops: np.ndarray, tp: np.ndarray) -> float:
+    """AUROC as the Mann-Whitney statistic over midranks."""
     n = int(stops[-1])
     n_pos = int(tp[-1])
     starts = np.concatenate(([0], stops[:-1]))
@@ -202,32 +131,12 @@ def _auroc(stops: np.ndarray, tp: np.ndarray) -> float:
 
 
 def _auprc(stops: np.ndarray, tp: np.ndarray) -> float:
+    """Average precision, sum of (R_i - R_{i-1}) * P_i over the tie-block cuts."""
     tp = tp.astype(np.float64)
     precision = tp / stops
     recall = tp / tp[-1]
     recall_steps = np.diff(np.concatenate(([0.0], recall)))
     return float(np.sum(recall_steps * precision))
-
-
-def auroc(scores: ScoreSeries, truth) -> float:
-    """Area under the ROC curve via midranks (the Mann-Whitney statistic)."""
-    s, y = _checked(scores, truth)
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == y.shape[0]:
-        raise ValidationError("auroc needs both classes present in the truth")
-    return _auroc(*_cuts(s, y)[:2])
-
-
-def auprc(scores: ScoreSeries, truth) -> float:
-    """Area under the precision-recall curve as average precision.
-
-    AP = sum_i (R_i - R_{i-1}) * P_i over descending distinct-score cuts;
-    tied scores enter as one block.
-    """
-    s, y = _checked(scores, truth)
-    if not y.any():
-        raise ValidationError("auprc needs at least one positive in the truth")
-    return _auprc(*_cuts(s, y)[:2])
 
 
 def rad_scores(n: int, seed: int) -> ScoreSeries:
@@ -240,24 +149,26 @@ def rad_scores(n: int, seed: int) -> ScoreSeries:
 def compute_report(pred, truth, scores: ScoreSeries | None = None) -> MetricReport:
     """Every metric for one (prediction, truth) pair.
 
-    Ranking metrics are filled in when scores are given and the truth has
-    both classes; otherwise they stay None.
+    Scores, when given, are checked against the truth; the ranking metrics
+    are filled in when the truth also has both classes, and stay None
+    otherwise.
     """
     p, y = _pair(pred, truth)
-    counts, tp_adjusted = _counts(p, y)
+    counts = _counts(p, y)
+    tp, fp, n_pos, _, tp_e, n_events = counts
     roc = prc = None
     if scores is not None:
-        n_pos = counts.tp_t + counts.fn_t
-        if 0 < n_pos < counts.n:
-            cuts = _cuts(*_checked(scores, y))[:2]
+        s = _checked(scores, y)[0]
+        if 0 < n_pos < y.shape[0]:
+            cuts = _cuts(s, y)[:2]
             roc, prc = _auroc(*cuts), _auprc(*cuts)
     return MetricReport(
-        f1=_f_score("f1", counts),
-        fpa1=_f_score("fpa1", counts, tp_adjusted),
-        fc1=_f_score("fc1", counts),
-        prec_t=_ratio(counts.tp_t, counts.tp_t + counts.fp_t),
-        rec_e=_ratio(counts.tp_e, counts.n_events),
-        rec_point=_ratio(counts.tp_t, counts.tp_t + counts.fn_t),
+        f1=_ratio(*_f_terms("f1", *counts)),
+        fpa1=_ratio(*_f_terms("fpa1", *counts)),
+        fc1=_ratio(*_f_terms("fc1", *counts)),
+        prec_t=_ratio(tp, tp + fp),
+        rec_e=_ratio(tp_e, n_events),
+        rec_point=_ratio(tp, n_pos),
         auroc=roc,
         auprc=prc,
     )

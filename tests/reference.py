@@ -45,13 +45,18 @@ def f1_naive(pred, truth):
     return _prf(tp, fp, fn)[2]
 
 
-def fpa1_naive(pred, truth):
+def adjusted_naive(pred, truth):
+    """The prediction with every detected truth event filled in whole."""
     adjusted = list(pred)
     for start, end in events_by_scan(truth):
         if any(adjusted[start : end + 1]):
             for i in range(start, end + 1):
                 adjusted[i] = 1
-    return f1_naive(adjusted, truth)
+    return adjusted
+
+
+def fpa1_naive(pred, truth):
+    return f1_naive(adjusted_naive(pred, truth), truth)
 
 
 def fc1_naive(pred, truth):
@@ -67,11 +72,7 @@ def fc1_naive(pred, truth):
 def _exact_metric(pred, truth, metric):
     """F-scores in exact rational arithmetic, for unambiguous tie-breaking."""
     if metric == "fpa1":
-        pred = list(pred)
-        for start, end in events_by_scan(truth):
-            if any(pred[start : end + 1]):
-                for i in range(start, end + 1):
-                    pred[i] = 1
+        pred = adjusted_naive(pred, truth)
     tp = sum(1 for p, t in zip(pred, truth) if p == 1 and t == 1)
     fp = sum(1 for p, t in zip(pred, truth) if p == 1 and t == 0)
     fn = sum(1 for p, t in zip(pred, truth) if p == 0 and t == 1)

@@ -26,16 +26,7 @@ from tsadkit.ingest import (
     fit_normalizer,
     generate_synthetic,
 )
-from tsadkit.metrics import (
-    auprc,
-    auroc,
-    compute_report,
-    confusion,
-    f1_point,
-    f1_point_adjusted,
-    fc1,
-    rad_scores,
-)
+from tsadkit.metrics import compute_report, rad_scores
 from tsadkit.models import (
     MlpAutoencoder,
     ModelConfig,
@@ -61,10 +52,10 @@ def test_c01_f_scores_match_exhaustive_oracles():
         n = int(rng.integers(1, 65))
         truth = (rng.random(n) < rng.uniform(0.05, 0.6)).astype(np.int64)
         pred = (rng.random(n) < rng.uniform(0.05, 0.6)).astype(np.int64)
-        c = confusion(pred, truth)
-        assert f1_point(c) == f1_naive(pred, truth)
-        assert f1_point_adjusted(pred, truth) == fpa1_naive(pred, truth)
-        assert fc1(pred, truth)[0] == fc1_naive(pred, truth)
+        report = compute_report(pred, truth)
+        assert report.f1 == f1_naive(pred, truth)
+        assert report.fpa1 == fpa1_naive(pred, truth)
+        assert report.fc1 == fc1_naive(pred, truth)
     assert time.monotonic() - t0 < 5.0
 
 
@@ -72,9 +63,8 @@ def test_c02_f_scores_hand_fixture():
     """Two-event fixture: F1 = 1/3, Fpa1 = 4/7, Fc1 = 1/2 exactly."""
     truth = np.array([0, 0, 1, 1, 0, 0, 1, 1, 0, 0])
     pred = np.array([0, 0, 1, 0, 0, 0, 0, 0, 1, 0])
-    assert f1_point(confusion(pred, truth)) == 1.0 / 3.0
-    assert f1_point_adjusted(pred, truth) == 4.0 / 7.0
-    assert fc1(pred, truth)[0] == 0.5
+    report = compute_report(pred, truth)
+    assert (report.f1, report.fpa1, report.fc1) == (1.0 / 3.0, 4.0 / 7.0, 0.5)
 
 
 def test_c03_random_scores_inflate_point_adjusted_f1():
@@ -281,14 +271,15 @@ def test_c10_ranking_metric_sanity():
     truth = (rng.random(n) < 0.05).astype(np.int64)
     base_rate = truth.sum() / n
     perfect = truth.astype(np.float64)
-    assert auroc(perfect, truth) == 1.0
-    assert auprc(perfect, truth) == 1.0
+    report = compute_report(truth, truth, perfect)
+    assert (report.auroc, report.auprc) == (1.0, 1.0)
     for seed in (0, 2, 5):
         permuted = np.random.default_rng(seed).permutation(
             np.arange(n, dtype=np.float64)
         )
-        assert abs(auroc(permuted, truth) - 0.5) <= 0.02
-        assert abs(auprc(permuted, truth) - base_rate) <= 0.03
+        report = compute_report(truth, truth, permuted)
+        assert abs(report.auroc - 0.5) <= 0.02
+        assert abs(report.auprc - base_rate) <= 0.03
 
 
 def test_c11_run_is_byte_deterministic(tmp_path):

@@ -574,6 +574,20 @@ class TestMalformedInputsExitOne:
             "double quotes: line 1 column 14 (char 13)\n"
         )
 
+    # sizes numpy cannot index; one it can index would really be allocated
+    @pytest.mark.parametrize("size", [10**30, 2**62], ids=["1e30", "2^62"])
+    @pytest.mark.parametrize("field", ["n_train", "n_test", "m"])
+    def test_oversized_spec(self, tmp_path, field, size):
+        spec = dict(SPEC, **{field: size})
+        rows = spec["n_train"] + spec["n_test"]
+        message = f"{rows} rows x {spec['m']} channels of float64 exceed numpy's array size limit"
+        cfg = write_json(tmp_path / "spec.json", spec)
+        done = run_cli("generate", "--config", cfg, "--out", tmp_path / "d", cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
+        done = run_cli("run", "--config", run_config(tmp_path, synthetic=[spec]), cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (1, f"error: config.synthetic[0]: {message}\n")
+        assert not (tmp_path / "d").exists() and not (tmp_path / "out").exists()
+
     def test_generate_truncated_spec_names_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"entity_id": ')

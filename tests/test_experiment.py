@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tsadkit import experiment
-from tsadkit.core import ConfigError, encode_config
+from tsadkit.core import ConfigError, encode_config, read_json
 from tsadkit.diagnosis import rank_channels
 from tsadkit.experiment import (
     ExperimentConfig,
@@ -19,11 +19,10 @@ from tsadkit.experiment import (
     compare_metrics,
     config_from_dict,
     emit_results,
-    load_results,
     run_experiment,
 )
 from tsadkit.ingest import WindowSpec
-from tsadkit.metrics import MetricReport, auprc, auroc
+from tsadkit.metrics import MetricReport, compute_report
 
 SPIKE_SPEC = {
     "entity_id": "syn0",
@@ -305,7 +304,7 @@ class TestRunExperiment:
 
     def test_sweep_ranking_metrics_equal_standalone(self, monkeypatch):
         # every eps reuses the first report's ranking metrics; they must be
-        # exactly what auroc/auprc give on the cell's score series
+        # exactly what a standalone report gives on the cell's score series
         series = []
 
         def spy(scores, m, neg_log_eps):
@@ -324,9 +323,10 @@ class TestRunExperiment:
         assert len(candidates) == len(experiment.TAIL_P_SWEEP) == len(series)
         assert [c["threshold"]["neg_log_eps"] for c in candidates] == [1, 2, 3, 4, 5]
         truth = entity.test_labels
+        standalone = compute_report(truth, truth, series[0])
         for entry in candidates:
-            assert entry["metrics"]["auroc"] == auroc(series[0], truth)
-            assert entry["metrics"]["auprc"] == auprc(series[0], truth)
+            assert entry["metrics"]["auroc"] == standalone.auroc
+            assert entry["metrics"]["auprc"] == standalone.auprc
 
     @pytest.mark.parametrize("metric", ["fc1", "f1"])
     def test_sweep_equals_fixed_run_at_chosen_eps(self, metric):
@@ -453,7 +453,7 @@ class TestEmitResults:
     def test_round_trip(self, tmp_path):
         record = run_experiment(base_config())
         paths = emit_results(record, tmp_path)
-        payload = load_results(paths["results"])
+        payload = read_json(paths["results"])
         assert payload == record.payload()
         assert payload["schema_version"] == 2
 
@@ -469,7 +469,7 @@ class TestEmitResults:
         spec2 = dict(SPIKE_SPEC, entity_id="syn1", seed=6)
         config = base_config(synthetic=[SPIKE_SPEC, spec2], seeds=[0, 1])
         emit_results(run_experiment(config), tmp_path, fmt="csv")
-        payload = load_results(tmp_path / "results.json")
+        payload = read_json(tmp_path / "results.json")
         # every cell reports every MetricReport field, and nothing else
         fields = [f.name for f in dataclasses.fields(MetricReport)]
         assert sorted(payload["cells"][0]["metrics"]) == sorted(fields)

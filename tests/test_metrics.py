@@ -2,18 +2,8 @@ import numpy as np
 import pytest
 
 from tsadkit.core import ValidationError
-from tsadkit.metrics import (
-    adjusted_prediction,
-    auprc,
-    auroc,
-    compute_report,
-    confusion,
-    f1_point,
-    f1_point_adjusted,
-    fc1,
-    rad_scores,
-)
-from reference import auprc_cuts, auroc_pairwise, f1_naive, fc1_naive, fpa1_naive
+from tsadkit.metrics import compute_report, rad_scores
+from reference import adjusted_naive, f1_naive, fc1_naive, fpa1_naive
 
 TRUTH = np.array([0, 0, 1, 1, 0, 0, 1, 1, 0, 0])
 PRED = np.array([0, 0, 1, 0, 0, 0, 0, 0, 1, 0])
@@ -21,57 +11,56 @@ PRED = np.array([0, 0, 1, 0, 0, 0, 0, 0, 1, 0])
 
 class TestConfusion:
     def test_fixture_counts(self):
-        c = confusion(PRED, TRUTH)
-        assert (c.tp_t, c.fp_t, c.fn_t, c.tn_t) == (1, 1, 3, 5)
-        assert (c.tp_e, c.fn_e) == (1, 1)
+        # tp=1, fp=1, fn=3; one of the two events detected
+        r = compute_report(PRED, TRUTH)
+        assert (r.prec_t, r.rec_point, r.rec_e) == (0.5, 0.25, 0.5)
 
     def test_perfect_prediction(self):
-        c = confusion(TRUTH, TRUTH)
-        assert c.fp_t == 0 and c.fn_e == 0 and c.tp_e == 2
+        r = compute_report(TRUTH, TRUTH)
+        assert (r.prec_t, r.rec_point, r.rec_e) == (1.0, 1.0, 1.0)
 
     def test_all_zero_prediction(self):
-        c = confusion(np.zeros_like(TRUTH), TRUTH)
-        assert c.tp_t == 0 and c.tp_e == 0
+        r = compute_report(np.zeros_like(TRUTH), TRUTH)
+        assert (r.prec_t, r.rec_point, r.rec_e) == (0.0, 0.0, 0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            confusion(np.array([0, 1]), np.array([0]))
+            compute_report(np.array([0, 1]), np.array([0]))
 
 
 class TestFixtureScores:
     def test_f1_is_one_third(self):
-        assert f1_point(confusion(PRED, TRUTH)) == pytest.approx(1 / 3)
+        assert compute_report(PRED, TRUTH).f1 == pytest.approx(1 / 3)
 
     def test_fpa1_is_four_sevenths(self):
-        assert f1_point_adjusted(PRED, TRUTH) == pytest.approx(4 / 7)
+        assert compute_report(PRED, TRUTH).fpa1 == pytest.approx(4 / 7)
 
     def test_fc1_is_one_half(self):
-        value, prec_t, rec_e = fc1(PRED, TRUTH)
-        assert (value, prec_t, rec_e) == (0.5, 0.5, 0.5)
+        r = compute_report(PRED, TRUTH)
+        assert (r.fc1, r.prec_t, r.rec_e) == (0.5, 0.5, 0.5)
 
     def test_adjusted_prediction_expands_detected_event(self):
-        adj = adjusted_prediction(PRED, TRUTH)
-        assert list(adj) == [0, 0, 1, 1, 0, 0, 0, 0, 1, 0]
+        adjusted = adjusted_naive(PRED, TRUTH)
+        assert adjusted == [0, 0, 1, 1, 0, 0, 0, 0, 1, 0]
+        assert compute_report(PRED, TRUTH).fpa1 == f1_naive(adjusted, TRUTH)
 
 
 class TestZeroConventions:
     def test_empty_everything(self):
         z = np.zeros(4, dtype=np.int64)
-        assert f1_point(confusion(z, z)) == 0.0
-        assert f1_point_adjusted(z, z) == 0.0
-        assert fc1(z, z)[0] == 0.0
+        r = compute_report(z, z)
+        assert (r.f1, r.fpa1, r.fc1) == (0.0, 0.0, 0.0)
 
     def test_all_positive_prediction(self):
         truth = np.array([0, 1, 1, 0, 0])
-        ones = np.ones(5, dtype=np.int64)
-        value, prec_t, rec_e = fc1(ones, truth)
-        assert rec_e == 1.0
-        assert prec_t == pytest.approx(0.4)  # anomaly fraction
+        r = compute_report(np.ones(5, dtype=np.int64), truth)
+        assert r.rec_e == 1.0
+        assert r.prec_t == pytest.approx(0.4)  # anomaly fraction
 
     def test_full_credit_single_hit(self):
         truth = np.array([0, 1, 1, 1, 0])
         pred = np.array([0, 0, 1, 0, 0])
-        assert f1_point_adjusted(pred, truth) == 1.0
+        assert compute_report(pred, truth).fpa1 == 1.0
 
 
 class TestOracleEquivalence:
@@ -81,9 +70,10 @@ class TestOracleEquivalence:
             n = int(rng.integers(1, 64))
             truth = (rng.random(n) < 0.35).astype(np.int64)
             pred = (rng.random(n) < 0.25).astype(np.int64)
-            assert f1_point(confusion(pred, truth)) == f1_naive(pred, truth)
-            assert f1_point_adjusted(pred, truth) == fpa1_naive(pred, truth)
-            assert fc1(pred, truth)[0] == fc1_naive(pred, truth)
+            r = compute_report(pred, truth)
+            assert r.f1 == f1_naive(pred, truth)
+            assert r.fpa1 == fpa1_naive(pred, truth)
+            assert r.fc1 == fc1_naive(pred, truth)
 
     def test_fpa1_dominates_f1(self):
         rng = np.random.default_rng(55)
@@ -91,7 +81,8 @@ class TestOracleEquivalence:
             n = int(rng.integers(2, 50))
             truth = (rng.random(n) < 0.4).astype(np.int64)
             pred = (rng.random(n) < 0.3).astype(np.int64)
-            assert f1_point_adjusted(pred, truth) >= f1_point(confusion(pred, truth))
+            r = compute_report(pred, truth)
+            assert r.fpa1 >= r.f1
 
     def test_fc1_equals_f1_on_singleton_events(self):
         rng = np.random.default_rng(56)
@@ -100,59 +91,28 @@ class TestOracleEquivalence:
             truth = np.zeros(n, dtype=np.int64)
             truth[::2] = (rng.random((n + 1) // 2) < 0.4).astype(np.int64)
             pred = (rng.random(n) < 0.3).astype(np.int64)
-            assert fc1(pred, truth)[0] == pytest.approx(
-                f1_point(confusion(pred, truth))
-            )
+            r = compute_report(pred, truth)
+            assert r.fc1 == pytest.approx(r.f1)
 
 
 class TestAuroc:
     def test_perfect_separation(self):
-        assert auroc(np.array([1.0, 2.0, 3.0]), np.array([0, 0, 1])) == 1.0
+        r = compute_report([0, 0, 1], [0, 0, 1], [1.0, 2.0, 3.0])
+        assert r.auroc == 1.0
 
     def test_hand_example(self):
-        assert auroc(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 1, 0, 1])) == 0.75
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ValidationError):
-            auroc(np.array([1.0, 2.0]), np.array([1, 1]))
-
-    def test_matches_pairwise_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(60):
-            n = int(rng.integers(4, 40))
-            truth = (rng.random(n) < 0.4).astype(np.int64)
-            if truth.sum() in (0, n):
-                continue
-            scores = np.round(rng.random(n) * 3, 1)
-            assert auroc(scores, truth) == pytest.approx(
-                auroc_pairwise(scores, truth), abs=1e-12
-            )
+        r = compute_report([0, 1, 0, 1], [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0])
+        assert r.auroc == 0.75
 
 
 class TestAuprc:
     def test_perfect_ranking(self):
-        assert auprc(np.array([0.1, 0.9, 0.8]), np.array([0, 1, 1])) == 1.0
+        r = compute_report([0, 1, 1], [0, 1, 1], [0.1, 0.9, 0.8])
+        assert r.auprc == 1.0
 
     def test_positive_ranked_last(self):
-        scores = np.array([4.0, 3.0, 2.0, 1.0])
-        truth = np.array([0, 0, 0, 1])
-        assert auprc(scores, truth) == pytest.approx(0.25)
-
-    def test_needs_a_positive(self):
-        with pytest.raises(ValidationError):
-            auprc(np.array([1.0]), np.array([0]))
-
-    def test_matches_cut_oracle(self):
-        rng = np.random.default_rng(8)
-        for _ in range(60):
-            n = int(rng.integers(2, 40))
-            truth = (rng.random(n) < 0.4).astype(np.int64)
-            if truth.sum() == 0:
-                continue
-            scores = np.round(rng.random(n) * 3, 1)
-            assert auprc(scores, truth) == pytest.approx(
-                auprc_cuts(scores, truth), abs=1e-12
-            )
+        r = compute_report([0, 0, 0, 1], [0, 0, 0, 1], [4.0, 3.0, 2.0, 1.0])
+        assert r.auprc == pytest.approx(0.25)
 
 
 class TestRadScores:
@@ -183,3 +143,9 @@ class TestComputeReport:
         truth = np.zeros(5, dtype=np.int64)
         report = compute_report(np.zeros(5, dtype=np.int64), truth, np.arange(5.0))
         assert report.auroc is None and report.auprc is None
+
+    @pytest.mark.parametrize("truth", [[0, 0, 0], [0, 1, 0]], ids=["one_class", "two_class"])
+    @pytest.mark.parametrize("scores", [[1.0], [0.0, np.nan, 1.0]], ids=["short", "nan"])
+    def test_bad_scores_rejected(self, truth, scores):
+        with pytest.raises(ValidationError):
+            compute_report([0, 1, 0], truth, scores)
