@@ -1,10 +1,12 @@
-"""One BLAS thread for autoencoder groups, which train on the BLAS's threads.
+"""One BLAS thread for the model stage, whose threads go to autoencoder groups.
 
 OpenBLAS splits even a small matrix product across its threads, and the
 split changes how the product rounds, so autoencoder weights trained
-under 1 and 2 BLAS threads differ in their last bits. ``lend_threads()``
-pins numpy's bundled OpenBLAS to one thread for a ``with`` block and
-lends the block the B threads it took, as a pool of B workers.
+under 1 and 2 BLAS threads differ in their last bits, and so do PCA
+residuals once a product is large enough. ``lend_threads()`` pins
+numpy's bundled OpenBLAS to one thread for a ``with`` block (``fit`` and
+``residuals`` of every model kind) and lends the block the B threads it
+took, as a pool of B workers.
 
 The thread count is process-wide, so overlapping blocks (two cells on a
 ``--workers`` pool) share one pin: the first to enter records B and sets

@@ -337,10 +337,12 @@ def _bulk_table(path: Path, label_column: str | None) -> tuple[list[str], FloatA
 
     The text is read first only to check it: the pass is tried on a file
     with no quote character, so that each line is one row split at its
-    commas as csv splits it, and with no blank line, which loadtxt would
-    skip. loadtxt then reads the file in chunks, which holds less in memory
-    than parsing the text in hand, and its result is kept only with one
-    row per data line, each as wide as the header. loadtxt gives
+    commas as csv splits it, and whose first data line is not blank
+    (loadtxt warns on a body of blank lines). loadtxt then reads the file
+    in chunks, which holds less in memory than parsing the text in hand,
+    and its result is kept only with one row per data line, each as wide
+    as the header: it skips blank lines, so a file with one gives too few
+    rows. loadtxt gives
     ``float()``'s value for every cell it parses and refuses some that
     ``float()`` takes (``1_000``), which leaves those files to the csv
     scan. The label column, if named, must read exactly ``0`` or ``1`` and
@@ -353,9 +355,10 @@ def _bulk_table(path: Path, label_column: str | None) -> tuple[list[str], FloatA
     except (OSError, ValueError):  # the csv scan reports these
         return None
     lines = text.count("\n") + (not text.endswith("\n")) - 1
-    if lines < 1 or '"' in text or "\n\n" in text:
+    eol = text.find("\n")
+    if lines < 1 or '"' in text or text.startswith("\n", eol + 1):
         return None
-    header = next(csv.reader([text[: text.find("\n")]]))
+    header = next(csv.reader([text[:eol]]))
     del text
     converters = None
     if label_column in header:

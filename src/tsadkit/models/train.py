@@ -277,34 +277,36 @@ def fit(
     Deterministic for a fixed seed. Every UAE channel model draws its
     weight initialization and batch shuffles from an identically seeded
     generator, so permuting input channels permutes the per-channel
-    residuals without changing any of them. Autoencoders train and infer
-    their groups on the threads ``blas.lend_threads`` takes from the BLAS,
-    each group alone on one thread, so the result is the serial one.
+    residuals without changing any of them. Every kind fits inside
+    ``blas.lend_threads``, on one BLAS thread, so the result is the serial
+    one at any BLAS thread count; autoencoders train and infer their
+    groups on the threads the pin takes, each group alone on one thread.
     """
     m = train.m
     config = config.resolved(m)
     reports: list[FitReport] = []
-    if config.kind == "raw":
-        model: ReconstructionModel = RawModel()
-    elif config.kind == "pca":
-        model = PcaModel.fit(train.values, config.pca_variance_fraction)
-    else:
-        # (report channel, input channels) per autoencoder
-        if config.kind == "uae":
-            groups = [(i, (i,)) for i in range(m)]
-        else:  # fc_ae
-            groups = [(None, tuple(range(m)))]
-        windows = make_windows(train, window)
+    with lend_threads():
+        if config.kind == "raw":
+            model: ReconstructionModel = RawModel()
+        elif config.kind == "pca":
+            model = PcaModel.fit(train.values, config.pca_variance_fraction)
+        else:
+            # (report channel, input channels) per autoencoder
+            if config.kind == "uae":
+                groups = [(i, (i,)) for i in range(m)]
+            else:  # fc_ae
+                groups = [(None, tuple(range(m)))]
+            windows = make_windows(train, window)
 
-        def train_group(group: tuple[int | None, tuple[int, ...]]):
-            channel, channels = group
-            mlp, report = _train_mlp(_group_rows(windows, channels), config, seed, channel)
-            return (mlp, channels), report
+            def train_group(group: tuple[int | None, tuple[int, ...]]):
+                channel, channels = group
+                mlp, report = _train_mlp(_group_rows(windows, channels), config, seed, channel)
+                return (mlp, channels), report
 
-        trained = _on_lent_threads(train_group, groups)
-        model = WindowedAutoencoder(window.length, tuple(group for group, _ in trained))
-        reports = [report for _, report in trained]
-    return TrainedModel(model, model.residuals(train.values), tuple(reports))
+            trained = _on_lent_threads(train_group, groups)
+            model = WindowedAutoencoder(window.length, tuple(group for group, _ in trained))
+            reports = [report for _, report in trained]
+        return TrainedModel(model, model.residuals(train.values), tuple(reports))
 
 
 def residuals(
@@ -319,6 +321,7 @@ def residuals(
     ``train_tail`` to obtain an error for every row of x; without a tail
     the first l_w - 1 rows cannot be scored and the output is
     correspondingly shorter (rows align with x rows l_w - 1 onward).
+    Inference runs inside the BLAS pin, as ``fit`` does.
     """
     if x.m != model.m:
         raise ValidationError(f"series has {x.m} channels, model has {model.m}")
@@ -335,4 +338,5 @@ def residuals(
         raise InsufficientDataError(
             f"need at least {keep + 1} rows for windowed inference, got {stream.shape[0]}"
         )
-    return model.model.residuals(stream)
+    with lend_threads():
+        return model.model.residuals(stream)

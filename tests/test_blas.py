@@ -1,6 +1,6 @@
-"""The BLAS pin: one thread inside autoencoder stages, its threads lent to
-the autoencoder groups as one pool that lives for the process, the prior
-count after.
+"""The BLAS pin: one thread inside the model stage of every kind, its
+threads lent to the autoencoder groups as one pool that lives for the
+process, the prior count after.
 
 Tests that need numpy's bundled OpenBLAS skip, saying so, where numpy links
 another BLAS; the pin is then a no-op and the run says "unpinned".
@@ -21,7 +21,7 @@ from tsadkit import blas
 from tsadkit.core import SeriesMatrix, TrainingError
 from tsadkit.experiment import config_from_dict, run_experiment
 from tsadkit.ingest import WindowSpec
-from tsadkit.models import ModelConfig, fit, train
+from tsadkit.models import ModelConfig, PcaModel, fit, residuals, train
 
 UAE_CONFIG = {
     "synthetic": [{
@@ -39,6 +39,9 @@ UAE_CONFIG = {
     "diagnosis": {"enabled": True},
     "seeds": [1],
 }
+
+# 64 channels, 10,000 train rows: products OpenBLAS splits across threads
+WIDE_PCA_RUN = Path(__file__).parent / "data" / "wide_pca_run.json"
 
 needs_openblas = pytest.mark.skipif(
     blas.blas_threads() is None, reason="numpy's BLAS is not the bundled OpenBLAS: unpinned"
@@ -100,12 +103,16 @@ def inside_training(monkeypatch):
     return seen
 
 
-def test_results_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """A 3-channel UAE run writes the same results.json under 1 and 2 BLAS
-    threads; under 2 (on 2 or more cores) the pin lends its channels a
-    pool of 2."""
+@pytest.mark.parametrize("config", [
+    pytest.param(UAE_CONFIG, id="uae"),
+    pytest.param(json.loads(WIDE_PCA_RUN.read_text()), id="wide_pca"),
+])
+def test_results_bytes_do_not_depend_on_blas_threads(tmp_path, config):
+    """A 3-channel UAE run and a 64-channel PCA run each write the same
+    results.json under 1 and 2 BLAS threads; under 2 (on 2 or more cores)
+    the pin lends the UAE channels a pool of 2."""
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(UAE_CONFIG))
+    cfg.write_text(json.dumps(config))
     src = str(Path(tsadkit.__file__).resolve().parents[1])
     outputs = {}
     for threads in ("1", "2"):
@@ -136,6 +143,51 @@ def test_run_pins_training_and_restores(two_blas_threads, inside_training):
     assert record.meta["blas"]["threads"] == 2
     assert record.meta["blas"]["policy"] == "pinned"
     assert set(record.meta["blas"]) == {"name", "version", "threads", "policy"}
+
+
+@needs_openblas
+def test_pca_bytes_do_not_depend_on_blas_threads():
+    """PCA's SVD and products on 64 channels round the same under 1 and 2
+    BLAS threads: fit and residuals run inside the pin."""
+    rng = np.random.default_rng(3)
+    train_x = SeriesMatrix(rng.standard_normal((10_000, 64)))
+    test_x = SeriesMatrix(rng.standard_normal((20_000, 64)))
+    get, set_ = blas._openblas()
+    before = get()
+    out = {}
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            model = fit(train_x, ModelConfig("pca"), WindowSpec(1, 1))
+            out[threads] = (model.train_residuals, residuals(model, test_x))
+    finally:
+        set_(before)
+    assert np.array_equal(out[1][0], out[2][0])
+    assert np.array_equal(out[1][1], out[2][1])
+
+
+@needs_openblas
+def test_run_pins_pca_and_restores(two_blas_threads, monkeypatch):
+    seen = []
+    pca_fit, reconstruct = PcaModel.fit.__func__, PcaModel.reconstruct
+
+    def fit_spy(cls, *args):
+        seen.append(("fit", raw_threads()))
+        return pca_fit(cls, *args)
+
+    def reconstruct_spy(self, *args):
+        seen.append(("reconstruct", raw_threads()))
+        return reconstruct(self, *args)
+
+    monkeypatch.setattr(PcaModel, "fit", classmethod(fit_spy))
+    monkeypatch.setattr(PcaModel, "reconstruct", reconstruct_spy)
+    record = run_experiment(config_from_dict(dict(UAE_CONFIG, model={"kind": "pca"})))
+    assert not record.failures
+    assert seen[0] == ("fit", 1)
+    assert {step for step, _ in seen} == {"fit", "reconstruct"}
+    assert {threads for _, threads in seen} == {1}
+    assert raw_threads() == 2
+    assert record.meta["blas"]["threads"] == 2
 
 
 @needs_openblas

@@ -418,6 +418,23 @@ class TestReadCsv:
         with pytest.raises(ParseError, match=r"m.csv line 3: expected 2 cells, got 0$"):
             read_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n\n1,2\n", "line 2: expected 2 cells, got 0"),
+        ("x,y\n\n", "line 2: expected 2 cells, got 0"),
+        ("x,y\n1,2\n\n", "line 3: expected 2 cells, got 0"),
+        ("x,y\r\n\r\n1,2\r\n", "line 2: expected 2 cells, got 0"),
+        ("x,y\r\r1,2\r", "line 2: expected 2 cells, got 0"),
+        ("x,y\n  \n", "line 2: expected 2 cells, got 1"),
+    ])
+    def test_blank_lines_refuse_the_bulk_pass(self, tmp_path, recwarn, text, message):
+        # loadtxt skips blank lines, and warns on a body of nothing else
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        assert ingest._bulk_table(path, None) is None
+        assert len(recwarn) == 0
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
+            read_csv(path)
+
     def test_hash_is_not_a_comment(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("x,y\n1,2\n#3,4\n")
