@@ -18,7 +18,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ..blas import lend_threads
+from ..blas import blas_threads, lend_threads
 from ..core import (
     ConfigError,
     ErrorMatrix,
@@ -29,12 +29,14 @@ from ..core import (
     ValidationError,
 )
 from ..ingest import WindowSpec, make_windows
-from .mlp import Adam, MlpAutoencoder, autoencoder_widths
+from .mlp import Adam, MlpAutoencoder, MlpStack, autoencoder_widths
 from .pca import PcaModel
 
 MODEL_KINDS = ("raw", "pca", "uae", "fc_ae")
 
 _FORWARD_CHUNK = 8192
+# most groups in one stack: larger stacks hold more buffers and gain little
+_STACK_MEMBERS = 4
 
 
 @dataclass(frozen=True)
@@ -141,10 +143,11 @@ class WindowedAutoencoder:
     """MLP autoencoders on sliding windows, one per group of channels.
 
     UAE has one group per channel, FC-AE one group of all channels; a
-    group's channels are adjacent and ascending. The error at time t is
-    the signed difference between the observed and the reconstructed
+    group's channels are adjacent and ascending. ``fit`` trains the groups
+    in stacks, but each group keeps its own network. The error at time t
+    is the signed difference between the observed and the reconstructed
     value at the last position of the window ending at t. Inference maps
-    the groups over the BLAS's lent threads, as ``fit`` trained them.
+    the groups over the BLAS's lent threads, one group per task.
     """
 
     window_length: int
@@ -173,15 +176,16 @@ class WindowedAutoencoder:
         return err
 
 
-def _on_lent_threads(fn, groups) -> list:
-    """``fn`` over ``groups`` in order, on the BLAS's lent threads."""
+def _on_lent_threads(fn, tasks) -> list:
+    """``fn`` over ``tasks`` (groups or stacks of them) in order, on the
+    BLAS's lent threads; the first task to fail in that order raises."""
     with lend_threads() as pool:
-        futures = [pool.submit(fn, group) for group in groups]
+        futures = [pool.submit(fn, task) for task in tasks]
         try:
             return [future.result() for future in futures]
         finally:
             # after a failure the pin is left only once this call's queued
-            # groups are cancelled and its running ones done
+            # tasks are cancelled and its running ones done
             for future in futures:
                 future.cancel()
             wait(futures)
@@ -215,58 +219,100 @@ def _chronological_split(count: int, validation_fraction: float) -> int:
     return n_train
 
 
-def _train_mlp(
-    windows: FloatArray, config: ModelConfig, seed: int, channel: int | None
-) -> tuple[MlpAutoencoder, FitReport]:
-    """Train one autoencoder on 2-D window rows with early stopping.
+def _train_stack(
+    windows: FloatArray,
+    stack: list[tuple[int | None, tuple[int, ...]]],
+    config: ModelConfig,
+    seed: int,
+) -> list[tuple[tuple[MlpAutoencoder, tuple[int, ...]], FitReport]]:
+    """Train one autoencoder per (report channel, input channels) group of
+    ``stack``, in lockstep, each on its own group's window rows.
 
     The split is chronological: first (1 - validation_fraction) of windows
-    train, the rest validate. The best-validation weights are restored.
+    train, the rest validate. Each member stops on its own patience and
+    gets its best-validation weights back. Every member draws its initial
+    weights and batch orders from one generator seeded ``seed``, the draws
+    one network would make alone, so a member's weights and report do not
+    depend on its stack. A member that stops leaves the stack. One whose
+    loss is non-finite leaves it with every later member, and the stack
+    raises the error of its first failing member once the earlier ones
+    are done, as one network after another would.
     """
     n_split = _chronological_split(windows.shape[0], config.validation_fraction)
-    x_train = windows[:n_split]  # a view; each batch is gathered into a copy
-    x_val = np.ascontiguousarray(windows[n_split:])
-
+    rows = [_group_rows(windows, channels) for _, channels in stack]
     rng = np.random.default_rng(seed)
-    model = MlpAutoencoder(autoencoder_widths(windows.shape[1], config.latent_dim), rng)
-    optimizer = Adam(model.flat_params, config.learning_rate)
+    widths = autoencoder_widths(rows[0].shape[1], config.latent_dim)
+    init = MlpAutoencoder(widths, rng).flat_params
+    net = MlpStack(widths, np.tile(init, (len(stack), 1)))
+    optimizer = Adam(net.flat_params, config.learning_rate)
 
-    best_val = np.inf
-    best_epoch = -1
-    best_params = model.copy_parameters()
-    stall = 0
-    epochs_run = 0
+    live = list(range(len(stack)))  # the stack position of each member left
+    best_val = [np.inf] * len(stack)
+    best_epoch = [-1] * len(stack)
+    best_params = net.flat_params.copy()
+    stall = [0] * len(stack)
+    epochs_run = [0] * len(stack)
+    failure: TrainingError | None = None
     batch_size = config.batch_size
+
+    def keep(positions: list[int]) -> None:
+        nonlocal live
+        live = [live[j] for j in positions]
+        net.keep(positions)
+        optimizer.keep(positions)
+
     for epoch in range(config.max_epochs):
-        epochs_run = epoch + 1
         order = rng.permutation(n_split)
         for lo in range(0, n_split, batch_size):
-            batch = x_train[order[lo : lo + batch_size]]
-            loss, _ = model.loss_and_gradients(batch)
-            if not np.isfinite(loss):
-                raise TrainingError(f"training loss became non-finite at epoch {epoch}")
-            optimizer.step(model.flat_params, model.flat_grads)
-        val_loss = model.loss(x_val)
-        if not np.isfinite(val_loss):
-            raise TrainingError(f"validation loss became non-finite at epoch {epoch}")
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_params = model.copy_parameters()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= config.patience:
+            batch = order[lo : lo + batch_size]
+            for g, inputs in zip(live, net.inputs(len(batch))):
+                inputs[...] = rows[g][batch]
+            bad = np.flatnonzero(~np.isfinite(net.losses()))
+            if bad.size:
+                failure = TrainingError(f"training loss became non-finite at epoch {epoch}")
+                keep(list(range(bad[0])))
+                if not live:
+                    break
+            net.backward()
+            optimizer.step(net.flat_params, net.flat_grads)
+        staying = []
+        for j, (g, params) in enumerate(zip(live, net.flat_params)):
+            member = MlpAutoencoder.on(widths, params)
+            epochs_run[g] = epoch + 1
+            # copied per epoch: a stack holding every member's copy peaks higher
+            val_loss = member.loss(np.ascontiguousarray(rows[g][n_split:]))
+            if not np.isfinite(val_loss):
+                failure = TrainingError(f"validation loss became non-finite at epoch {epoch}")
                 break
-    model.set_parameters(best_params)
-    report = FitReport(
-        channel=channel,
-        epochs_run=epochs_run,
-        best_epoch=best_epoch,
-        best_val_loss=float(best_val),
-        final_train_loss=model.loss(np.ascontiguousarray(x_train)),
-    )
-    return model, report
+            if val_loss < best_val[g]:
+                best_val[g] = val_loss
+                best_epoch[g] = epoch
+                best_params[g] = params
+                stall[g] = 0
+            else:
+                stall[g] += 1
+                if stall[g] >= config.patience:
+                    continue
+            staying.append(j)
+        if len(staying) < len(live):
+            keep(staying)
+        if not live:
+            break
+    if failure is not None:
+        raise failure
+    del net, optimizer  # before the full-size passes below
+    trained = []
+    for g, (channel, channels) in enumerate(stack):
+        model = MlpAutoencoder.on(widths, best_params[g].copy())
+        report = FitReport(
+            channel=channel,
+            epochs_run=epochs_run[g],
+            best_epoch=best_epoch[g],
+            best_val_loss=float(best_val[g]),
+            final_train_loss=model.loss(np.ascontiguousarray(rows[g][:n_split])),
+        )
+        trained.append(((model, channels), report))
+    return trained
 
 
 def fit(
@@ -279,8 +325,11 @@ def fit(
     generator, so permuting input channels permutes the per-channel
     residuals without changing any of them. Every kind fits inside
     ``blas.lend_threads``, on one BLAS thread, so the result is the serial
-    one at any BLAS thread count; autoencoders train and infer their
-    groups on the threads the pin takes, each group alone on one thread.
+    one at any BLAS thread count. Autoencoders train their groups on the
+    B threads the pin takes, in contiguous stacks of min(ceil(groups /
+    2B), 4) groups, each stack a task on one thread; a member's bits do
+    not depend on its stack. Inference runs each group as its own task on
+    those threads.
     """
     m = train.m
     config = config.resolved(m)
@@ -297,13 +346,17 @@ def fit(
             else:  # fc_ae
                 groups = [(None, tuple(range(m)))]
             windows = make_windows(train, window)
-
-            def train_group(group: tuple[int | None, tuple[int, ...]]):
-                channel, channels = group
-                mlp, report = _train_mlp(_group_rows(windows, channels), config, seed, channel)
-                return (mlp, channels), report
-
-            trained = _on_lent_threads(train_group, groups)
+            # two stacks a thread, so one whose members stop early takes
+            # another while a slower one still trains
+            size = min(-(-len(groups) // (2 * (blas_threads() or 1))), _STACK_MEMBERS)
+            stacks = [groups[lo : lo + size] for lo in range(0, len(groups), size)]
+            trained = [
+                member
+                for members in _on_lent_threads(
+                    lambda stack: _train_stack(windows, stack, config, seed), stacks
+                )
+                for member in members
+            ]
             model = WindowedAutoencoder(window.length, tuple(group for group, _ in trained))
             reports = [report for _, report in trained]
         return TrainedModel(model, model.residuals(train.values), tuple(reports))

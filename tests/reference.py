@@ -329,3 +329,98 @@ class AdamPerArray:
             v *= b2
             v += (1.0 - b2) * (g * g)
             p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+
+class MlpNaive:
+    """One tanh autoencoder as separate weight and bias arrays, with the
+    per-network forward pass and backpropagation, one layer at a time."""
+
+    def __init__(self, widths, rng):
+        self.weights, self.biases = [], []
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            self.biases.append(np.zeros(fan_out))
+
+    def parameters(self):
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
+
+    def flat_params(self):
+        return np.concatenate([p.ravel() for p in self.parameters()])
+
+    def _trace(self, x):
+        acts = [x]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = acts[-1] @ w
+            h += b
+            if i != len(self.weights) - 1:
+                np.tanh(h, out=h)
+            acts.append(h)
+        return acts
+
+    def loss(self, x):
+        diff = self._trace(x)[-1] - x
+        with np.errstate(over="ignore"):
+            return float(np.mean(diff * diff))
+
+    def loss_and_gradients(self, batch):
+        acts = self._trace(batch)
+        delta = acts[-1]
+        delta -= batch
+        loss = float(np.mean(delta * delta))
+        delta *= 2.0 / delta.size
+        grads = [None] * (2 * len(self.weights))
+        for i in range(len(self.weights) - 1, -1, -1):
+            a_prev = acts[i]
+            grads[2 * i] = a_prev.T @ delta
+            grads[2 * i + 1] = delta.sum(axis=0)
+            if i > 0:
+                delta = delta @ self.weights[i].T
+                delta *= 1.0 - a_prev * a_prev
+        return loss, grads
+
+
+class Diverged(Exception):
+    """A non-finite loss in ``train_mlp``; the message names the epoch."""
+
+
+def train_mlp(rows, widths, config, seed):
+    """One autoencoder trained alone on its (count, width) window rows:
+    Adam, a chronological split, early stopping and the best-validation
+    weights restored.
+
+    Returns the flat parameters (w0, b0, w1, b1, ...) and the report
+    fields (epochs_run, best_epoch, best_val_loss, final_train_loss).
+    """
+    count = rows.shape[0]
+    n_split = int(count * (1.0 - config.validation_fraction))
+    x_train = rows[:n_split]
+    x_val = np.ascontiguousarray(rows[n_split:])
+    rng = np.random.default_rng(seed)
+    model = MlpNaive(widths, rng)
+    optimizer = AdamPerArray(model.parameters(), config.learning_rate)
+    best_val, best_epoch, stall, epochs_run = np.inf, -1, 0, 0
+    best = [p.copy() for p in model.parameters()]
+    for epoch in range(config.max_epochs):
+        epochs_run = epoch + 1
+        order = rng.permutation(n_split)
+        for lo in range(0, n_split, config.batch_size):
+            batch = x_train[order[lo : lo + config.batch_size]]
+            loss, grads = model.loss_and_gradients(batch)
+            if not np.isfinite(loss):
+                raise Diverged(f"training loss became non-finite at epoch {epoch}")
+            optimizer.step(model.parameters(), grads)
+        val_loss = model.loss(x_val)
+        if not np.isfinite(val_loss):
+            raise Diverged(f"validation loss became non-finite at epoch {epoch}")
+        if val_loss < best_val:
+            best_val, best_epoch, stall = val_loss, epoch, 0
+            best = [p.copy() for p in model.parameters()]
+        else:
+            stall += 1
+            if stall >= config.patience:
+                break
+    for p, saved in zip(model.parameters(), best):
+        p[...] = saved
+    final = model.loss(np.ascontiguousarray(x_train))
+    return model.flat_params(), (epochs_run, best_epoch, float(best_val), final)

@@ -35,6 +35,7 @@ from tsadkit.models import (
     fit,
     residuals,
 )
+from tsadkit.models.mlp import MlpStack
 from tsadkit.rankstats import RankTable, average_ranks, friedman
 from tsadkit.scoring import fit_gauss, score_gauss_d, score_gauss_s
 from tsadkit.thresholding import threshold_best_f, threshold_tail_p, threshold_top_k
@@ -141,12 +142,14 @@ def test_c05_mlp_gradients_match_finite_differences():
         latent = int(rng.integers(1, input_dim))
         model = MlpAutoencoder(autoencoder_widths(input_dim, latent), rng)
         x = rng.normal(size=(int(rng.integers(1, 5)), input_dim))
-        _, grads = model.loss_and_gradients(x)
-        flat = [g for pair in grads for g in pair]
-        fd = fd_gradient(lambda: model.loss(x), model.parameters(), h=1e-5)
-        for a, b in zip(flat, fd):
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
-            assert (np.abs(a - b) / denom).max() <= 1e-4
+        stack = MlpStack(model.widths, model.flat_params[None])
+        stack.inputs(x.shape[0])[0][...] = x
+        stack.losses()
+        stack.backward()
+        [fd] = fd_gradient(lambda: model.loss(x), [model.flat_params], h=1e-5)
+        a = stack.flat_grads[0]
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-6)
+        assert (np.abs(a - fd) / denom).max() <= 1e-4
     assert time.monotonic() - t0 < 10.0
 
 

@@ -1,9 +1,12 @@
 import contextlib
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsadkit import blas
 from tsadkit.core import (
@@ -22,8 +25,10 @@ from tsadkit.ingest import (
     apply_normalizer,
     fit_normalizer,
     generate_synthetic,
+    make_windows,
 )
 from tsadkit.models import (
+    FitReport,
     MlpAutoencoder,
     ModelConfig,
     PcaModel,
@@ -32,13 +37,24 @@ from tsadkit.models import (
     fit,
     residuals,
 )
-from tsadkit.models.mlp import Adam
-from reference import AdamPerArray, fd_gradient
+from tsadkit.models import train
+from tsadkit.models.mlp import Adam, MlpStack
+from reference import AdamPerArray, Diverged, MlpNaive, fd_gradient, train_mlp
 
 
 needs_openblas = pytest.mark.skipif(
     blas.blas_threads() is None, reason="numpy's BLAS is not the bundled OpenBLAS: unpinned"
 )
+
+
+def backprop(stack: MlpStack, x) -> float:
+    """One forward and backward pass of ``stack`` with every member on
+    ``x``: the first member's loss; the gradients are in ``flat_grads``."""
+    for inputs in stack.inputs(x.shape[0]):
+        inputs[...] = x
+    loss = float(stack.losses()[0])
+    stack.backward()
+    return loss
 
 
 @contextlib.contextmanager
@@ -117,11 +133,13 @@ class TestMlpAutoencoder:
         dh = delta @ w2.T
         dz = dh * (1 - h**2)
         dw1 = x.T @ dz
-        loss, grads = model.loss_and_gradients(x)
+        stack = MlpStack(model.widths, model.flat_params[None])
+        loss = backprop(stack, x)
+        grads = MlpAutoencoder.on(model.widths, stack.flat_grads[0])
         assert loss == pytest.approx(float((diff**2).mean()))
-        assert np.allclose(grads[0][0], dw1, atol=1e-12)
-        assert np.allclose(grads[1][0], dw2, atol=1e-12)
-        assert np.allclose(grads[1][1], delta.sum(axis=0), atol=1e-12)
+        assert np.allclose(grads.weights[0], dw1, atol=1e-12)
+        assert np.allclose(grads.weights[1], dw2, atol=1e-12)
+        assert np.allclose(grads.biases[1], delta.sum(axis=0), atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -129,54 +147,56 @@ class TestMlpAutoencoder:
             widths = autoencoder_widths(8, 2)
             model = MlpAutoencoder(widths, rng)
             x = rng.normal(size=(4, 8))
-            _, grads = model.loss_and_gradients(x)
-            flat = [g for pair in grads for g in pair]
-            fd = fd_gradient(lambda: model.loss(x), model.parameters())
-            for a, b in zip(flat, fd):
-                denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
-                assert (np.abs(a - b) / denom).max() <= 1e-4
+            stack = MlpStack(widths, model.flat_params[None])
+            backprop(stack, x)
+            a = stack.flat_grads[0]
+            [b] = fd_gradient(lambda: model.loss(x), [model.flat_params])
+            denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
+            assert (np.abs(a - b) / denom).max() <= 1e-4
 
     def test_adam_reduces_loss(self):
         rng = np.random.default_rng(5)
         model = MlpAutoencoder((4, 2, 4), rng)
         x = rng.normal(size=(32, 4))
-        opt = Adam(model.flat_params, learning_rate=1e-2)
+        stack = MlpStack(model.widths, model.flat_params[None])
+        opt = Adam(stack.flat_params, learning_rate=1e-2)
         first = model.loss(x)
         for _ in range(200):
-            model.loss_and_gradients(x)
-            opt.step(model.flat_params, model.flat_grads)
+            backprop(stack, x)
+            opt.step(stack.flat_params, stack.flat_grads)
         assert model.loss(x) < first * 0.5
 
 
     def test_fused_adam_equals_per_array_updates(self):
-        # one update of the flat vector rounds exactly as one update per array
+        # a stack of one with one update of its flat parameters rounds
+        # exactly as one network's backprop with one update per array
         widths = autoencoder_widths(12, 3)
-        fused = MlpAutoencoder(widths, np.random.default_rng(9))
-        split = MlpAutoencoder(widths, np.random.default_rng(9))
+        fused = MlpStack(widths, MlpAutoencoder(widths, np.random.default_rng(9)).flat_params[None])
+        split = MlpNaive(widths, np.random.default_rng(9))
         opt = Adam(fused.flat_params, learning_rate=3e-3)
         ref = AdamPerArray(split.parameters(), learning_rate=3e-3)
         rng = np.random.default_rng(10)
         for _ in range(300):
             x = rng.normal(size=(16, 12))
-            fused.loss_and_gradients(x)
+            backprop(fused, x)
             opt.step(fused.flat_params, fused.flat_grads)
             _, grads = split.loss_and_gradients(x)
-            ref.step(split.parameters(), [g for pair in grads for g in pair])
-        assert np.array_equal(fused.flat_params, split.flat_params)
-        assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
-        assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+            ref.step(split.parameters(), grads)
+        assert np.array_equal(fused.flat_params[0], split.flat_params())
+        assert np.array_equal(opt.m[0], np.concatenate([m.ravel() for m in ref.m]))
+        assert np.array_equal(opt.v[0], np.concatenate([v.ravel() for v in ref.v]))
 
     def test_flat_views_in_parameter_order(self):
         model = MlpAutoencoder(autoencoder_widths(8, 2), np.random.default_rng(4))
-        joined = np.concatenate([p.ravel() for p in model.parameters()])
+        pairs = zip(model.weights, model.biases)
+        joined = np.concatenate([p.ravel() for pair in pairs for p in pair])
         assert np.array_equal(joined, model.flat_params)
-        saved = model.copy_parameters()
+        saved = model.flat_params.copy()
         model.weights[1][0, 0] += 1.0
-        assert model.flat_params[np.flatnonzero(model.flat_params != saved)].size == 1
-        model.set_parameters(saved)
-        assert np.array_equal(model.flat_params, saved)
-        with pytest.raises(ValueError):
-            model.set_parameters(saved[:-1])
+        assert np.flatnonzero(model.flat_params != saved).size == 1
+        wrapped = MlpAutoencoder.on(model.widths, saved)
+        assert wrapped.flat_params is saved
+        assert all(np.shares_memory(w, saved) for w in wrapped.weights + wrapped.biases)
 
 
 class TestPca:
@@ -297,9 +317,7 @@ class TestFitAndResiduals:
         assert len(m1.model.groups) == len(m2.model.groups) == 1
         for (mlp1, channels1), (mlp2, channels2) in zip(m1.model.groups, m2.model.groups):
             assert channels1 == channels2 == (0, 1)
-            p1, p2 = mlp1.parameters(), mlp2.parameters()
-            assert len(p1) == len(p2)
-            assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
+            assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
 
     @needs_openblas
     def test_channel_pool_equals_serial_training(self):
@@ -356,6 +374,29 @@ class TestFitAndResiduals:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(pooled, serial)
+
+    @needs_openblas
+    def test_stacks_under_thread_switching(self):
+        # 8 channels as four stacks of 2 on a pool of 3 (more workers than
+        # cores), switching every microsecond, against two stacks of 4
+        # trained one after another: a stack that read or wrote another's
+        # state would show as a difference
+        rng = np.random.default_rng(18)
+        data = SeriesMatrix(rng.random(size=(120, 8)))
+        config = ModelConfig("uae", max_epochs=3, batch_size=16)
+        with blas_at(1):
+            serial = fit(data, config, WindowSpec(8, 1), seed=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with blas_at(3):
+                pooled = fit(data, config, WindowSpec(8, 1), seed=4)
+        finally:
+            sys.setswitchinterval(interval)
+        for (mlp1, _), (mlp2, _) in zip(serial.model.groups, pooled.model.groups):
+            assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
+        assert serial.fit_reports == pooled.fit_reports
+        assert np.array_equal(serial.train_residuals, pooled.train_residuals)
 
     def test_one_channel_fc_ae_matches_uae(self):
         # with one channel, FC-AE's time-major window row is UAE's channel
@@ -496,3 +537,119 @@ class TestBlockedResiduals:
         assert [(a, b) for a, b, _ in blocks] == [(0, block), (block, n_test)]
         blocked = np.concatenate([err for _, _, err in blocks])
         assert blocked.tobytes() == whole.tobytes()
+
+
+@st.composite
+def stack_cases(draw):
+    """A tiny UAE fit: 1-5 channels and knobs that leave a short last
+    batch, stop members at different epochs, and make some members fail,
+    in training or validation, at once or later."""
+    m = draw(st.integers(1, 5))
+    l_w = draw(st.integers(2, 6))
+    step = draw(st.integers(1, 2))
+    batch_size = draw(st.integers(2, 8))
+    n_split = batch_size * draw(st.integers(1, 3)) + draw(st.integers(1, batch_size - 1))
+    count = next(c for c in range(n_split + 1, 4 * n_split) if int(c * 0.75) == n_split)
+    config = ModelConfig(
+        "uae",
+        latent_dim=draw(st.integers(1, l_w - 1)),
+        learning_rate=draw(st.sampled_from([1e-2, 1.0, 1e152, 1e153])),
+        batch_size=batch_size,
+        max_epochs=draw(st.integers(1, 6)),
+        patience=draw(st.integers(1, 2)),
+        validation_fraction=0.25,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.random(size=((count - 1) * step + l_w, m))
+    for c in range(m):
+        kind = draw(st.sampled_from(["plain", "plain", "large", "huge", "tail", "spike",
+                                     "spike"]))
+        if kind == "large":  # trains, unless the learning rate is huge too
+            values[:, c] *= 1e150
+        elif kind == "huge":  # its first batch overflows
+            values[:, c] *= 1e154
+        elif kind == "tail":  # rows only validation windows read overflow
+            values[(n_split - 1) * step + l_w :, c] *= 1e154
+        elif kind == "spike":
+            # one training row whose square is 0.7 or 0.4 of the largest
+            # float: a batch overflows once it holds two or three windows
+            # of the row, in whichever epoch that happens first
+            row = draw(st.integers(0, n_split * step - 1))
+            values[row, c] = draw(st.sampled_from([1.12e154, 8.5e153]))
+    return values, WindowSpec(l_w, step), config, draw(st.integers(0, 9))
+
+
+def _outcome(run):
+    """Each trained group's channels, flat parameters and report, or the
+    text of the error the training raised."""
+    try:
+        return [(channels, mlp.flat_params, report) for (mlp, channels), report in run()]
+    except (TrainingError, Diverged) as err:
+        return str(err)
+
+
+def _same(got, expected):
+    if isinstance(expected, str):
+        return got == expected
+    return (not isinstance(got, str) and len(got) == len(expected)
+            and all(c1 == c2 and np.array_equal(p1, p2) and r1 == r2
+                    for (c1, p1, r1), (c2, p2, r2) in zip(got, expected)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stack_cases())
+def test_stacked_training_matches_one_network_at_a_time(case):
+    """Channels trained in lockstep stacks end bit for bit as each trained
+    alone by the oracle: the same weights and reports, or the error of the
+    first failing channel; for one stack of every channel (1-5 members)
+    and for the stacks ``fit`` cuts under BLAS pools of 1, 2 and 3."""
+    values, spec, config, seed = case
+    m = values.shape[1]
+    windows = make_windows(values, spec)
+    widths = autoencoder_widths(spec.length, config.latent_dim)
+
+    def oracle():
+        trained = []
+        for c in range(m):
+            params, fields = train_mlp(windows[:, :, c], widths, config, seed)
+            trained.append(((MlpAutoencoder.on(widths, params), (c,)), FitReport(c, *fields)))
+        return trained
+
+    def fitted():
+        model = fit(SeriesMatrix(values), config, spec, seed)
+        return zip(model.model.groups, model.fit_reports)
+
+    with warnings.catch_warnings():
+        # a diverging member overflows on the way, in the oracle as here
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = _outcome(oracle)
+        groups = [(c, (c,)) for c in range(m)]
+        assert _same(_outcome(lambda: train._train_stack(windows, groups, config, seed)),
+                     expected)
+        for count in (1, 2, 3) if blas.blas_threads() is not None else (None,):
+            with blas_at(count) if count else contextlib.nullcontext():
+                assert _same(_outcome(fitted), expected), count
+
+
+def test_first_failing_channel_wins_though_a_later_one_fails_first():
+    """Channel 2 overflows in its first batch, channel 0 only in epoch 5,
+    once three windows of its spike share a batch. Trained in one stack,
+    as one network after another, the fit raises channel 0's error."""
+    values = np.random.default_rng(0).random(size=(27, 3))
+    values[8, 0] = 8.5e153
+    values[:, 2] *= 1e154
+    spec = WindowSpec(4, 1)
+    config = ModelConfig("uae", latent_dim=2, learning_rate=1e-2, batch_size=4,
+                         max_epochs=6, patience=6)
+    windows = make_windows(values, spec)
+    widths = autoencoder_widths(4, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for c, epoch in ((0, 5), (2, 0)):
+            with pytest.raises(Diverged, match=f"^training loss became non-finite at epoch {epoch}$"):
+                train_mlp(windows[:, :, c], widths, config, 2)
+        with pytest.raises(TrainingError, match="^training loss became non-finite at epoch 5$"):
+            train._train_stack(windows, [(c, (c,)) for c in range(3)], config, 2)
+        with blas_at(1) if blas.blas_threads() is not None else contextlib.nullcontext():
+            with pytest.raises(TrainingError, match="at epoch 5$"):
+                fit(SeriesMatrix(values), config, spec, seed=2)
