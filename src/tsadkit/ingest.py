@@ -247,45 +247,52 @@ def generate_synthetic(spec: SyntheticSpec) -> Entity:
     takes its own floats plus a few of length n.
     """
     n = spec.n_train + spec.n_test
-    t = np.arange(n, dtype=np.float64)
-    values = np.zeros((n, spec.m))
-    if spec.noise_sigma > 0:
-        np.random.default_rng(spec.seed).standard_normal(out=values)
-        values *= spec.noise_sigma
-    for i, period in enumerate(spec.period):
-        values[:, i] += np.sin(2.0 * np.pi * t / period)
+    # an absurd period, noise or magnitude overflows to inf or nan, which the
+    # SeriesMatrix finiteness check below refuses with the entity's name, in
+    # the one pass it already makes over the values
+    with np.errstate(all="ignore"):
+        t = np.arange(n, dtype=np.float64)
+        values = np.zeros((n, spec.m))
+        if spec.noise_sigma > 0:
+            np.random.default_rng(spec.seed).standard_normal(out=values)
+            values *= spec.noise_sigma
+        for i, period in enumerate(spec.period):
+            values[:, i] += np.sin(2.0 * np.pi * t / period)
 
-    test = values[spec.n_train :]
-    # healthy per-channel value range, captured before any injection; spike
-    # amplitudes are expressed relative to it
-    healthy_range = values.max(axis=0) - values.min(axis=0)
-    labels = np.zeros(spec.n_test, dtype=np.int64)
-    causes = {}
-    for a in sorted(spec.anomalies, key=lambda a: a.start):
-        span = slice(a.start, a.end + 1)
-        if a.kind == "spike":
-            for c in a.channels:
-                test[span, c] += a.magnitude * healthy_range[c]
-        elif a.kind == "level_shift":
-            for c in a.channels:
-                test[span, c] += a.magnitude
-        else:  # drift_background
-            ramp = np.linspace(0.0, a.magnitude, a.length)
-            test[span, :] += ramp[:, None]
-            test[a.end + 1 :, :] += a.magnitude
-        if a.labeled:
-            # labeled anomalies never touch, so each is one label run
-            causes[len(causes)] = a.channels
-            labels[span] = 1
+        test = values[spec.n_train :]
+        # healthy per-channel value range, captured before any injection; spike
+        # amplitudes are expressed relative to it
+        healthy_range = values.max(axis=0) - values.min(axis=0)
+        labels = np.zeros(spec.n_test, dtype=np.int64)
+        causes = {}
+        for a in sorted(spec.anomalies, key=lambda a: a.start):
+            span = slice(a.start, a.end + 1)
+            if a.kind == "spike":
+                for c in a.channels:
+                    test[span, c] += a.magnitude * healthy_range[c]
+            elif a.kind == "level_shift":
+                for c in a.channels:
+                    test[span, c] += a.magnitude
+            else:  # drift_background
+                ramp = np.linspace(0.0, a.magnitude, a.length)
+                test[span, :] += ramp[:, None]
+                test[a.end + 1 :, :] += a.magnitude
+            if a.labeled:
+                # labeled anomalies never touch, so each is one label run
+                causes[len(causes)] = a.channels
+                labels[span] = 1
 
     channel_names = tuple(f"c{i}" for i in range(spec.m))
-    return Entity(
-        id=spec.entity_id,
-        train=SeriesMatrix(values[: spec.n_train], channel_names),
-        test=SeriesMatrix(test, channel_names),
-        test_labels=labels,
-        causes=causes,
-    )
+    try:
+        return Entity(
+            id=spec.entity_id,
+            train=SeriesMatrix(values[: spec.n_train], channel_names),
+            test=SeriesMatrix(test, channel_names),
+            test_labels=labels,
+            causes=causes,
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"synthetic entity {spec.entity_id!r}: {exc}") from None
 
 
 def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:

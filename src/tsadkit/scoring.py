@@ -136,7 +136,10 @@ class KernelSpec:
 
     def weights(self) -> FloatArray:
         u = np.arange(-self.radius, self.radius + 1, dtype=np.float64)
-        w = np.exp(-0.5 * (u / self.sigma_k) ** 2)
+        # below sigma_k ~1e-154 the square overflows to inf off the centre,
+        # and exp(-inf) = 0 is the one-hot limit the kernel tends to
+        with np.errstate(over="ignore"):
+            w = np.exp(-0.5 * (u / self.sigma_k) ** 2)
         return w / w.sum()
 
 

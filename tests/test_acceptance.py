@@ -27,15 +27,9 @@ from tsadkit.ingest import (
     generate_synthetic,
 )
 from tsadkit.metrics import compute_report, rad_scores
-from tsadkit.models import (
-    MlpAutoencoder,
-    ModelConfig,
-    PcaModel,
-    autoencoder_widths,
-    fit,
-    residuals,
-)
-from tsadkit.models.mlp import MlpStack
+from tsadkit.models import ModelConfig, fit, residuals
+from tsadkit.models.mlp import MlpAutoencoder, MlpStack, autoencoder_widths
+from tsadkit.models.pca import PcaModel
 from tsadkit.rankstats import RankTable, average_ranks, friedman
 from tsadkit.scoring import fit_gauss, score_gauss_d, score_gauss_s
 from tsadkit.thresholding import threshold_best_f, threshold_tail_p, threshold_top_k

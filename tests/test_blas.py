@@ -21,7 +21,8 @@ from tsadkit import blas
 from tsadkit.core import SeriesMatrix, TrainingError
 from tsadkit.experiment import config_from_dict, run_experiment
 from tsadkit.ingest import WindowSpec
-from tsadkit.models import ModelConfig, PcaModel, fit, residuals, train
+from tsadkit.models import ModelConfig, fit, residuals, train
+from tsadkit.models.pca import PcaModel
 
 UAE_CONFIG = {
     "synthetic": [{

@@ -116,6 +116,21 @@ class TestGenerate:
         cfg = write_json(tmp_path / "spec.json", {"n_train": 5})
         assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("field", ["period", "noise_sigma", "magnitude"])
+    def test_overflowing_spec_exits_one_without_warnings(self, tmp_path, capsys, field):
+        spec = json.loads(TINY_SPEC.read_text())
+        if field == "period":
+            spec["period"] = 1e-308
+        elif field == "noise_sigma":
+            spec["noise_sigma"] = 1e308
+        else:
+            spec["anomalies"][0]["magnitude"] = 1e308
+        cfg = write_json(tmp_path / "spec.json", spec)
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: synthetic entity 'tiny': values contains NaN or infinite entries\n"
+        assert not (tmp_path / "d").exists()
+
 
 class TestRun:
     def test_success_exit_zero(self, tmp_path, capsys):
@@ -222,6 +237,11 @@ class TestRun:
         cfg = run_config(tmp_path)
         main(["run", "--config", cfg, "--format", "csv"])
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    def test_kernel_sigma_past_the_square_overflow_runs_quietly(self, tmp_path, capsys):
+        scoring = {"kind": "gauss_d_k", "window": 50, "kernel_sigma": 1e-300}
+        assert main(["run", "--config", run_config(tmp_path, scoring=scoring)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestCompareMetricsCommand:

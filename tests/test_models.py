@@ -27,18 +27,9 @@ from tsadkit.ingest import (
     generate_synthetic,
     make_windows,
 )
-from tsadkit.models import (
-    FitReport,
-    MlpAutoencoder,
-    ModelConfig,
-    PcaModel,
-    autoencoder_widths,
-    encoder_widths,
-    fit,
-    residuals,
-)
-from tsadkit.models import train
-from tsadkit.models.mlp import Adam, MlpStack
+from tsadkit.models import FitReport, ModelConfig, encoder_widths, fit, residuals, train
+from tsadkit.models.mlp import Adam, MlpAutoencoder, MlpStack, autoencoder_widths
+from tsadkit.models.pca import PcaModel
 from reference import AdamPerArray, Diverged, MlpNaive, fd_gradient, train_mlp
 
 

@@ -1,7 +1,10 @@
 """Property tests pinning the one-pass metrics, the threshold sweeps, numpy
 midranks, the bulk CSV reader and an entity's events to the slow oracles in
-reference.py, on random inputs."""
+reference.py, on random inputs, and a run's cells to the runs of their
+entities alone."""
 import dataclasses
+import functools
+import json
 import math
 import subprocess
 import sys
@@ -16,9 +19,12 @@ from hypothesis import strategies as st
 
 from tsadkit import ingest
 from tsadkit.core import Entity, ParseError, SeriesMatrix, midranks
+from tsadkit.experiment import config_from_dict, run_experiment
 from tsadkit.metrics import compute_report
 from tsadkit.thresholding import BEST_F_METRICS, threshold_best_f, threshold_top_k
 import reference
+
+TINY_UAE_RUN = Path(__file__).parent / "data" / "tiny_uae_run.json"
 
 # derandomized so a tier-1 run never depends on which examples were drawn
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -239,6 +245,66 @@ def test_read_csv_matches_naive(case):
     assert got.shape == expected.shape
     # bit equality: nan payloads and the sign of zero included
     assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+@st.composite
+def synthetic_specs(draw):
+    """A second synthetic entity, as small as tiny_uae_run.json's, with
+    one or two labeled spikes that carry causes."""
+    m = draw(st.integers(1, 4))
+    n_test = draw(st.integers(100, 200))
+    anomalies = [
+        {"start": start, "length": 8, "kind": "spike",
+         "channels": [draw(st.integers(0, m - 1))], "magnitude": draw(st.floats(0.5, 4.0))}
+        for start in draw(st.sampled_from([[30], [20, 70]]))
+    ]
+    return {
+        "entity_id": "other",
+        "n_train": draw(st.integers(100, 300)),
+        "n_test": n_test,
+        "m": m,
+        "period": draw(st.floats(5.0, 60.0)),
+        "noise_sigma": draw(st.floats(0.0, 0.5)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "anomalies": anomalies,
+    }
+
+
+ISOLATION_MODELS = {"raw": {"kind": "raw"}, "pca": {"kind": "pca"},
+                    "uae": {"kind": "uae", "max_epochs": 2}}
+# tail_p at one eps: its sweep over 1..5 picks the eps across all cells
+ISOLATION_THRESHOLDS = {"best_f": {"method": "best_f"}, "top_k": {"method": "top_k"},
+                        "tail_p": {"method": "tail_p", "neg_log_eps": 2}}
+
+
+def isolation_config(model, threshold, synthetic):
+    config = json.loads(TINY_UAE_RUN.read_text())
+    config.update(model=ISOLATION_MODELS[model], threshold=ISOLATION_THRESHOLDS[threshold],
+                  synthetic=synthetic, seeds=[0, 1])
+    return config_from_dict(config)
+
+
+def entity_cells(record, entity_id):
+    return [json.dumps(c, sort_keys=True) for c in record.cells if c["entity"] == entity_id]
+
+
+@functools.lru_cache(maxsize=None)
+def cells_alone(model, threshold):
+    config = isolation_config(model, threshold, json.loads(TINY_UAE_RUN.read_text())["synthetic"])
+    return entity_cells(run_experiment(config), "tiny_uae")
+
+
+@pytest.mark.parametrize("threshold", sorted(ISOLATION_THRESHOLDS))
+@pytest.mark.parametrize("model", sorted(ISOLATION_MODELS))
+@settings(PROPERTY, max_examples=8)
+@given(other=synthetic_specs(), before=st.booleans(), workers=st.sampled_from([1, 2]))
+def test_a_cell_does_not_depend_on_the_other_entities(model, threshold, other, before, workers):
+    (tiny,) = json.loads(TINY_UAE_RUN.read_text())["synthetic"]
+    synthetic = [other, tiny] if before else [tiny, other]
+    record = run_experiment(isolation_config(model, threshold, synthetic), workers=workers)
+    assert not record.failures
+    alone = cells_alone(model, threshold)
+    assert len(alone) == 2 and entity_cells(record, "tiny_uae") == alone
 
 
 FAILING_PROPERTY = textwrap.dedent("""\

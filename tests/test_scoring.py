@@ -238,6 +238,12 @@ class TestGaussDK:
         out, _ = score_gauss_d_k(channels, KernelSpec(1e-9))
         assert np.array_equal(out, channels)
 
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-300])
+    def test_sigma_past_the_square_overflow_is_one_hot(self, sigma):
+        # (u / sigma_k) ** 2 overflows to inf off the centre, and exp(-inf) = 0
+        # is the one-hot limit the kernel tends to, reached with no warning
+        assert KernelSpec(sigma).weights().tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+
     def test_two_spikes_amplify_between(self):
         # spikes 2*sigma_k apart: smoothing pools mass at the midpoint
         sigma = 2.0
