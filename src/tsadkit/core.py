@@ -196,7 +196,11 @@ def encode_config(obj):
 
 
 def validate_labels(labels) -> LabelVector:
-    """Coerce to a 1-D int64 array and require every element to be 0 or 1."""
+    """Coerce to a 1-D int64 array and require every element to be 0 or 1.
+
+    An int64 array comes back as it is, not copied: a caller that keeps or
+    writes the result copies it first.
+    """
     y = np.asarray(labels)
     if y.ndim != 1:
         raise ValidationError(f"labels must be 1-D, got shape {y.shape}")
@@ -207,9 +211,9 @@ def validate_labels(labels) -> LabelVector:
         if not np.all(np.isfinite(yf)) or np.any(yf != np.floor(yf)):
             raise ValidationError("labels must be integer 0/1 values")
         y = yf.astype(np.int64)
-    else:
+    elif y.dtype != np.int64:
         y = y.astype(np.int64)
-    if y.size and not np.all((y == 0) | (y == 1)):
+    if y.size and (y.min() < 0 or y.max() > 1):
         bad = y[(y != 0) & (y != 1)][0]
         raise ValidationError(f"labels must be 0 or 1, found {bad}")
     return y
@@ -366,7 +370,7 @@ class Entity:
             raise ValidationError(
                 f"train has {self.train.m} channels, test has {self.test.m}"
             )
-        y = validate_labels(self.test_labels)
+        y = validate_labels(self.test_labels).copy()
         if y.shape[0] != self.test.n:
             raise ValidationError(
                 f"{y.shape[0]} labels for {self.test.n} test rows"

@@ -26,8 +26,8 @@ def rank_channels(rows, scored=None, statistic: str = "mean") -> tuple[int, ...]
 
     ``rows`` holds the channel-score rows the event spans. The aggregation
     statistic over them is the mean by default; "max" is available as a
-    config switch. Ties break toward the lower channel index so rankings
-    are deterministic.
+    config switch. A mean that overflows ranks as +inf. Ties break toward
+    the lower channel index so rankings are deterministic.
     """
     if statistic not in RANK_STATISTICS:
         raise ConfigError(
@@ -39,7 +39,11 @@ def rank_channels(rows, scored=None, statistic: str = "mean") -> tuple[int, ...]
     idx = resolve_scored(scores.shape[1], scored)
 
     span = scores[:, idx]
-    agg = span.mean(axis=0) if statistic == "mean" else span.max(axis=0)
+    if statistic == "mean":
+        with np.errstate(over="ignore"):
+            agg = span.mean(axis=0)
+    else:
+        agg = span.max(axis=0)
     # stable sort on descending score keeps ascending channel index on ties
     return tuple(idx[np.argsort(-agg, kind="stable")].tolist())
 

@@ -78,9 +78,22 @@ class WindowSpec:
 
 
 def fit_normalizer(train: SeriesMatrix) -> NormStats:
-    """Per-channel min/max over the training series."""
+    """Per-channel min/max over the training series.
+
+    A channel whose range max - min overflows float64 is refused, by name:
+    no min-max scaling of it is finite.
+    """
     v = train.values
-    return NormStats(v.min(axis=0), v.max(axis=0))
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    with np.errstate(over="ignore"):
+        wide = np.isinf(hi - lo)
+    if wide.any():
+        c = int(np.argmax(wide))
+        raise ValidationError(
+            f"train channel {train.channel_names[c]!r} spans {float(lo[c])!r} to "
+            f"{float(hi[c])!r}, a range beyond float64"
+        )
+    return NormStats(lo, hi)
 
 
 def apply_normalizer(x: SeriesMatrix, stats: NormStats, phase: str) -> SeriesMatrix:

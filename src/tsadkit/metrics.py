@@ -3,7 +3,9 @@ ranking metrics, and the random-score baseline.
 
 Conventions: every 0/0 ratio defines to 0 (a trivial detector scores 0,
 never 1), events are maximal runs of the truth vector, and an event
-counts as detected when at least one of its points is predicted.
+counts as detected when at least one of its points is predicted. The
+ranking metrics read the tie blocks of one sort of the score values and
+count the positives in them by a search of the sorted positive scores.
 """
 from __future__ import annotations
 
@@ -81,7 +83,9 @@ def _counts(p: LabelVector, y: LabelVector) -> tuple[int, int, int, int, int, in
     the adjusted true positives are the total length of detected events.
     """
     starts, stops = run_bounds(y)
-    predicted_before = np.concatenate(([0], np.cumsum(p)))
+    predicted_before = np.empty(p.shape[0] + 1, dtype=np.int64)
+    predicted_before[0] = 0
+    np.cumsum(p, out=predicted_before[1:])
     hits = predicted_before[stops] - predicted_before[starts]
     lengths = stops - starts
     detected = hits > 0
@@ -105,38 +109,69 @@ def _checked(scores: ScoreSeries, truth) -> tuple[ScoreSeries, LabelVector]:
 
 
 def _cuts(s: ScoreSeries, y: LabelVector) -> tuple[np.ndarray, np.ndarray, ScoreSeries]:
-    """Tie blocks of one stable descending sort of non-empty scores.
+    """Tie blocks of non-empty scores, the highest value first.
 
-    Returns each block's exclusive end in sorted order (the number of
-    points scoring at or above the block), the positives up to it and
-    the block's score value.
+    Returns each block's exclusive end in descending order (the number of
+    points scoring at or above the block's value), the positives up to it
+    and the block's value. One value sort gives the blocks and a search of
+    the sorted positive scores counts the positives; neither reads the
+    order of equal elements, which np.sort leaves unspecified.
     """
-    order = np.argsort(-s, kind="stable")
-    sorted_scores = s[order]
-    stops = np.concatenate((np.flatnonzero(np.diff(sorted_scores) != 0) + 1, [s.shape[0]]))
-    return stops, np.cumsum(y[order])[stops - 1], sorted_scores[stops - 1]
+    n = s.shape[0]
+    desc = np.sort(s)[::-1]
+    last = np.empty(n, dtype=bool)
+    last[-1] = True
+    np.not_equal(desc[:-1], desc[1:], out=last[:-1])
+    stops = np.flatnonzero(last)  # each block's last position
+    del last
+    values = desc[stops]
+    del desc
+    stops += 1
+    zero = np.flatnonzero(values == 0)
+    if zero.size:
+        # 0.0 and -0.0 tie: the block's value is its latest point's, as a
+        # stable descending sort by position gives it
+        values[zero[0]] = s[n - 1 - int(np.argmax(s[::-1] == 0))]
+    positives = np.sort(s[y == 1])
+    tp = np.searchsorted(positives, values, "left")
+    np.subtract(positives.shape[0], tp, out=tp)
+    return stops, tp, values
 
 
 def _auroc(stops: np.ndarray, tp: np.ndarray) -> float:
     """AUROC as the Mann-Whitney statistic over midranks."""
     n = int(stops[-1])
     n_pos = int(tp[-1])
-    starts = np.concatenate(([0], stops[:-1]))
-    positives = np.diff(np.concatenate(([0], tp)))
     # sorted positions start..stop-1 hold ascending ranks n-stop+1..n-start,
-    # so twice the block's midrank is the integer 2n+1-start-stop
-    twice_rank_sum = int(np.sum(positives * (2 * n + 1 - starts - stops)))
+    # so twice the block's midrank is the integer 2n+1-start-stop; a block's
+    # start is the stop before it
+    positives = _steps(tp)
+    twice_rank_sum = (
+        (2 * n + 1) * n_pos - int(positives @ stops) - int(positives[1:] @ stops[:-1])
+    )
     rank_sum = twice_rank_sum / 2
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
 
 
 def _auprc(stops: np.ndarray, tp: np.ndarray) -> float:
     """Average precision, sum of (R_i - R_{i-1}) * P_i over the tie-block cuts."""
-    tp = tp.astype(np.float64)
-    precision = tp / stops
-    recall = tp / tp[-1]
-    recall_steps = np.diff(np.concatenate(([0.0], recall)))
-    return float(np.sum(recall_steps * precision))
+    recall = tp.astype(np.float64)
+    np.divide(recall, recall[-1], out=recall)
+    terms = _steps(recall)
+    precision = recall  # the recall is spent: its buffer takes tp / stops
+    np.copyto(precision, tp)
+    precision /= stops
+    terms *= precision
+    return float(np.sum(terms))
+
+
+def _steps(x: np.ndarray) -> np.ndarray:
+    """The differences of consecutive elements, the first from 0, into a
+    new array: np.diff(x, prepend=0) without its concatenated copy."""
+    out = np.empty_like(x)
+    out[0] = x[0]
+    np.subtract(x[1:], x[:-1], out=out[1:])
+    return out
 
 
 def rad_scores(n: int, seed: int) -> ScoreSeries:

@@ -37,7 +37,7 @@ class ThresholdResult:
     metadata: dict
 
     def __post_init__(self):
-        preds = validate_labels(self.predictions)
+        preds = validate_labels(self.predictions).copy()
         preds.flags.writeable = False
         object.__setattr__(self, "predictions", preds)
 
@@ -46,18 +46,22 @@ def threshold_top_k(scores: ScoreSeries, k: int) -> ThresholdResult:
     """Mark exactly the k highest-scoring time-points as anomalous.
 
     Ties at the k-th score resolve by earlier-time priority, so the
-    positive count is k for every input, all-tied scores included.
+    positive count is k for every input, all-tied scores included. The
+    k-th score comes from a selection (np.partition), not a sort.
     """
     s = check_score_series(scores)
     n = s.shape[0]
     if not (0 <= k <= n):
         raise ValidationError(f"k must be in 0..{n}, got {k}")
-    preds = np.zeros(n, dtype=np.int64)
     if k == 0:
-        return ThresholdResult(float("inf"), preds, "top_k", {"k": 0})
-    order = np.argsort(-s, kind="stable")
-    preds[order[:k]] = 1
-    return ThresholdResult(float(s[order[k - 1]]), preds, "top_k", {"k": int(k)})
+        return ThresholdResult(float("inf"), np.zeros(n, dtype=np.int64), "top_k", {"k": 0})
+    kth = np.partition(s, n - k)[n - k]  # the k-th largest score
+    preds = (s > kth).astype(np.int64)
+    ties = np.flatnonzero(s == kth)[: k - int(preds.sum())]
+    preds[ties] = 1
+    # the last point taken: its own score, so a tie of 0.0 and -0.0 keeps
+    # the sign of the point a stable sort by position would end on
+    return ThresholdResult(float(s[ties[-1]]), preds, "top_k", {"k": int(k)})
 
 
 def threshold_tail_p(scores: ScoreSeries, m_scored: int, neg_log_eps: int) -> ThresholdResult:
@@ -85,16 +89,17 @@ def threshold_tail_p(scores: ScoreSeries, m_scored: int, neg_log_eps: int) -> Th
 def threshold_best_f(scores: ScoreSeries, truth, metric: str = "fc1") -> ThresholdResult:
     """The threshold maximizing f1, fpa1, or fc1 against the given truth.
 
-    Candidates are +inf and the distinct score values, the tie-block cuts
-    of the metrics module's one descending sort; all three metrics are
-    step functions of the threshold, so nothing between distinct values
-    can do better. Ties in the metric resolve toward the larger threshold
-    (fewer positives). Evaluation-only: requires test labels.
+    Candidates are +inf and the distinct score values, the metrics
+    module's tie-block cuts; all three metrics are step functions of the
+    threshold, so nothing between distinct values can do better. Ties in
+    the metric resolve toward the larger threshold (fewer positives).
+    Evaluation-only: requires test labels.
 
-    One O(n log n) sweep: the cuts give each candidate's positives and
-    true positives, a search over the events' peak scores gives the
-    events it detects and their covered length, and the metrics module's
-    F-score pair divides once per candidate.
+    One O(n log n) sweep: a sort of the score values and a search of the
+    positive ones give each candidate's positives and true positives, a
+    search over the events' peak scores gives the events it detects and
+    their covered length, and the metrics module's F-score pair divides
+    once per candidate.
     """
     if metric not in BEST_F_METRICS:
         raise ConfigError(f"metric must be one of {BEST_F_METRICS}, got {metric!r}")

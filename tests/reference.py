@@ -216,6 +216,38 @@ def auprc_cuts(scores, truth):
     return total
 
 
+def cuts_by_position(s, y):
+    """Tie blocks of one stable descending argsort of the scores: each
+    block's exclusive end, the positives up to it and its value, which is
+    the score of its latest point (the sign of a 0.0/-0.0 block)."""
+    order = np.argsort(-s, kind="stable")
+    sorted_scores = s[order]
+    stops = np.concatenate((np.flatnonzero(np.diff(sorted_scores) != 0) + 1, [s.shape[0]]))
+    return stops, np.cumsum(y[order])[stops - 1], sorted_scores[stops - 1]
+
+
+def auroc_from_cuts(stops, tp):
+    """The Mann-Whitney AUROC of tie-block cuts, as the metrics module
+    computed it from cuts_by_position."""
+    n = int(stops[-1])
+    n_pos = int(tp[-1])
+    starts = np.concatenate(([0], stops[:-1]))
+    positives = np.diff(np.concatenate(([0], tp)))
+    twice_rank_sum = int(np.sum(positives * (2 * n + 1 - starts - stops)))
+    rank_sum = twice_rank_sum / 2
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+
+
+def auprc_from_cuts(stops, tp):
+    """Average precision of tie-block cuts, as the metrics module computed
+    it from cuts_by_position: the same float operations in the same order."""
+    tp = tp.astype(np.float64)
+    precision = tp / stops
+    recall = tp / tp[-1]
+    recall_steps = np.diff(np.concatenate(([0.0], recall)))
+    return float(np.sum(recall_steps * precision))
+
+
 def convolve_edge(values, weights):
     """1-d correlation with edge replication; weights length 2r+1."""
     r = (len(weights) - 1) // 2

@@ -363,6 +363,21 @@ class TestDiagnoseCommand:
         assert report["events"][0]["ranking"][0] == "c1"
         assert report["rc_top_k"] == report["hitrate"] == 1.0
 
+    def test_overflowing_event_mean_ranks_first(self, tmp_path, capsys):
+        # the mean of two 1.7e308 rows overflows; tier-1 makes the overflow
+        # warning an error, so this exits 0 only if the mean is taken quietly
+        lines = self._scores(tmp_path).read_text().splitlines()
+        lines[3] = lines[4] = "0.0,1.7e308,1.7e308"  # rows 2 and 3
+        scores = tmp_path / "huge_scores.csv"
+        scores.write_text("\n".join(lines) + "\n")
+        events = write_json(tmp_path / "events.json",
+                            [{"start": 2, "end": 4, "causes": ["c"]}])
+        assert main(["diagnose", str(scores), events]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # both overflowed means rank as +inf, the lower channel first
+        assert report["events"][0]["ranking"] == ["b", "c", "a"]
+        assert report["rc_top_k"] == 1.0
+
     def test_nan_outside_events_exit_one(self, tmp_path, capsys):
         lines = self._scores(tmp_path).read_text().splitlines()
         lines[9] = "nan,0.0,0.0"  # row 8; the event spans rows 2..4

@@ -48,6 +48,10 @@ class TestValidateLabels:
         assert out.dtype == np.int64
         assert list(out) == [0, 1, 1, 0]
 
+    def test_int64_array_is_checked_in_place(self):
+        y = np.array([0, 1, 1, 0], dtype=np.int64)
+        assert validate_labels(y) is y
+
     def test_rejects_other_values(self):
         with pytest.raises(ValidationError):
             validate_labels([0, 2, 0])
@@ -137,6 +141,13 @@ class TestEntity:
         assert ent.test_events[0].causes == frozenset({1})
         with pytest.raises(TypeError):
             ent.causes[0] = frozenset({0})
+
+    def test_labels_are_a_read_only_copy(self):
+        given = np.array([0, 1, 1, 0], dtype=np.int64)
+        ent = self._entity(given)
+        assert given.flags.writeable and not ent.test_labels.flags.writeable
+        given[1] = 0
+        assert ent.test_labels.tolist() == [0, 1, 1, 0]
 
     def test_replace_keeps_causes(self):
         ent = self._entity([0, 1, 1, 0], {0: [1]}, scored=(0, 1))

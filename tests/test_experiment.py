@@ -211,6 +211,24 @@ class TestRunExperiment:
         assert record.failures[0]["entity"] == "broken"
         assert "not_a_number" in record.failures[0]["error"]
 
+    def test_train_channel_beyond_float64_range_names_it(self, tmp_path):
+        # max - min of c1 overflows: the cell fails naming the channel, and
+        # tier-1 makes any overflow warning on the way an error
+        train = tmp_path / "wide_train.csv"
+        train.write_text("c0,c1\n0.0,-1.7e308\n1.0,1.7e308\n0.5,0.0\n")
+        test = tmp_path / "wide_test.csv"
+        test.write_text("c0,c1,label\n0.0,0.0,0\n1.0,0.0,1\n")
+        config = base_config(synthetic=[], entities=[{
+            "id": "wide", "train": str(train), "test": str(test),
+        }])
+        record = run_experiment(config)
+        assert record.cells == ()
+        assert list(record.failures) == [{
+            "entity": "wide", "seed": 0,
+            "error": "ValidationError: train channel 'c1' spans -1.7e+308 to "
+                     "1.7e+308, a range beyond float64",
+        }]
+
     def test_file_entities_identical_across_workers(self, tmp_path):
         config = base_config(synthetic=[], entities=file_entities(tmp_path, 3),
                              seeds=[0, 1])

@@ -1,7 +1,7 @@
-"""Property tests pinning the one-pass metrics, the threshold sweeps, numpy
-midranks, the bulk CSV reader and an entity's events to the slow oracles in
-reference.py, on random inputs, and a run's cells to the runs of their
-entities alone."""
+"""Property tests pinning the one-pass metrics, the value-sort ranking,
+the threshold sweeps, numpy midranks, the bulk CSV reader and an entity's
+events to the slow oracles in reference.py, on random inputs, and a run's
+cells to the runs of their entities alone."""
 import dataclasses
 import functools
 import json
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsadkit import ingest
+from tsadkit import ingest, metrics
 from tsadkit.core import Entity, ParseError, SeriesMatrix, midranks
 from tsadkit.experiment import config_from_dict, run_experiment
 from tsadkit.metrics import compute_report
@@ -76,6 +76,37 @@ def test_ranking_metrics_match_oracles(case):
         assert abs(report.auprc - reference.auprc_cuts(scores, truth)) <= 1e-12
     else:
         assert report.auroc is None and report.auprc is None
+
+
+@st.composite
+def ranking_cases(draw):
+    """(scores, truth) arrays: scored_labels' tied scores, all-distinct
+    scores, or scores mixing 0.0 and -0.0, whose ties compare equal but
+    print apart."""
+    truth, _, scores = draw(scored_labels())
+    n = len(truth)
+    kind = draw(st.sampled_from(["tied", "distinct", "signed_zeros"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "distinct":
+        scores = rng.permutation(n) / 7.0 - 3.0
+    elif kind == "signed_zeros":
+        scores = rng.choice([-0.0, 0.0, -0.0, 0.0, 1.5, -2.0], size=n)
+    return np.array(scores, dtype=np.float64), np.array(truth, dtype=np.int64)
+
+
+@PROPERTY
+@given(ranking_cases())
+def test_value_sort_cuts_match_the_stable_argsort(case):
+    scores, truth = case
+    stops, tp, values = metrics._cuts(scores, truth)
+    ref_stops, ref_tp, ref_values = reference.cuts_by_position(scores, truth)
+    assert stops.tolist() == ref_stops.tolist()
+    assert tp.tolist() == ref_tp.tolist()
+    # bitwise, so a 0.0/-0.0 block keeps the sign best_f would write
+    assert values.view(np.int64).tolist() == ref_values.view(np.int64).tolist()
+    if 0 < truth.sum() < len(truth):
+        assert metrics._auroc(stops, tp) == reference.auroc_from_cuts(ref_stops, ref_tp)
+        assert metrics._auprc(stops, tp) == reference.auprc_from_cuts(ref_stops, ref_tp)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pytest
 from tsadkit.core import ConfigError, ValidationError
 from tsadkit.metrics import compute_report
 from tsadkit.thresholding import (
+    ThresholdResult,
     threshold_best_f,
     threshold_tail_p,
     threshold_top_k,
@@ -25,6 +26,20 @@ class TestTopK:
         result = threshold_top_k(np.array([3.0, 1.0, 2.0]), 2)
         assert list(result.predictions) == [1, 0, 1]
         assert result.threshold == 2.0
+
+    def test_signed_zero_threshold_is_the_last_point_taken(self):
+        # 0.0 and -0.0 tie; earlier points are taken first, and the
+        # threshold is the score of the last one taken, sign included
+        scores = np.array([0.0, -0.0, 1.0])
+        assert math.copysign(1.0, threshold_top_k(scores, 2).threshold) == 1.0
+        assert math.copysign(1.0, threshold_top_k(scores, 3).threshold) == -1.0
+
+    def test_result_keeps_a_read_only_copy(self):
+        given = np.array([0, 1], dtype=np.int64)
+        result = ThresholdResult(1.0, given, "top_k", {"k": 1})
+        assert given.flags.writeable and not result.predictions.flags.writeable
+        given[1] = 0
+        assert result.predictions.tolist() == [0, 1]
 
     def test_k_zero(self):
         result = threshold_top_k(np.array([1.0, 2.0]), 0)
