@@ -1,18 +1,16 @@
 """Experiment orchestration: config, per-entity/seed cells, results.
 
-A run executes normalize -> window -> fit -> residuals -> score ->
-threshold -> metrics (-> diagnosis) for every (entity, seed) cell,
-deterministically per (config, seed). Cell failures are recorded and the
-remaining cells still run. The deterministic results payload carries no
-timestamps; wall-clock timings live in a separate metadata dict.
-
-A cell's test side is one loop over row blocks on the scoring grid:
-each block is normalized, reconstructed, scored and (for gauss_d_k)
-smoothed with the context rows its stages need carried over from the
-block before, so a cell holds its entity, the (n,) score series and the
-channel rows that labeled events span, never a test-length copy of the
-channels. Every stage is row-wise or already blocked on that grid, so
-the series is the whole-stream series bit for bit.
+Every (entity, seed) cell runs in two stages, deterministically per
+(config, seed). The fit stage returns a fitted value: the normalizer fitted
+on the training series, that series normalized, and the model trained on
+it, with its training residuals and fit reports. The evaluate stage only
+reads that value. It scores the test series in one loop over row blocks,
+each normalized, reconstructed, scored and (for gauss_d_k) smoothed with
+the context rows its stages need carried over from the block before, so a
+cell never holds a test-length copy of the channels and its series is the
+whole-stream series bit for bit; then it thresholds, measures and
+diagnoses. Failed cells are recorded and the rest still run. The results
+payload carries no timestamps; timings live in the run metadata.
 """
 from __future__ import annotations
 
@@ -40,6 +38,7 @@ from .core import (
 )
 from .diagnosis import RANK_STATISTICS, hitrate_at, rank_channels, rc_top_k
 from .ingest import (
+    NormStats,
     SyntheticSpec,
     WindowSpec,
     apply_normalizer,
@@ -48,7 +47,7 @@ from .ingest import (
     load_entity,
 )
 from .metrics import compute_report, rad_scores
-from .models import FitReport, ModelConfig, encoder_widths, fit, residuals
+from .models import ModelConfig, TrainedModel, encoder_widths, fit, residuals
 from .scoring import (
     KernelSpec,
     fit_gauss,
@@ -249,12 +248,9 @@ class ResultsRecord:
 
 
 def _threshold_info(result) -> dict:
-    info = {"method": result.method, "threshold": result.threshold}
-    info.update(result.metadata)
     # +inf is not valid JSON; the one threshold that predicts nothing
-    if result.threshold == float("inf"):
-        info["threshold"] = None
-    return info
+    threshold = None if result.threshold == float("inf") else result.threshold
+    return {"method": result.method, "threshold": threshold, **result.metadata}
 
 
 def _thresholds(series, truth, n_scored: int, tc: ThresholdConfig):
@@ -290,16 +286,32 @@ def diagnose_events(
     }
 
 
-def _error_blocks(test, stats, model, train_norm):
+@dataclass(frozen=True)
+class _Fitted:
+    """A cell's fit: its normalizer, normalized training series and model."""
+
+    stats: NormStats
+    train_norm: SeriesMatrix
+    model: TrainedModel
+
+
+def _fit_cell(entity: Entity, seed: int, config: ExperimentConfig) -> _Fitted:
+    """Fit a cell's normalizer and model on the entity's training series."""
+    stats = fit_normalizer(entity.train)
+    train_norm = apply_normalizer(entity.train, stats, "train")
+    return _Fitted(stats, train_norm, fit(train_norm, config.model, config.window, seed))
+
+
+def _error_blocks(entity: Entity, fitted: _Fitted):
     """(a, b, errors) per row block of the test series: the block
     normalized and reconstructed with the l_w - 1 normalized rows before
     it, from the training tail for the first block."""
+    test, lead = entity.test, fitted.train_norm
     names = test.channel_names
-    keep = model.model.window_length - 1
-    lead = train_norm
+    keep = fitted.model.model.window_length - 1
     for a, b in row_blocks(test.n):
-        x = apply_normalizer(SeriesMatrix(test.values[a:b], names), stats, "test")
-        yield a, b, residuals(model, x, train_tail=lead)
+        x = apply_normalizer(SeriesMatrix(test.values[a:b], names), fitted.stats, "test")
+        yield a, b, residuals(fitted.model, x, train_tail=lead)
         if keep:
             lead = SeriesMatrix(last_rows(lead.values, x.values, keep), names)
 
@@ -329,12 +341,12 @@ def _smoothed_blocks(blocks, kernel: KernelSpec, scored, n: int):
         held, first, done = held[keep - first :], keep, ready
 
 
-def _score_test(test, stats, model, train_norm, sc, scored, events):
+def _score_test(entity: Entity, fitted: _Fitted, sc: ScoringConfig, events):
     """The test side of a cell, block by block: the (n,) score series and,
     per event, the channel-score rows it spans."""
-    n, m = test.n, test.m
-    train_err = model.train_residuals
-    blocks = _error_blocks(test, stats, model, train_norm)
+    n, m, scored = entity.test.n, entity.m, entity.scored_indices()
+    train_err = fitted.model.train_residuals
+    blocks = _error_blocks(entity, fitted)
     if sc.kind == "error":
         mean = train_err.mean(axis=0)
         scored_blocks = ((a, b, *score_error(err, mean, scored)) for a, b, err in blocks)
@@ -363,23 +375,14 @@ def _score_test(test, stats, model, train_norm, sc, scored, events):
     return series, rows
 
 
-def _run_cell(
-    entity: Entity, seed: int, config: ExperimentConfig
-) -> tuple[dict, tuple[FitReport, ...]]:
-    """One (entity, seed) cell: its results entry and the model's fit reports."""
+def _evaluate_cell(entity: Entity, seed: int, fitted: _Fitted, config: ExperimentConfig) -> dict:
+    """A cell's results entry from its fitted value, which it only reads."""
     truth = entity.test_labels
     scored = entity.scored_indices()
-    stats = fit_normalizer(entity.train)
-    train_norm = apply_normalizer(entity.train, stats, "train")
-    model = fit(train_norm, config.model, config.window, seed)
-
     dc = config.diagnosis
-    events = entity.test_events
-    diagnosed = dc.enabled and bool(entity.causes)
-    series, rows = _score_test(
-        entity.test, stats, model, train_norm, config.scoring, scored,
-        events if diagnosed else (),
-    )
+    # events with causes to diagnose; an entity with causes has events
+    events = entity.test_events if dc.enabled and entity.causes else ()
+    series, rows = _score_test(entity, fitted, config.scoring, events)
 
     cell: dict = {"entity": entity.id, "seed": seed, "candidates": []}
     ranking = None
@@ -390,19 +393,17 @@ def _run_cell(
             ranking = {"auroc": report.auroc, "auprc": report.auprc}
         else:
             report = replace(compute_report(result.predictions, truth), **ranking)
-        cell["candidates"].append({
-            "threshold": _threshold_info(result),
-            "metrics": asdict(report),
-        })
+        entry = {"threshold": _threshold_info(result), "metrics": asdict(report)}
+        cell["candidates"].append(entry)
 
     if dc.enabled:
         cell["diagnosis"] = None
-        if diagnosed:
+        if events:
             rankings, summary = diagnose_events(
                 rows, events, scored, dc.statistic, dc.top_k, dc.percent
             )
             cell["diagnosis"] = {**summary, "rankings": [list(r) for r in rankings]}
-    return cell, model.fit_reports
+    return cell
 
 
 def _load(source: EntitySource | SyntheticSpec) -> Entity:
@@ -516,11 +517,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
         t0 = time.monotonic()
         try:
             if error is not None:
-                return None, error, None
-            cell, reports = _run_cell(entity, seed, config)
-            return (cell, reports), None, time.monotonic() - t0
+                return None, None, error, None
+            fitted = _fit_cell(entity, seed, config)
+            cell = _evaluate_cell(entity, seed, fitted, config)
+            return cell, fitted.model.fit_reports, None, time.monotonic() - t0
         except Exception as exc:  # cell isolation: record and continue
-            return None, f"{type(exc).__name__}: {exc}", time.monotonic() - t0
+            return None, None, f"{type(exc).__name__}: {exc}", time.monotonic() - t0
         finally:
             load.release()
 
@@ -530,23 +532,21 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
     ordered_failures: list[dict] = []
     timings: dict[str, float] = {}
     fit_reports: dict[str, list[dict]] = {}
-    for (load, seed), (done, error, run_s) in zip(tasks, outcomes):
+    for (load, seed), (cell, reports, error, run_s) in zip(tasks, outcomes):
         if run_s is not None:
             timings[f"{load.entity_id}/{seed}"] = run_s
-        if done is not None:
-            cell, reports = done
+        if cell is not None:
             ordered_cells.append(cell)
             fit_reports[f"{load.entity_id}/{seed}"] = [asdict(r) for r in reports]
         else:
             ordered_failures.append({"entity": load.entity_id, "seed": seed, "error": error})
 
     _pick(ordered_cells, config)
-    aggregates = _aggregate(ordered_cells)
     return ResultsRecord(
         config_digest=config.digest(),
         config=config.to_dict(),
         cells=tuple(ordered_cells),
-        aggregates=aggregates,
+        aggregates=_aggregate(ordered_cells),
         failures=tuple(ordered_failures),
         meta={
             "blas": blas_policy(),

@@ -108,7 +108,10 @@ def apply_normalizer(x: SeriesMatrix, stats: NormStats, phase: str) -> SeriesMat
         raise ValidationError(f"phase must be 'train' or 'test', got {phase!r}")
     if x.m != stats.m:
         raise ValidationError(f"series has {x.m} channels, stats has {stats.m}")
-    scaled = (x.values - stats.vmin) / stats.ranges()
+    # a test value's distance from the train minimum, or its ratio to a
+    # tiny range, may overflow to inf; the clip below takes that to 5 or -4
+    with np.errstate(over="ignore"):
+        scaled = (x.values - stats.vmin) / stats.ranges()
     if phase == "test":
         scaled = np.clip(scaled, -4.0, 5.0)
     return SeriesMatrix(scaled, x.channel_names)

@@ -107,9 +107,6 @@ def threshold_best_f(scores: ScoreSeries, truth, metric: str = "fc1") -> Thresho
     if s.shape[0] == 0:
         raise ValidationError("cannot threshold an empty score series")
     stops, tp, values = _cuts(s, y)
-    # the first candidate, +inf, predicts nothing
-    stops, tp = np.concatenate(([0], stops)), np.concatenate(([0], tp))
-    values = np.concatenate(([np.inf], values))
 
     # an event is detected at every cut at or below its highest score
     starts, ends = run_bounds(y)
@@ -123,10 +120,13 @@ def threshold_best_f(scores: ScoreSeries, truth, metric: str = "fc1") -> Thresho
     )
     f = np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
     best = int(np.argmax(f))  # the first maximum: the largest threshold
-    threshold = float(values[best])
+    if f[best] > 0:
+        threshold, value = float(values[best]), float(f[best])
+    else:  # +inf predicts nothing and scores 0: it wins only when no cut scores
+        threshold, value = float("inf"), 0.0
     return ThresholdResult(
         threshold,
         (s >= threshold).astype(np.int64),
         "best_f",
-        {"metric": metric, "value": float(f[best])},
+        {"metric": metric, "value": value},
     )

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from tsadkit import experiment
-from tsadkit.core import ConfigError, encode_config, read_json
+from tsadkit.core import ConfigError, SeriesMatrix, encode_config, read_json
 from tsadkit.diagnosis import rank_channels
 from tsadkit.experiment import (
     ExperimentConfig,
@@ -18,11 +19,13 @@ from tsadkit.experiment import (
     ThresholdConfig,
     compare_metrics,
     config_from_dict,
+    config_from_json,
     emit_results,
     run_experiment,
 )
-from tsadkit.ingest import WindowSpec
+from tsadkit.ingest import WindowSpec, apply_normalizer, fit_normalizer
 from tsadkit.metrics import MetricReport, compute_report
+from tsadkit.models import ModelConfig
 
 SPIKE_SPEC = {
     "entity_id": "syn0",
@@ -229,6 +232,28 @@ class TestRunExperiment:
                      "1.7e+308, a range beyond float64",
         }]
 
+    @pytest.mark.parametrize("train_c1, test_c1", [
+        ((-1e308, 0.0), 1e308),  # the distance from the train minimum overflows
+        ((0.0, 1e-300), 1e10),   # the ratio to the train range overflows
+    ], ids=["distance", "ratio"])
+    def test_test_value_beyond_float64_scale_clips_quietly(self, tmp_path, train_c1, test_c1):
+        # the normalized value overflows to inf and clips to 5.0; tier-1
+        # makes an overflow warning on the way an error that fails the cell
+        lo, hi = train_c1
+        train = tmp_path / "train.csv"
+        train.write_text(f"c0,c1\n0.0,{lo!r}\n1.0,{hi!r}\n0.5,{lo!r}\n")
+        test = tmp_path / "test.csv"
+        test.write_text(f"c0,c1,label\n0.0,{test_c1!r},1\n1.0,{lo!r},0\n")
+        config = base_config(synthetic=[], entities=[{
+            "id": "far", "train": str(train), "test": str(test),
+        }])
+        record = run_experiment(config)
+        assert record.failures == ()
+        assert record.cells[0]["metrics"]["fc1"] == 1.0
+        stats = fit_normalizer(SeriesMatrix(np.array([[lo], [hi]])))
+        scaled = apply_normalizer(SeriesMatrix(np.array([[test_c1]])), stats, "test")
+        assert scaled.values[0, 0] == 5.0
+
     def test_file_entities_identical_across_workers(self, tmp_path):
         config = base_config(synthetic=[], entities=file_entities(tmp_path, 3),
                              seeds=[0, 1])
@@ -304,8 +329,12 @@ class TestRunExperiment:
         record = run_experiment(config)
         # the run's exponent: the first best mean fc1 over the cells' candidates
         entity = experiment.generate_synthetic(config.synthetic[0])
-        candidates = [experiment._run_cell(entity, seed, config)[0]["candidates"]
-                      for seed in config.seeds]
+        candidates = [
+            experiment._evaluate_cell(
+                entity, seed, experiment._fit_cell(entity, seed, config), config
+            )["candidates"]
+            for seed in config.seeds
+        ]
         means = [np.mean([c[i]["metrics"]["fc1"] for c in candidates])
                  for i in range(len(experiment.TAIL_P_SWEEP))]
         chosen = experiment.TAIL_P_SWEEP[int(np.argmax(means))]
@@ -336,7 +365,9 @@ class TestRunExperiment:
             threshold={"method": "tail_p"},
         )
         entity = experiment.generate_synthetic(config.synthetic[0])
-        cell, _ = experiment._run_cell(entity, 0, config)
+        cell = experiment._evaluate_cell(
+            entity, 0, experiment._fit_cell(entity, 0, config), config
+        )
         candidates = cell["candidates"]
         assert len(candidates) == len(experiment.TAIL_P_SWEEP) == len(series)
         assert [c["threshold"]["neg_log_eps"] for c in candidates] == [1, 2, 3, 4, 5]
@@ -407,6 +438,40 @@ class TestRunExperiment:
         diag = record.cells[0]["diagnosis"]
         assert diag["rc_top_k"] == 1.0  # single spiked channel dominates
         assert len(diag["rankings"]) == 2
+
+
+class TestFitEvaluateStages:
+    def test_one_fit_evaluates_every_variant_as_a_fresh_fit(self):
+        # one fitted value, evaluated under every valid scoring x threshold
+        # pair, gives each pair's cell from a fresh fit, and is left as it was
+        base = config_from_json(Path(__file__).parent / "data" / "tiny_uae_run.json")
+        entity = experiment.generate_synthetic(base.synthetic[0])
+        seed = base.seeds[0]
+        scorings = [
+            ScoringConfig("error"),
+            ScoringConfig("gauss_s"),
+            ScoringConfig("gauss_d", window=50),
+            ScoringConfig("gauss_d_k", window=50, kernel_sigma=2.0),
+        ]
+        pairs = [
+            (sc, ThresholdConfig(method))
+            for sc in scorings
+            for method in experiment.THRESHOLD_METHODS
+            if not (sc.kind == "error" and method == "tail_p")
+        ]
+        assert len(pairs) == 11
+        for model in (ModelConfig("raw"), ModelConfig("pca"), ModelConfig("uae", max_epochs=2)):
+            config = dataclasses.replace(base, model=model)
+            fitted = experiment._fit_cell(entity, seed, config)
+            before = pickle.dumps(fitted)
+            for sc, tc in pairs:
+                variant = dataclasses.replace(config, scoring=sc, threshold=tc)
+                shared = experiment._evaluate_cell(entity, seed, fitted, variant)
+                fresh = experiment._evaluate_cell(
+                    entity, seed, experiment._fit_cell(entity, seed, variant), variant
+                )
+                assert json.dumps(shared, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+            assert pickle.dumps(fitted) == before
 
 
 class TestCompareMetrics:

@@ -17,7 +17,7 @@ from tsadkit.core import (
     TrainingError,
 )
 from tsadkit import scoring
-from tsadkit.experiment import _error_blocks
+from tsadkit.experiment import _error_blocks, _Fitted
 from tsadkit.ingest import (
     AnomalySpec,
     SyntheticSpec,
@@ -27,9 +27,10 @@ from tsadkit.ingest import (
     generate_synthetic,
     make_windows,
 )
-from tsadkit.models import FitReport, ModelConfig, encoder_widths, fit, residuals, train
+from tsadkit.models import ModelConfig, encoder_widths, fit, residuals, train
 from tsadkit.models.mlp import Adam, MlpAutoencoder, MlpStack, autoencoder_widths
 from tsadkit.models.pca import PcaModel
+from tsadkit.models.train import FitReport
 from reference import AdamPerArray, Diverged, MlpNaive, fd_gradient, train_mlp
 
 
@@ -524,7 +525,7 @@ class TestBlockedResiduals:
         test_norm = apply_normalizer(ent.test, stats, "test")
         whole = residuals(model, test_norm, train_tail=train_norm)
 
-        blocks = list(_error_blocks(ent.test, stats, model, train_norm))
+        blocks = list(_error_blocks(ent, _Fitted(stats, train_norm, model)))
         assert [(a, b) for a, b, _ in blocks] == [(0, block), (block, n_test)]
         blocked = np.concatenate([err for _, _, err in blocks])
         assert blocked.tobytes() == whole.tobytes()

@@ -9,7 +9,13 @@ from scipy import special
 
 from tsadkit import scoring
 from tsadkit.core import InsufficientDataError, ValidationError
-from tsadkit.experiment import _gauss_d_blocks, _run_cell, _smoothed_blocks, config_from_dict
+from tsadkit.experiment import (
+    _evaluate_cell,
+    _fit_cell,
+    _gauss_d_blocks,
+    _smoothed_blocks,
+    config_from_dict,
+)
 from tsadkit.ingest import generate_synthetic
 from tsadkit.scoring import (
     SIGMA_FLOOR,
@@ -565,7 +571,7 @@ def test_cell_memory_is_bounded_by_the_block():
         entity = generate_synthetic(config.synthetic[0])
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        cell, _ = _run_cell(entity, 0, config)
+        cell = _evaluate_cell(entity, 0, _fit_cell(entity, 0, config), config)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
