@@ -317,20 +317,17 @@ def run_bounds(labels: LabelVector) -> tuple[IntArray, IntArray]:
 
 
 def midranks(values) -> FloatArray:
-    """Ascending ranks of a 1-D array, 1 for the smallest, ties sharing
-    their average rank.
+    """Ascending ranks of a 1-D array of finite values, 1 for the smallest,
+    ties sharing their average rank.
 
-    Every rank is a whole or half integer, so it is exact in float64.
+    The tie block of a value v holds the sorted positions from the count
+    of values below v to the count at or below it, so its midrank comes
+    from two searches of one value sort. Every rank is a whole or half
+    integer, so it is exact in float64.
     """
     v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    sorted_v = v[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_v) != 0) + 1))
-    stops = np.concatenate((starts[1:], [v.size]))
-    ranks = np.empty(v.size)
-    # the block at sorted positions start..stop-1 holds ranks start+1..stop
-    ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
-    return ranks
+    ordered = np.sort(v)
+    return (np.searchsorted(ordered, v, "left") + np.searchsorted(ordered, v, "right") + 1) / 2
 
 
 def resolve_scored(m: int, scored) -> IntArray:

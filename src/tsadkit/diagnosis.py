@@ -38,7 +38,7 @@ def rank_channels(rows, scored=None, statistic: str = "mean") -> tuple[int, ...]
         raise ValidationError("an event spans at least one row, got none")
     idx = resolve_scored(scores.shape[1], scored)
 
-    span = scores[:, idx]
+    span = scores[:, idx]  # Fortran-ordered: each mean is a pairwise sum down one column
     if statistic == "mean":
         with np.errstate(over="ignore"):
             agg = span.mean(axis=0)

@@ -6,6 +6,8 @@ never 1), events are maximal runs of the truth vector, and an event
 counts as detected when at least one of its points is predicted. The
 ranking metrics read the tie blocks of one sort of the score values and
 count the positives in them by a search of the sorted positive scores.
+Every F-score is one _f_terms quotient of integer counts, of one
+prediction in compute_report or of every tie-block cut in _f_by_cut.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    FloatArray,
     LabelVector,
     ScoreSeries,
     ValidationError,
@@ -55,27 +58,27 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def _f_terms(metric: str, tp, fp, n_pos, tp_adjusted, tp_e, n_events):
+def _f_terms(metric: str, tp, positives, n_pos, tp_adjusted, tp_e, n_events):
     """One F-score as a (numerator, denominator) pair of integer counts:
     of Python ints, which _ratio divides once to the correctly rounded
     value of the exact rational (chaining precision, recall and the
     harmonic mean can land one ulp off), or of arrays, one per threshold.
 
-    tp_adjusted is the total length of the detected events, tp_e the
-    detected events out of n_events.
+    positives counts the predicted points, tp_adjusted the total length
+    of the detected events, tp_e the detected events out of n_events.
     """
     if metric == "f1":
-        return 2 * tp, tp + fp + n_pos  # 2tp + fp + fn
+        return 2 * tp, positives + n_pos  # 2tp + fp + fn
     if metric == "fpa1":
         # the adjusted prediction keeps every false positive; its misses
         # are the points of undetected events
-        return 2 * tp_adjusted, tp_adjusted + fp + n_pos
+        return 2 * tp_adjusted, tp_adjusted - tp + positives + n_pos
     # fc1: 2*prec_t*rec_e/(prec_t + rec_e) over the common denominator
-    return 2 * tp * tp_e, tp * n_events + tp_e * (tp + fp)
+    return 2 * tp * tp_e, tp * n_events + tp_e * positives
 
 
 def _counts(p: LabelVector, y: LabelVector) -> tuple[int, int, int, int, int, int]:
-    """(tp, fp, n_pos, tp_adjusted, tp_e, n_events) in _f_terms order.
+    """(tp, positives, n_pos, tp_adjusted, tp_e, n_events) in _f_terms order.
 
     One pass: prefix sums of the prediction give each truth event's hits,
     and every count follows from those as an integer. All true positives
@@ -89,10 +92,9 @@ def _counts(p: LabelVector, y: LabelVector) -> tuple[int, int, int, int, int, in
     hits = predicted_before[stops] - predicted_before[starts]
     lengths = stops - starts
     detected = hits > 0
-    tp = int(hits.sum())
     return (
-        tp,
-        int(predicted_before[-1]) - tp,
+        int(hits.sum()),
+        int(predicted_before[-1]),
         int(lengths.sum()),
         int(lengths[detected].sum()),
         int(detected.sum()),
@@ -136,6 +138,25 @@ def _cuts(s: ScoreSeries, y: LabelVector) -> tuple[np.ndarray, np.ndarray, Score
     tp = np.searchsorted(positives, values, "left")
     np.subtract(positives.shape[0], tp, out=tp)
     return stops, tp, values
+
+
+def _f_by_cut(s: ScoreSeries, y: LabelVector, metric: str) -> tuple[ScoreSeries, FloatArray]:
+    """Each tie-block cut's value and the F-score of predicting the points
+    at or above it, the highest value first.
+
+    An event is detected at every cut at or below its highest score, so a
+    search over the events' peak scores gives each cut's detected events
+    and their covered length; _f_terms then divides once per cut.
+    """
+    stops, tp, values = _cuts(s, y)
+    starts, ends = run_bounds(y)
+    peaks = np.maximum.reduceat(np.where(y == 1, s, -np.inf), starts)
+    by_peak = np.argsort(-peaks)
+    detected = np.searchsorted(-peaks[by_peak], -values, side="right")
+    covered = np.concatenate(([0], np.cumsum((ends - starts)[by_peak])))[detected]
+    num, den = _f_terms(metric, tp, stops, int(tp[-1]), covered, detected, starts.shape[0])
+    del stops, tp, detected, covered
+    return values, np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
 
 
 def _auroc(stops: np.ndarray, tp: np.ndarray) -> float:
@@ -190,7 +211,7 @@ def compute_report(pred, truth, scores: ScoreSeries | None = None) -> MetricRepo
     """
     p, y = _pair(pred, truth)
     counts = _counts(p, y)
-    tp, fp, n_pos, _, tp_e, n_events = counts
+    tp, positives, n_pos, _, tp_e, n_events = counts
     roc = prc = None
     if scores is not None:
         s = _checked(scores, y)[0]
@@ -201,7 +222,7 @@ def compute_report(pred, truth, scores: ScoreSeries | None = None) -> MetricRepo
         f1=_ratio(*_f_terms("f1", *counts)),
         fpa1=_ratio(*_f_terms("fpa1", *counts)),
         fc1=_ratio(*_f_terms("fc1", *counts)),
-        prec_t=_ratio(tp, tp + fp),
+        prec_t=_ratio(tp, positives),
         rec_e=_ratio(tp_e, n_events),
         rec_point=_ratio(tp, n_pos),
         auroc=roc,

@@ -64,11 +64,14 @@ _LOST = 2.0**-20
 
 
 def _row_sums(channels: ChannelScores, idx) -> ScoreSeries:
-    """Sum of the scored channels per row, gathered one block of rows at a
-    time; a row's sum does not depend on the blocking."""
-    series = np.empty(channels.shape[0])
+    """Sum of the scored channels per row, added to 0.0 one at a time in
+    index order, one block of rows at a time. The loop, not a gather's
+    layout, fixes the order: numpy sums a lone row of 8 or more pairwise."""
+    series = np.zeros(channels.shape[0])
     for a in range(0, channels.shape[0], _BLOCK):
-        series[a : a + _BLOCK] = channels[a : a + _BLOCK][:, idx].sum(axis=1)
+        out = series[a : a + _BLOCK]
+        for i in idx:
+            out += channels[a : a + _BLOCK, i]
     return series
 
 
@@ -242,7 +245,8 @@ def score_gauss_d(
 
     n = err.shape[0]
     step = min(n, _STEP)
-    cs = np.empty((min(n, _BLOCK) + w, m))
+    # a block's stream: its rows and the at most W-1 rows carried before it
+    cs = np.empty((min(n, _BLOCK) + min(w - 1, history.shape[0] + n) + 1, m))
     cs2 = np.empty_like(cs)
     cs[0] = cs2[0] = 0.0
     mean, sigma, scratch = (np.empty((step, m)) for _ in range(3))

@@ -5,9 +5,10 @@ or above the threshold. The one documented exception is top-k with ties
 at the boundary, where earlier time-points win so the positive count is
 exactly k.
 
-best_f sweeps the same tie-block cuts and divides the same F-score
-formulas as the metrics module, so the value it reports is the value
-compute_report gives its prediction.
+best_f takes every tie-block cut's F-score from the metrics module,
+which counts as compute_report does, so the value it reports is the
+value compute_report gives its prediction. A ThresholdResult keeps the
+int64 0/1 vector its threshold function built, with no copy.
 """
 from __future__ import annotations
 
@@ -15,16 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    LabelVector,
-    ScoreSeries,
-    ValidationError,
-    check_score_series,
-    run_bounds,
-    validate_labels,
-)
-from .metrics import _checked, _cuts, _f_terms
+from .core import ConfigError, LabelVector, ScoreSeries, ValidationError, check_score_series
+from .metrics import _checked, _f_by_cut
 
 BEST_F_METRICS = ("f1", "fpa1", "fc1")
 
@@ -35,11 +28,6 @@ class ThresholdResult:
     predictions: LabelVector
     method: str
     metadata: dict
-
-    def __post_init__(self):
-        preds = validate_labels(self.predictions).copy()
-        preds.flags.writeable = False
-        object.__setattr__(self, "predictions", preds)
 
 
 def threshold_top_k(scores: ScoreSeries, k: int) -> ThresholdResult:
@@ -95,30 +83,14 @@ def threshold_best_f(scores: ScoreSeries, truth, metric: str = "fc1") -> Thresho
     the metric resolve toward the larger threshold (fewer positives).
     Evaluation-only: requires test labels.
 
-    One O(n log n) sweep: a sort of the score values and a search of the
-    positive ones give each candidate's positives and true positives, a
-    search over the events' peak scores gives the events it detects and
-    their covered length, and the metrics module's F-score pair divides
-    once per candidate.
+    The metrics module scores every cut in one O(n log n) sweep.
     """
     if metric not in BEST_F_METRICS:
         raise ConfigError(f"metric must be one of {BEST_F_METRICS}, got {metric!r}")
     s, y = _checked(scores, truth)
     if s.shape[0] == 0:
         raise ValidationError("cannot threshold an empty score series")
-    stops, tp, values = _cuts(s, y)
-
-    # an event is detected at every cut at or below its highest score
-    starts, ends = run_bounds(y)
-    peaks = np.maximum.reduceat(np.where(y == 1, s, -np.inf), starts)
-    by_peak = np.argsort(-peaks)
-    detected = np.searchsorted(-peaks[by_peak], -values, side="right")
-    covered = np.concatenate(([0], np.cumsum((ends - starts)[by_peak])))[detected]
-
-    num, den = _f_terms(
-        metric, tp, stops - tp, int(tp[-1]), covered, detected, starts.shape[0]
-    )
-    f = np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
+    values, f = _f_by_cut(s, y, metric)
     best = int(np.argmax(f))  # the first maximum: the largest threshold
     if f[best] > 0:
         threshold, value = float(values[best]), float(f[best])

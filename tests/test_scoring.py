@@ -434,6 +434,37 @@ def test_scoring_memory_is_bounded_by_the_block():
     assert dk_peak < outputs + 16 * block_bytes
 
 
+@pytest.mark.parametrize("block", [7, scoring._BLOCK])
+def test_row_sums_add_the_scored_channels_in_index_order(block):
+    """Each row's series value is 0.0 plus its scored channels one at a
+    time in index order, for one row as for many and across blocks. A
+    C-ordered gather of the scored channels, which numpy sums pairwise in
+    rows of 8 or more values, moves the last bits."""
+    rng = np.random.default_rng(11)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "_BLOCK", block)
+        for _ in range(200):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            channels = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-4, 5, size=(n, m))
+            idx = np.sort(rng.choice(m, int(rng.integers(1, m + 1)), replace=False))
+            expected = np.zeros(n)
+            for i in idx:
+                expected = expected + channels[:, i]
+            assert scoring._row_sums(channels, idx).tobytes() == expected.tobytes()
+
+
+def test_gauss_d_allocates_by_the_rows_it_can_reach():
+    """A window longer than the tail and the test rows together sizes the
+    prefix sums by those rows, not by W: W = 10**12 scores as the shortest
+    window that reaches every row, W = 251 here."""
+    rng = np.random.default_rng(4)
+    err, tail = rng.normal(size=(200, 3)), rng.normal(size=(50, 3))
+    huge = score_gauss_d(err, tail, 10**12)
+    reach = score_gauss_d(err, tail, 251)
+    assert huge[0].tobytes() == reach[0].tobytes()
+    assert huge[1].tobytes() == reach[1].tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 5, scoring._BLOCK - 1, scoring._BLOCK, scoring._BLOCK + 1,
                                2 * scoring._BLOCK + 1, 3 * scoring._BLOCK - 1])
 def test_row_blocks_tile_the_grid(n):
