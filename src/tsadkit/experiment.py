@@ -1,15 +1,15 @@
 """Experiment orchestration: config, per-entity/seed cells, results.
 
-Every (entity, seed) cell runs in two stages, deterministically per
-(config, seed). The fit stage returns a fitted value: the normalizer fitted
-on the training series, that series normalized, and the model trained on
-it, with its training residuals and fit reports. The evaluate stage only
-reads that value. It scores the test series in one loop over row blocks,
-each normalized, reconstructed, scored and (for gauss_d_k) smoothed with
-the context rows its stages need carried over from the block before, so a
-cell never holds a test-length copy of the channels and its series is the
-whole-stream series bit for bit; then it thresholds, measures and
-diagnoses. Failed cells are recorded and the rest still run. The results
+Every (entity, seed) cell runs in two stages, deterministically per (config,
+seed). The fit stage returns a fitted value: the normalizer fitted on the
+training series, the l_w - 1 last rows of that series normalized, and the
+model trained on it, with its training residuals and fit reports. The
+evaluate stage only reads that value. It scores the test series in one loop
+over row blocks, each normalized, reconstructed, scored and (for gauss_d_k)
+smoothed with the context rows its stages need carried over from the block
+before, so a cell never holds a test-length copy of the channels and its
+series is the whole-stream series bit for bit; then it thresholds, measures
+and diagnoses. Failed cells are recorded and the rest still run. The results
 payload carries no timestamps; timings live in the run metadata.
 """
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .blas import blas_policy
 from .core import (
     ConfigError,
     Entity,
+    FloatArray,
     SeriesMatrix,
     decode_config,
     encode_config,
@@ -288,32 +289,43 @@ def diagnose_events(
 
 @dataclass(frozen=True)
 class _Fitted:
-    """A cell's fit: its normalizer, normalized training series and model."""
+    """A cell's fit: its normalizer, the l_w - 1 last normalized training
+    rows (none for raw and PCA), which the first test block is
+    reconstructed with, and its model."""
 
     stats: NormStats
-    train_norm: SeriesMatrix
+    lead: FloatArray
     model: TrainedModel
 
 
 def _fit_cell(entity: Entity, seed: int, config: ExperimentConfig) -> _Fitted:
-    """Fit a cell's normalizer and model on the entity's training series."""
+    """Fit a cell's normalizer and model on the entity's training series;
+    the normalized series is dropped once the model is fitted."""
     stats = fit_normalizer(entity.train)
     train_norm = apply_normalizer(entity.train, stats, "train")
-    return _Fitted(stats, train_norm, fit(train_norm, config.model, config.window, seed))
+    model = fit(train_norm, config.model, config.window, seed)
+    keep = model.model.window_length - 1
+    # a copy, which holds on to none of the normalized series
+    lead = train_norm.values[train_norm.n - keep :].copy()
+    return _Fitted(stats, lead, model)
 
 
 def _error_blocks(entity: Entity, fitted: _Fitted):
     """(a, b, errors) per row block of the test series: the block
     normalized and reconstructed with the l_w - 1 normalized rows before
-    it, from the training tail for the first block."""
-    test, lead = entity.test, fitted.train_norm
+    it, from the training tail for the first block. A block's normalized
+    rows are dropped before its errors are handed on."""
+    test, lead = entity.test, fitted.lead
     names = test.channel_names
     keep = fitted.model.model.window_length - 1
     for a, b in row_blocks(test.n):
         x = apply_normalizer(SeriesMatrix(test.values[a:b], names), fitted.stats, "test")
-        yield a, b, residuals(fitted.model, x, train_tail=lead)
+        tail = SeriesMatrix(lead, names) if keep else None
+        err = residuals(fitted.model, x, train_tail=tail)
         if keep:
-            lead = SeriesMatrix(last_rows(lead.values, x.values, keep), names)
+            lead = last_rows(lead, x.values, keep)
+        del x
+        yield a, b, err
 
 
 def _gauss_d_blocks(blocks, train_err, w: int, scored):

@@ -113,7 +113,7 @@ def apply_normalizer(x: SeriesMatrix, stats: NormStats, phase: str) -> SeriesMat
     with np.errstate(over="ignore"):
         scaled = (x.values - stats.vmin) / stats.ranges()
     if phase == "test":
-        scaled = np.clip(scaled, -4.0, 5.0)
+        np.clip(scaled, -4.0, 5.0, out=scaled)
     return SeriesMatrix(scaled, x.channel_names)
 
 
@@ -419,7 +419,9 @@ class _CsvFile:
 
     def floats(self, columns: list[int]) -> FloatArray:
         if self._table is not None:
-            return self._table[:, columns]
+            # a C-ordered copy, which SeriesMatrix keeps as it is; indexing
+            # with the list gives a Fortran-ordered one it would copy again
+            return np.take(self._table, columns, axis=1)
         return parse_floats(self.path, self._rows, self.header, columns)
 
     def labels(self) -> IntArray:
@@ -503,13 +505,14 @@ def load_entity(
             f"test channels {channels}"
         )
 
-    train_cols = [train_header.index(h) for h in channels]
-    test_cols = [test_header.index(h) for h in channels]
-    train_values = train.floats(train_cols)
+    # each file's table is dropped once its columns are read
+    train_values = train.floats([train_header.index(h) for h in channels])
+    del train
     check_finite(train_path, train_values, channels)
-    test_values = test.floats(test_cols)
+    test_values = test.floats([test_header.index(h) for h in channels])
     check_finite(test_path, test_values, channels)
     labels = test.labels()
+    del test
 
     causes = {}
     if cause_map is not None:

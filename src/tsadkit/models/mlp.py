@@ -129,10 +129,13 @@ class MlpAutoencoder:
 
     def loss(self, batch: FloatArray) -> float:
         """Mean squared reconstruction error over every element of the batch."""
-        diff = self.forward(batch) - batch
+        # forward's output is a fresh array: subtract and square in place
+        diff = self.forward(batch)
+        diff -= batch
         # overflow to inf is fine here; callers treat non-finite loss as divergence
         with np.errstate(over="ignore"):
-            return float(np.mean(diff * diff))
+            np.multiply(diff, diff, out=diff)
+            return float(np.mean(diff))
 
 
 class MlpStack:

@@ -254,15 +254,19 @@ def score_gauss_d(
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
         k, pre = b - a, history.shape[0]
-        stream = np.concatenate([history, err[a:b]])
-        history = last_rows(history, err[a:b], w - 1)
         n_stream = pre + k
-        # center per channel on the stream's own mean, so the prefix sums
-        # scale with the block rather than with n; z is invariant to a shift
-        stream -= stream.mean(axis=0)
-        np.cumsum(stream, axis=0, out=cs[1 : n_stream + 1])
-        square = np.multiply(stream, stream, out=cs2[1 : n_stream + 1])
+        # the stream is written, centered and summed in place in the prefix
+        # sums; centered per channel on its own mean, they scale with the
+        # block rather than with n, and z is invariant to a shift
+        stream, square = cs[1 : n_stream + 1], cs2[1 : n_stream + 1]
+        stream[:pre] = history
+        stream[pre:] = err[a:b]
+        centre = stream.mean(axis=0)
+        stream -= centre
+        np.multiply(stream, stream, out=square)
         np.cumsum(square, axis=0, out=square)
+        np.cumsum(stream, axis=0, out=stream)
+        rebuilt = None  # the centered stream, built again only for lost windows
 
         for s in range(0, k, step):
             e = min(s + step, k)
@@ -288,17 +292,23 @@ def score_gauss_d(
             if lost.any():
                 # a window flagged under a limit below the floor gets SIGMA_FLOOR anyway
                 lost &= limit > SIGMA_FLOOR**2
-                _sum_again(stream, end, w, lost, mu, var)
+                if rebuilt is None:
+                    rebuilt = np.concatenate([history, err[a:b]])
+                    rebuilt -= centre
+                _sum_again(rebuilt, end, w, lost, mu, var)
             var /= np.maximum(win - 1.0, 1.0)
             np.clip(var, 0.0, None, out=var)
             sd = np.sqrt(var, out=var)
             np.maximum(sd, SIGMA_FLOOR, out=sd)
 
-            z = np.subtract(stream[pre + s : pre + e], mu, out=scratch[:j])
+            # the row's centered error, as the prefix sums took it
+            z = np.subtract(err[a + s : a + e], centre, out=scratch[:j])
+            z -= mu
             z /= sd
             z[win[:, 0] < 2.0] = 0.0
             np.clip(z, -Z_CLAMP, Z_CLAMP, out=z)
             channels[a + s : a + e] = _neg_log10_survival(z)
+        history = last_rows(history, err[a:b], w - 1)
     return channels, _row_sums(channels, idx)
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +473,103 @@ class TestFitEvaluateStages:
                 )
                 assert json.dumps(shared, sort_keys=True) == json.dumps(fresh, sort_keys=True)
             assert pickle.dumps(fitted) == before
+
+
+MEMORY_ROWS, MEMORY_CHANNELS = 20_000, 16
+
+
+@pytest.fixture(scope="module")
+def stream_entity(tmp_path_factory):
+    """A file entity of 20,000 x 16 rows on each side, as the benchmark's
+    CSV entities are: a few shared sinusoids mixed into the channels, plus
+    noise and two events with causes. Its test side is one scoring block.
+    Returns the config entry of a pca / gauss_d cell on it."""
+    n, m = MEMORY_ROWS, MEMORY_CHANNELS
+    rng = np.random.default_rng(21)
+    t = np.arange(2 * n, dtype=np.float64)[:, None]
+    values = np.sin(t / rng.uniform(5.0, 60.0, 4)) @ rng.normal(size=(4, m))
+    values += rng.normal(0.0, 0.05, size=values.shape)
+    labels = np.zeros(n, dtype=np.int64)
+    labels[5000:5030] = labels[12000:12020] = 1
+    values[n + 5000 : n + 5030, 3] += 5.0
+    values[n + 12000 : n + 12020, 1] += 5.0
+    out = tmp_path_factory.mktemp("stream")
+    header = ",".join(f"c{c}" for c in range(m))
+    np.savetxt(out / "train.csv", values[:n], fmt="%.6f", delimiter=",",
+               header=header, comments="")
+    np.savetxt(out / "test.csv", np.column_stack([values[n:], labels]), delimiter=",",
+               fmt=["%.6f"] * m + ["%d"], header=header + ",label", comments="")
+    (out / "causes.json").write_text('{"0": ["c3"], "1": ["c1"]}', encoding="utf-8")
+    return {"id": "stream", "train": str(out / "train.csv"), "test": str(out / "test.csv"),
+            "cause_map": str(out / "causes.json")}
+
+
+def stream_config(entry):
+    return config_from_dict({
+        "entities": [entry],
+        "model": {"kind": "pca"},
+        "scoring": {"kind": "gauss_d", "window": 500},
+        "threshold": {"method": "top_k"},
+        "diagnosis": {"enabled": True},
+    })
+
+
+def traced_arrays(call):
+    """``call()`` and, in whole-stream n x m float arrays, its traced peak
+    and the traced memory it leaves held (its result's, say)."""
+    stream_bytes = MEMORY_ROWS * MEMORY_CHANNELS * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, (peak - start) / stream_bytes, (held - start) / stream_bytes
+
+
+class TestCellMemory:
+    """A cell of one scoring block holds each full-length array once."""
+
+    def test_loading_holds_one_table_at_a_time(self, stream_entity):
+        """load_entity peaks at ~3.4 arrays: the test file's table while
+        the train file's loadtxt pass runs (~2.4). Each file's table is
+        dropped once its columns are read, in one C-ordered copy, so the
+        entity's two series are all it keeps. Holding both tables until
+        the end, with each series copied twice, took ~6.3."""
+        entity, peak, held = traced_arrays(lambda: experiment.load_entity(
+            stream_entity["train"], stream_entity["test"],
+            cause_map=stream_entity["cause_map"],
+        ))
+        assert entity.test.n == MEMORY_ROWS
+        assert held < 2.25
+        assert peak < 4.0
+
+    def test_the_fitted_value_keeps_no_normalized_training_copy(self, stream_entity):
+        """A pca fit keeps its model and training residuals, ~1.0 arrays,
+        and none of the normalized training rows: a window of one row
+        needs none carried. Keeping the normalized series kept ~2.0."""
+        config = stream_config(stream_entity)
+        entity = experiment._load(config.entities[0])
+        fitted, _, held = traced_arrays(lambda: experiment._fit_cell(entity, 0, config))
+        assert fitted.lead.shape == (0, MEMORY_CHANNELS)
+        assert held < 1.25
+
+    def test_evaluation_holds_each_block_array_once(self, stream_entity):
+        """Over its fitted value, evaluation peaks at ~4.9 arrays inside
+        gauss_d: the block's errors, the two prefix sums the errors are
+        centered and summed in and the channel scores, plus the steps'
+        temporaries. Holding the normalized block and a centered copy of
+        the errors as well peaked at ~6.7."""
+        config = stream_config(stream_entity)
+        entity = experiment._load(config.entities[0])
+        fitted = experiment._fit_cell(entity, 0, config)
+        cell, peak, _ = traced_arrays(
+            lambda: experiment._evaluate_cell(entity, 0, fitted, config)
+        )
+        assert cell["diagnosis"]["rankings"]
+        assert peak < 5.25
 
 
 class TestCompareMetrics:

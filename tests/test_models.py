@@ -525,7 +525,8 @@ class TestBlockedResiduals:
         test_norm = apply_normalizer(ent.test, stats, "test")
         whole = residuals(model, test_norm, train_tail=train_norm)
 
-        blocks = list(_error_blocks(ent, _Fitted(stats, train_norm, model)))
+        lead = train_norm.values[train_norm.n - model.model.window_length + 1 :]
+        blocks = list(_error_blocks(ent, _Fitted(stats, lead, model)))
         assert [(a, b) for a, b, _ in blocks] == [(0, block), (block, n_test)]
         blocked = np.concatenate([err for _, _, err in blocks])
         assert blocked.tobytes() == whole.tobytes()

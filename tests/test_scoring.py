@@ -406,11 +406,12 @@ def test_steps_within_a_block_move_no_bit(step):
 
 def test_scoring_memory_is_bounded_by_the_block():
     """Only the outputs are full length: the traced peak of gauss_d is
-    under its outputs plus 8 blocks of m channels, that of gauss_d_k under
-    its outputs plus 16. gauss_d's block of errors and its two prefix sums
-    take ~5, its steps' temporaries a fraction of one; gauss_d_k's
-    per-column convolution holds one padded column and its result, 2n
-    floats, ~5 here."""
+    under its outputs plus 3 blocks of m channels, that of gauss_d_k under
+    its outputs plus 16. gauss_d writes, centers and sums each block's
+    errors in its two prefix sums, ~2 blocks, and its steps' temporaries
+    take ~0.6 (~2.6 in all; a centered copy of the block made it ~3.6);
+    gauss_d_k's per-column convolution holds one padded column and its
+    result, 2n floats, ~5 here."""
     n, m, w = 1 << 18, 4, 500
     rng = np.random.default_rng(3)
     err = rng.normal(size=(n, m))
@@ -430,7 +431,7 @@ def test_scoring_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     outputs = channels.nbytes + series.nbytes
     assert smoothed.nbytes + smoothed_series.nbytes == outputs
-    assert d_peak < outputs + 8 * block_bytes
+    assert d_peak < outputs + 3 * block_bytes
     assert dk_peak < outputs + 16 * block_bytes
 
 
@@ -502,6 +503,52 @@ def test_carried_gauss_d_equals_the_whole_stream(case):
         out = list(_gauss_d_blocks(iter(pieces), tail, w, scored))
     assert np.concatenate([rows for _, _, rows, _ in out]).tobytes() == whole.tobytes()
     assert np.concatenate([part for *_, part in out]).tobytes() == whole_series.tobytes()
+
+
+@st.composite
+def shift_after_a_boundary(draw):
+    """(test, tail, w, block): 1e-3 noise whose channel c shifts by 1e4
+    from 1 to W - 1 rows after a block boundary to the end. The first
+    windows of that block lie before the shift, so each reaches back into
+    the rows carried over, and the block's mean puts them far from it:
+    their spread is lost in the prefix sums and summed again."""
+    block = draw(st.sampled_from([16, 40, 64]))
+    w = draw(st.integers(2, block))
+    m = draw(st.integers(1, 3))
+    full = draw(st.integers(2, 4))
+    n = full * block + draw(st.integers(0, block - 1))
+    shift = draw(st.integers(1, full - 1)) * block + draw(st.integers(1, w - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = 1e-3 * rng.normal(size=(w - 1 + n, m))
+    values[w - 1 + shift :, draw(st.integers(0, m - 1))] += 1e4
+    return values[w - 1 :], values[: w - 1], w, block
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(shift_after_a_boundary())
+def test_windows_summed_again_over_the_carried_rows_keep_their_bits(case):
+    # a lost window that starts in the carried rows is summed again from
+    # the carry and the block; whole and in carried pieces, it scores alike
+    test, tail, w, block = case
+    reaches_back = []
+
+    def sum_again(stream, end, w, lost, mu, q):
+        # every block carries W - 1 rows here: the tail or the rows before it
+        reaches_back.append(bool((end[np.nonzero(lost)[0]] - w < w - 1).any()))
+        return summed_again(stream, end, w, lost, mu, q)
+
+    summed_again = scoring._sum_again
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "_BLOCK", block)
+        mp.setattr(scoring, "_sum_again", sum_again)
+        whole, whole_series = score_gauss_d(test, tail, w)
+        assert any(reaches_back)
+        history, pieces = tail, []
+        for a, b in row_blocks(test.shape[0]):
+            pieces.append(score_gauss_d(test[a:b], history, w))
+            history = last_rows(history, test[a:b], w - 1)
+    assert np.concatenate([rows for rows, _ in pieces]).tobytes() == whole.tobytes()
+    assert np.concatenate([part for _, part in pieces]).tobytes() == whole_series.tobytes()
 
 
 @st.composite
