@@ -37,7 +37,14 @@ from .experiment import (
     emit_results,
     run_experiment,
 )
-from .ingest import SyntheticSpec, check_finite, check_unique, generate_synthetic, read_csv
+from .ingest import (
+    SyntheticSpec,
+    _CsvFile,
+    check_finite,
+    check_unique,
+    generate_synthetic,
+    read_csv,
+)
 from .rankstats import RankTable, compare_to_best
 
 _USAGE_EXIT = 1
@@ -175,14 +182,11 @@ def _cmd_run(args) -> int:
 
 
 def _read_label_columns(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    header, values = read_csv(path)
-    # checked before the cast: NaN, inf or a huge value has no int64 value
-    bad = (values != 0) & (values != 1)
-    if bad.any():
-        raise ParseError(f"{path}: labels must be integers 0 or 1, found {values[bad][0]:g}")
-    matrix = values.astype(np.int64)
-    truth = matrix[:, 0]
-    named = {name: matrix[:, j] for j, name in enumerate(header) if j}
+    # every cell under an entity's label rule: it reads 0 or 1 once stripped
+    table = _CsvFile(path, every_label=True)
+    header = table.header
+    truth = table.labels(0)
+    named = {name: table.labels(j) for j, name in enumerate(header) if j}
     if not named:
         raise ParseError(f"{path}: need at least one prediction column after the truth column")
     check_unique(path, header[1:], "prediction column")

@@ -2,14 +2,14 @@
 
 Every (entity, seed) cell runs in two stages, deterministically per (config,
 seed). The fit stage returns a fitted value: the normalizer fitted on the
-training series, the l_w - 1 last rows of that series normalized, and the
-model trained on it, with its training residuals and fit reports. The
-evaluate stage only reads that value. It scores the test series in one loop
-over row blocks, each normalized, reconstructed, scored and (for gauss_d_k)
-smoothed with the context rows its stages need carried over from the block
-before, so a cell never holds a test-length copy of the channels and its
-series is the whole-stream series bit for bit; then it thresholds, measures
-and diagnoses. Failed cells are recorded and the rest still run. The results
+training series, the l_w - 1 last rows of that series normalized, the
+model trained on it and the model's errors on it. The evaluate stage only
+reads that value. It scores the test series in one loop over row blocks,
+each normalized, reconstructed, scored and (for gauss_d_k) smoothed with
+the context rows its stages need carried over from the block before, so a
+cell never holds a test-length copy of the channels and its series is the
+whole-stream series bit for bit; then it thresholds, measures and
+diagnoses. Failed cells are recorded and the rest still run. The results
 payload carries no timestamps; timings live in the run metadata.
 """
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .blas import blas_policy
 from .core import (
     ConfigError,
     Entity,
+    ErrorMatrix,
     FloatArray,
     SeriesMatrix,
     decode_config,
@@ -48,7 +49,7 @@ from .ingest import (
     load_entity,
 )
 from .metrics import compute_report, rad_scores
-from .models import ModelConfig, TrainedModel, encoder_widths, fit, residuals
+from .models import ModelConfig, ReconstructionModel, encoder_widths, fit, residuals
 from .scoring import (
     KernelSpec,
     fit_gauss,
@@ -291,23 +292,25 @@ def diagnose_events(
 class _Fitted:
     """A cell's fit: its normalizer, the l_w - 1 last normalized training
     rows (none for raw and PCA), which the first test block is
-    reconstructed with, and its model."""
+    reconstructed with, its model and the model's training errors."""
 
     stats: NormStats
     lead: FloatArray
-    model: TrainedModel
+    model: ReconstructionModel
+    train_err: ErrorMatrix
 
 
 def _fit_cell(entity: Entity, seed: int, config: ExperimentConfig) -> _Fitted:
-    """Fit a cell's normalizer and model on the entity's training series;
-    the normalized series is dropped once the model is fitted."""
+    """Fit a cell's normalizer and model on the entity's training series,
+    and take the model's errors on it; the normalized series is dropped."""
     stats = fit_normalizer(entity.train)
-    train_norm = apply_normalizer(entity.train, stats, "train")
+    train_norm = apply_normalizer(entity.train, stats)
     model = fit(train_norm, config.model, config.window, seed)
-    keep = model.model.window_length - 1
+    train_err = residuals(model, train_norm)
+    keep = model.window_length - 1
     # a copy, which holds on to none of the normalized series
     lead = train_norm.values[train_norm.n - keep :].copy()
-    return _Fitted(stats, lead, model)
+    return _Fitted(stats, lead, model, train_err)
 
 
 def _error_blocks(entity: Entity, fitted: _Fitted):
@@ -317,9 +320,9 @@ def _error_blocks(entity: Entity, fitted: _Fitted):
     rows are dropped before its errors are handed on."""
     test, lead = entity.test, fitted.lead
     names = test.channel_names
-    keep = fitted.model.model.window_length - 1
+    keep = fitted.model.window_length - 1
     for a, b in row_blocks(test.n):
-        x = apply_normalizer(SeriesMatrix(test.values[a:b], names), fitted.stats, "test")
+        x = apply_normalizer(SeriesMatrix(test.values[a:b], names), fitted.stats)
         tail = SeriesMatrix(lead, names) if keep else None
         err = residuals(fitted.model, x, train_tail=tail)
         if keep:
@@ -357,7 +360,7 @@ def _score_test(entity: Entity, fitted: _Fitted, sc: ScoringConfig, events):
     """The test side of a cell, block by block: the (n,) score series and,
     per event, the channel-score rows it spans."""
     n, m, scored = entity.test.n, entity.m, entity.scored_indices()
-    train_err = fitted.model.train_residuals
+    train_err = fitted.train_err
     blocks = _error_blocks(entity, fitted)
     if sc.kind == "error":
         mean = train_err.mean(axis=0)

@@ -96,24 +96,20 @@ def fit_normalizer(train: SeriesMatrix) -> NormStats:
     return NormStats(lo, hi)
 
 
-def apply_normalizer(x: SeriesMatrix, stats: NormStats, phase: str) -> SeriesMatrix:
-    """Min-max scale each channel; clip test-phase output to [-4, 5].
+def apply_normalizer(x: SeriesMatrix, stats: NormStats) -> SeriesMatrix:
+    """Min-max scale each channel and clip to [-4, 5]: the train range
+    extended by four range-widths below and above.
 
-    Train-phase output lies in [0, 1] by construction (the stats came from
-    that data) and is not clipped. Test values map through the same affine
-    transform and are clipped to [-4, 5], i.e. the train range extended by
-    four range-widths below and above.
+    The series the stats came from scales into [0, 1], which the clip
+    leaves as it is.
     """
-    if phase not in ("train", "test"):
-        raise ValidationError(f"phase must be 'train' or 'test', got {phase!r}")
     if x.m != stats.m:
         raise ValidationError(f"series has {x.m} channels, stats has {stats.m}")
     # a test value's distance from the train minimum, or its ratio to a
     # tiny range, may overflow to inf; the clip below takes that to 5 or -4
     with np.errstate(over="ignore"):
         scaled = (x.values - stats.vmin) / stats.ranges()
-    if phase == "test":
-        np.clip(scaled, -4.0, 5.0, out=scaled)
+    np.clip(scaled, -4.0, 5.0, out=scaled)
     return SeriesMatrix(scaled, x.channel_names)
 
 
@@ -354,7 +350,9 @@ def parse_floats(path, data: list[list[str]], header: list[str], columns: list[i
 _LABEL_VALUES = {"0": 0.0, "1": 1.0}
 
 
-def _bulk_table(path: Path, label_column: str | None) -> tuple[list[str], FloatArray] | None:
+def _bulk_table(
+    path: Path, label_column: str | None, every_label: bool = False
+) -> tuple[list[str], FloatArray] | None:
     """Header and every cell from one ``np.loadtxt`` pass, or None when that
     pass might not give what ``csv.reader`` and ``float()`` give.
 
@@ -368,8 +366,8 @@ def _bulk_table(path: Path, label_column: str | None) -> tuple[list[str], FloatA
     rows. loadtxt gives
     ``float()``'s value for every cell it parses and refuses some that
     ``float()`` takes (``1_000``), which leaves those files to the csv
-    scan. The label column, if named, must read exactly ``0`` or ``1`` and
-    is never parsed as a float.
+    scan. The label column, if named, or with ``every_label`` every column,
+    must read exactly ``0`` or ``1`` and is never parsed as a float.
     """
     # read_text and loadtxt both read in universal-newline mode: a line
     # ends at \r, \n or \r\n, as a csv.reader row does
@@ -384,7 +382,9 @@ def _bulk_table(path: Path, label_column: str | None) -> tuple[list[str], FloatA
     header = next(csv.reader([text[:eol]]))
     del text
     converters = None
-    if label_column in header:
+    if every_label:
+        converters = _LABEL_VALUES.__getitem__
+    elif label_column in header:
         converters = {header.index(label_column): _LABEL_VALUES.__getitem__}
     try:
         table = np.loadtxt(
@@ -404,13 +404,14 @@ class _CsvFile:
     Reading never depends on the path taken: where the bulk pass
     (``_bulk_table``) is refused, the rows come from ``csv.reader`` and each
     requested cell goes through ``float()``, so a file gives the same
-    values, or fails with the same first message, either way.
+    values, or fails with the same first message, either way. Label
+    columns, ``label_column`` or with ``every_label`` all of them, are read
+    by ``labels`` under the label rule.
     """
 
-    def __init__(self, path: str | Path, label_column: str | None = None):
+    def __init__(self, path: str | Path, label_column: str | None = None, every_label=False):
         self.path = path  # as given, so cell errors name it as the caller did
-        self.label_column = label_column
-        bulk = _bulk_table(Path(path), label_column)
+        bulk = _bulk_table(Path(path), label_column, every_label)
         if bulk is None:
             self.header, self._rows = read_csv_rows(self.path)
             self._table = None
@@ -424,9 +425,8 @@ class _CsvFile:
             return np.take(self._table, columns, axis=1)
         return parse_floats(self.path, self._rows, self.header, columns)
 
-    def labels(self) -> IntArray:
-        """The label column as 0/1 flags; cells must read 0 or 1 once stripped."""
-        column = self.header.index(self.label_column)
+    def labels(self, column: int) -> IntArray:
+        """A label column as 0/1 flags; cells must read 0 or 1 once stripped."""
         if self._table is not None:
             return self._table[:, column].astype(np.int64)
         labels = np.empty(len(self._rows), dtype=np.int64)
@@ -434,7 +434,7 @@ class _CsvFile:
             cell = row[column].strip()
             if cell not in ("0", "1"):
                 raise ParseError(
-                    f"{self.path} line {r + 2} column {self.label_column!r}: "
+                    f"{self.path} line {r + 2} column {self.header[column]!r}: "
                     f"label must be 0 or 1, got {cell!r}"
                 )
             labels[r] = int(cell)
@@ -511,7 +511,7 @@ def load_entity(
     check_finite(train_path, train_values, channels)
     test_values = test.floats([test_header.index(h) for h in channels])
     check_finite(test_path, test_values, channels)
-    labels = test.labels()
+    labels = test.labels(label_idx)
     del test
 
     causes = {}

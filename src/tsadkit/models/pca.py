@@ -28,6 +28,7 @@ class PcaModel:
     explained_variance_ratio: FloatArray  # per singular vector, all of them
 
     window_length = 1  # reconstructs each row on its own
+    fit_reports = ()  # nothing trained
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)

@@ -1,14 +1,15 @@
 """The reconstruction-model stage: raw, PCA, UAE, and FC AE.
 
-``fit`` builds the model its config's kind names. A fitted model has a
-``window_length`` (1 for raw and PCA) and ``residuals(stream)``: the
+``fit`` returns the model its config's kind names and runs no inference.
+A fitted model has a ``window_length`` (1 for raw and PCA),
+``fit_reports`` (none for raw and PCA) and ``residuals(stream)``: the
 signed errors for a stream that already holds any training tail, one row
 per window. RawModel's error is the signal; PcaModel reconstructs each
 row; WindowedAutoencoder serves UAE (one MLP per channel) and FC-AE (one
 MLP on all channels), and its error at time t is the observed minus the
 reconstructed value at the LAST position of the window ending at t.
-``residuals`` checks the series, prepends the training tail and runs
-stride-1 inference.
+``residuals`` prepends the training tail and runs stride-1 inference,
+training and test errors alike.
 """
 from __future__ import annotations
 
@@ -108,6 +109,7 @@ class ReconstructionModel(Protocol):
     """A fitted model; see the module docstring."""
 
     window_length: int
+    fit_reports: tuple[FitReport, ...]
 
     def residuals(self, stream: FloatArray) -> ErrorMatrix: ...
 
@@ -116,6 +118,7 @@ class RawModel:
     """No model: everything reconstructs to zero, so the error is the signal."""
 
     window_length = 1
+    fit_reports = ()
 
     def residuals(self, stream: FloatArray) -> ErrorMatrix:
         # a read-only view: no caller writes into residuals
@@ -152,8 +155,12 @@ class WindowedAutoencoder:
 
     window_length: int
     groups: tuple[tuple[MlpAutoencoder, tuple[int, ...]], ...]
+    fit_reports: tuple[FitReport, ...]
 
     def residuals(self, stream: FloatArray) -> ErrorMatrix:
+        m = sum(len(channels) for _, channels in self.groups)
+        if stream.shape[1] != m:
+            raise ValidationError(f"series has {stream.shape[1]} channels, model has {m}")
         l_w = self.window_length
         n_out = stream.shape[0] - l_w + 1
         # (n_out, l_w, m), no copy
@@ -189,24 +196,6 @@ def _on_lent_threads(fn, tasks) -> list:
             for future in futures:
                 future.cancel()
             wait(futures)
-
-
-@dataclass(frozen=True)
-class TrainedModel:
-    """A fitted model plus the training residuals scoring needs.
-
-    ``train_residuals`` rows align with training rows l_w-1, l_w, ...
-    (every training row when l_w is 1). ``fit_reports`` has one entry per
-    trained autoencoder, none for raw and PCA.
-    """
-
-    model: ReconstructionModel
-    train_residuals: ErrorMatrix
-    fit_reports: tuple[FitReport, ...]
-
-    @property
-    def m(self) -> int:
-        return self.train_residuals.shape[1]
 
 
 def _chronological_split(count: int, validation_fraction: float) -> int:
@@ -317,8 +306,9 @@ def _train_stack(
 
 def fit(
     train: SeriesMatrix, config: ModelConfig, window: WindowSpec, seed: int = 0
-) -> TrainedModel:
-    """Fit the configured model on a (normalized) training series.
+) -> ReconstructionModel:
+    """Fit the configured model on a (normalized) training series and
+    return it; its errors, training ones included, come from ``residuals``.
 
     Deterministic for a fixed seed. Every UAE channel model draws its
     weight initialization and batch shuffles from an identically seeded
@@ -328,42 +318,41 @@ def fit(
     one at any BLAS thread count. Autoencoders train their groups on the
     B threads the pin takes, in contiguous stacks of min(ceil(groups /
     2B), 4) groups, each stack a task on one thread; a member's bits do
-    not depend on its stack. Inference runs each group as its own task on
-    those threads.
+    not depend on its stack.
     """
     m = train.m
     config = config.resolved(m)
-    reports: list[FitReport] = []
     with lend_threads():
         if config.kind == "raw":
-            model: ReconstructionModel = RawModel()
-        elif config.kind == "pca":
-            model = PcaModel.fit(train.values, config.pca_variance_fraction)
-        else:
-            # (report channel, input channels) per autoencoder
-            if config.kind == "uae":
-                groups = [(i, (i,)) for i in range(m)]
-            else:  # fc_ae
-                groups = [(None, tuple(range(m)))]
-            windows = make_windows(train, window)
-            # two stacks a thread, so one whose members stop early takes
-            # another while a slower one still trains
-            size = min(-(-len(groups) // (2 * (blas_threads() or 1))), _STACK_MEMBERS)
-            stacks = [groups[lo : lo + size] for lo in range(0, len(groups), size)]
-            trained = [
-                member
-                for members in _on_lent_threads(
-                    lambda stack: _train_stack(windows, stack, config, seed), stacks
-                )
-                for member in members
-            ]
-            model = WindowedAutoencoder(window.length, tuple(group for group, _ in trained))
-            reports = [report for _, report in trained]
-        return TrainedModel(model, model.residuals(train.values), tuple(reports))
+            return RawModel()
+        if config.kind == "pca":
+            return PcaModel.fit(train.values, config.pca_variance_fraction)
+        # (report channel, input channels) per autoencoder
+        if config.kind == "uae":
+            groups = [(i, (i,)) for i in range(m)]
+        else:  # fc_ae
+            groups = [(None, tuple(range(m)))]
+        windows = make_windows(train, window)
+        # two stacks a thread, so one whose members stop early takes
+        # another while a slower one still trains
+        size = min(-(-len(groups) // (2 * (blas_threads() or 1))), _STACK_MEMBERS)
+        stacks = [groups[lo : lo + size] for lo in range(0, len(groups), size)]
+        trained = [
+            member
+            for members in _on_lent_threads(
+                lambda stack: _train_stack(windows, stack, config, seed), stacks
+            )
+            for member in members
+        ]
+    return WindowedAutoencoder(
+        window.length,
+        tuple(group for group, _ in trained),
+        tuple(report for _, report in trained),
+    )
 
 
 def residuals(
-    model: TrainedModel,
+    model: ReconstructionModel,
     x: SeriesMatrix,
     train_tail: SeriesMatrix | None = None,
 ) -> ErrorMatrix:
@@ -373,18 +362,15 @@ def residuals(
     windowed models, pass the training rows (at least the last l_w - 1) as
     ``train_tail`` to obtain an error for every row of x; without a tail
     the first l_w - 1 rows cannot be scored and the output is
-    correspondingly shorter (rows align with x rows l_w - 1 onward).
-    Inference runs inside the BLAS pin, as ``fit`` does.
+    correspondingly shorter (rows align with x rows l_w - 1 onward), as
+    for the training series itself. The model checks x's width. Inference
+    runs inside the BLAS pin, as ``fit`` does.
     """
-    if x.m != model.m:
-        raise ValidationError(f"series has {x.m} channels, model has {model.m}")
-    keep = model.model.window_length - 1
+    keep = model.window_length - 1
     stream = x.values
     if train_tail is not None:
-        if train_tail.m != model.m:
-            raise ValidationError(
-                f"train_tail has {train_tail.m} channels, model has {model.m}"
-            )
+        if train_tail.m != x.m:
+            raise ValidationError(f"train_tail has {train_tail.m} channels, series has {x.m}")
         if keep:
             stream = np.concatenate([train_tail.values[-keep:], stream], axis=0)
     if stream.shape[0] <= keep:
@@ -392,4 +378,4 @@ def residuals(
             f"need at least {keep + 1} rows for windowed inference, got {stream.shape[0]}"
         )
     with lend_threads():
-        return model.model.residuals(stream)
+        return model.residuals(stream)

@@ -188,22 +188,52 @@ def score_gauss_s(
     return channels, _row_sums(channels, idx)
 
 
+def _padded_lengths(w: int) -> tuple[list[int], list[int]]:
+    """The row lengths numpy's pairwise sum reaches from a row of ``w``
+    entries by dropping left halves, and the entries dropped to reach each.
+
+    A row of more than 128 entries is summed as its two halves, split at
+    half its length rounded down to a multiple of 8, and a left half of
+    +0.0 entries adds exactly +0.0, so a row padded at its start with +0.0
+    sums to the same bits once every all-zero left half is dropped.
+    """
+    lengths, drops = [w], [0]
+    while lengths[-1] > 128:
+        half = lengths[-1] // 2 - lengths[-1] // 2 % 8
+        lengths.append(lengths[-1] - half)
+        drops.append(drops[-1] + half)
+    return lengths, drops
+
+
 def _sum_again(stream, end, w: int, lost, mu, q) -> None:
     """Two-pass mean and squared spread of the ``lost`` windows, the last
     ``w`` rows of ``stream`` before ``end`` (fewer at its start), over
-    their entries of ``mu`` and ``q``; a step array's worth at a time."""
+    their entries of ``mu`` and ``q``; a step array's worth at a time.
+
+    A window that starts before the stream is padded with +0.0 only to the
+    length its full row of ``w`` sums at (``_padded_lengths``), so its
+    cost is bounded by the rows it reaches, not by W; the windows of each
+    padded length are summed together.
+    """
     rows, cols = np.nonzero(lost)
-    span = np.arange(w)
-    chunk = max(1, _STEP * stream.shape[1] // w)
-    for lo in range(0, rows.size, chunk):
-        r, c = rows[lo : lo + chunk], cols[lo : lo + chunk]
-        at = end[r, None] - w + span
-        x = stream[np.maximum(at, 0), c[:, None]]
-        x[at < 0] = 0.0
-        mu[r, c] = x.sum(axis=1) / np.minimum(w, end[r])
-        x -= mu[r, c][:, None]
-        x[at < 0] = 0.0
-        q[r, c] = (x * x).sum(axis=1)
+    lengths, drops = _padded_lengths(w)
+    # halves dropped per window: those that lie wholly before the stream
+    dropped = np.searchsorted(drops[1:], w - end[rows], "right")
+    for k, length in enumerate(lengths):
+        pick = np.flatnonzero(dropped == k)
+        if not pick.size:  # a row of W entries may not fit in memory
+            continue
+        span = np.arange(length)
+        chunk = max(1, _STEP * stream.shape[1] // length)
+        for lo in range(0, pick.size, chunk):
+            r, c = rows[pick[lo : lo + chunk]], cols[pick[lo : lo + chunk]]
+            at = end[r, None] - length + span
+            x = stream[np.maximum(at, 0), c[:, None]]
+            x[at < 0] = 0.0
+            mu[r, c] = x.sum(axis=1) / np.minimum(w, end[r])
+            x -= mu[r, c][:, None]
+            x[at < 0] = 0.0
+            q[r, c] = (x * x).sum(axis=1)
 
 
 def score_gauss_d(

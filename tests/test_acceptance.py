@@ -171,15 +171,16 @@ def test_c06_pca_retained_variance_and_exact_reconstruction():
 def _uae_scores(ent, seed, window, roll_window):
     """Fit UAE, return (gauss_s, gauss_d) channel/series score pairs."""
     stats = fit_normalizer(ent.train)
-    train_n = apply_normalizer(ent.train, stats, "train")
-    test_n = apply_normalizer(ent.test, stats, "test")
+    train_n = apply_normalizer(ent.train, stats)
+    test_n = apply_normalizer(ent.test, stats)
     model = fit(train_n, ModelConfig("uae"), window, seed)
     tail = SeriesMatrix(
         train_n.values[-(window.length - 1) :], train_n.channel_names
     )
     err = residuals(model, test_n, train_tail=tail)
-    static = score_gauss_s(err, fit_gauss(model.train_residuals))
-    dynamic = score_gauss_d(err, model.train_residuals[-(roll_window - 1) :], roll_window)
+    train_err = residuals(model, train_n)
+    static = score_gauss_s(err, fit_gauss(train_err))
+    dynamic = score_gauss_d(err, train_err[-(roll_window - 1) :], roll_window)
     return static, dynamic
 
 

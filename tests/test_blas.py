@@ -161,7 +161,7 @@ def test_pca_bytes_do_not_depend_on_blas_threads():
         for threads in (1, 2):
             set_(threads)
             model = fit(train_x, ModelConfig("pca"), WindowSpec(1, 1))
-            out[threads] = (model.train_residuals, residuals(model, test_x))
+            out[threads] = (residuals(model, train_x), residuals(model, test_x))
     finally:
         set_(before)
     assert np.array_equal(out[1][0], out[2][0])

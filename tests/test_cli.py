@@ -283,10 +283,23 @@ class TestCompareMetricsCommand:
              "fpa1": 0.9302325581395349, "fc1": 0.835820895522388},
         ]
 
-    def test_non_binary_labels_exit_one(self, tmp_path):
+    def test_non_binary_labels_exit_one(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
         labels.write_text("truth,p\n2,1\n")
         assert main(["compare-metrics", str(labels)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels} line 2 column 'truth': label must be 0 or 1, got '2'\n"
+        )
+
+    @pytest.mark.parametrize("cell", ["1.0", "1e0", "+1", "01"])
+    def test_labels_are_read_as_an_entity_label_column_is(self, tmp_path, capsys, cell):
+        # a cell that parses as the float 1 is still not the label 1
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"truth,p\n1,0\n0, 1 \n1,{cell}\n")
+        assert main(["compare-metrics", str(labels)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels} line 4 column 'p': label must be 0 or 1, got {cell!r}\n"
+        )
 
 
 class TestRankCommand:
@@ -650,9 +663,8 @@ class TestMalformedInputsExitOne:
         done = run_cli("compare-metrics", labels, cwd=tmp_path)
         assert done.returncode == 1
         assert "Warning" not in done.stderr
-        shown = {"1e300": "1e+300"}.get(cell, cell)
         assert done.stderr == (
-            f"error: {labels}: labels must be integers 0 or 1, found {shown}\n"
+            f"error: {labels} line 2 column 'p': label must be 0 or 1, got {cell!r}\n"
         )
 
     def test_compare_metrics_duplicate_prediction_column(self, tmp_path):

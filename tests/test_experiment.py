@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsadkit import experiment
+from tsadkit import experiment, scoring
 from tsadkit.core import ConfigError, SeriesMatrix, encode_config, read_json
 from tsadkit.diagnosis import rank_channels
 from tsadkit.experiment import (
@@ -252,7 +252,7 @@ class TestRunExperiment:
         assert record.failures == ()
         assert record.cells[0]["metrics"]["fc1"] == 1.0
         stats = fit_normalizer(SeriesMatrix(np.array([[lo], [hi]])))
-        scaled = apply_normalizer(SeriesMatrix(np.array([[test_c1]])), stats, "test")
+        scaled = apply_normalizer(SeriesMatrix(np.array([[test_c1]])), stats)
         assert scaled.values[0, 0] == 5.0
 
     def test_file_entities_identical_across_workers(self, tmp_path):
@@ -439,6 +439,23 @@ class TestRunExperiment:
         diag = record.cells[0]["diagnosis"]
         assert diag["rc_top_k"] == 1.0  # single spiked channel dominates
         assert len(diag["rankings"]) == 2
+
+
+    def test_a_window_longer_than_its_stream_runs_as_a_reachable_one(self, monkeypatch):
+        # W = 10**9 over 250 rows whose level shifts leave windows that lose
+        # their digits: they are summed again by the rows they reach, and
+        # the cells equal W = 10**6's
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])  # the entity's paths
+        config = config_from_json(Path("tests/data/long_window_run.json"))
+        assert config.scoring.window == 10**9
+        calls = []
+        summed_again = scoring._sum_again
+        monkeypatch.setattr(scoring, "_sum_again",
+                            lambda *args: calls.append(1) or summed_again(*args))
+        record = run_experiment(config)
+        assert not record.failures and calls
+        million = dataclasses.replace(config, scoring=ScoringConfig("gauss_d", window=10**6))
+        assert record.cells == run_experiment(million).cells
 
 
 class TestFitEvaluateStages:

@@ -39,7 +39,7 @@ class TestNormalizer:
     def test_train_maps_to_unit_interval(self):
         train = matrix([[0.0], [2.0], [4.0]])
         stats = fit_normalizer(train)
-        out = apply_normalizer(train, stats, "train")
+        out = apply_normalizer(train, stats)
         assert out.values.min() == 0.0 and out.values.max() == 1.0
         assert out.values[1, 0] == pytest.approx(0.5)
 
@@ -48,7 +48,7 @@ class TestNormalizer:
         stats = fit_normalizer(train)
         # min + 10*(max-min) lands far above the clip ceiling
         test = matrix([[10.0], [-10.0], [0.5]])
-        out = apply_normalizer(test, stats, "test")
+        out = apply_normalizer(test, stats)
         assert out.values[0, 0] == 5.0
         assert out.values[1, 0] == -4.0
         assert out.values[2, 0] == pytest.approx(0.5)
@@ -56,20 +56,15 @@ class TestNormalizer:
     def test_constant_channel_fallback_range(self):
         train = matrix([[3.0], [3.0]])
         stats = fit_normalizer(train)
-        assert apply_normalizer(train, stats, "train").values.max() == 0.0
+        assert apply_normalizer(train, stats).values.max() == 0.0
         # v = min + 2 divided by the unit fallback range
         test = matrix([[5.0]])
-        assert apply_normalizer(test, stats, "test").values[0, 0] == 2.0
+        assert apply_normalizer(test, stats).values[0, 0] == 2.0
 
     def test_channel_count_must_match(self):
         stats = fit_normalizer(matrix([[0.0], [1.0]]))
         with pytest.raises(ValidationError):
-            apply_normalizer(matrix([[0.0, 1.0]]), stats, "test")
-
-    def test_unknown_phase(self):
-        stats = fit_normalizer(matrix([[0.0], [1.0]]))
-        with pytest.raises(ValidationError):
-            apply_normalizer(matrix([[0.0]]), stats, "validate")
+            apply_normalizer(matrix([[0.0, 1.0]]), stats)
 
     def test_random_ranges_property(self):
         rng = np.random.default_rng(5)
@@ -78,8 +73,8 @@ class TestNormalizer:
             train = matrix(rng.normal(size=(n, m)) * 10)
             test = matrix(rng.normal(size=(n, m)) * 100)
             stats = fit_normalizer(train)
-            tr = apply_normalizer(train, stats, "train").values
-            te = apply_normalizer(test, stats, "test").values
+            tr = apply_normalizer(train, stats).values
+            te = apply_normalizer(test, stats).values
             assert tr.min() >= 0.0 and tr.max() <= 1.0
             assert te.min() >= -4.0 and te.max() <= 5.0
 

@@ -15,6 +15,7 @@ from tsadkit.core import (
     InsufficientDataError,
     SeriesMatrix,
     TrainingError,
+    ValidationError,
 )
 from tsadkit import scoring
 from tsadkit.experiment import _error_blocks, _Fitted
@@ -283,7 +284,7 @@ class TestFitAndResiduals:
         ent = entity_from(sig[:, None])
         config = ModelConfig("uae", max_epochs=200)
         model = fit(ent.train, config, WindowSpec(20, 1), seed=0)
-        assert float(np.mean(model.train_residuals**2)) < 0.01
+        assert float(np.mean(residuals(model, ent.train) ** 2)) < 0.01
 
     def test_uae_channel_permutation_property(self):
         rng = np.random.default_rng(12)
@@ -294,8 +295,8 @@ class TestFitAndResiduals:
         ent_p = entity_from(base[:, perm])
         spec = WindowSpec(10, 1)
         config = ModelConfig("uae", max_epochs=5)
-        r1 = fit(ent.train, config, spec, seed=3).train_residuals
-        r2 = fit(ent_p.train, config, spec, seed=3).train_residuals
+        r1 = residuals(fit(ent.train, config, spec, seed=3), ent.train)
+        r2 = residuals(fit(ent_p.train, config, spec, seed=3), ent_p.train)
         assert np.allclose(r1[:, perm], r2)
 
     def test_fit_deterministic(self):
@@ -305,9 +306,9 @@ class TestFitAndResiduals:
         config = ModelConfig("fc_ae", max_epochs=8)
         m1 = fit(ent.train, config, WindowSpec(10, 2), seed=5)
         m2 = fit(ent.train, config, WindowSpec(10, 2), seed=5)
-        assert np.array_equal(m1.train_residuals, m2.train_residuals)
-        assert len(m1.model.groups) == len(m2.model.groups) == 1
-        for (mlp1, channels1), (mlp2, channels2) in zip(m1.model.groups, m2.model.groups):
+        assert np.array_equal(residuals(m1, ent.train), residuals(m2, ent.train))
+        assert len(m1.groups) == len(m2.groups) == 1
+        for (mlp1, channels1), (mlp2, channels2) in zip(m1.groups, m2.groups):
             assert channels1 == channels2 == (0, 1)
             assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
 
@@ -325,26 +326,26 @@ class TestFitAndResiduals:
         stream = np.concatenate([data, test])
         with blas_at(1):
             serial = fit(ent.train, config, spec, seed=2)
+            serial_train = residuals(serial, ent.train)
             serial_test = residuals(serial, ent.test, train_tail=tail)
         for count in (2, 6):
             with blas_at(count):
                 pooled = fit(ent.train, config, spec, seed=2)
+                pooled_train = residuals(pooled, ent.train)
                 pooled_test = residuals(pooled, ent.test, train_tail=tail)
-                pooled_stream = pooled.model.residuals(stream)
-            assert len(serial.model.groups) == len(pooled.model.groups) == 3
-            for (mlp1, channels1), (mlp2, channels2) in zip(serial.model.groups,
-                                                              pooled.model.groups):
+                pooled_stream = pooled.residuals(stream)
+            assert len(serial.groups) == len(pooled.groups) == 3
+            for (mlp1, channels1), (mlp2, channels2) in zip(serial.groups, pooled.groups):
                 assert channels1 == channels2
                 assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
-            assert np.array_equal(serial.train_residuals, pooled.train_residuals)
+            assert np.array_equal(serial_train, pooled_train)
             assert np.array_equal(serial_test, pooled_test)
             assert serial.fit_reports == pooled.fit_reports
             assert [r.channel for r in pooled.fit_reports] == [0, 1, 2]
             # inference maps the groups over the same pool, and equals the
             # same weights inferred one group after another
             with blas_at(1):
-                assert np.array_equal(pooled.model.residuals(stream), pooled_stream)
-            assert np.array_equal(pooled.model.residuals(data), pooled.train_residuals)
+                assert np.array_equal(pooled.residuals(stream), pooled_stream)
 
     @needs_openblas
     def test_pooled_inference_under_thread_switching(self):
@@ -354,7 +355,7 @@ class TestFitAndResiduals:
         rng = np.random.default_rng(17)
         data = rng.random(size=(80, 6))
         model = fit(SeriesMatrix(data), ModelConfig("uae", max_epochs=1), WindowSpec(8, 1),
-                    seed=3).model
+                    seed=3)
         stream = rng.random(size=(20_000, 6))
         with blas_at(1):
             serial = model.residuals(stream)
@@ -378,17 +379,19 @@ class TestFitAndResiduals:
         config = ModelConfig("uae", max_epochs=3, batch_size=16)
         with blas_at(1):
             serial = fit(data, config, WindowSpec(8, 1), seed=4)
+            serial_err = residuals(serial, data)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with blas_at(3):
                 pooled = fit(data, config, WindowSpec(8, 1), seed=4)
+                pooled_err = residuals(pooled, data)
         finally:
             sys.setswitchinterval(interval)
-        for (mlp1, _), (mlp2, _) in zip(serial.model.groups, pooled.model.groups):
+        for (mlp1, _), (mlp2, _) in zip(serial.groups, pooled.groups):
             assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
         assert serial.fit_reports == pooled.fit_reports
-        assert np.array_equal(serial.train_residuals, pooled.train_residuals)
+        assert np.array_equal(serial_err, pooled_err)
 
     def test_one_channel_fc_ae_matches_uae(self):
         # with one channel, FC-AE's time-major window row is UAE's channel
@@ -401,8 +404,9 @@ class TestFitAndResiduals:
         knobs = {"latent_dim": 2, "learning_rate": 1e-2, "batch_size": 8, "max_epochs": 4}
         uae = fit(ent.train, ModelConfig("uae", **knobs), spec, seed=4)
         fc = fit(ent.train, ModelConfig("fc_ae", **knobs), spec, seed=4)
-        assert np.array_equal(uae.train_residuals, fc.train_residuals)
-        assert np.abs(uae.train_residuals).max() > 0
+        train_err = residuals(uae, ent.train)
+        assert np.array_equal(train_err, residuals(fc, ent.train))
+        assert np.abs(train_err).max() > 0
         tail = SeriesMatrix(data)
         assert np.array_equal(residuals(uae, ent.test, train_tail=tail),
                               residuals(fc, ent.test, train_tail=tail))
@@ -457,8 +461,8 @@ class TestFitAndResiduals:
         ent = entity_from(data)
         spec = WindowSpec(6, 1)
         model = fit(ent.train, ModelConfig("uae", max_epochs=2), spec)
-        assert [channels for _, channels in model.model.groups] == [(0,)]
-        perfect = replace(model, model=replace(model.model, groups=((Identity(), (0,)),)))
+        assert [channels for _, channels in model.groups] == [(0,)]
+        perfect = replace(model, groups=((Identity(), (0,)),))
         err = residuals(perfect, ent.test, train_tail=SeriesMatrix(data[-5:]))
         assert np.abs(err).max() == 0.0
 
@@ -477,7 +481,39 @@ class TestFitAndResiduals:
         data = rng.random(size=(64, 2))
         ent = entity_from(data)
         model = fit(ent.train, ModelConfig("fc_ae", max_epochs=2), WindowSpec(10, 2))
-        assert model.train_residuals.shape == (64 - 10 + 1, 2)
+        assert residuals(model, ent.train).shape == (64 - 10 + 1, 2)
+
+
+    @pytest.mark.parametrize("kind", ["raw", "pca", "uae", "fc_ae"])
+    def test_fit_returns_the_model_alone(self, kind):
+        # perfbench/traced.py reads fit_reports from what fit returns
+        rng = np.random.default_rng(19)
+        data = rng.random(size=(60, 2))
+        model = fit(SeriesMatrix(data), ModelConfig(kind, max_epochs=2), WindowSpec(6, 2))
+        windowed = kind in ("uae", "fc_ae")
+        assert model.window_length == (6 if windowed else 1)
+        assert len(model.fit_reports) == {"raw": 0, "pca": 0, "uae": 2, "fc_ae": 1}[kind]
+        assert np.array_equal(model.residuals(data), residuals(model, SeriesMatrix(data)))
+        assert residuals(model, SeriesMatrix(data)).shape == (60 - model.window_length + 1, 2)
+
+    @pytest.mark.parametrize("kind", ["raw", "pca", "uae", "fc_ae"])
+    def test_residuals_refuse_a_tail_of_another_width(self, kind):
+        rng = np.random.default_rng(20)
+        data = rng.random(size=(60, 2))
+        model = fit(SeriesMatrix(data), ModelConfig(kind, max_epochs=1), WindowSpec(6, 1))
+        with pytest.raises(ValidationError, match="train_tail has 3 channels, series has 2"):
+            residuals(model, SeriesMatrix(data), train_tail=SeriesMatrix(rng.random((5, 3))))
+
+    @pytest.mark.parametrize("kind", ["pca", "uae", "fc_ae"])
+    def test_a_model_refuses_a_stream_of_another_width(self, kind):
+        rng = np.random.default_rng(22)
+        data = rng.random(size=(60, 2))
+        model = fit(SeriesMatrix(data), ModelConfig(kind, max_epochs=1), WindowSpec(6, 1))
+        wide = rng.random(size=(40, 3))
+        with pytest.raises(ValidationError, match="3 channels, model has 2"):
+            residuals(model, SeriesMatrix(wide))
+        with pytest.raises(ValidationError, match="3 channels, model has 2"):
+            residuals(model, SeriesMatrix(wide), train_tail=SeriesMatrix(wide))
 
 
 class TestSyntheticEndToEnd:
@@ -518,15 +554,16 @@ class TestBlockedResiduals:
         )
         ent = generate_synthetic(spec)
         stats = fit_normalizer(ent.train)
-        train_norm = apply_normalizer(ent.train, stats, "train")
+        train_norm = apply_normalizer(ent.train, stats)
         window = WindowSpec(12, 3)
         config = ModelConfig(kind, max_epochs=2, pca_variance_fraction=0.8)
         model = fit(train_norm, config, window)
-        test_norm = apply_normalizer(ent.test, stats, "test")
+        test_norm = apply_normalizer(ent.test, stats)
         whole = residuals(model, test_norm, train_tail=train_norm)
 
-        lead = train_norm.values[train_norm.n - model.model.window_length + 1 :]
-        blocks = list(_error_blocks(ent, _Fitted(stats, lead, model)))
+        lead = train_norm.values[train_norm.n - model.window_length + 1 :]
+        fitted = _Fitted(stats, lead, model, residuals(model, train_norm))
+        blocks = list(_error_blocks(ent, fitted))
         assert [(a, b) for a, b, _ in blocks] == [(0, block), (block, n_test)]
         blocked = np.concatenate([err for _, _, err in blocks])
         assert blocked.tobytes() == whole.tobytes()
@@ -610,7 +647,7 @@ def test_stacked_training_matches_one_network_at_a_time(case):
 
     def fitted():
         model = fit(SeriesMatrix(values), config, spec, seed)
-        return zip(model.model.groups, model.fit_reports)
+        return zip(model.groups, model.fit_reports)
 
     with warnings.catch_warnings():
         # a diverging member overflows on the way, in the oracle as here

@@ -278,6 +278,43 @@ def test_read_csv_matches_naive(case):
     assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
+# below fit_normalizer's refusal: two of them span at most ~1.78e308
+HUGE = 8.9e307
+TINY = 2.2250738585072014e-308  # the smallest normal float; below it, subnormals
+
+
+@st.composite
+def training_series(draw):
+    """A small training series whose channels each span magnitudes near the
+    float64 limit, subnormal values, +0.0 and -0.0 only, or one value."""
+    n = draw(st.integers(1, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["any", "subnormal", "zeros", "constant"]))
+        if kind == "any":
+            cells = st.floats(-HUGE, HUGE)
+        elif kind == "subnormal":
+            cells = st.floats(-TINY, TINY)
+        elif kind == "zeros":
+            cells = st.sampled_from([0.0, -0.0])
+        else:
+            cells = st.just(draw(st.floats(-HUGE, HUGE)))
+        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    return SeriesMatrix(np.array(columns, dtype=np.float64).T)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(training_series())
+def test_the_training_series_scales_into_the_unit_interval_unclipped(train):
+    """apply_normalizer clips every series to [-4, 5]; on the series its
+    stats came from, that leaves each byte of the plain min-max scaling."""
+    stats = ingest.fit_normalizer(train)
+    scaled = ingest.apply_normalizer(train, stats).values
+    expected = (train.values - stats.vmin) / stats.ranges()
+    assert scaled.tobytes() == expected.tobytes()
+    assert ((scaled >= 0.0) & (scaled <= 1.0)).all()
+
+
 @st.composite
 def synthetic_specs(draw):
     """A second synthetic entity, as small as tiny_uae_run.json's, with

@@ -21,7 +21,7 @@ def test_quick_start_ranks_the_spiked_channel_first(capsys):
     exec(compile(block, "README.md (Quick start)", "exec"), namespace)
     # the spike is injected on channel 1 only
     assert namespace["ranking"][0] == 1
-    assert namespace["model"].train_residuals.shape == (2000 - 30 + 1, 3)
+    assert namespace["train_errors"].shape == (2000 - 30 + 1, 3)
     out = capsys.readouterr().out
     assert out.startswith("fc1 ") and "most anomalous channels: (1," in out
 

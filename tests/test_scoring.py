@@ -466,6 +466,80 @@ def test_gauss_d_allocates_by_the_rows_it_can_reach():
     assert huge[1].tobytes() == reach[1].tobytes()
 
 
+def test_rows_padded_to_their_summed_length_keep_the_full_rows_bits():
+    """A row of W entries whose first z are +0.0 sums, with numpy's
+    pairwise sum, to the bits of its last ``_padded_lengths`` entries: the
+    length left once every all-zero left half is dropped. Rows of -0.0,
+    zeros within the data and mixed magnitudes included."""
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        w = int(rng.choice([rng.integers(2, 129), rng.integers(129, 3000),
+                            rng.integers(3000, 40_000)]))
+        lengths, drops = scoring._padded_lengths(w)
+        rows = np.zeros((20, w))
+        padded = []
+        for row in rows:
+            reach = int(rng.integers(1, w + 1))
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                row[w - reach :] = rng.normal(size=reach) * 10.0 ** rng.integers(-8, 9, size=reach)
+            elif kind == 1:
+                row[w - reach :] = -0.0
+            else:
+                row[w - reach :] = rng.integers(-1, 2, size=reach) * rng.random(reach)
+            dropped = int(np.searchsorted(drops[1:], w - reach, "right"))
+            assert lengths[dropped] >= reach
+            assert lengths[dropped] <= max(2 * reach + 16, 128)
+            padded.append(row[w - lengths[dropped] :])
+        full = rows.sum(axis=1)
+        for row, total in zip(padded, full):
+            assert row[None, :].sum(axis=1).tobytes() == total[None].tobytes()
+
+
+def _shifted_start():
+    # a level shift of 1000 on the first 100 of 2,000 rows: the windows
+    # after it lose their digits and are summed again, with no tail
+    rng = np.random.default_rng(0)
+    err = rng.normal(size=(2000, 2))
+    err[:100] += 1000.0
+    return err
+
+
+def test_windows_summed_again_cost_the_rows_they_reach_not_w():
+    """W = 10**6 over 2,000 rows sums the lost windows again from the rows
+    they reach: gathering W entries per window traced ~40 MB here."""
+    err = _shifted_start()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        channels, series = score_gauss_d(err, None, 10**6)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+def test_lost_windows_longer_than_memory_score_as_any_window_past_the_stream():
+    """W = 10**9 (8 GB of indices per window at full length) gives the
+    W = 10**6 scores: both pad each lost window to the same summed length."""
+    err = _shifted_start()
+    calls = []
+
+    def sum_again(*args):
+        calls.append(args[1].shape[0])
+        return summed_again(*args)
+
+    summed_again = scoring._sum_again
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "_sum_again", sum_again)
+        million = score_gauss_d(err, None, 10**6)
+        assert calls
+        billion = score_gauss_d(err, None, 10**9)
+    assert billion[0].tobytes() == million[0].tobytes()
+    assert billion[1].tobytes() == million[1].tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 5, scoring._BLOCK - 1, scoring._BLOCK, scoring._BLOCK + 1,
                                2 * scoring._BLOCK + 1, 3 * scoring._BLOCK - 1])
 def test_row_blocks_tile_the_grid(n):
