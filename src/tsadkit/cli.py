@@ -285,7 +285,7 @@ def _cmd_diagnose(args) -> int:
             raise ValidationError(f"event ({e.start},{e.end}) outside score range 0..{n - 1}")
     rankings, summary = diagnose_events(
         [scores[e.start : e.end + 1] for e in events],
-        events, None, args.statistic, args.top_k, args.percent,
+        events, range(len(names)), args.statistic, args.top_k, args.percent,
     )
     rows = [
         {"event": i, "start": e.start, "end": e.end, "ranking": [names[c] for c in r]}

@@ -351,7 +351,7 @@ class Entity:
     derived once. ``causes`` maps an event's ordinal (0..k-1) to its cause
     channel indices, kept as a read-only copy that ``dataclasses.replace``
     carries over; an event it leaves out has none. ``scored_channels``
-    restricts score aggregation to a channel subset; None means all.
+    holds the sorted channels a cell scores and diagnoses; None means all.
     """
 
     id: str
@@ -394,6 +394,3 @@ class Entity:
     @property
     def m(self) -> int:
         return self.test.m
-
-    def scored_indices(self) -> IntArray:
-        return resolve_scored(self.m, self.scored_channels)

@@ -1,8 +1,8 @@
 """Anomaly diagnosis: rank channels per event, then score the rankings.
 
 Diagnosis consumes the true event intervals, never predicted ones. Each
-event's own channel-score rows rank the scored channels; RC-top-k and
-HitRate@P then score the rankings against the events' causes.
+event's own channel-score rows rank their columns; RC-top-k and HitRate@P
+then score the rankings, as channel indices, against the events' causes.
 """
 from __future__ import annotations
 
@@ -10,24 +10,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    Event,
-    ValidationError,
-    check_float_matrix,
-    resolve_scored,
-)
+from .core import ConfigError, Event, ValidationError, check_float_matrix
 
 RANK_STATISTICS = ("mean", "max")
 
 
-def rank_channels(rows, scored=None, statistic: str = "mean") -> tuple[int, ...]:
-    """The scored channels, most anomalous first, over one event's rows.
+def rank_channels(rows, statistic: str = "mean") -> tuple[int, ...]:
+    """The column positions of ``rows``, most anomalous first.
 
-    ``rows`` holds the channel-score rows the event spans. The aggregation
+    ``rows`` holds the channel-score rows one event spans. The aggregation
     statistic over them is the mean by default; "max" is available as a
     config switch. A mean that overflows ranks as +inf. Ties break toward
-    the lower channel index so rankings are deterministic.
+    the lower column so rankings are deterministic.
     """
     if statistic not in RANK_STATISTICS:
         raise ConfigError(
@@ -36,16 +30,14 @@ def rank_channels(rows, scored=None, statistic: str = "mean") -> tuple[int, ...]
     scores = check_float_matrix(rows, "channel scores")
     if not scores.shape[0]:
         raise ValidationError("an event spans at least one row, got none")
-    idx = resolve_scored(scores.shape[1], scored)
-
-    span = scores[:, idx]  # Fortran-ordered: each mean is a pairwise sum down one column
+    span = np.asfortranarray(scores)  # each mean is a pairwise sum down one column
     if statistic == "mean":
         with np.errstate(over="ignore"):
             agg = span.mean(axis=0)
     else:
         agg = span.max(axis=0)
     # stable sort on descending score keeps ascending channel index on ties
-    return tuple(idx[np.argsort(-agg, kind="stable")].tolist())
+    return tuple(np.argsort(-agg, kind="stable").tolist())
 
 
 def _paired(rankings: Sequence[tuple[int, ...]], events: Sequence[Event]):

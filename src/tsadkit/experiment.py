@@ -51,6 +51,7 @@ from .ingest import (
 from .metrics import compute_report, rad_scores
 from .models import ModelConfig, ReconstructionModel, encoder_widths, fit, residuals
 from .scoring import (
+    MAX_WINDOW,
     KernelSpec,
     fit_gauss,
     last_rows,
@@ -62,6 +63,7 @@ from .scoring import (
 )
 from .thresholding import (
     BEST_F_METRICS,
+    MAX_NEG_LOG_EPS,
     threshold_best_f,
     threshold_tail_p,
     threshold_top_k,
@@ -103,6 +105,8 @@ class ScoringConfig:
                 raise ConfigError(
                     f"scoring kind {self.kind!r} needs a rolling window W >= 2"
                 )
+            if self.window > MAX_WINDOW:
+                raise ConfigError(f"window must be <= 2**63 - 1, got {self.window}")
         elif self.window is not None:
             raise ConfigError(
                 f"window is used only by gauss_d and gauss_d_k, got kind {self.kind!r}"
@@ -132,8 +136,8 @@ class ThresholdConfig:
             )
         if self.k is not None and self.k < 0:
             raise ConfigError(f"k must be >= 0, got {self.k}")
-        if self.neg_log_eps is not None and self.neg_log_eps < 1:
-            raise ConfigError(f"neg_log_eps must be >= 1, got {self.neg_log_eps}")
+        if self.neg_log_eps is not None and not 1 <= self.neg_log_eps <= MAX_NEG_LOG_EPS:
+            raise ConfigError(f"neg_log_eps must be in 1..2**53, got {self.neg_log_eps}")
         for key, method in (("k", "top_k"), ("neg_log_eps", "tail_p")):
             if getattr(self, key) is not None and self.method != method:
                 raise ConfigError(
@@ -268,16 +272,17 @@ def _thresholds(series, truth, n_scored: int, tc: ThresholdConfig):
 
 
 def diagnose_events(
-    rows, events, scored, statistic: str, top_k: int, percent: int
+    rows, events, channels, statistic: str, top_k: int, percent: int
 ) -> tuple[list, dict | None]:
-    """Rank the scored channels over each event's own rows.
+    """Rank the columns of each event's own rows.
 
-    ``rows`` holds, per event, the channel-score rows it spans. Returns
-    one ranking per event, most anomalous channel first, and, when any
-    event carries causes, a summary with ``rc_top_k``, ``hitrate``, ``k``
-    and ``percent``; else None.
+    ``rows`` holds, per event, the channel-score rows it spans, and
+    ``channels`` the channel index of each of their columns. Returns one
+    ranking of channel indices per event, most anomalous first, and, when
+    any event carries causes, a summary with ``rc_top_k``, ``hitrate``,
+    ``k`` and ``percent``; else None.
     """
-    rankings = [rank_channels(span, scored, statistic) for span in rows]
+    rankings = [tuple(channels[c] for c in rank_channels(span, statistic)) for span in rows]
     if not any(e.causes is not None for e in events):
         return rankings, None
     return rankings, {
@@ -292,12 +297,18 @@ def diagnose_events(
 class _Fitted:
     """A cell's fit: its normalizer, the l_w - 1 last normalized training
     rows (none for raw and PCA), which the first test block is
-    reconstructed with, its model and the model's training errors."""
+    reconstructed with, its model and its training errors, scored ones only."""
 
     stats: NormStats
     lead: FloatArray
     model: ReconstructionModel
     train_err: ErrorMatrix
+
+
+def _scored(entity: Entity, err: ErrorMatrix) -> ErrorMatrix:
+    """``err``'s scored columns, the only ones a cell scores and diagnoses."""
+    cols = entity.scored_channels
+    return err if cols is None else np.take(err, cols, axis=1)
 
 
 def _fit_cell(entity: Entity, seed: int, config: ExperimentConfig) -> _Fitted:
@@ -306,7 +317,7 @@ def _fit_cell(entity: Entity, seed: int, config: ExperimentConfig) -> _Fitted:
     stats = fit_normalizer(entity.train)
     train_norm = apply_normalizer(entity.train, stats)
     model = fit(train_norm, config.model, config.window, seed)
-    train_err = residuals(model, train_norm)
+    train_err = _scored(entity, residuals(model, train_norm))
     keep = model.window_length - 1
     # a copy, which holds on to none of the normalized series
     lead = train_norm.values[train_norm.n - keep :].copy()
@@ -314,7 +325,7 @@ def _fit_cell(entity: Entity, seed: int, config: ExperimentConfig) -> _Fitted:
 
 
 def _error_blocks(entity: Entity, fitted: _Fitted):
-    """(a, b, errors) per row block of the test series: the block
+    """(a, b, scored errors) per row block of the test series: the block
     normalized and reconstructed with the l_w - 1 normalized rows before
     it, from the training tail for the first block. A block's normalized
     rows are dropped before its errors are handed on."""
@@ -328,18 +339,18 @@ def _error_blocks(entity: Entity, fitted: _Fitted):
         if keep:
             lead = last_rows(lead, x.values, keep)
         del x
-        yield a, b, err
+        yield a, b, _scored(entity, err)
 
 
-def _gauss_d_blocks(blocks, train_err, w: int, scored):
+def _gauss_d_blocks(blocks, train_err, w: int):
     """gauss_d per error block, with the W - 1 error rows before it."""
     history = train_err
     for a, b, err in blocks:
-        yield a, b, *score_gauss_d(err, history, w, scored)
+        yield a, b, *score_gauss_d(err, history, w)
         history = last_rows(history, err, w - 1)
 
 
-def _smoothed_blocks(blocks, kernel: KernelSpec, scored, n: int):
+def _smoothed_blocks(blocks, kernel: KernelSpec, n: int):
     """gauss_d_k over gauss_d blocks: a row is smoothed once the kernel
     radius of rows after it has arrived, or the stream has ended, with the
     radius of rows before it carried over. Edges are replicated only at
@@ -351,32 +362,29 @@ def _smoothed_blocks(blocks, kernel: KernelSpec, scored, n: int):
         ready = b if b == n else b - r
         if ready <= done:
             continue
-        yield done, ready, *score_gauss_d_k(held, kernel, scored, (done - first, b - ready))
+        yield done, ready, *score_gauss_d_k(held, kernel, (done - first, b - ready))
         keep = max(ready - r, 0)
         held, first, done = held[keep - first :], keep, ready
 
 
 def _score_test(entity: Entity, fitted: _Fitted, sc: ScoringConfig, events):
     """The test side of a cell, block by block: the (n,) score series and,
-    per event, the channel-score rows it spans."""
-    n, m, scored = entity.test.n, entity.m, entity.scored_indices()
-    train_err = fitted.train_err
+    per event, the rows of scored channel scores it spans."""
+    n, train_err = entity.test.n, fitted.train_err
     blocks = _error_blocks(entity, fitted)
     if sc.kind == "error":
         mean = train_err.mean(axis=0)
-        scored_blocks = ((a, b, *score_error(err, mean, scored)) for a, b, err in blocks)
+        scored_blocks = ((a, b, *score_error(err, mean)) for a, b, err in blocks)
     elif sc.kind == "gauss_s":
         params = fit_gauss(train_err)
-        scored_blocks = ((a, b, *score_gauss_s(err, params, scored)) for a, b, err in blocks)
+        scored_blocks = ((a, b, *score_gauss_s(err, params)) for a, b, err in blocks)
     else:
-        scored_blocks = _gauss_d_blocks(blocks, train_err, sc.window, scored)
+        scored_blocks = _gauss_d_blocks(blocks, train_err, sc.window)
         if sc.kind == "gauss_d_k":
-            scored_blocks = _smoothed_blocks(
-                scored_blocks, KernelSpec(sc.kernel_sigma), scored, n
-            )
+            scored_blocks = _smoothed_blocks(scored_blocks, KernelSpec(sc.kernel_sigma), n)
 
     series = np.empty(n)
-    rows = [np.empty((e.length, m)) for e in events]
+    rows = [np.empty((e.length, train_err.shape[1])) for e in events]
     first = 0  # events before it end before the rows written so far
     for lo, hi, channels, part in scored_blocks:
         series[lo:hi] = part
@@ -393,7 +401,6 @@ def _score_test(entity: Entity, fitted: _Fitted, sc: ScoringConfig, events):
 def _evaluate_cell(entity: Entity, seed: int, fitted: _Fitted, config: ExperimentConfig) -> dict:
     """A cell's results entry from its fitted value, which it only reads."""
     truth = entity.test_labels
-    scored = entity.scored_indices()
     dc = config.diagnosis
     # events with causes to diagnose; an entity with causes has events
     events = entity.test_events if dc.enabled and entity.causes else ()
@@ -401,7 +408,7 @@ def _evaluate_cell(entity: Entity, seed: int, fitted: _Fitted, config: Experimen
 
     cell: dict = {"entity": entity.id, "seed": seed, "candidates": []}
     ranking = None
-    for result in _thresholds(series, truth, len(scored), config.threshold):
+    for result in _thresholds(series, truth, fitted.train_err.shape[1], config.threshold):
         # auroc and auprc depend on the scores alone: rank them once
         if ranking is None:
             report = compute_report(result.predictions, truth, series)
@@ -414,8 +421,9 @@ def _evaluate_cell(entity: Entity, seed: int, fitted: _Fitted, config: Experimen
     if dc.enabled:
         cell["diagnosis"] = None
         if events:
+            channels = entity.scored_channels or range(entity.m)
             rankings, summary = diagnose_events(
-                rows, events, scored, dc.statistic, dc.top_k, dc.percent
+                rows, events, channels, dc.statistic, dc.top_k, dc.percent
             )
             cell["diagnosis"] = {**summary, "rankings": [list(r) for r in rankings]}
     return cell

@@ -163,8 +163,7 @@ class WindowedAutoencoder:
             raise ValidationError(f"series has {stream.shape[1]} channels, model has {m}")
         l_w = self.window_length
         n_out = stream.shape[0] - l_w + 1
-        # (n_out, l_w, m), no copy
-        windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(stream, l_w, axis=0), -1, 1)
+        windows = make_windows(stream, WindowSpec(l_w))  # (n_out, l_w, m), no copy
         observed_last = stream[l_w - 1 :]
         err = np.empty((n_out, stream.shape[1]), dtype=np.float64)
 

@@ -1,7 +1,8 @@
 """Scoring functions: transform residuals into per-time anomaly scores.
 
-Four scorers share the same shape contract: per-channel scores for all m
-channels plus an aggregated series over the scored channel subset.
+Four scorers share the same shape contract: per-channel scores for every
+column they are given plus a series that sums them all, in index order.
+A caller that scores a channel subset passes only its columns.
 
   error    squared mean-centered residuals; the series is their RMS.
   gauss_s  -log10 survival of a static per-channel Gaussian fitted on
@@ -43,10 +44,11 @@ from .core import (
     ScoreSeries,
     ValidationError,
     check_float_matrix,
-    resolve_scored,
 )
 
 SIGMA_FLOOR = 1e-4
+# gauss_d indexes its windows in int64
+MAX_WINDOW = 2**63 - 1
 Z_CLAMP = 8.0
 _LN10 = math.log(10.0)
 # rows per block of gauss_d scoring and of the series sums; their
@@ -63,14 +65,14 @@ _STEP = 1 << 11
 _LOST = 2.0**-20
 
 
-def _row_sums(channels: ChannelScores, idx) -> ScoreSeries:
-    """Sum of the scored channels per row, added to 0.0 one at a time in
-    index order, one block of rows at a time. The loop, not a gather's
-    layout, fixes the order: numpy sums a lone row of 8 or more pairwise."""
+def _row_sums(channels: ChannelScores) -> ScoreSeries:
+    """Sum of the channels per row, added to 0.0 one at a time in index
+    order, one block of rows at a time. The loop, not the array's layout,
+    fixes the order: numpy sums a lone row of 8 or more pairwise."""
     series = np.zeros(channels.shape[0])
     for a in range(0, channels.shape[0], _BLOCK):
         out = series[a : a + _BLOCK]
-        for i in idx:
+        for i in range(channels.shape[1]):
             out += channels[a : a + _BLOCK, i]
     return series
 
@@ -146,23 +148,22 @@ class KernelSpec:
         return w / w.sum()
 
 
-def score_error(
-    test_err: ErrorMatrix, train_mean: FloatArray, scored=None
-) -> tuple[ChannelScores, ScoreSeries]:
+def score_error(test_err: ErrorMatrix, train_mean: FloatArray) -> tuple[ChannelScores, ScoreSeries]:
     """Squared mean-centered errors per channel; the series is their
-    root mean over the scored channels.
+    root mean over the channels.
 
-    a_t = sqrt(mean_i (Er_t^i - train_mean^i)^2) over i in the scored set.
+    a_t = sqrt(mean_i (Er_t^i - train_mean^i)^2).
     """
     err = check_float_matrix(test_err, "test errors")
+    if not err.shape[1]:
+        raise ValidationError("no channels to score")
     mean = np.asarray(train_mean, dtype=np.float64)
     if mean.shape != (err.shape[1],):
         raise ValidationError(
             f"train_mean has shape {mean.shape}, expected ({err.shape[1]},)"
         )
-    idx = resolve_scored(err.shape[1], scored)
     channels = (err - mean) ** 2
-    return channels, np.sqrt(_row_sums(channels, idx) / idx.size)
+    return channels, np.sqrt(_row_sums(channels) / err.shape[1])
 
 
 def fit_gauss(train_err: ErrorMatrix) -> GaussParams:
@@ -175,17 +176,14 @@ def fit_gauss(train_err: ErrorMatrix) -> GaussParams:
     return GaussParams(err.mean(axis=0), err.std(axis=0, ddof=1))
 
 
-def score_gauss_s(
-    test_err: ErrorMatrix, params: GaussParams, scored=None
-) -> tuple[ChannelScores, ScoreSeries]:
+def score_gauss_s(test_err: ErrorMatrix, params: GaussParams) -> tuple[ChannelScores, ScoreSeries]:
     """Static Gaussian survival scores; aggregation is a plain channel sum."""
     err = check_float_matrix(test_err, "test errors")
     if err.shape[1] != params.m:
         raise ValidationError(f"{err.shape[1]} channels, params has {params.m}")
-    idx = resolve_scored(err.shape[1], scored)
     z = np.clip((err - params.mu) / params.sigma, -Z_CLAMP, Z_CLAMP)
     channels = _neg_log10_survival(z)
-    return channels, _row_sums(channels, idx)
+    return channels, _row_sums(channels)
 
 
 def _padded_lengths(w: int) -> tuple[list[int], list[int]]:
@@ -240,7 +238,6 @@ def score_gauss_d(
     test_err: ErrorMatrix,
     train_tail_err: ErrorMatrix | None,
     w: int,
-    scored=None,
 ) -> tuple[ChannelScores, ScoreSeries]:
     """Gaussian survival scores with rolling mean and sample std.
 
@@ -262,6 +259,8 @@ def score_gauss_d(
     """
     if w < 2:
         raise ValidationError(f"dynamic window must be >= 2, got {w}")
+    if w > MAX_WINDOW:
+        raise ValidationError(f"dynamic window must be <= 2**63 - 1, got {w}")
     err = check_float_matrix(test_err, "test errors")
     m = err.shape[1]
     if train_tail_err is None:
@@ -271,7 +270,6 @@ def score_gauss_d(
         if history.shape[1] != m:
             raise ValidationError(f"tail has {history.shape[1]} channels, errors have {m}")
     history = history[max(history.shape[0] - (w - 1), 0) :]
-    idx = resolve_scored(m, scored)
 
     n = err.shape[0]
     step = min(n, _STEP)
@@ -339,13 +337,12 @@ def score_gauss_d(
             np.clip(z, -Z_CLAMP, Z_CLAMP, out=z)
             channels[a + s : a + e] = _neg_log10_survival(z)
         history = last_rows(history, err[a:b], w - 1)
-    return channels, _row_sums(channels, idx)
+    return channels, _row_sums(channels)
 
 
 def score_gauss_d_k(
     gauss_d_channels: ChannelScores,
     kernel: KernelSpec,
-    scored=None,
     context: tuple[int, int] = (0, 0),
 ) -> tuple[ChannelScores, ScoreSeries]:
     """Smooth gauss_d channel scores with a truncated Gaussian kernel.
@@ -363,7 +360,6 @@ def score_gauss_d_k(
     """
     channels_in = check_float_matrix(gauss_d_channels, "channel scores")
     n_in, m = channels_in.shape
-    idx = resolve_scored(m, scored)
     r = kernel.radius
     before, after = context
     if min(before, after) < 0 or before + after >= n_in:
@@ -376,4 +372,4 @@ def score_gauss_d_k(
     for i in range(m):
         padded = np.pad(rows[:, i], pad, mode="edge")
         smoothed[:, i] = np.convolve(padded, weights, mode="valid")
-    return smoothed, _row_sums(smoothed, idx)
+    return smoothed, _row_sums(smoothed)

@@ -20,6 +20,10 @@ from .core import ConfigError, LabelVector, ScoreSeries, ValidationError, check_
 from .metrics import _checked, _f_by_cut
 
 BEST_F_METRICS = ("f1", "fpa1", "fc1")
+# tail_p's cut m * neg_log_eps is formed in float64, which holds every
+# integer up to 2**53; a channel scores at most ~15.2, so any eps >= 16
+# already predicts nothing
+MAX_NEG_LOG_EPS = 2**53
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,8 @@ def threshold_tail_p(scores: ScoreSeries, m_scored: int, neg_log_eps: int) -> Th
     s = check_score_series(scores)
     if m_scored < 1:
         raise ValidationError(f"m_scored must be >= 1, got {m_scored}")
-    if int(neg_log_eps) != neg_log_eps or neg_log_eps < 1:
-        raise ValidationError(f"neg_log_eps must be an integer >= 1, got {neg_log_eps}")
+    if not 1 <= neg_log_eps <= MAX_NEG_LOG_EPS or int(neg_log_eps) != neg_log_eps:
+        raise ValidationError(f"neg_log_eps must be an integer in 1..2**53, got {neg_log_eps}")
     threshold = float(m_scored * int(neg_log_eps))
     preds = (s >= threshold).astype(np.int64)
     return ThresholdResult(

@@ -262,6 +262,27 @@ def convolve_edge(values, weights):
     return out
 
 
+def pairwise_sum(values):
+    """numpy's pairwise sum of at most 128 floats, as it sums one
+    contiguous column: in order from 0.0 below 8 values, else in eight
+    interleaved running sums joined as a tree, then the rest in order."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    r, i = list(values[:8]), 8
+    while i < n - n % 8:
+        for j in range(8):
+            r[j] += values[i + j]
+        i += 8
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[i:]:
+        total += v
+    return total
+
+
 def midranks(values):
     """Average ranks with midrank ties, rank 1 for the smallest value."""
     order = sorted(range(len(values)), key=lambda i: values[i])

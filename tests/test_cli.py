@@ -525,6 +525,13 @@ class TestMalformedInputsExitOne:
          "config.scoring.kernel_sigma must be a finite number, got Infinity"),
         ({"model": {"kind": "uae", "learning_rate": 10**400}},
          f"config.model.learning_rate must be a finite number, got {10**400}"),
+        # past the window's int64 indices and the exact integers of the
+        # float64 tail_p cut
+        ({"scoring": {"kind": "gauss_d", "window": 2**63}},
+         f"config.scoring: window must be <= 2**63 - 1, got {2**63}"),
+        ({"scoring": {"kind": "gauss_s"},
+          "threshold": {"method": "tail_p", "neg_log_eps": 10**400}},
+         f"config.threshold: neg_log_eps must be in 1..2**53, got {10**400}"),
     ])
     def test_run_bad_section(self, tmp_path, overrides, message):
         cfg = run_config(tmp_path, **overrides)

@@ -158,10 +158,11 @@ class TestEntity:
             dataclasses.replace(ent, test_events=())
 
     def test_scored_channels(self):
-        ent = self._entity([0, 0, 0], scored=(1,))
-        assert list(ent.scored_indices()) == [1]
+        assert self._entity([0, 0, 0], scored=(1,)).scored_channels == (1,)
+        # sorted and unique, as a cell cuts its errors
+        assert self._entity([0], scored=[1, 0, 1]).scored_channels == (0, 1)
         # default: every channel
-        assert list(self._entity([0]).scored_indices()) == [0, 1]
+        assert self._entity([0]).scored_channels is None
 
     def test_scored_out_of_range(self):
         with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from tsadkit.core import ConfigError, Event, ValidationError
 from tsadkit.diagnosis import hitrate_at, rank_channels, rc_top_k
+from reference import pairwise_sum
 
 
 def diags_for(ranks_per_event, events):
@@ -62,9 +63,12 @@ class TestRankChannels:
             rank_channels(np.array([[0.0, np.inf]]))
 
     def test_scored_subset_only(self):
+        # a subset is ranked by passing only its columns; the ranking holds
+        # their positions, and the unscored channel 1 cannot appear
         scores = np.zeros((5, 3))
         scores[:, 1] = 9.0
-        assert rank_channels(scores, scored=np.array([2, 0])) == (0, 2)
+        scores[:, 2] = 1.0
+        assert rank_channels(np.take(scores, [0, 2], axis=1)) == (1, 0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(20)
@@ -74,28 +78,25 @@ class TestRankChannels:
 
 @st.composite
 def tied_rows(draw):
-    """(rows, scored): event rows on a few tied levels and a scored subset."""
+    """Event rows on a few tied levels."""
     n, m = draw(st.integers(1, 12)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.lists(st.floats(-5, 5), min_size=1, max_size=3, unique=True))
-    rows = np.array(levels)[rng.integers(0, len(levels), size=(n, m))]
-    scored = draw(st.none() | st.lists(st.integers(0, m - 1), min_size=1, unique=True))
-    return rows, scored
+    return np.array(levels)[rng.integers(0, len(levels), size=(n, m))]
 
 
 @pytest.mark.parametrize("statistic", ["mean", "max"])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(case=tied_rows())
-def test_ranking_matches_plain_sort(statistic, case):
-    """The ranking is the scored channels sorted by descending statistic
-    over the rows, ties toward the lower index, in plain Python."""
-    rows, scored = case
+@given(rows=tied_rows())
+def test_ranking_matches_plain_sort(statistic, rows):
+    """The ranking is the columns sorted by descending statistic over the
+    rows, ties toward the lower index, in plain Python."""
     columns = [[float(row[c]) for row in rows] for c in range(rows.shape[1])]
-    # np.mean adds a column's rows in order, as sum() does
-    stat = [sum(col) / len(col) if statistic == "mean" else max(col) for col in columns]
-    chosen = range(rows.shape[1]) if scored is None else set(scored)
-    expected = tuple(sorted(chosen, key=lambda c: (-stat[c], c)))
-    assert rank_channels(rows, scored, statistic) == expected
+    # each mean is a pairwise sum down its column, which from 8 rows on
+    # can round apart from a sum in row order
+    stat = [pairwise_sum(col) / len(col) if statistic == "mean" else max(col) for col in columns]
+    expected = tuple(sorted(range(rows.shape[1]), key=lambda c: (-stat[c], c)))
+    assert rank_channels(rows, statistic) == expected
 
 
 class TestRcTopK:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tsadkit import experiment, scoring
-from tsadkit.core import ConfigError, SeriesMatrix, encode_config, read_json
+from tsadkit.core import ConfigError, Entity, Event, SeriesMatrix, encode_config, read_json
 from tsadkit.diagnosis import rank_channels
 from tsadkit.experiment import (
     ExperimentConfig,
@@ -21,6 +21,7 @@ from tsadkit.experiment import (
     compare_metrics,
     config_from_dict,
     config_from_json,
+    diagnose_events,
     emit_results,
     run_experiment,
 )
@@ -428,7 +429,7 @@ class TestRunExperiment:
         rankings = record.cells[0]["diagnosis"]["rankings"]
         entity = experiment.generate_synthetic(config.synthetic[0])
         expected = [
-            list(rank_channels(captured[0][e.start : e.end + 1], None, statistic))
+            list(rank_channels(captured[0][e.start : e.end + 1], statistic))
             for e in entity.test_events
         ]
         assert rankings == expected
@@ -440,6 +441,14 @@ class TestRunExperiment:
         assert diag["rc_top_k"] == 1.0  # single spiked channel dominates
         assert len(diag["rankings"]) == 2
 
+    def test_diagnose_events_ranks_channels_of_the_columns_given(self):
+        # each ranking names the channel each column holds, and the
+        # summary scores those channels against the causes
+        rows = [np.array([[1.0, 5.0, 3.0]]), np.array([[4.0, 0.0, 2.0]])]
+        events = [Event(0, 0, {7}), Event(2, 2, {2})]
+        rankings, summary = diagnose_events(rows, events, (2, 7, 9), "mean", 1, 100)
+        assert rankings == [(7, 9, 2), (2, 9, 7)]
+        assert (summary["rc_top_k"], summary["hitrate"]) == (1.0, 1.0)
 
     def test_a_window_longer_than_its_stream_runs_as_a_reachable_one(self, monkeypatch):
         # W = 10**9 over 250 rows whose level shifts leave windows that lose
@@ -490,6 +499,60 @@ class TestFitEvaluateStages:
                 )
                 assert json.dumps(shared, sort_keys=True) == json.dumps(fresh, sort_keys=True)
             assert pickle.dumps(fitted) == before
+
+
+CUT_SPEC = {
+    "entity_id": "cut", "n_train": 2000, "n_test": 3000, "m": 4,
+    "period": [23.0, 37.0, 51.0, 64.0], "noise_sigma": 0.1, "seed": 3,
+    "anomalies": [
+        {"start": 500, "length": 20, "kind": "spike", "channels": [0, 2], "magnitude": 2.5},
+        {"start": 1400, "length": 30, "kind": "level_shift", "channels": [1], "magnitude": 2.5},
+        {"start": 2300, "length": 25, "kind": "spike", "channels": [3, 1], "magnitude": 2.5},
+    ],
+}
+
+
+def cut_entity(entity: Entity, cols) -> Entity:
+    """``entity`` holding the channels ``cols`` alone; every event names
+    its first channel as its cause, so that each is diagnosed."""
+    def cut(series):
+        names = [series.channel_names[c] for c in cols]
+        return SeriesMatrix(np.take(series.values, cols, axis=1), names)
+
+    causes = {i: [0] for i in range(len(entity.test_events))}
+    return Entity(entity.id, cut(entity.train), cut(entity.test), entity.test_labels, causes)
+
+
+@pytest.mark.parametrize("scorer", [
+    {"kind": "error"},
+    {"kind": "gauss_s"},
+    {"kind": "gauss_d", "window": 50},
+    {"kind": "gauss_d_k", "window": 50, "kernel_sigma": 2.0},
+], ids=lambda sc: sc["kind"])
+@pytest.mark.parametrize("cols", [(0,), (2,), (3,), (1, 2), (0, 1, 3)], ids=str)
+def test_a_scored_subset_is_the_cut_entity(scorer, cols):
+    """A cell whose entity scores channels S is the cell of that entity
+    cut to S: the same candidates, bit for bit, and the same rankings once
+    the cut's column positions are mapped through S. A single scored
+    channel's train mean, Gauss fit and block centre are pairwise sums
+    down its own column, as the cut entity's are."""
+    entity = experiment.generate_synthetic(experiment.SyntheticSpec.from_dict(CUT_SPEC))
+    assert len(entity.test_events) == 3 and entity.causes
+    scored = dataclasses.replace(entity, scored_channels=cols)
+    alone = cut_entity(entity, cols)
+    methods = ["best_f", "top_k"] + (["tail_p"] if scorer["kind"] != "error" else [])
+    for method in methods:
+        config = config_from_dict({
+            "synthetic": [CUT_SPEC], "model": {"kind": "raw"}, "scoring": scorer,
+            "threshold": {"method": method}, "diagnosis": {"enabled": True},
+        })
+        cells = [
+            experiment._evaluate_cell(e, 0, experiment._fit_cell(e, 0, config), config)
+            for e in (scored, alone)
+        ]
+        assert json.dumps(cells[0]["candidates"]) == json.dumps(cells[1]["candidates"])
+        mapped = [[cols[c] for c in r] for r in cells[1]["diagnosis"]["rankings"]]
+        assert cells[0]["diagnosis"]["rankings"] == mapped
 
 
 MEMORY_ROWS, MEMORY_CHANNELS = 20_000, 16
@@ -879,9 +942,27 @@ class TestConfigCodec:
          "config.synthetic[0].period[1] must be a finite number, got -Infinity"),
         ({"model": {"learning_rate": 10**400}},
          f"config.model.learning_rate must be a finite number, got {10**400}"),
+        ({"scoring": {"kind": "gauss_d", "window": 2**63}},
+         f"config.scoring: window must be <= 2**63 - 1, got {2**63}"),
+        ({"scoring": {"kind": "gauss_s"}, "threshold": {"method": "tail_p", "neg_log_eps": 0}},
+         "config.threshold: neg_log_eps must be in 1..2**53, got 0"),
+        ({"scoring": {"kind": "gauss_s"},
+          "threshold": {"method": "tail_p", "neg_log_eps": 2**53 + 1}},
+         f"config.threshold: neg_log_eps must be in 1..2**53, got {2**53 + 1}"),
     ])
     def test_errors_name_the_path(self, overrides, message):
         assert config_error({"synthetic": [MINIMAL_SPEC], **overrides}) == message
+
+    def test_largest_window_and_eps_accepted(self):
+        config = config_from_dict({
+            "synthetic": [MINIMAL_SPEC], "scoring": {"kind": "gauss_d", "window": 2**63 - 1},
+        })
+        assert config.scoring.window == scoring.MAX_WINDOW
+        config = config_from_dict({
+            "synthetic": [MINIMAL_SPEC], "scoring": {"kind": "gauss_s"},
+            "threshold": {"method": "tail_p", "neg_log_eps": 2**53},
+        })
+        assert config.threshold.neg_log_eps == 2**53
 
     @pytest.mark.parametrize("section, message", [
         ({"scoring": {"kind": "error", "window": 10}},

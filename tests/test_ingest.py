@@ -377,7 +377,7 @@ class TestLoadEntity:
         test = self._write(tmp_path, "test.csv", ["a", "b", "label"],
                            [[0.0, 0.0, 0]])
         ent = load_entity(train, test, scored_channels=("b",))
-        assert list(ent.scored_indices()) == [1]
+        assert ent.scored_channels == (1,)
 
     def test_label_cell_one_point_zero_rejected(self, tmp_path):
         # float-valued labels would pass a bulk float parse of the column

@@ -52,29 +52,26 @@ class TestScoreError:
         _, out = score_error(err, np.zeros(2))
         assert out[0] == pytest.approx(math.sqrt(12.5))
 
-    def test_scored_subset(self):
-        err = np.array([[3.0, 100.0]])
-        channels, out = score_error(err, np.zeros(2), scored=np.array([0]))
-        assert out[0] == pytest.approx(3.0)
-        assert channels.tolist() == [[9.0, 10000.0]]
-
-    @pytest.mark.parametrize("scored", [None, [2], [0, 3], [3, 1, 2]])
+    @pytest.mark.parametrize("scored", [None, [2], [0, 3], [1, 2, 3]])
     def test_channels_are_squared_centered_errors(self, scored):
         rng = np.random.default_rng(4)
-        # more rows than one block of the series sums
+        # more rows than one block of the series sums; a scored subset is
+        # passed as its own C-ordered columns, as a cell cuts it
         err = rng.normal(size=(scoring._BLOCK + 7, 4))
         mean = rng.normal(size=4)
-        channels, series = score_error(err, mean, scored=scored)
-        # every channel, scored or not, is the squared centered error
+        if scored is not None:
+            err, mean = np.take(err, scored, axis=1), mean[scored]
+        channels, series = score_error(err, mean)
+        # every channel given is the squared centered error
         np.testing.assert_array_equal(channels, (err - mean) * (err - mean))
-        # the series is the root of their row mean over the scored set
-        idx = sorted(scored) if scored is not None else list(range(4))
-        centered = err[:, idx] - mean[idx]
+        # the series is the root of their row mean over the columns given
+        centered = err - mean
         np.testing.assert_array_equal(series, np.sqrt(np.mean(centered * centered, axis=1)))
 
     def test_empty_scored_rejected(self):
-        with pytest.raises(ValidationError):
-            score_error(col(1.0), np.zeros(1), scored=np.array([], dtype=int))
+        # the root mean over no channels is undefined
+        with pytest.raises(ValidationError, match="no channels to score"):
+            score_error(np.zeros((1, 0)), np.zeros(0))
 
 
 class TestFitGauss:
@@ -145,9 +142,12 @@ class TestGaussS:
         params = fit_gauss(rng.normal(size=(50, 4)))
         channels, series = score_gauss_s(err, params)
         assert np.allclose(series, channels.sum(axis=1))
-        s01 = score_gauss_s(err, params, scored=np.array([0, 1]))[1]
-        s23 = score_gauss_s(err, params, scored=np.array([2, 3]))[1]
-        assert np.allclose(series, s01 + s23)
+        halves = [
+            score_gauss_s(err[:, cut], GaussParams(params.mu[cut], params.sigma[cut]))
+            for cut in (slice(0, 2), slice(2, 4))
+        ]
+        assert np.array_equal(channels, np.hstack([c for c, _ in halves]))
+        assert np.allclose(series, halves[0][1] + halves[1][1])
 
 
 class TestGaussD:
@@ -208,6 +208,11 @@ class TestGaussD:
     def test_window_validation(self):
         with pytest.raises(ValidationError, match="dynamic window must be >= 2, got 1"):
             score_gauss_d(np.zeros((3, 1)), None, 1)
+
+    def test_window_past_int64_rejected(self):
+        # the window indices are int64, which cannot hold 2**63
+        with pytest.raises(ValidationError, match=r"dynamic window must be <= 2\*\*63 - 1"):
+            score_gauss_d(np.zeros((3, 1)), None, 2**63)
 
 
 class TestGaussDK:
@@ -354,18 +359,17 @@ class TestGaussDOffsets:
 
 @st.composite
 def blocked_cases(draw):
-    """(test, tail, w, block, scored): tails from none to longer than W-1,
-    blocks of 1, 7, W-1, W and W+1 rows, W above and below the block."""
+    """(test, tail, w, block): tails from none to longer than W-1, blocks
+    of 1, 7, W-1, W and W+1 rows, W above and below the block."""
     w = draw(st.integers(2, 30))
     n = draw(st.integers(1, 60))
     m = draw(st.integers(1, 3))
     tail_len = draw(st.integers(0, w + 2))
     block = draw(st.sampled_from([1, 7, w - 1, w, w + 1]))
     offset = draw(st.sampled_from([0.0, 5.0, 100.0]))
-    scored = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = offset + rng.normal(size=(tail_len + n, m))
-    return values[tail_len:], values[:tail_len], w, block, sorted(scored)
+    return values[tail_len:], values[:tail_len], w, block
 
 
 # the blocks center on other means than the one whole-stream chunk, so the
@@ -376,15 +380,15 @@ BLOCKING_TOL = 1e-9
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(blocked_cases())
 def test_blocks_equal_one_block(case):
-    test, tail, w, block, scored = case
-    whole, _ = score_gauss_d(test, tail, w, scored)
+    test, tail, w, block = case
+    whole, _ = score_gauss_d(test, tail, w)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "_BLOCK", block)
-        channels, series = score_gauss_d(test, tail, w, scored)
-        smoothed, smoothed_series = score_gauss_d_k(channels, KernelSpec(1.5), scored)
+        channels, series = score_gauss_d(test, tail, w)
+        smoothed, smoothed_series = score_gauss_d_k(channels, KernelSpec(1.5))
     assert np.abs(channels - whole).max() < BLOCKING_TOL
-    assert np.array_equal(series, channels[:, scored].sum(axis=1))
-    assert np.array_equal(smoothed_series, smoothed[:, scored].sum(axis=1))
+    assert np.array_equal(series, channels.sum(axis=1))
+    assert np.array_equal(smoothed_series, smoothed.sum(axis=1))
 
 
 @pytest.mark.parametrize("step", [1, 3, 100])
@@ -437,10 +441,10 @@ def test_scoring_memory_is_bounded_by_the_block():
 
 @pytest.mark.parametrize("block", [7, scoring._BLOCK])
 def test_row_sums_add_the_scored_channels_in_index_order(block):
-    """Each row's series value is 0.0 plus its scored channels one at a
-    time in index order, for one row as for many and across blocks. A
-    C-ordered gather of the scored channels, which numpy sums pairwise in
-    rows of 8 or more values, moves the last bits."""
+    """Each row's series value is 0.0 plus its channels one at a time in
+    index order, for one row as for many and across blocks. The scored
+    channels arrive as a C-ordered cut, whose rows numpy's own row sum
+    adds pairwise from 8 values on, moving the last bits."""
     rng = np.random.default_rng(11)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "_BLOCK", block)
@@ -451,19 +455,21 @@ def test_row_sums_add_the_scored_channels_in_index_order(block):
             expected = np.zeros(n)
             for i in idx:
                 expected = expected + channels[:, i]
-            assert scoring._row_sums(channels, idx).tobytes() == expected.tobytes()
+            cut = np.take(channels, idx, axis=1)
+            assert scoring._row_sums(cut).tobytes() == expected.tobytes()
 
 
 def test_gauss_d_allocates_by_the_rows_it_can_reach():
     """A window longer than the tail and the test rows together sizes the
     prefix sums by those rows, not by W: W = 10**12 scores as the shortest
-    window that reaches every row, W = 251 here."""
+    window that reaches every row, W = 251 here, up to the largest W."""
     rng = np.random.default_rng(4)
     err, tail = rng.normal(size=(200, 3)), rng.normal(size=(50, 3))
-    huge = score_gauss_d(err, tail, 10**12)
     reach = score_gauss_d(err, tail, 251)
-    assert huge[0].tobytes() == reach[0].tobytes()
-    assert huge[1].tobytes() == reach[1].tobytes()
+    for w in (10**12, scoring.MAX_WINDOW):
+        huge = score_gauss_d(err, tail, w)
+        assert huge[0].tobytes() == reach[0].tobytes()
+        assert huge[1].tobytes() == reach[1].tobytes()
 
 
 def test_rows_padded_to_their_summed_length_keep_the_full_rows_bits():
@@ -569,12 +575,12 @@ def test_last_rows_carries_the_rows_before_the_next_block(before_rows, block_row
 def test_carried_gauss_d_equals_the_whole_stream(case):
     # pieces on the block grid, each with the W-1 error rows before it
     # carried over, give the whole-stream bytes
-    test, tail, w, block, scored = case
+    test, tail, w, block = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "_BLOCK", block)
-        whole, whole_series = score_gauss_d(test, tail, w, scored)
+        whole, whole_series = score_gauss_d(test, tail, w)
         pieces = [(a, b, test[a:b]) for a, b in row_blocks(test.shape[0])]
-        out = list(_gauss_d_blocks(iter(pieces), tail, w, scored))
+        out = list(_gauss_d_blocks(iter(pieces), tail, w))
     assert np.concatenate([rows for _, _, rows, _ in out]).tobytes() == whole.tobytes()
     assert np.concatenate([part for *_, part in out]).tobytes() == whole_series.tobytes()
 
@@ -642,17 +648,16 @@ def smoothing_cases(draw):
 def test_carried_smoothing_equals_the_whole_stream(case):
     channels, kernel, block = case
     n, m = channels.shape
-    scored = list(range(0, m, 2))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "_BLOCK", block)
         pieces = [(a, b, channels[a:b], None) for a, b in row_blocks(n)]
-        out = list(_smoothed_blocks(iter(pieces), kernel, scored, n))
+        out = list(_smoothed_blocks(iter(pieces), kernel, n))
     # every row once, in order
     assert [lo for lo, *_ in out] == [0] + [hi for _, hi, *_ in out[:-1]]
     assert out[-1][1] == n
     smoothed = np.concatenate([rows for _, _, rows, _ in out])
     series = np.concatenate([part for *_, part in out])
-    whole, whole_series = score_gauss_d_k(channels, kernel, scored)
+    whole, whole_series = score_gauss_d_k(channels, kernel)
     assert smoothed.tobytes() == whole.tobytes()
     assert series.tobytes() == whole_series.tobytes()
     weights, r = kernel.weights(), kernel.radius
@@ -675,7 +680,7 @@ def test_carried_smoothing_on_the_real_grid():
     channels = rng.random((n, 4)) * 15.0
     kernel = KernelSpec(2.0)
     pieces = [(a, b, channels[a:b], None) for a, b in row_blocks(n)]
-    out = list(_smoothed_blocks(iter(pieces), kernel, None, n))
+    out = list(_smoothed_blocks(iter(pieces), kernel, n))
     assert [(lo, hi) for lo, hi, *_ in out] == [
         (0, scoring._BLOCK - kernel.radius), (scoring._BLOCK - kernel.radius, n)
     ]
@@ -687,7 +692,7 @@ def test_carried_smoothing_on_the_real_grid():
 @pytest.mark.parametrize("context", [(-1, 0), (0, -1), (3, 3), (6, 0)])
 def test_smoothing_context_must_leave_rows(context):
     with pytest.raises(ValidationError):
-        score_gauss_d_k(np.zeros((6, 2)), KernelSpec(1.0), None, context)
+        score_gauss_d_k(np.zeros((6, 2)), KernelSpec(1.0), context)
 
 
 def _long_cell_config(n_test: int, m: int) -> dict:

@@ -98,6 +98,19 @@ class TestTailP:
         with pytest.raises(ValidationError):
             threshold_tail_p(np.zeros(3), 0, 1)
 
+    @pytest.mark.parametrize("eps", [2**53 + 1, 10**308, 10**400, math.inf, math.nan])
+    def test_eps_past_exact_float64_rejected(self, eps):
+        # the cut m * eps is formed in float64, which holds every integer
+        # only up to 2**53; m * 10**308 and 10**400 overflow it
+        message = r"neg_log_eps must be an integer in 1\.\.2\*\*53"
+        with pytest.raises(ValidationError, match=message):
+            threshold_tail_p(np.zeros(3), 2, eps)
+
+    def test_largest_eps_predicts_nothing(self):
+        result = threshold_tail_p(np.full(3, 15.2), 2, 2**53)
+        assert result.threshold == 2.0**54
+        assert result.predictions.sum() == 0
+
 
 class TestBestF:
     def test_separable_example(self):
