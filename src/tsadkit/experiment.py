@@ -51,6 +51,7 @@ from .ingest import (
 from .metrics import compute_report, rad_scores
 from .models import ModelConfig, ReconstructionModel, encoder_widths, fit, residuals
 from .scoring import (
+    MAX_KERNEL_SIGMA,
     MAX_WINDOW,
     KernelSpec,
     fit_gauss,
@@ -114,6 +115,8 @@ class ScoringConfig:
         if self.kind == "gauss_d_k":
             if self.kernel_sigma is None or not (self.kernel_sigma > 0):
                 raise ConfigError("gauss_d_k needs kernel_sigma > 0")
+            if self.kernel_sigma > MAX_KERNEL_SIGMA:
+                raise ConfigError(f"kernel_sigma must be <= 2**16, got {self.kernel_sigma}")
         elif self.kernel_sigma is not None:
             raise ConfigError(f"kernel_sigma is used only by gauss_d_k, got kind {self.kind!r}")
 

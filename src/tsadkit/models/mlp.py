@@ -14,6 +14,12 @@ rounds the same whatever array holds it, and each member's products are
 the calls it would make alone, so a member's gradients do not depend on
 its stack. ``MlpAutoencoder`` is one such network, for inference and
 its loss; both run each layer through the same ``_activate`` step.
+
+Parameters, activations, gradients and Adam state are float32
+(``DTYPE``), half the bytes of float64. Callers cast every input in the
+copy they make, since numpy promotes a float64 @ float32 product to
+float64 without a word. Buffers and Adam state take the dtype of the
+parameters they are given, so a float64 network runs the same code.
 """
 from __future__ import annotations
 
@@ -22,6 +28,8 @@ import math
 import numpy as np
 
 from ..core import ConfigError, FloatArray
+
+DTYPE = np.float32
 
 
 def encoder_widths(input_dim: int, latent_dim: int) -> tuple[int, ...]:
@@ -90,8 +98,8 @@ class MlpAutoencoder:
     """Multi-layer perceptron with tanh hidden layers and linear output.
 
     Weights start uniform in +-sqrt(6/(fan_in+fan_out)), biases at zero,
-    drawn from the given generator so construction is deterministic.
-    Every weight and bias is a view into one float64 vector,
+    drawn from the given generator so construction is deterministic, then
+    stored in ``DTYPE``. Every weight and bias is a view into one vector,
     ``flat_params``, laid out w0, b0, w1, b1, ..., so a network is
     trained (as a row of an ``MlpStack``) and kept as one array.
     """
@@ -101,7 +109,7 @@ class MlpAutoencoder:
             raise ConfigError("need at least an input and an output layer")
         widths = tuple(int(w) for w in widths)
         size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
-        self._bind(widths, np.zeros(size))
+        self._bind(widths, np.zeros(size, dtype=DTYPE))
         for w in self.weights:
             fan_in, fan_out = w.shape
             bound = math.sqrt(6.0 / (fan_in + fan_out))
@@ -120,22 +128,26 @@ class MlpAutoencoder:
         self.weights, self.biases = _layers(widths, flat_params)
 
     def forward(self, x: FloatArray) -> FloatArray:
-        h = x
+        """The reconstruction of ``x``'s rows, in the parameters' dtype; an
+        input of another dtype is cast first."""
+        h = x.astype(self.flat_params.dtype, copy=False)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w
             _activate(h, b, i == last)
         return h
 
-    def loss(self, batch: FloatArray) -> float:
-        """Mean squared reconstruction error over every element of the batch."""
-        # forward's output is a fresh array: subtract and square in place
-        diff = self.forward(batch)
-        diff -= batch
-        # overflow to inf is fine here; callers treat non-finite loss as divergence
-        with np.errstate(over="ignore"):
+    def loss(self, batch: FloatArray) -> np.floating:
+        """Mean squared reconstruction error over every element of the
+        batch, computed in the parameters' dtype."""
+        batch = batch.astype(self.flat_params.dtype, copy=False)
+        # inf and nan are fine here; callers treat non-finite loss as divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            # forward's output is a fresh array: subtract and square in place
+            diff = self.forward(batch)
+            diff -= batch
             np.multiply(diff, diff, out=diff)
-            return float(np.mean(diff))
+            return np.mean(diff)
 
 
 class MlpStack:
@@ -190,8 +202,9 @@ class MlpStack:
         fill before ``losses``."""
         if rows > self._capacity:
             # one buffer per activation, and two that the deltas alternate in
-            self._store = [np.empty(self.size * rows * w) for w in self.widths]
-            self._store += [np.empty(self.size * rows * max(self.widths)) for _ in range(2)]
+            dtype = self.flat_params.dtype
+            self._store = [np.empty(self.size * rows * w, dtype) for w in self.widths]
+            self._store += [np.empty(self.size * rows * max(self.widths), dtype) for _ in range(2)]
             self._capacity = rows
         if rows != self._rows:
             self._view(rows)
@@ -214,16 +227,18 @@ class MlpStack:
         """Forward pass on the filled inputs: each member's reconstruction MSE."""
         acts, member_acts = self._acts, self._member_acts
         last = len(self._weights) - 1
-        for i in range(last + 1):
-            # each member's product as ``forward`` makes it, then one
-            # elementwise step for the whole stack
-            for x, w, y in zip(member_acts[i], self._weights[i], member_acts[i + 1]):
-                np.matmul(x, w, out=y)
-            _activate(acts[i + 1], self._biases[i], i == last)
-        delta = acts[-1]
-        delta -= acts[0]
-        squares = np.multiply(delta, delta, out=self._deltas[-1])
-        return np.add.reduce(squares.reshape(self.size, -1), axis=1) / delta[0].size
+        # inf and nan are fine here, as in ``MlpAutoencoder.loss``
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(last + 1):
+                # each member's product as ``forward`` makes it, then one
+                # elementwise step for the whole stack
+                for x, w, y in zip(member_acts[i], self._weights[i], member_acts[i + 1]):
+                    np.matmul(x, w, out=y)
+                _activate(acts[i + 1], self._biases[i], i == last)
+            delta = acts[-1]
+            delta -= acts[0]
+            squares = np.multiply(delta, delta, out=self._deltas[-1])
+            return np.add.reduce(squares.reshape(self.size, -1), axis=1) / delta[0].size
 
     def backward(self) -> None:
         """Gradients of the last ``losses`` into ``flat_grads``, row by member.

@@ -30,11 +30,12 @@ from ..core import (
     ValidationError,
 )
 from ..ingest import WindowSpec, make_windows
-from .mlp import Adam, MlpAutoencoder, MlpStack, autoencoder_widths
+from .mlp import DTYPE, Adam, MlpAutoencoder, MlpStack, autoencoder_widths
 from .pca import PcaModel
 
 MODEL_KINDS = ("raw", "pca", "uae", "fc_ae")
 
+MAX_LEARNING_RATE = float(np.finfo(DTYPE).max)
 _FORWARD_CHUNK = 8192
 # most groups in one stack: larger stacks hold more buffers and gain little
 _STACK_MEMBERS = 4
@@ -70,8 +71,11 @@ class ModelConfig:
             raise ConfigError("validation_fraction must be in (0, 1)")
         if self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("max_epochs and patience must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        # Adam scales float32 steps by the rate, which must cast to float32
+        if self.learning_rate is not None and not 0 < self.learning_rate <= MAX_LEARNING_RATE:
+            raise ConfigError(
+                f"learning_rate must be in (0, {MAX_LEARNING_RATE:.8g}], got {self.learning_rate}"
+            )
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         for key in ("latent_dim", "learning_rate", "batch_size"):
@@ -172,7 +176,7 @@ class WindowedAutoencoder:
             model, channels = group
             for lo in range(0, n_out, _FORWARD_CHUNK):
                 hi = min(lo + _FORWARD_CHUNK, n_out)
-                rows = np.ascontiguousarray(_group_rows(windows[lo:hi], channels))
+                rows = np.ascontiguousarray(_group_rows(windows[lo:hi], channels), DTYPE)
                 recon = model.forward(rows)
                 err[lo:hi, channels] = (
                     observed_last[lo:hi, channels] - recon[:, -len(channels) :]
@@ -253,8 +257,10 @@ def _train_stack(
         order = rng.permutation(n_split)
         for lo in range(0, n_split, batch_size):
             batch = order[lo : lo + batch_size]
-            for g, inputs in zip(live, net.inputs(len(batch))):
-                inputs[...] = rows[g][batch]
+            # a value beyond DTYPE's range casts to inf: a non-finite loss
+            with np.errstate(over="ignore"):
+                for g, inputs in zip(live, net.inputs(len(batch))):
+                    inputs[...] = rows[g][batch]
             bad = np.flatnonzero(~np.isfinite(net.losses()))
             if bad.size:
                 failure = TrainingError(f"training loss became non-finite at epoch {epoch}")
@@ -268,7 +274,9 @@ def _train_stack(
             member = MlpAutoencoder.on(widths, params)
             epochs_run[g] = epoch + 1
             # copied per epoch: a stack holding every member's copy peaks higher
-            val_loss = member.loss(np.ascontiguousarray(rows[g][n_split:]))
+            with np.errstate(over="ignore"):
+                val_rows = np.ascontiguousarray(rows[g][n_split:], DTYPE)
+            val_loss = member.loss(val_rows)
             if not np.isfinite(val_loss):
                 failure = TrainingError(f"validation loss became non-finite at epoch {epoch}")
                 break
@@ -297,7 +305,7 @@ def _train_stack(
             epochs_run=epochs_run[g],
             best_epoch=best_epoch[g],
             best_val_loss=float(best_val[g]),
-            final_train_loss=model.loss(np.ascontiguousarray(rows[g][:n_split])),
+            final_train_loss=float(model.loss(np.ascontiguousarray(rows[g][:n_split], DTYPE))),
         )
         trained.append(((model, channels), report))
     return trained

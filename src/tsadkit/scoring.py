@@ -49,6 +49,8 @@ from .core import (
 SIGMA_FLOOR = 1e-4
 # gauss_d indexes its windows in int64
 MAX_WINDOW = 2**63 - 1
+# a float per kernel tap: 2 * 3 * 2**16 + 1 taps, ~3 MB at most
+MAX_KERNEL_SIGMA = 2**16
 Z_CLAMP = 8.0
 _LN10 = math.log(10.0)
 # rows per block of gauss_d scoring and of the series sums; their
@@ -127,13 +129,14 @@ class GaussParams:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian smoothing kernel: sigma_k > 0, truncated at 3*ceil(sigma_k)."""
+    """Gaussian smoothing kernel: 0 < sigma_k <= MAX_KERNEL_SIGMA, truncated
+    at 3*ceil(sigma_k)."""
 
     sigma_k: float
 
     def __post_init__(self):
-        if not (self.sigma_k > 0):
-            raise ValidationError(f"sigma_k must be > 0, got {self.sigma_k}")
+        if not 0 < self.sigma_k <= MAX_KERNEL_SIGMA:
+            raise ValidationError(f"sigma_k must be in (0, 2**16], got {self.sigma_k}")
 
     @property
     def radius(self) -> int:

@@ -385,15 +385,17 @@ class AdamPerArray:
 
 
 class MlpNaive:
-    """One tanh autoencoder as separate weight and bias arrays, with the
-    per-network forward pass and backpropagation, one layer at a time."""
+    """One tanh autoencoder as separate float32 weight and bias arrays, with
+    the per-network forward pass and backpropagation, one layer at a time.
+    Its inputs must be float32 too."""
 
     def __init__(self, widths, rng):
         self.weights, self.biases = [], []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
             bound = math.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            draw = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            self.weights.append(draw.astype(np.float32))
+            self.biases.append(np.zeros(fan_out, np.float32))
 
     def parameters(self):
         return [p for pair in zip(self.weights, self.biases) for p in pair]
@@ -440,15 +442,16 @@ class Diverged(Exception):
 def train_mlp(rows, widths, config, seed):
     """One autoencoder trained alone on its (count, width) window rows:
     Adam, a chronological split, early stopping and the best-validation
-    weights restored.
+    weights restored. The rows are cast to float32 once, up front.
 
     Returns the flat parameters (w0, b0, w1, b1, ...) and the report
     fields (epochs_run, best_epoch, best_val_loss, final_train_loss).
     """
     count = rows.shape[0]
     n_split = int(count * (1.0 - config.validation_fraction))
+    rows = rows.astype(np.float32)
     x_train = rows[:n_split]
-    x_val = np.ascontiguousarray(rows[n_split:])
+    x_val = rows[n_split:]
     rng = np.random.default_rng(seed)
     model = MlpNaive(widths, rng)
     optimizer = AdamPerArray(model.parameters(), config.learning_rate)
@@ -475,5 +478,5 @@ def train_mlp(rows, widths, config, seed):
                 break
     for p, saved in zip(model.parameters(), best):
         p[...] = saved
-    final = model.loss(np.ascontiguousarray(x_train))
+    final = model.loss(x_train)
     return model.flat_params(), (epochs_run, best_epoch, float(best_val), final)

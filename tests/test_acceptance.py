@@ -134,7 +134,9 @@ def test_c05_mlp_gradients_match_finite_differences():
     for _ in range(20):
         input_dim = int(rng.integers(3, 11))
         latent = int(rng.integers(1, input_dim))
-        model = MlpAutoencoder(autoencoder_widths(input_dim, latent), rng)
+        # float64, as a central difference needs: the same classes, cast
+        draw = MlpAutoencoder(autoencoder_widths(input_dim, latent), rng).flat_params
+        model = MlpAutoencoder.on(autoencoder_widths(input_dim, latent), draw.astype(np.float64))
         x = rng.normal(size=(int(rng.integers(1, 5)), input_dim))
         stack = MlpStack(model.widths, model.flat_params[None])
         stack.inputs(x.shape[0])[0][...] = x

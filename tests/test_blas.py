@@ -210,7 +210,7 @@ def test_training_error_restores(two_blas_threads, monkeypatch):
     monkeypatch.setattr(train, "_train_stack", spy)
     rng = np.random.default_rng(7)
     data = SeriesMatrix(rng.random(size=(80, 2)))
-    config = ModelConfig("uae", learning_rate=1e200, max_epochs=30)
+    config = ModelConfig("uae", learning_rate=1e30, max_epochs=30)
     with pytest.raises(TrainingError):
         fit(data, config, WindowSpec(10, 1))
     # the pool outlives the pin, but no stack of the failed fit runs on

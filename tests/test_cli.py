@@ -532,6 +532,11 @@ class TestMalformedInputsExitOne:
         ({"scoring": {"kind": "gauss_s"},
           "threshold": {"method": "tail_p", "neg_log_eps": 10**400}},
          f"config.threshold: neg_log_eps must be in 1..2**53, got {10**400}"),
+        # past float32's range, in which Adam steps, and a kernel of ~6e300 taps
+        ({"model": {"kind": "uae", "learning_rate": 1e39}},
+         "config.model: learning_rate must be in (0, 3.4028235e+38], got 1e+39"),
+        ({"scoring": {"kind": "gauss_d_k", "window": 5, "kernel_sigma": 1e300}},
+         "config.scoring: kernel_sigma must be <= 2**16, got 1e+300"),
     ])
     def test_run_bad_section(self, tmp_path, overrides, message):
         cfg = run_config(tmp_path, **overrides)

@@ -27,7 +27,7 @@ from tsadkit.experiment import (
 )
 from tsadkit.ingest import WindowSpec, apply_normalizer, fit_normalizer
 from tsadkit.metrics import MetricReport, compute_report
-from tsadkit.models import ModelConfig
+from tsadkit.models import ModelConfig, train
 
 SPIKE_SPEC = {
     "entity_id": "syn0",
@@ -893,8 +893,8 @@ class TestConfigCodec:
 
     def test_largest_float_accepted(self):
         largest = int(sys.float_info.max)  # the next integer up rounds to inf
-        config = config_from_dict({"synthetic": [MINIMAL_SPEC], "model": {"learning_rate": largest}})
-        assert config.model.learning_rate == sys.float_info.max
+        config = config_from_dict({"synthetic": [dict(MINIMAL_SPEC, noise_sigma=largest)]})
+        assert config.synthetic[0].noise_sigma == sys.float_info.max
 
     @pytest.mark.parametrize("overrides, message", [
         ({"window": 5}, "config.window must be an object, got 5"),
@@ -949,6 +949,16 @@ class TestConfigCodec:
         ({"scoring": {"kind": "gauss_s"},
           "threshold": {"method": "tail_p", "neg_log_eps": 2**53 + 1}},
          f"config.threshold: neg_log_eps must be in 1..2**53, got {2**53 + 1}"),
+        # the autoencoders step float32 parameters by the learning rate
+        ({"model": {"learning_rate": 1e39}},
+         "config.model: learning_rate must be in (0, 3.4028235e+38], got 1e+39"),
+        ({"model": {"learning_rate": 0}},
+         "config.model: learning_rate must be in (0, 3.4028235e+38], got 0.0"),
+        # a float per kernel tap
+        ({"scoring": {"kind": "gauss_d_k", "window": 5, "kernel_sigma": 1e300}},
+         "config.scoring: kernel_sigma must be <= 2**16, got 1e+300"),
+        ({"scoring": {"kind": "gauss_d_k", "window": 5, "kernel_sigma": 2**16 + 1}},
+         "config.scoring: kernel_sigma must be <= 2**16, got 65537.0"),
     ])
     def test_errors_name_the_path(self, overrides, message):
         assert config_error({"synthetic": [MINIMAL_SPEC], **overrides}) == message
@@ -963,6 +973,13 @@ class TestConfigCodec:
             "threshold": {"method": "tail_p", "neg_log_eps": 2**53},
         })
         assert config.threshold.neg_log_eps == 2**53
+        config = config_from_dict({
+            "synthetic": [MINIMAL_SPEC],
+            "scoring": {"kind": "gauss_d_k", "window": 5, "kernel_sigma": 2**16},
+            "model": {"learning_rate": float(np.finfo(np.float32).max)},
+        })
+        assert config.scoring.kernel_sigma == scoring.MAX_KERNEL_SIGMA
+        assert config.model.learning_rate == train.MAX_LEARNING_RATE
 
     @pytest.mark.parametrize("section, message", [
         ({"scoring": {"kind": "error", "window": 10}},

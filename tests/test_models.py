@@ -135,10 +135,13 @@ class TestMlpAutoencoder:
         assert np.allclose(grads.biases[1], delta.sum(axis=0), atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
+        # a float64 network of the same classes: float32 has too few digits
+        # for a central difference
         rng = np.random.default_rng(42)
         for _ in range(5):
             widths = autoencoder_widths(8, 2)
-            model = MlpAutoencoder(widths, rng)
+            draw = MlpAutoencoder(widths, rng).flat_params
+            model = MlpAutoencoder.on(widths, draw.astype(np.float64))
             x = rng.normal(size=(4, 8))
             stack = MlpStack(widths, model.flat_params[None])
             backprop(stack, x)
@@ -170,7 +173,7 @@ class TestMlpAutoencoder:
         ref = AdamPerArray(split.parameters(), learning_rate=3e-3)
         rng = np.random.default_rng(10)
         for _ in range(300):
-            x = rng.normal(size=(16, 12))
+            x = rng.normal(size=(16, 12)).astype(np.float32)
             backprop(fused, x)
             opt.step(fused.flat_params, fused.flat_grads)
             _, grads = split.loss_and_gradients(x)
@@ -260,6 +263,13 @@ class TestModelConfig:
             ModelConfig("uae", validation_fraction=0.0)
         with pytest.raises(ConfigError):
             ModelConfig("uae", validation_fraction=1.0)
+
+    def test_learning_rate_within_float32(self):
+        # Adam scales float32 steps by the rate
+        assert ModelConfig(learning_rate=train.MAX_LEARNING_RATE).learning_rate == np.finfo(np.float32).max
+        for rate in (1e39, np.inf, np.nan, 0.0):
+            with pytest.raises(ConfigError, match=r"learning_rate must be in \(0, 3.4028235e\+38\]"):
+                ModelConfig(learning_rate=rate)
 
 
 class TestFitAndResiduals:
@@ -428,9 +438,64 @@ class TestFitAndResiduals:
         data = rng.random(size=(80, 1))
         ent = entity_from(data)
         # absurd learning rate blows the loss up to inf/nan quickly
-        config = ModelConfig("uae", learning_rate=1e200, max_epochs=30)
-        with pytest.raises(TrainingError, match="epoch"):
+        config = ModelConfig("uae", learning_rate=1e30, max_epochs=30)
+        with pytest.raises(TrainingError, match="^validation loss became non-finite at epoch 0$"):
             fit(ent.train, config, WindowSpec(10, 1))
+
+    @pytest.mark.parametrize("kind", ["uae", "fc_ae"])
+    @pytest.mark.parametrize("row, which", [(10, "training"), (50, "validation")])
+    def test_values_beyond_float32_fail_as_a_non_finite_loss(self, kind, row, which):
+        # apply_normalizer clips to [-4, 5], so only a direct fit meets such
+        # values; cast to float32 they are inf, with no RuntimeWarning
+        data = np.random.default_rng(24).random(size=(60, 2))
+        data[row, 1] = 1e39
+        with pytest.raises(TrainingError, match=f"^{which} loss became non-finite at epoch 0$"):
+            fit(SeriesMatrix(data), ModelConfig(kind, max_epochs=2), WindowSpec(6, 1))
+
+    @pytest.mark.parametrize("kind", ["uae", "fc_ae"])
+    def test_autoencoders_compute_in_float32(self, kind, monkeypatch):
+        """Every product of a fit and of its inference runs in float32, and
+        the errors are float64. numpy promotes a float64 @ float32 product
+        to float64 without a word, so a missed cast shows only as a dtype:
+        every copy that ``loss`` and ``forward`` get is cast by its caller."""
+        float32 = np.dtype(np.float32)
+        seen = {"stack": set(), "adam": set(), "loss": set(), "forward": set()}
+
+        class Stack(MlpStack):
+            def backward(self):
+                seen["stack"] |= {a.dtype for a in (*self._store, self.flat_grads)}
+                super().backward()
+
+        class Optimizer(Adam):
+            def step(self, params, grads):
+                seen["adam"] |= {a.dtype for a in (self.m, self.v, *self._temps)}
+                super().step(params, grads)
+
+        loss, forward = MlpAutoencoder.loss, MlpAutoencoder.forward
+
+        def loss_spy(mlp, batch):
+            seen["loss"].add(batch.dtype)
+            return loss(mlp, batch)
+
+        def forward_spy(mlp, x):
+            seen["forward"].add(x.dtype)
+            return forward(mlp, x)
+
+        monkeypatch.setattr(train, "MlpStack", Stack)
+        monkeypatch.setattr(train, "Adam", Optimizer)
+        monkeypatch.setattr(MlpAutoencoder, "loss", loss_spy)
+        monkeypatch.setattr(MlpAutoencoder, "forward", forward_spy)
+        data = np.random.default_rng(23).random(size=(60, 2))
+        model = fit(SeriesMatrix(data), ModelConfig(kind, max_epochs=2), WindowSpec(6, 1))
+        err = residuals(model, SeriesMatrix(data))
+        assert {mlp.flat_params.dtype for mlp, _ in model.groups} == {float32}
+        assert seen == {"stack": {float32}, "adam": {float32}, "loss": {float32},
+                        "forward": {float32}}
+        assert err.dtype == np.float64
+        mlp = model.groups[0][0]
+        x = np.random.default_rng(24).random(size=(4, mlp.widths[0]))
+        assert forward(mlp, x).dtype == float32
+        assert loss(mlp, x).dtype == float32
 
     def test_insufficient_train_data(self):
         ent = entity_from(np.zeros((4, 1)))
@@ -456,8 +521,9 @@ class TestFitAndResiduals:
             def forward(self, x):
                 return x
 
+        # multiples of 1/64, which float32 holds exactly, so x - float32(x) is 0
         rng = np.random.default_rng(11)
-        data = rng.random(size=(60, 1))
+        data = rng.integers(0, 64, size=(60, 1)) / 64
         ent = entity_from(data)
         spec = WindowSpec(6, 1)
         model = fit(ent.train, ModelConfig("uae", max_epochs=2), spec)
@@ -583,7 +649,7 @@ def stack_cases(draw):
     config = ModelConfig(
         "uae",
         latent_dim=draw(st.integers(1, l_w - 1)),
-        learning_rate=draw(st.sampled_from([1e-2, 1.0, 1e152, 1e153])),
+        learning_rate=draw(st.sampled_from([1e-2, 1.0, 1e17, 1e18])),
         batch_size=batch_size,
         max_epochs=draw(st.integers(1, 6)),
         patience=draw(st.integers(1, 2)),
@@ -591,21 +657,22 @@ def stack_cases(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.random(size=((count - 1) * step + l_w, m))
+    # the magnitudes are float32's: its largest value is ~3.4e38, ~1.8e19 squared
     for c in range(m):
         kind = draw(st.sampled_from(["plain", "plain", "large", "huge", "tail", "spike",
                                      "spike"]))
         if kind == "large":  # trains, unless the learning rate is huge too
-            values[:, c] *= 1e150
+            values[:, c] *= 1e15
         elif kind == "huge":  # its first batch overflows
-            values[:, c] *= 1e154
+            values[:, c] *= 1e20
         elif kind == "tail":  # rows only validation windows read overflow
-            values[(n_split - 1) * step + l_w :, c] *= 1e154
+            values[(n_split - 1) * step + l_w :, c] *= 1e20
         elif kind == "spike":
             # one training row whose square is 0.7 or 0.4 of the largest
-            # float: a batch overflows once it holds two or three windows
+            # float32: a batch overflows once it holds two or three windows
             # of the row, in whichever epoch that happens first
             row = draw(st.integers(0, n_split * step - 1))
-            values[row, c] = draw(st.sampled_from([1.12e154, 8.5e153]))
+            values[row, c] = draw(st.sampled_from([1.54e19, 1.17e19]))
     return values, WindowSpec(l_w, step), config, draw(st.integers(0, 9))
 
 
@@ -666,8 +733,8 @@ def test_first_failing_channel_wins_though_a_later_one_fails_first():
     once three windows of its spike share a batch. Trained in one stack,
     as one network after another, the fit raises channel 0's error."""
     values = np.random.default_rng(0).random(size=(27, 3))
-    values[8, 0] = 8.5e153
-    values[:, 2] *= 1e154
+    values[8, 0] = 1.17e19
+    values[:, 2] *= 1e20
     spec = WindowSpec(4, 1)
     config = ModelConfig("uae", latent_dim=2, learning_rate=1e-2, batch_size=4,
                          max_epochs=6, patience=6)

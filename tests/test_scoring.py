@@ -267,6 +267,13 @@ class TestGaussDK:
     def test_kernel_validation(self):
         with pytest.raises(ValidationError):
             KernelSpec(0.0)
+        # refused before a float per tap is allocated
+        for sigma in (1e300, scoring.MAX_KERNEL_SIGMA + 1):
+            with pytest.raises(ValidationError, match=r"sigma_k must be in \(0, 2\*\*16\]"):
+                KernelSpec(sigma)
+        weights = KernelSpec(scoring.MAX_KERNEL_SIGMA).weights()
+        assert weights.shape == (2 * 3 * 2**16 + 1,)
+        assert weights.argmax() == 3 * 2**16
 
 
 class TestGaussDConvergesToGaussS:
