@@ -330,19 +330,6 @@ def midranks(values) -> FloatArray:
     return (np.searchsorted(ordered, v, "left") + np.searchsorted(ordered, v, "right") + 1) / 2
 
 
-def resolve_scored(m: int, scored) -> IntArray:
-    """Sorted unique indices of the scored channels; all m channels for None."""
-    if scored is None:
-        return np.arange(m, dtype=np.int64)
-    # sorted(set()), not np.unique, which imports numpy.ma (~15 ms) on first use
-    idx = np.array(sorted(set(np.asarray(list(scored), dtype=np.int64).tolist())), dtype=np.int64)
-    if idx.size == 0:
-        raise ValidationError("scored channel set must be non-empty")
-    if idx[0] < 0 or idx[-1] >= m:
-        raise ValidationError(f"scored channels {idx.tolist()} outside 0..{m - 1}")
-    return idx
-
-
 @dataclass(frozen=True)
 class Entity:
     """One physical unit: its train/test series, labels, and events.
@@ -388,8 +375,12 @@ class Entity:
         object.__setattr__(self, "causes", types.MappingProxyType(causes))
         object.__setattr__(self, "test_events", events)
         if self.scored_channels is not None:
-            scored = resolve_scored(m, self.scored_channels)
-            object.__setattr__(self, "scored_channels", tuple(scored.tolist()))
+            scored = tuple(sorted({int(c) for c in self.scored_channels}))
+            if not scored:
+                raise ValidationError("scored channel set must be non-empty")
+            if scored[0] < 0 or scored[-1] >= m:
+                raise ValidationError(f"scored channels {list(scored)} outside 0..{m - 1}")
+            object.__setattr__(self, "scored_channels", scored)
 
     @property
     def m(self) -> int:

@@ -2,15 +2,16 @@
 
 Every (entity, seed) cell runs in two stages, deterministically per (config,
 seed). The fit stage returns a fitted value: the normalizer fitted on the
-training series, the l_w - 1 last rows of that series normalized, the
-model trained on it and the model's errors on it. The evaluate stage only
-reads that value. It scores the test series in one loop over row blocks,
-each normalized, reconstructed, scored and (for gauss_d_k) smoothed with
-the context rows its stages need carried over from the block before, so a
-cell never holds a test-length copy of the channels and its series is the
-whole-stream series bit for bit; then it thresholds, measures and
-diagnoses. Failed cells are recorded and the rest still run. The results
-payload carries no timestamps; timings live in the run metadata.
+training series, the model trained on it and the model's errors on it.
+The evaluate stage only reads that value. It scores the test series in
+one loop over row blocks, each read with the l_w - 1 rows before it,
+normalized and reconstructed, then scored and (for gauss_d_k) smoothed
+with the context rows those stages need carried over from the block
+before, so a cell never holds a test-length copy of the channels and its
+series is the whole-stream series bit for bit; then it thresholds,
+measures and diagnoses. Failed cells are recorded and the rest still
+run. The results payload carries no timestamps; timings live in the run
+metadata.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .core import (
     ConfigError,
     Entity,
     ErrorMatrix,
-    FloatArray,
     SeriesMatrix,
     decode_config,
     encode_config,
@@ -298,12 +298,10 @@ def diagnose_events(
 
 @dataclass(frozen=True)
 class _Fitted:
-    """A cell's fit: its normalizer, the l_w - 1 last normalized training
-    rows (none for raw and PCA), which the first test block is
-    reconstructed with, its model and its training errors, scored ones only."""
+    """A cell's fit: its normalizer, its model and its training errors,
+    scored ones only."""
 
     stats: NormStats
-    lead: FloatArray
     model: ReconstructionModel
     train_err: ErrorMatrix
 
@@ -320,28 +318,23 @@ def _fit_cell(entity: Entity, seed: int, config: ExperimentConfig) -> _Fitted:
     stats = fit_normalizer(entity.train)
     train_norm = apply_normalizer(entity.train, stats)
     model = fit(train_norm, config.model, config.window, seed)
-    train_err = _scored(entity, residuals(model, train_norm))
-    keep = model.window_length - 1
-    # a copy, which holds on to none of the normalized series
-    lead = train_norm.values[train_norm.n - keep :].copy()
-    return _Fitted(stats, lead, model, train_err)
+    return _Fitted(stats, model, _scored(entity, residuals(model, train_norm)))
 
 
 def _error_blocks(entity: Entity, fitted: _Fitted):
     """(a, b, scored errors) per row block of the test series: the block
-    normalized and reconstructed with the l_w - 1 normalized rows before
-    it, from the training tail for the first block. A block's normalized
-    rows are dropped before its errors are handed on."""
-    test, lead = entity.test, fitted.lead
-    names = test.channel_names
+    read with the l_w - 1 rows before it, from the training series' tail
+    where the test series starts too late, then normalized and
+    reconstructed. A block's rows are dropped before its errors are
+    handed on."""
+    train, test = entity.train.values, entity.test.values
     keep = fitted.model.window_length - 1
-    for a, b in row_blocks(test.n):
-        x = apply_normalizer(SeriesMatrix(test.values[a:b], names), fitted.stats)
-        tail = SeriesMatrix(lead, names) if keep else None
-        err = residuals(fitted.model, x, train_tail=tail)
-        if keep:
-            lead = last_rows(lead, x.values, keep)
-        del x
+    for a, b in row_blocks(entity.test.n):
+        # a view where the test series holds the rows before the block
+        rows = test[a - keep : b] if a >= keep else last_rows(train, test[:b], keep + b - a)
+        x = apply_normalizer(SeriesMatrix(rows, entity.test.channel_names), fitted.stats)
+        err = residuals(fitted.model, x)
+        del rows, x
         yield a, b, _scored(entity, err)
 
 

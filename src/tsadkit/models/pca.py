@@ -74,16 +74,14 @@ class PcaModel:
             q = int(np.searchsorted(cumulative, variance_fraction - 1e-12) + 1)
         return cls(mean, vt[:q].copy(), ratios)
 
-    def reconstruct(self, values: FloatArray) -> FloatArray:
+    def residuals(self, values: FloatArray) -> FloatArray:
+        """Each row minus its reconstruction from the retained components."""
         x = check_float_matrix(values)
         if x.shape[1] != self.mean.shape[0]:
             raise ValidationError(
                 f"{x.shape[1]} channels, model has {self.mean.shape[0]}"
             )
         if self.q == 0:
-            return np.broadcast_to(self.mean, x.shape).copy()
+            return x - self.mean
         centered = x - self.mean
-        return self.mean + (centered @ self.components.T) @ self.components
-
-    def residuals(self, values: FloatArray) -> FloatArray:
-        return check_float_matrix(values) - self.reconstruct(values)
+        return x - (self.mean + (centered @ self.components.T) @ self.components)

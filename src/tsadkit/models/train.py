@@ -35,7 +35,8 @@ from .pca import PcaModel
 
 MODEL_KINDS = ("raw", "pca", "uae", "fc_ae")
 
-MAX_LEARNING_RATE = float(np.finfo(DTYPE).max)
+_DTYPE_MAX = float(np.finfo(DTYPE).max)
+MAX_LEARNING_RATE = _DTYPE_MAX
 _FORWARD_CHUNK = 8192
 # most groups in one stack: larger stacks hold more buffers and gain little
 _STACK_MEMBERS = 4
@@ -165,6 +166,13 @@ class WindowedAutoencoder:
         m = sum(len(channels) for _, channels in self.groups)
         if stream.shape[1] != m:
             raise ValidationError(f"series has {stream.shape[1]} channels, model has {m}")
+        # inference casts to DTYPE, where such a value would become inf
+        if stream.max() > _DTYPE_MAX or stream.min() < -_DTYPE_MAX:
+            row, channel = np.argwhere(np.abs(stream) > _DTYPE_MAX)[0]
+            raise ValidationError(
+                f"channel {channel} holds {stream[row, channel]:.6g}, outside "
+                f"{np.dtype(DTYPE).name}'s range of +-{_DTYPE_MAX:.6g}"
+            )
         l_w = self.window_length
         n_out = stream.shape[0] - l_w + 1
         windows = make_windows(stream, WindowSpec(l_w))  # (n_out, l_w, m), no copy

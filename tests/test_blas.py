@@ -171,22 +171,22 @@ def test_pca_bytes_do_not_depend_on_blas_threads():
 @needs_openblas
 def test_run_pins_pca_and_restores(two_blas_threads, monkeypatch):
     seen = []
-    pca_fit, reconstruct = PcaModel.fit.__func__, PcaModel.reconstruct
+    pca_fit, pca_residuals = PcaModel.fit.__func__, PcaModel.residuals
 
     def fit_spy(cls, *args):
         seen.append(("fit", raw_threads()))
         return pca_fit(cls, *args)
 
-    def reconstruct_spy(self, *args):
-        seen.append(("reconstruct", raw_threads()))
-        return reconstruct(self, *args)
+    def residuals_spy(self, *args):
+        seen.append(("residuals", raw_threads()))
+        return pca_residuals(self, *args)
 
     monkeypatch.setattr(PcaModel, "fit", classmethod(fit_spy))
-    monkeypatch.setattr(PcaModel, "reconstruct", reconstruct_spy)
+    monkeypatch.setattr(PcaModel, "residuals", residuals_spy)
     record = run_experiment(config_from_dict(dict(UAE_CONFIG, model={"kind": "pca"})))
     assert not record.failures
     assert seen[0] == ("fit", 1)
-    assert {step for step, _ in seen} == {"fit", "reconstruct"}
+    assert {step for step, _ in seen} == {"fit", "residuals"}
     assert {threads for _, threads in seen} == {1}
     assert raw_threads() == 2
     assert record.meta["blas"]["threads"] == 2

@@ -8,7 +8,6 @@ from tsadkit.core import (
     Event,
     SeriesMatrix,
     ValidationError,
-    resolve_scored,
     validate_labels,
 )
 
@@ -182,11 +181,19 @@ class TestEntity:
 
 
 class TestResolveScored:
+    """An entity resolves its scored channels once, at construction."""
+
+    @staticmethod
+    def _entity(m, scored):
+        series = SeriesMatrix(np.zeros((2, m)))
+        return Entity("e", series, series, np.zeros(2, dtype=int), scored_channels=scored)
+
     def test_none_is_every_channel(self):
-        assert resolve_scored(3, None).tolist() == [0, 1, 2]
+        entity = self._entity(3, None)
+        assert entity.scored_channels is None and entity.m == 3
 
     def test_sorted_and_unique(self):
-        assert resolve_scored(4, [3, 1, 3]).tolist() == [1, 3]
+        assert self._entity(4, [3, 1, 3]).scored_channels == (1, 3)
 
     @pytest.mark.parametrize("scored, message", [
         ([], "scored channel set must be non-empty"),
@@ -195,4 +202,4 @@ class TestResolveScored:
     ])
     def test_rejects(self, scored, message):
         with pytest.raises(ValidationError, match=message):
-            resolve_scored(4, scored)
+            self._entity(4, scored)

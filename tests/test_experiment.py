@@ -501,6 +501,54 @@ class TestFitEvaluateStages:
             assert pickle.dumps(fitted) == before
 
 
+WIRING_SPEC = {
+    "entity_id": "wiring", "n_train": 60, "n_test": 47, "m": 3,
+    "period": [7.0, 11.0, 13.0], "noise_sigma": 0.2, "seed": 4,
+    "anomalies": [
+        {"start": 6, "length": 5, "kind": "spike", "channels": [0], "magnitude": 2.0},
+        {"start": 30, "length": 9, "kind": "level_shift", "channels": [2], "magnitude": 1.5},
+    ],
+}
+
+
+@pytest.mark.parametrize("sc", [
+    ScoringConfig("error"),
+    ScoringConfig("gauss_s"),
+    ScoringConfig("gauss_d", window=6),
+    ScoringConfig("gauss_d_k", window=6, kernel_sigma=1.0),
+], ids=lambda sc: sc.kind)
+def test_blocks_score_as_the_whole_arrays(sc, monkeypatch):
+    """A raw cell's test side, in blocks of 8 rows, gives the series and
+    event rows of its scorer called once on the whole normalized series,
+    with the whole normalized training series as its training errors:
+    every row of those errors reaches the train mean, the Gauss fit and
+    gauss_d's first windows."""
+    monkeypatch.setattr(scoring, "_BLOCK", 8)
+    entity = experiment.generate_synthetic(experiment.SyntheticSpec.from_dict(WIRING_SPEC))
+    config = config_from_dict({"synthetic": [WIRING_SPEC], "model": {"kind": "raw"}})
+    fitted = experiment._fit_cell(entity, 0, config)
+    events = entity.test_events
+    assert len(events) == 2
+    series, rows = experiment._score_test(entity, fitted, sc, events)
+
+    stats = fit_normalizer(entity.train)
+    train_err = apply_normalizer(entity.train, stats).values
+    test_err = apply_normalizer(entity.test, stats).values
+    if sc.kind == "error":
+        channels, expected = scoring.score_error(test_err, train_err.mean(axis=0))
+    elif sc.kind == "gauss_s":
+        channels, expected = scoring.score_gauss_s(test_err, scoring.fit_gauss(train_err))
+    else:
+        channels, expected = scoring.score_gauss_d(test_err, train_err, sc.window)
+        if sc.kind == "gauss_d_k":
+            channels, expected = scoring.score_gauss_d_k(
+                channels, scoring.KernelSpec(sc.kernel_sigma)
+            )
+    assert series.tobytes() == expected.tobytes()
+    for e, span in zip(events, rows):
+        assert span.tobytes() == channels[e.start : e.end + 1].tobytes()
+
+
 CUT_SPEC = {
     "entity_id": "cut", "n_train": 2000, "n_test": 3000, "m": 4,
     "period": [23.0, 37.0, 51.0, 64.0], "noise_sigma": 0.1, "seed": 3,
@@ -628,12 +676,11 @@ class TestCellMemory:
 
     def test_the_fitted_value_keeps_no_normalized_training_copy(self, stream_entity):
         """A pca fit keeps its model and training residuals, ~1.0 arrays,
-        and none of the normalized training rows: a window of one row
-        needs none carried. Keeping the normalized series kept ~2.0."""
+        and none of the normalized training rows. Keeping the normalized
+        series kept ~2.0."""
         config = stream_config(stream_entity)
         entity = experiment._load(config.entities[0])
-        fitted, _, held = traced_arrays(lambda: experiment._fit_cell(entity, 0, config))
-        assert fitted.lead.shape == (0, MEMORY_CHANNELS)
+        _, _, held = traced_arrays(lambda: experiment._fit_cell(entity, 0, config))
         assert held < 1.25
 
     def test_evaluation_holds_each_block_array_once(self, stream_entity):

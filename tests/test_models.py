@@ -1,4 +1,5 @@
 import contextlib
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -453,6 +454,18 @@ class TestFitAndResiduals:
             fit(SeriesMatrix(data), ModelConfig(kind, max_epochs=2), WindowSpec(6, 1))
 
     @pytest.mark.parametrize("kind", ["uae", "fc_ae"])
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_inference_refuses_values_beyond_float32(self, kind, value):
+        # inference casts its rows to float32, where such a value is inf;
+        # the stream is checked before the cast, so no RuntimeWarning
+        data = np.random.default_rng(7).random(size=(80, 1))
+        model = fit(SeriesMatrix(data.copy()), ModelConfig(kind, max_epochs=2), WindowSpec(10, 1))
+        data[40, 0] = value
+        message = f"channel 0 holds {value:.6g}, outside float32's range of +-3.40282e+38"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            residuals(model, SeriesMatrix(data))
+
+    @pytest.mark.parametrize("kind", ["uae", "fc_ae"])
     def test_autoencoders_compute_in_float32(self, kind, monkeypatch):
         """Every product of a fit and of its inference runs in float32, and
         the errors are float64. numpy promotes a float64 @ float32 product
@@ -598,8 +611,8 @@ class TestSyntheticEndToEnd:
 
 class TestBlockedResiduals:
     """A cell's test side runs the model one row block at a time, each block
-    with the l_w - 1 normalized rows before it carried over. The errors must
-    be the whole-stream errors bit for bit.
+    read with the l_w - 1 rows before it. The errors must be the
+    whole-stream errors bit for bit.
 
     The lengths leave 1, 2, 8191 and 8193 rows after the last full block.
     Those rows go with the block before them: a PCA product over one row
@@ -627,12 +640,41 @@ class TestBlockedResiduals:
         test_norm = apply_normalizer(ent.test, stats)
         whole = residuals(model, test_norm, train_tail=train_norm)
 
-        lead = train_norm.values[train_norm.n - model.window_length + 1 :]
-        fitted = _Fitted(stats, lead, model, residuals(model, train_norm))
+        fitted = _Fitted(stats, model, residuals(model, train_norm))
         blocks = list(_error_blocks(ent, fitted))
         assert [(a, b) for a, b, _ in blocks] == [(0, block), (block, n_test)]
         blocked = np.concatenate([err for _, _, err in blocks])
         assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("kind", ["raw", "pca", "uae", "fc_ae"])
+    def test_blocks_near_the_test_start_read_the_training_tail(self, kind, monkeypatch):
+        """Blocks of 5 rows under a 12-row window: an autoencoder's blocks at
+        0, 5 and 10 take their first rows from the training series, and
+        later ones read the test series alone. Each block's errors equal
+        those of the normalized block reconstructed with the normalized
+        rows carried from the training tail and the blocks before it."""
+        monkeypatch.setattr(scoring, "_BLOCK", 5)
+        spec = SyntheticSpec(
+            120, 33, 3, period=(17.0, 29.0, 41.0), noise_sigma=0.1, seed=5,
+            anomalies=(AnomalySpec(7, 6, "level_shift", (1,), 2.0),),
+        )
+        ent = generate_synthetic(spec)
+        stats = fit_normalizer(ent.train)
+        train_norm = apply_normalizer(ent.train, stats)
+        config = ModelConfig(kind, max_epochs=2, pca_variance_fraction=0.8)
+        model = fit(train_norm, config, WindowSpec(12, 3))
+        fitted = _Fitted(stats, model, residuals(model, train_norm))
+        blocks = list(_error_blocks(ent, fitted))
+        assert [a for a, _, _ in blocks] == [0, 5, 10, 15, 20, 25]
+
+        keep = model.window_length - 1
+        lead = train_norm.values[train_norm.n - keep :]
+        for a, b, err in blocks:
+            x = apply_normalizer(SeriesMatrix(ent.test.values[a:b]), stats)
+            tail = SeriesMatrix(lead) if keep else None
+            expected = residuals(model, x, train_tail=tail)
+            lead = scoring.last_rows(lead, x.values, keep)
+            assert err.tobytes() == expected.tobytes(), (a, b)
 
 
 @st.composite
