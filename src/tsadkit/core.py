@@ -255,7 +255,8 @@ class SeriesMatrix:
     channel_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        v = np.ascontiguousarray(check_float_matrix(self.values))
+        # a view: frozen without a copy, and the caller's array stays writable
+        v = np.ascontiguousarray(check_float_matrix(self.values)).view()
         n, m = v.shape
         if n < 1 or m < 1:
             raise ValidationError(f"series must be at least 1x1, got {n}x{m}")

@@ -8,11 +8,11 @@ differences.
 
 ``MlpStack`` holds G networks of one width chain, one per row of a
 (G, P) parameter matrix, and is where the backpropagation lives: every
-matrix product is a member's own 2-D BLAS call, while every elementwise
-step and reduction runs once over the whole stack. Elementwise work
-rounds the same whatever array holds it, and each member's products are
-the calls it would make alone, so a member's gradients do not depend on
-its stack. ``MlpAutoencoder`` is one such network, for inference and
+step runs once over the whole stack. A stacked product of C-contiguous
+(or transposed) members is one BLAS call per member in numpy's matmul
+loop, the call the member would make alone, and elementwise work rounds
+the same whatever array holds it, so a member's gradients do not depend
+on its stack. ``MlpAutoencoder`` is one such network, for inference and
 its loss; both run each layer through the same ``_activate`` step.
 
 Parameters, activations, gradients and Adam state are float32
@@ -70,14 +70,6 @@ def _layers(
         biases.append(flat[..., mid : mid + fan_out])
         lo = mid + fan_out
     return weights, biases
-
-
-def _keep_rows(stacked: FloatArray, rows: list[int]) -> FloatArray:
-    """The given rows (ascending) of ``stacked``, moved to its front and
-    returned as a view of it; a prefix moves nothing."""
-    if rows != list(range(len(rows))):
-        stacked[: len(rows)] = stacked[rows]
-    return stacked[: len(rows)]
 
 
 def _activate(h: FloatArray, bias: FloatArray, last: bool) -> None:
@@ -156,17 +148,22 @@ class MlpStack:
     Row g of the (G, P) ``flat_params`` is member g's parameter vector, in
     ``MlpAutoencoder`` layout, and ``backward`` writes its gradient into
     row g of ``flat_grads``. A step fills each member's input rows
-    (``inputs``), runs the forward pass (``losses``), may drop members
-    (``keep``) and runs the backward pass on those left. The activations
-    and deltas live in buffers that the stack reuses from step to step.
+    (``inputs``), runs the forward pass (``losses``), may drop its last
+    members (``keep``) and runs the backward pass on those left. The
+    activations and deltas live in buffers that the stack reuses from step
+    to step.
     """
 
-    def __init__(self, widths: tuple[int, ...], flat_params: FloatArray):
+    def __init__(
+        self, widths: tuple[int, ...], flat_params: FloatArray, store: list[FloatArray] = ()
+    ):
+        """``store``, the buffers of an earlier stack of these widths, is
+        reused for every batch it holds."""
         self.widths = tuple(widths)
         self.flat_params = flat_params
         self.flat_grads = np.zeros_like(flat_params)
-        self._store: list[FloatArray] = []  # buffers for self._capacity rows a member
-        self._capacity = 0
+        self.store = list(store)  # buffers for self._capacity rows a member
+        self._capacity = len(self.store) and self.store[0].size // (self.size * self.widths[0])
         self._bind()
 
     @property
@@ -174,66 +171,60 @@ class MlpStack:
         return self.flat_params.shape[0]
 
     def _bind(self) -> None:
-        """Per-member weight and weight-gradient views, stacked bias views."""
-        weights, biases = _layers(self.widths, self.flat_params)
-        grad_w, self._grad_b = _layers(self.widths, self.flat_grads)
-        self._weights = [list(w) for w in weights]
-        self._weights_t = [[w.T for w in layer] for layer in self._weights]
-        self._grad_w = [list(w) for w in grad_w]
+        """Stacked (G, fan_in, fan_out) weight and weight-gradient views,
+        and the weights' transposes; stacked bias views."""
+        self._weights, biases = _layers(self.widths, self.flat_params)
+        self._weights_t = [w.transpose(0, 2, 1) for w in self._weights]
+        self._grad_w, self._grad_b = _layers(self.widths, self.flat_grads)
         # (G, 1, fan_out), to broadcast over a (G, rows, fan_out) stack
         self._biases = [b[:, None, :] for b in biases]
         self._rows = 0  # the batch the buffer views below are cut for; 0: none
 
-    def keep(self, positions: list[int]) -> None:
-        """Keep only the members at ``positions`` (ascending), in that order.
+    def keep(self, count: int) -> None:
+        """Keep only the first ``count`` members.
 
-        A prefix moves nothing, so the activations of the current step
-        stay valid for the members kept and ``backward`` may follow.
+        They stay where they are, so the activations of the current step
+        stay valid for them and ``backward`` may follow.
         """
-        self.flat_params = _keep_rows(self.flat_params, positions)
-        self.flat_grads = self.flat_grads[: len(positions)]
+        self.flat_params = self.flat_params[:count]
+        self.flat_grads = self.flat_grads[:count]
         batch = self._rows
         self._bind()
         if batch:
             self._view(batch)
 
-    def inputs(self, rows: int) -> list[FloatArray]:
-        """Each member's (rows, input width) input buffer, for the caller to
-        fill before ``losses``."""
+    def inputs(self, rows: int) -> FloatArray:
+        """The (G, rows, input width) input buffer, one (rows, input width)
+        block a member, for the caller to fill before ``losses``."""
         if rows > self._capacity:
             # one buffer per activation, and two that the deltas alternate in
             dtype = self.flat_params.dtype
-            self._store = [np.empty(self.size * rows * w, dtype) for w in self.widths]
-            self._store += [np.empty(self.size * rows * max(self.widths), dtype) for _ in range(2)]
+            self.store = [np.empty(self.size * rows * w, dtype) for w in self.widths]
+            self.store += [np.empty(self.size * rows * max(self.widths), dtype) for _ in range(2)]
             self._capacity = rows
         if rows != self._rows:
             self._view(rows)
-        return self._member_acts[0]
+        return self._acts[0]
 
     def _view(self, rows: int) -> None:
-        """Contiguous (G, rows, width) views of the buffers, and each
-        member's (rows, width) slices of them."""
+        """Contiguous (G, rows, width) views of the buffers."""
         count = self.size
         self._rows = rows
         self._acts = [s[: count * rows * w].reshape(count, rows, w)
-                      for s, w in zip(self._store, self.widths)]
+                      for s, w in zip(self.store, self.widths)]
         # the delta at layer i's input, in the delta buffer of i's parity
-        self._deltas = [self._store[-2 + i % 2][: count * rows * w].reshape(count, rows, w)
+        self._deltas = [self.store[-2 + i % 2][: count * rows * w].reshape(count, rows, w)
                         for i, w in enumerate(self.widths)]
-        self._member_acts = [list(a) for a in self._acts]
-        self._member_deltas = [list(d) for d in self._deltas]
 
     def losses(self) -> FloatArray:
         """Forward pass on the filled inputs: each member's reconstruction MSE."""
-        acts, member_acts = self._acts, self._member_acts
+        acts = self._acts
         last = len(self._weights) - 1
         # inf and nan are fine here, as in ``MlpAutoencoder.loss``
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(last + 1):
-                # each member's product as ``forward`` makes it, then one
-                # elementwise step for the whole stack
-                for x, w, y in zip(member_acts[i], self._weights[i], member_acts[i + 1]):
-                    np.matmul(x, w, out=y)
+                # each member's product as ``forward`` makes it
+                np.matmul(acts[i], self._weights[i], out=acts[i + 1])
                 _activate(acts[i + 1], self._biases[i], i == last)
             delta = acts[-1]
             delta -= acts[0]
@@ -245,23 +236,21 @@ class MlpStack:
 
         Overwrites the activations it no longer needs.
         """
-        acts, member_acts = self._acts, self._member_acts
-        delta, member_delta = acts[-1], member_acts[-1]
+        acts = self._acts
+        delta = acts[-1]
         delta *= 2.0 / delta[0].size
         for i in range(len(self._weights) - 1, -1, -1):
-            for a, d, gw in zip(member_acts[i], member_delta, self._grad_w[i]):
-                np.matmul(a.T, d, out=gw)
+            np.matmul(acts[i].transpose(0, 2, 1), delta, out=self._grad_w[i])
             delta.sum(axis=1, out=self._grad_b[i])
             if i > 0:
-                nxt, member_nxt = self._deltas[i], self._member_deltas[i]
-                for d, wt, out in zip(member_delta, self._weights_t[i], member_nxt):
-                    np.matmul(d, wt, out=out)
+                nxt = self._deltas[i]
+                np.matmul(delta, self._weights_t[i], out=nxt)
                 # tanh' = 1 - tanh^2, from the activation this layer no longer needs
                 a_prev = acts[i]
                 np.multiply(a_prev, a_prev, out=a_prev)
                 np.subtract(1.0, a_prev, out=a_prev)
                 nxt *= a_prev
-                delta, member_delta = nxt, member_nxt
+                delta = nxt
 
 
 class Adam:
@@ -270,6 +259,8 @@ class Adam:
 
     Every step is elementwise, so one fused update rounds exactly as
     separate updates of each network and of each of its arrays would.
+    ``state``, the (t, m, v) an earlier optimizer of these parameters
+    left, goes on from there, with its moments updated in place.
     """
 
     def __init__(
@@ -279,22 +270,21 @@ class Adam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
+        state: tuple[int, FloatArray, FloatArray] | None = None,
     ):
         self.lr = float(learning_rate)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.t = 0
-        self.m = np.zeros_like(params)
-        self.v = np.zeros_like(params)
+        self.t, self.m, self.v = state or (0, np.zeros_like(params), np.zeros_like(params))
         self._temps = (np.empty_like(params), np.empty_like(params))
 
-    def keep(self, positions: list[int]) -> None:
-        """Keep the state of the stacked members at ``positions``, as
+    def keep(self, count: int) -> None:
+        """Keep the state of the first ``count`` stacked members, as
         ``MlpStack.keep`` does."""
-        self.m = _keep_rows(self.m, positions)
-        self.v = _keep_rows(self.v, positions)
-        self._temps = tuple(s[: len(positions)] for s in self._temps)
+        self.m = self.m[:count]
+        self.v = self.v[:count]
+        self._temps = tuple(s[:count] for s in self._temps)
 
     def step(self, params: FloatArray, grads: FloatArray) -> None:
         self.t += 1

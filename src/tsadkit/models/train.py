@@ -13,8 +13,10 @@ training and test errors alike.
 """
 from __future__ import annotations
 
+import threading
 from concurrent.futures import wait
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Protocol
 
 import numpy as np
@@ -38,7 +40,7 @@ MODEL_KINDS = ("raw", "pca", "uae", "fc_ae")
 _DTYPE_MAX = float(np.finfo(DTYPE).max)
 MAX_LEARNING_RATE = _DTYPE_MAX
 _FORWARD_CHUNK = 8192
-# most groups in one stack: larger stacks hold more buffers and gain little
+# most groups in one slice: larger slices hold more buffers and gain little
 _STACK_MEMBERS = 4
 
 
@@ -152,7 +154,7 @@ class WindowedAutoencoder:
 
     UAE has one group per channel, FC-AE one group of all channels; a
     group's channels are adjacent and ascending. ``fit`` trains the groups
-    in stacks, but each group keeps its own network. The error at time t
+    in slices, but each group keeps its own network. The error at time t
     is the signed difference between the observed and the reconstructed
     value at the last position of the window ending at t. Inference maps
     the groups over the BLAS's lent threads, one group per task.
@@ -195,8 +197,11 @@ class WindowedAutoencoder:
 
 
 def _on_lent_threads(fn, tasks) -> list:
-    """``fn`` over ``tasks`` (groups or stacks of them) in order, on the
-    BLAS's lent threads; the first task to fail in that order raises."""
+    """``fn`` over ``tasks`` (groups, or slices of them) in order, on the
+    BLAS's lent threads; the first task to fail in that order raises.
+
+    Called from outside the pool: a task that waited on the pool it runs
+    in could wait for itself."""
     with lend_threads() as pool:
         futures = [pool.submit(fn, task) for task in tasks]
         try:
@@ -219,104 +224,178 @@ def _chronological_split(count: int, validation_fraction: float) -> int:
     return n_train
 
 
-def _train_stack(
+class _Groups:
+    """The training state of a fit's autoencoder groups, which every
+    epoch's slices share.
+
+    Row r of ``params``, ``m`` and ``v`` (the parameters and Adam moments,
+    after ``t`` Adam steps) belongs to group ``live[r]``; ``best`` (the
+    best-validation parameters) and the report lists are indexed by group.
+    A slice writes only its own rows and its own groups' entries.
+    """
+
+    def __init__(self, windows: FloatArray, groups, config: ModelConfig, seed: int):
+        self.config = config
+        self.n_split = _chronological_split(windows.shape[0], config.validation_fraction)
+        self.rows = [_group_rows(windows, channels) for _, channels in groups]
+        # one generator draws the init and every batch order, as for one network alone
+        self.rng = np.random.default_rng(seed)
+        self.widths = autoencoder_widths(self.rows[0].shape[1], config.latent_dim)
+        init = MlpAutoencoder(self.widths, self.rng).flat_params
+        self.params = np.tile(init, (len(groups), 1))
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self.t = 0
+        self.best = self.params.copy()
+        self.live = list(range(len(groups)))
+        self.best_val = [np.inf] * len(groups)
+        self.best_epoch = [-1] * len(groups)
+        self.stall = [0] * len(groups)
+        self.epochs_run = [0] * len(groups)
+        self.stores: dict[int, list[FloatArray]] = {}  # stack buffers by lent thread
+
+    def keep(self, rows: list[int]) -> None:
+        """Keep the members at ``rows`` (ascending), their rows of
+        ``params``, ``m`` and ``v`` moved to the front; a prefix moves none."""
+        self.live = [self.live[r] for r in rows]
+        if rows != list(range(len(rows))):
+            for state in (self.params, self.m, self.v):
+                state[: len(rows)] = state[rows]
+        self.params, self.m, self.v = (
+            state[: len(rows)] for state in (self.params, self.m, self.v)
+        )
+
+
+def _slices(live: int, threads: int) -> list[tuple[int, int]]:
+    """(lo, hi) of k = min(live, B * ceil(live / (B * _STACK_MEMBERS)))
+    contiguous slices of ``live`` members for B threads, sizes differing
+    by at most one, the larger first: at B = 2, 8 members are 4 + 4, 5
+    are 3 + 2 and 33 are ten slices of at most 4."""
+    k = min(live, threads * -(-live // (threads * _STACK_MEMBERS)))
+    size, larger = divmod(live, k)
+    bounds = list(accumulate((size + (i < larger) for i in range(k)), initial=0))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _train_slice(
+    fit: _Groups, lo: int, hi: int, order: np.ndarray, epoch: int
+) -> tuple[list[int], tuple[int, TrainingError] | None]:
+    """One epoch of the members in rows lo:hi of ``fit``, in lockstep on
+    the batches of ``order``, then each member's validation.
+
+    Returns the rows whose members train on, and the (group, error) of
+    the first member whose loss became non-finite, or None. That member
+    leaves with every later member of the slice; the earlier ones go on.
+    """
+    config = fit.config
+    members = fit.live[lo:hi]
+    thread = threading.get_ident()
+    net = MlpStack(fit.widths, fit.params[lo:hi], fit.stores.get(thread, ()))
+    optimizer = Adam(
+        net.flat_params, config.learning_rate, state=(fit.t, fit.m[lo:hi], fit.v[lo:hi])
+    )
+    failure = None
+    for start in range(0, fit.n_split, config.batch_size):
+        batch = order[start : start + config.batch_size]
+        # a value beyond DTYPE's range casts to inf: a non-finite loss
+        with np.errstate(over="ignore"):
+            for g, inputs in zip(members, net.inputs(len(batch))):
+                inputs[...] = fit.rows[g][batch]
+        bad = np.flatnonzero(~np.isfinite(net.losses()))
+        if bad.size:
+            error = TrainingError(f"training loss became non-finite at epoch {epoch}")
+            failure = (members[bad[0]], error)
+            members = members[: bad[0]]
+            if not members:
+                return [], failure
+            net.keep(len(members))
+            optimizer.keep(len(members))
+        net.backward()
+        optimizer.step(net.flat_params, net.flat_grads)
+    fit.stores[thread] = net.store  # for this thread's next slice
+    del net, optimizer  # the gradients and Adam's temporaries, before validation
+    staying = []
+    for row, g in enumerate(members, lo):
+        fit.epochs_run[g] = epoch + 1
+        # copied per epoch: holding every member's copy peaks higher
+        with np.errstate(over="ignore"):
+            val_rows = np.ascontiguousarray(fit.rows[g][fit.n_split :], DTYPE)
+        val_loss = MlpAutoencoder.on(fit.widths, fit.params[row]).loss(val_rows)
+        if not np.isfinite(val_loss):
+            error = TrainingError(f"validation loss became non-finite at epoch {epoch}")
+            return staying, (g, error)
+        if val_loss < fit.best_val[g]:
+            fit.best_val[g] = val_loss
+            fit.best_epoch[g] = epoch
+            fit.best[g] = fit.params[row]
+            fit.stall[g] = 0
+        else:
+            fit.stall[g] += 1
+            if fit.stall[g] >= config.patience:
+                continue
+        staying.append(row)
+    return staying, failure
+
+
+def _train_groups(
     windows: FloatArray,
-    stack: list[tuple[int | None, tuple[int, ...]]],
+    groups: list[tuple[int | None, tuple[int, ...]]],
     config: ModelConfig,
     seed: int,
 ) -> list[tuple[tuple[MlpAutoencoder, tuple[int, ...]], FitReport]]:
-    """Train one autoencoder per (report channel, input channels) group of
-    ``stack``, in lockstep, each on its own group's window rows.
+    """Train one autoencoder per (report channel, input channels) group,
+    each on its own group's window rows, in one epoch loop.
 
     The split is chronological: first (1 - validation_fraction) of windows
     train, the rest validate. Each member stops on its own patience and
     gets its best-validation weights back. Every member draws its initial
     weights and batch orders from one generator seeded ``seed``, the draws
-    one network would make alone, so a member's weights and report do not
-    depend on its stack. A member that stops leaves the stack. One whose
-    loss is non-finite leaves it with every later member, and the stack
+    one network would make alone. Each epoch cuts the members left into
+    ``_slices`` for the B lent threads, one ``_train_slice`` task each, so
+    a member's weights and report do not depend on its slice. A member
+    whose loss is non-finite leaves with every later member, and the fit
     raises the error of its first failing member once the earlier ones
     are done, as one network after another would.
     """
-    n_split = _chronological_split(windows.shape[0], config.validation_fraction)
-    rows = [_group_rows(windows, channels) for _, channels in stack]
-    rng = np.random.default_rng(seed)
-    widths = autoencoder_widths(rows[0].shape[1], config.latent_dim)
-    init = MlpAutoencoder(widths, rng).flat_params
-    net = MlpStack(widths, np.tile(init, (len(stack), 1)))
-    optimizer = Adam(net.flat_params, config.learning_rate)
-
-    live = list(range(len(stack)))  # the stack position of each member left
-    best_val = [np.inf] * len(stack)
-    best_epoch = [-1] * len(stack)
-    best_params = net.flat_params.copy()
-    stall = [0] * len(stack)
-    epochs_run = [0] * len(stack)
-    failure: TrainingError | None = None
-    batch_size = config.batch_size
-
-    def keep(positions: list[int]) -> None:
-        nonlocal live
-        live = [live[j] for j in positions]
-        net.keep(positions)
-        optimizer.keep(positions)
-
+    fit = _Groups(windows, groups, config, seed)
+    threads = blas_threads() or 1
+    steps = -(-fit.n_split // config.batch_size)
+    failure = None
     for epoch in range(config.max_epochs):
-        order = rng.permutation(n_split)
-        for lo in range(0, n_split, batch_size):
-            batch = order[lo : lo + batch_size]
-            # a value beyond DTYPE's range casts to inf: a non-finite loss
-            with np.errstate(over="ignore"):
-                for g, inputs in zip(live, net.inputs(len(batch))):
-                    inputs[...] = rows[g][batch]
-            bad = np.flatnonzero(~np.isfinite(net.losses()))
-            if bad.size:
-                failure = TrainingError(f"training loss became non-finite at epoch {epoch}")
-                keep(list(range(bad[0])))
-                if not live:
-                    break
-            net.backward()
-            optimizer.step(net.flat_params, net.flat_grads)
-        staying = []
-        for j, (g, params) in enumerate(zip(live, net.flat_params)):
-            member = MlpAutoencoder.on(widths, params)
-            epochs_run[g] = epoch + 1
-            # copied per epoch: a stack holding every member's copy peaks higher
-            with np.errstate(over="ignore"):
-                val_rows = np.ascontiguousarray(rows[g][n_split:], DTYPE)
-            val_loss = member.loss(val_rows)
-            if not np.isfinite(val_loss):
-                failure = TrainingError(f"validation loss became non-finite at epoch {epoch}")
-                break
-            if val_loss < best_val[g]:
-                best_val[g] = val_loss
-                best_epoch[g] = epoch
-                best_params[g] = params
-                stall[g] = 0
-            else:
-                stall[g] += 1
-                if stall[g] >= config.patience:
-                    continue
-            staying.append(j)
-        if len(staying) < len(live):
-            keep(staying)
-        if not live:
+        order = fit.rng.permutation(fit.n_split)
+        outcomes = _on_lent_threads(
+            lambda bounds: _train_slice(fit, *bounds, order, epoch),
+            _slices(len(fit.live), threads),
+        )
+        staying = [row for rows, _ in outcomes for row in rows]
+        failures = [f for _, f in outcomes if f is not None]
+        if failures:
+            # slices are in group order, and every member left precedes
+            # an earlier failure: the first is the lowest group's
+            failure = failures[0]
+            staying = [row for row in staying if fit.live[row] < failure[0]]
+        fit.keep(staying)
+        fit.t += steps
+        if not fit.live:
             break
     if failure is not None:
-        raise failure
-    del net, optimizer  # before the full-size passes below
-    trained = []
-    for g, (channel, channels) in enumerate(stack):
-        model = MlpAutoencoder.on(widths, best_params[g].copy())
+        raise failure[1]
+    del fit.params, fit.m, fit.v, fit.stores  # before the full-size passes below
+
+    def trained(g: int):
+        channel, channels = groups[g]
+        model = MlpAutoencoder.on(fit.widths, fit.best[g].copy())
+        train_rows = np.ascontiguousarray(fit.rows[g][: fit.n_split], DTYPE)
         report = FitReport(
             channel=channel,
-            epochs_run=epochs_run[g],
-            best_epoch=best_epoch[g],
-            best_val_loss=float(best_val[g]),
-            final_train_loss=float(model.loss(np.ascontiguousarray(rows[g][:n_split], DTYPE))),
+            epochs_run=fit.epochs_run[g],
+            best_epoch=fit.best_epoch[g],
+            best_val_loss=float(fit.best_val[g]),
+            final_train_loss=float(model.loss(train_rows)),
         )
-        trained.append(((model, channels), report))
-    return trained
+        return (model, channels), report
+
+    return _on_lent_threads(trained, range(len(groups)))
 
 
 def fit(
@@ -330,10 +409,11 @@ def fit(
     generator, so permuting input channels permutes the per-channel
     residuals without changing any of them. Every kind fits inside
     ``blas.lend_threads``, on one BLAS thread, so the result is the serial
-    one at any BLAS thread count. Autoencoders train their groups on the
-    B threads the pin takes, in contiguous stacks of min(ceil(groups /
-    2B), 4) groups, each stack a task on one thread; a member's bits do
-    not depend on its stack.
+    one at any BLAS thread count. Autoencoders train their groups in one
+    epoch loop on this thread: each epoch cuts the groups still training
+    into k = min(live, B * ceil(live / 4B)) contiguous slices whose sizes
+    differ by at most one, each a task on one of the B threads the pin
+    takes; a member's bits do not depend on its slice.
     """
     m = train.m
     config = config.resolved(m)
@@ -347,18 +427,7 @@ def fit(
             groups = [(i, (i,)) for i in range(m)]
         else:  # fc_ae
             groups = [(None, tuple(range(m)))]
-        windows = make_windows(train, window)
-        # two stacks a thread, so one whose members stop early takes
-        # another while a slower one still trains
-        size = min(-(-len(groups) // (2 * (blas_threads() or 1))), _STACK_MEMBERS)
-        stacks = [groups[lo : lo + size] for lo in range(0, len(groups), size)]
-        trained = [
-            member
-            for members in _on_lent_threads(
-                lambda stack: _train_stack(windows, stack, config, seed), stacks
-            )
-            for member in members
-        ]
+        trained = _train_groups(make_windows(train, window), groups, config, seed)
     return WindowedAutoencoder(
         window.length,
         tuple(group for group, _ in trained),

@@ -67,12 +67,12 @@ def two_blas_threads():
 
 @pytest.fixture
 def groups_in_flight(monkeypatch):
-    """Records, while models train, the most stacks trained at once and the
-    threads they trained on; each stack holds its thread a moment so that
-    stacks which may overlap do."""
+    """Records, while models train, the most slices trained at once and the
+    threads they trained on; each slice holds its thread a moment so that
+    slices which may overlap do."""
     lock = threading.Lock()
     seen = {"now": 0, "most": 0, "threads": set()}
-    train_stack = train._train_stack
+    train_slice = train._train_slice
 
     def spy(*args):
         with lock:
@@ -81,26 +81,26 @@ def groups_in_flight(monkeypatch):
             seen["threads"].add(threading.get_ident())
         try:
             time.sleep(0.05)
-            return train_stack(*args)
+            return train_slice(*args)
         finally:
             with lock:
                 seen["now"] -= 1
 
-    monkeypatch.setattr(train, "_train_stack", spy)
+    monkeypatch.setattr(train, "_train_slice", spy)
     return seen
 
 
 @pytest.fixture
 def inside_training(monkeypatch):
-    """Records the BLAS thread count each time a stack starts training."""
+    """Records the BLAS thread count each time a slice starts training."""
     seen = []
-    train_stack = train._train_stack
+    train_slice = train._train_slice
 
     def spy(*args):
         seen.append(raw_threads())
-        return train_stack(*args)
+        return train_slice(*args)
 
-    monkeypatch.setattr(train, "_train_stack", spy)
+    monkeypatch.setattr(train, "_train_slice", spy)
     return seen
 
 
@@ -139,8 +139,8 @@ def test_results_bytes_do_not_depend_on_blas_threads(tmp_path, config):
 def test_run_pins_training_and_restores(two_blas_threads, inside_training):
     record = run_experiment(config_from_dict(UAE_CONFIG))
     assert not record.failures
-    # 3 channels on a pool of 2 train as three stacks of 1
-    assert inside_training == [1, 1, 1]
+    # 3 channels on a pool of 2 train as slices of 2 and 1 in each of 4 epochs
+    assert inside_training == [1] * 8
     assert raw_threads() == 2
     assert record.meta["blas"]["threads"] == 2
     assert record.meta["blas"]["policy"] == "pinned"
@@ -196,24 +196,24 @@ def test_run_pins_pca_and_restores(two_blas_threads, monkeypatch):
 def test_training_error_restores(two_blas_threads, monkeypatch):
     lock = threading.Lock()
     running = {"now": 0}
-    train_stack = train._train_stack
+    train_slice = train._train_slice
 
     def spy(*args):
         with lock:
             running["now"] += 1
         try:
-            return train_stack(*args)
+            return train_slice(*args)
         finally:
             with lock:
                 running["now"] -= 1
 
-    monkeypatch.setattr(train, "_train_stack", spy)
+    monkeypatch.setattr(train, "_train_slice", spy)
     rng = np.random.default_rng(7)
     data = SeriesMatrix(rng.random(size=(80, 2)))
     config = ModelConfig("uae", learning_rate=1e30, max_epochs=30)
     with pytest.raises(TrainingError):
         fit(data, config, WindowSpec(10, 1))
-    # the pool outlives the pin, but no stack of the failed fit runs on
+    # the pool outlives the pin, but no slice of the failed fit runs on
     assert running["now"] == 0
     assert raw_threads() == 2
     assert blas.blas_threads() == 2
@@ -222,20 +222,20 @@ def test_training_error_restores(two_blas_threads, monkeypatch):
 @needs_openblas
 def test_failing_group_waits_for_its_other_groups(two_blas_threads, monkeypatch):
     """Another holder keeps the pool open, yet the failing fit leaves the pin
-    only once its running stack is done and its queued ones are cancelled."""
+    only once its running slice is done and its queued ones are cancelled."""
     started, finished = [], []
 
-    def spy(windows, stack, config, seed):
-        first = stack[0][0]
+    def spy(fit, lo, hi, order, epoch):
+        first = fit.live[lo]
         started.append(first)
         if first == 0:
-            raise TrainingError("the stack of channel 0 fails at once")
+            raise TrainingError("the slice of channel 0 fails at once")
         time.sleep(0.2)
         finished.append(first)
-        return []
+        return [], None
 
-    monkeypatch.setattr(train, "_train_stack", spy)
-    # 9 channels on a pool of 2: three stacks of 3, so one may be queued
+    monkeypatch.setattr(train, "_train_slice", spy)
+    # 9 channels on a pool of 2: slices of 3, 2, 2 and 2, so two may be queued
     data = SeriesMatrix(np.random.default_rng(7).random(size=(80, 9)))
     with blas.lend_threads() as pool:
         with pytest.raises(TrainingError):
@@ -272,14 +272,15 @@ def test_overlapping_cells_share_one_pin(two_blas_threads, monkeypatch):
     # both cells wait for each other inside the pin, so the pin overlaps
     both_inside = threading.Barrier(2, timeout=30)
     seen = []
-    train_stack = train._train_stack
+    train_slice = train._train_slice
 
-    def spy(*args):
-        both_inside.wait()
+    def spy(fit, lo, hi, order, epoch):
+        if epoch == 0:
+            both_inside.wait()
         seen.append(raw_threads())
-        return train_stack(*args)
+        return train_slice(fit, lo, hi, order, epoch)
 
-    monkeypatch.setattr(train, "_train_stack", spy)
+    monkeypatch.setattr(train, "_train_slice", spy)
     config = config_from_dict(dict(
         UAE_CONFIG,
         synthetic=[dict(UAE_CONFIG["synthetic"][0], m=1, period=25.0,
@@ -289,7 +290,8 @@ def test_overlapping_cells_share_one_pin(two_blas_threads, monkeypatch):
     ))
     record = run_experiment(config, workers=2)
     assert not record.failures, record.failures
-    assert seen == [1, 1]
+    # one 1-channel slice per cell in each of 4 epochs
+    assert seen == [1] * 8
     assert raw_threads() == 2
     assert sorted(record.meta["fit_reports"]) == ["syn/1", "syn/2"]
 
@@ -297,7 +299,7 @@ def test_overlapping_cells_share_one_pin(two_blas_threads, monkeypatch):
 @needs_openblas
 @pytest.mark.parametrize("count", [1, 2])
 def test_overlapping_cells_share_one_pool(count, groups_in_flight):
-    """Two 3-channel cells at --workers 2 train at most B stacks at once, on
+    """Two 3-channel cells at --workers 2 train at most B slices at once, on
     at most B threads, whatever the cell pool runs."""
     get, set_ = blas._openblas()
     before = get()

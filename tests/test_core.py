@@ -23,6 +23,16 @@ class TestSeriesMatrix:
         with pytest.raises(ValueError):
             sm.values[0, 0] = 5.0
 
+    def test_freezing_leaves_the_callers_array_writable(self):
+        # a C-contiguous float64 array is wrapped as it is, not copied
+        data = np.ones((2, 2))
+        sm = SeriesMatrix(data)
+        assert np.shares_memory(sm.values, data)
+        with pytest.raises(ValueError, match="read-only"):
+            sm.values[0, 0] = 5.0
+        data[0, 0] = 5.0
+        assert data.flags.writeable
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValidationError, match="unique"):
             SeriesMatrix(np.zeros((2, 2)), ("a", "a"))

@@ -381,10 +381,10 @@ class TestFitAndResiduals:
 
     @needs_openblas
     def test_stacks_under_thread_switching(self):
-        # 8 channels as four stacks of 2 on a pool of 3 (more workers than
-        # cores), switching every microsecond, against two stacks of 4
-        # trained one after another: a stack that read or wrote another's
-        # state would show as a difference
+        # 8 channels as slices of 3, 3 and 2 on a pool of 3 (more workers
+        # than cores), switching every microsecond, against two slices of 4
+        # trained one after another: a slice that read or wrote another's
+        # rows would show as a difference
         rng = np.random.default_rng(18)
         data = SeriesMatrix(rng.random(size=(120, 8)))
         config = ModelConfig("uae", max_epochs=3, batch_size=16)
@@ -403,6 +403,51 @@ class TestFitAndResiduals:
             assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
         assert serial.fit_reports == pooled.fit_reports
         assert np.array_equal(serial_err, pooled_err)
+
+    @needs_openblas
+    def test_slices_stay_balanced_as_channels_stop_early(self, monkeypatch):
+        """8 channels at B = 2, where the rows only validation reads are
+        noise in channels 0-3, so those stop on patience 1 while 4-7 train
+        on: each epoch cuts the members left into a multiple of B slices
+        whose sizes differ by at most one, and the weights are those
+        trained at B = 1."""
+        n, l_w = 400, 8
+        t = np.arange(n)
+        values = np.column_stack([np.sin(2 * np.pi * t / p)
+                                  for p in (17, 19, 23, 29, 31, 37, 41, 43)])
+        first_val_only = l_w + int(0.75 * (n - l_w))
+        values[first_val_only:, :4] = 10 * np.random.default_rng(31).standard_normal(
+            (n - first_val_only, 4))
+        data = SeriesMatrix(values)
+        config = ModelConfig("uae", latent_dim=2, learning_rate=3e-2, batch_size=32,
+                             max_epochs=12, patience=1)
+        with blas_at(1):
+            serial = fit(data, config, WindowSpec(l_w, 1), seed=3)
+        calls = []
+        train_slice = train._train_slice
+
+        def spy(fit_state, lo, hi, order, epoch):
+            calls.append((epoch, len(fit_state.live), hi - lo))
+            return train_slice(fit_state, lo, hi, order, epoch)
+
+        monkeypatch.setattr(train, "_train_slice", spy)
+        with blas_at(2):
+            pooled = fit(data, config, WindowSpec(l_w, 1), seed=3)
+        epochs_run = [r.epochs_run for r in pooled.fit_reports]
+        assert max(epochs_run[:4]) < min(epochs_run[4:]) == 12
+        by_epoch = {}
+        for epoch, live, size in calls:
+            by_epoch.setdefault(epoch, (live, []))[1].append(size)
+        assert sorted(by_epoch) == list(range(12))
+        assert {live for live, _ in by_epoch.values()} >= {8, 4}
+        for live, sizes in by_epoch.values():
+            assert sum(sizes) == live
+            if live >= 2:
+                assert len(sizes) % 2 == 0, sizes
+                assert max(sizes) - min(sizes) <= 1, sizes
+        for (mlp1, _), (mlp2, _) in zip(serial.groups, pooled.groups):
+            assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
+        assert serial.fit_reports == pooled.fit_reports
 
     def test_one_channel_fc_ae_matches_uae(self):
         # with one channel, FC-AE's time-major window row is UAE's channel
@@ -476,7 +521,7 @@ class TestFitAndResiduals:
 
         class Stack(MlpStack):
             def backward(self):
-                seen["stack"] |= {a.dtype for a in (*self._store, self.flat_grads)}
+                seen["stack"] |= {a.dtype for a in (*self.store, self.flat_grads)}
                 super().backward()
 
         class Optimizer(Adam):
@@ -677,6 +722,25 @@ class TestBlockedResiduals:
             assert err.tobytes() == expected.tobytes(), (a, b)
 
 
+def test_slices_are_contiguous_balanced_and_a_multiple_of_the_threads():
+    """k = min(live, B * ceil(live / 4B)) slices cover the live members in
+    order, each of at most 4, sizes differing by at most one."""
+    assert train._slices(8, 2) == [(0, 4), (4, 8)]
+    assert train._slices(5, 2) == [(0, 3), (3, 5)]
+    assert train._slices(4, 2) == [(0, 2), (2, 4)]
+    assert [hi - lo for lo, hi in train._slices(33, 2)] == [4, 4, 4] + [3] * 7
+    for threads in range(1, 6):
+        for live in range(1, 60):
+            slices = train._slices(live, threads)
+            sizes = [hi - lo for lo, hi in slices]
+            assert len(slices) == min(live, threads * -(-live // (4 * threads)))
+            assert [lo for lo, _ in slices] == [0] + [hi for _, hi in slices[:-1]]
+            assert slices[-1][1] == live
+            assert max(sizes) <= 4 and max(sizes) - min(sizes) <= 1, (live, threads)
+            if live >= threads:
+                assert len(slices) % threads == 0
+
+
 @st.composite
 def stack_cases(draw):
     """A tiny UAE fit: 1-5 channels and knobs that leave a short last
@@ -738,10 +802,11 @@ def _same(got, expected):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(stack_cases())
 def test_stacked_training_matches_one_network_at_a_time(case):
-    """Channels trained in lockstep stacks end bit for bit as each trained
+    """Channels trained in lockstep slices end bit for bit as each trained
     alone by the oracle: the same weights and reports, or the error of the
-    first failing channel; for one stack of every channel (1-5 members)
-    and for the stacks ``fit`` cuts under BLAS pools of 1, 2 and 3."""
+    first failing channel; for the whole trainer at one thread (one slice
+    of 1-4 members, or 3 + 2) and for ``fit`` under BLAS pools of 1, 2
+    and 3."""
     values, spec, config, seed = case
     m = values.shape[1]
     windows = make_windows(values, spec)
@@ -763,8 +828,9 @@ def test_stacked_training_matches_one_network_at_a_time(case):
         warnings.simplefilter("ignore", RuntimeWarning)
         expected = _outcome(oracle)
         groups = [(c, (c,)) for c in range(m)]
-        assert _same(_outcome(lambda: train._train_stack(windows, groups, config, seed)),
-                     expected)
+        with blas_at(1) if blas.blas_threads() is not None else contextlib.nullcontext():
+            assert _same(_outcome(lambda: train._train_groups(windows, groups, config, seed)),
+                         expected)
         for count in (1, 2, 3) if blas.blas_threads() is not None else (None,):
             with blas_at(count) if count else contextlib.nullcontext():
                 assert _same(_outcome(fitted), expected), count
@@ -772,8 +838,9 @@ def test_stacked_training_matches_one_network_at_a_time(case):
 
 def test_first_failing_channel_wins_though_a_later_one_fails_first():
     """Channel 2 overflows in its first batch, channel 0 only in epoch 5,
-    once three windows of its spike share a batch. Trained in one stack,
-    as one network after another, the fit raises channel 0's error."""
+    once three windows of its spike share a batch. Trained in one slice,
+    in slices of 2 and 1 and in three slices, as one network after
+    another, the fit raises channel 0's error."""
     values = np.random.default_rng(0).random(size=(27, 3))
     values[8, 0] = 1.17e19
     values[:, 2] *= 1e20
@@ -787,8 +854,11 @@ def test_first_failing_channel_wins_though_a_later_one_fails_first():
         for c, epoch in ((0, 5), (2, 0)):
             with pytest.raises(Diverged, match=f"^training loss became non-finite at epoch {epoch}$"):
                 train_mlp(windows[:, :, c], widths, config, 2)
-        with pytest.raises(TrainingError, match="^training loss became non-finite at epoch 5$"):
-            train._train_stack(windows, [(c, (c,)) for c in range(3)], config, 2)
+        for count in (1, 2, 3) if blas.blas_threads() is not None else (None,):
+            with blas_at(count) if count else contextlib.nullcontext():
+                with pytest.raises(TrainingError,
+                                   match="^training loss became non-finite at epoch 5$"):
+                    train._train_groups(windows, [(c, (c,)) for c in range(3)], config, 2)
         with blas_at(1) if blas.blas_threads() is not None else contextlib.nullcontext():
             with pytest.raises(TrainingError, match="at epoch 5$"):
                 fit(SeriesMatrix(values), config, spec, seed=2)
