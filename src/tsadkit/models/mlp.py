@@ -148,10 +148,9 @@ class MlpStack:
     Row g of the (G, P) ``flat_params`` is member g's parameter vector, in
     ``MlpAutoencoder`` layout, and ``backward`` writes its gradient into
     row g of ``flat_grads``. A step fills each member's input rows
-    (``inputs``), runs the forward pass (``losses``), may drop its last
-    members (``keep``) and runs the backward pass on those left. The
-    activations and deltas live in buffers that the stack reuses from step
-    to step.
+    (``inputs``), runs the forward pass (``losses``) and the backward pass
+    (``backward``). The activations and deltas live in buffers that the
+    stack reuses from step to step.
     """
 
     def __init__(
@@ -164,15 +163,8 @@ class MlpStack:
         self.flat_grads = np.zeros_like(flat_params)
         self.store = list(store)  # buffers for self._capacity rows a member
         self._capacity = len(self.store) and self.store[0].size // (self.size * self.widths[0])
-        self._bind()
-
-    @property
-    def size(self) -> int:
-        return self.flat_params.shape[0]
-
-    def _bind(self) -> None:
-        """Stacked (G, fan_in, fan_out) weight and weight-gradient views,
-        and the weights' transposes; stacked bias views."""
+        # stacked (G, fan_in, fan_out) weight and weight-gradient views, and
+        # the weights' transposes; stacked bias views
         self._weights, biases = _layers(self.widths, self.flat_params)
         self._weights_t = [w.transpose(0, 2, 1) for w in self._weights]
         self._grad_w, self._grad_b = _layers(self.widths, self.flat_grads)
@@ -180,18 +172,9 @@ class MlpStack:
         self._biases = [b[:, None, :] for b in biases]
         self._rows = 0  # the batch the buffer views below are cut for; 0: none
 
-    def keep(self, count: int) -> None:
-        """Keep only the first ``count`` members.
-
-        They stay where they are, so the activations of the current step
-        stay valid for them and ``backward`` may follow.
-        """
-        self.flat_params = self.flat_params[:count]
-        self.flat_grads = self.flat_grads[:count]
-        batch = self._rows
-        self._bind()
-        if batch:
-            self._view(batch)
+    @property
+    def size(self) -> int:
+        return self.flat_params.shape[0]
 
     def inputs(self, rows: int) -> FloatArray:
         """The (G, rows, input width) input buffer, one (rows, input width)
@@ -278,13 +261,6 @@ class Adam:
         self.eps = eps
         self.t, self.m, self.v = state or (0, np.zeros_like(params), np.zeros_like(params))
         self._temps = (np.empty_like(params), np.empty_like(params))
-
-    def keep(self, count: int) -> None:
-        """Keep the state of the first ``count`` stacked members, as
-        ``MlpStack.keep`` does."""
-        self.m = self.m[:count]
-        self.v = self.v[:count]
-        self._temps = tuple(s[:count] for s in self._temps)
 
     def step(self, params: FloatArray, grads: FloatArray) -> None:
         self.t += 1

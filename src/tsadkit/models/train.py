@@ -228,10 +228,10 @@ class _Groups:
     """The training state of a fit's autoencoder groups, which every
     epoch's slices share.
 
-    Row r of ``params``, ``m`` and ``v`` (the parameters and Adam moments,
-    after ``t`` Adam steps) belongs to group ``live[r]``; ``best`` (the
-    best-validation parameters) and the report lists are indexed by group.
-    A slice writes only its own rows and its own groups' entries.
+    Row r of ``params``, ``m`` and ``v`` (the parameters and Adam moments)
+    belongs to group ``live[r]``; ``best`` (the best-validation parameters)
+    and the report lists are indexed by group. A slice writes only its own
+    rows and its own groups' entries.
     """
 
     def __init__(self, windows: FloatArray, groups, config: ModelConfig, seed: int):
@@ -245,7 +245,6 @@ class _Groups:
         self.params = np.tile(init, (len(groups), 1))
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
-        self.t = 0
         self.best = self.params.copy()
         self.live = list(range(len(groups)))
         self.best_val = [np.inf] * len(groups)
@@ -285,33 +284,34 @@ def _train_slice(
 
     Returns the rows whose members train on, and the (group, error) of
     the first member whose loss became non-finite, or None. That member
-    leaves with every later member of the slice; the earlier ones go on.
+    and every later member of the slice run on, unread, until the epoch
+    ends, then leave; the earlier ones go on.
     """
     config = fit.config
-    members = fit.live[lo:hi]
+    members = fit.live[lo:hi]  # those before the first failure
     thread = threading.get_ident()
+    batches = range(0, fit.n_split, config.batch_size)
     net = MlpStack(fit.widths, fit.params[lo:hi], fit.stores.get(thread, ()))
     optimizer = Adam(
-        net.flat_params, config.learning_rate, state=(fit.t, fit.m[lo:hi], fit.v[lo:hi])
+        net.flat_params,
+        config.learning_rate,
+        state=(epoch * len(batches), fit.m[lo:hi], fit.v[lo:hi]),
     )
     failure = None
-    for start in range(0, fit.n_split, config.batch_size):
+    for start in batches:
         batch = order[start : start + config.batch_size]
-        # a value beyond DTYPE's range casts to inf: a non-finite loss
-        with np.errstate(over="ignore"):
+        # a value beyond DTYPE's range casts to inf and an update may
+        # overflow: a non-finite loss, read for the members before a failure
+        with np.errstate(over="ignore", invalid="ignore"):
             for g, inputs in zip(members, net.inputs(len(batch))):
                 inputs[...] = fit.rows[g][batch]
-        bad = np.flatnonzero(~np.isfinite(net.losses()))
-        if bad.size:
-            error = TrainingError(f"training loss became non-finite at epoch {epoch}")
-            failure = (members[bad[0]], error)
-            members = members[: bad[0]]
-            if not members:
-                return [], failure
-            net.keep(len(members))
-            optimizer.keep(len(members))
-        net.backward()
-        optimizer.step(net.flat_params, net.flat_grads)
+            bad = np.flatnonzero(~np.isfinite(net.losses()[: len(members)]))
+            if bad.size:
+                error = TrainingError(f"training loss became non-finite at epoch {epoch}")
+                failure = (members[bad[0]], error)
+                members = members[: bad[0]]
+            net.backward()
+            optimizer.step(net.flat_params, net.flat_grads)
     fit.stores[thread] = net.store  # for this thread's next slice
     del net, optimizer  # the gradients and Adam's temporaries, before validation
     staying = []
@@ -359,7 +359,6 @@ def _train_groups(
     """
     fit = _Groups(windows, groups, config, seed)
     threads = blas_threads() or 1
-    steps = -(-fit.n_split // config.batch_size)
     failure = None
     for epoch in range(config.max_epochs):
         order = fit.rng.permutation(fit.n_split)
@@ -375,7 +374,6 @@ def _train_groups(
             failure = failures[0]
             staying = [row for row in staying if fit.live[row] < failure[0]]
         fit.keep(staying)
-        fit.t += steps
         if not fit.live:
             break
     if failure is not None:

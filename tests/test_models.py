@@ -479,14 +479,22 @@ class TestFitAndResiduals:
         assert report.best_epoch < report.epochs_run <= 40
         assert report.best_val_loss <= report.final_train_loss * 100  # sanity
 
-    def test_divergent_loss_raises_training_error(self):
-        rng = np.random.default_rng(7)
-        data = rng.random(size=(80, 1))
-        ent = entity_from(data)
-        # absurd learning rate blows the loss up to inf/nan quickly
-        config = ModelConfig("uae", learning_rate=1e30, max_epochs=30)
-        with pytest.raises(TrainingError, match="^validation loss became non-finite at epoch 0$"):
-            fit(ent.train, config, WindowSpec(10, 1))
+    @pytest.mark.parametrize("data, config, window, seed, which", [
+        # an absurd learning rate blows the loss up to inf/nan quickly
+        pytest.param(np.random.default_rng(7).random((80, 1)),
+                     ModelConfig("uae", learning_rate=1e30, max_epochs=30),
+                     WindowSpec(10, 1), 0, "validation", id="loss"),
+        # the first update overflows float32, with no RuntimeWarning, and
+        # the next batch's loss is non-finite
+        *(pytest.param(np.random.default_rng(1).random((60, 3)) * 1e15,
+                       ModelConfig(kind, latent_dim=2, learning_rate=1e25, batch_size=4,
+                                   max_epochs=4, patience=4),
+                       WindowSpec(4, 1), 2, "training", id=f"update-{kind}")
+          for kind in ("uae", "fc_ae")),
+    ])
+    def test_divergent_loss_raises_training_error(self, data, config, window, seed, which):
+        with pytest.raises(TrainingError, match=f"^{which} loss became non-finite at epoch 0$"):
+            fit(SeriesMatrix(data), config, window, seed)
 
     @pytest.mark.parametrize("kind", ["uae", "fc_ae"])
     @pytest.mark.parametrize("row, which", [(10, "training"), (50, "validation")])
@@ -824,16 +832,17 @@ def test_stacked_training_matches_one_network_at_a_time(case):
         return zip(model.groups, model.fit_reports)
 
     with warnings.catch_warnings():
-        # a diverging member overflows on the way, in the oracle as here
+        # a diverging member overflows on the way in the oracle; the trainer
+        # and ``fit`` run under the test's error filter, so they may not warn
         warnings.simplefilter("ignore", RuntimeWarning)
         expected = _outcome(oracle)
-        groups = [(c, (c,)) for c in range(m)]
-        with blas_at(1) if blas.blas_threads() is not None else contextlib.nullcontext():
-            assert _same(_outcome(lambda: train._train_groups(windows, groups, config, seed)),
-                         expected)
-        for count in (1, 2, 3) if blas.blas_threads() is not None else (None,):
-            with blas_at(count) if count else contextlib.nullcontext():
-                assert _same(_outcome(fitted), expected), count
+    groups = [(c, (c,)) for c in range(m)]
+    with blas_at(1) if blas.blas_threads() is not None else contextlib.nullcontext():
+        assert _same(_outcome(lambda: train._train_groups(windows, groups, config, seed)),
+                     expected)
+    for count in (1, 2, 3) if blas.blas_threads() is not None else (None,):
+        with blas_at(count) if count else contextlib.nullcontext():
+            assert _same(_outcome(fitted), expected), count
 
 
 def test_first_failing_channel_wins_though_a_later_one_fails_first():
@@ -850,15 +859,15 @@ def test_first_failing_channel_wins_though_a_later_one_fails_first():
     windows = make_windows(values, spec)
     widths = autoencoder_widths(4, 2)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("ignore", RuntimeWarning)  # the oracle overflows
         for c, epoch in ((0, 5), (2, 0)):
             with pytest.raises(Diverged, match=f"^training loss became non-finite at epoch {epoch}$"):
                 train_mlp(windows[:, :, c], widths, config, 2)
-        for count in (1, 2, 3) if blas.blas_threads() is not None else (None,):
-            with blas_at(count) if count else contextlib.nullcontext():
-                with pytest.raises(TrainingError,
-                                   match="^training loss became non-finite at epoch 5$"):
-                    train._train_groups(windows, [(c, (c,)) for c in range(3)], config, 2)
-        with blas_at(1) if blas.blas_threads() is not None else contextlib.nullcontext():
-            with pytest.raises(TrainingError, match="at epoch 5$"):
-                fit(SeriesMatrix(values), config, spec, seed=2)
+    for count in (1, 2, 3) if blas.blas_threads() is not None else (None,):
+        with blas_at(count) if count else contextlib.nullcontext():
+            with pytest.raises(TrainingError,
+                               match="^training loss became non-finite at epoch 5$"):
+                train._train_groups(windows, [(c, (c,)) for c in range(3)], config, 2)
+    with blas_at(1) if blas.blas_threads() is not None else contextlib.nullcontext():
+        with pytest.raises(TrainingError, match="at epoch 5$"):
+            fit(SeriesMatrix(values), config, spec, seed=2)
