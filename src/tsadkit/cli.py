@@ -6,7 +6,8 @@ config -> results), compare-metrics (labels CSV -> F-score table), rank
 events -> ranked causes).
 
 Exit codes: 0 full success, 2 partial cell failures during run, 1 config
-or input errors. Time indices in all file formats are 0-based.
+or input errors, or memory that cannot be allocated. Time indices in all
+file formats are 0-based.
 """
 from __future__ import annotations
 
@@ -366,7 +367,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, ParseError, OSError) as exc:
+    except (ConfigError, ValidationError, ParseError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

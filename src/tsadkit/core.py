@@ -55,15 +55,18 @@ class TrainingError(RuntimeError):
 
 def read_json(path: str | Path):
     """The parsed contents of a UTF-8 JSON file. A missing file, bytes
-    that are not UTF-8 and text that is not JSON raise ParseError naming
-    the path; any other OSError propagates."""
+    that are not UTF-8 and text that is not JSON, or nests too deep for
+    the parser, raise ParseError naming the path; any other OSError
+    propagates."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ParseError(f"{path}: file not found") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer of over 4,300 digits
+    # JSONDecodeError, an integer of over 4,300 digits, or arrays and
+    # objects nested past the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -15,11 +15,12 @@ the same whatever array holds it, so a member's gradients do not depend
 on its stack. ``MlpAutoencoder`` is one such network, for inference and
 its loss; both run each layer through the same ``_activate`` step.
 
-Parameters, activations, gradients and Adam state are float32
+Parameters, activations, gradients and Adam moments are float32
 (``DTYPE``), half the bytes of float64. Callers cast every input in the
 copy they make, since numpy promotes a float64 @ float32 product to
-float64 without a word. Buffers and Adam state take the dtype of the
-parameters they are given, so a float64 network runs the same code.
+float64 without a word. ``adam_step`` is one step over moments its
+caller holds; its scratch, like the stack's buffers, takes the dtype of
+the parameters it is given, so a float64 network runs the same code.
 """
 from __future__ import annotations
 
@@ -236,51 +237,33 @@ class MlpStack:
                 delta = nxt
 
 
-class Adam:
-    """Adam optimizer over one flat parameter vector, or a (G, P) stack of
-    them, updated in place.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator floor
 
-    Every step is elementwise, so one fused update rounds exactly as
+
+def adam_step(
+    params: FloatArray, grads: FloatArray, m: FloatArray, v: FloatArray, t: int,
+    learning_rate: float,
+) -> None:
+    """Adam's step ``t`` (from 1) over one flat parameter vector, or a
+    (G, P) stack of them, and its moments ``m`` and ``v``, all in place.
+
+    Every operation is elementwise, so one fused update rounds exactly as
     separate updates of each network and of each of its arrays would.
-    ``state``, the (t, m, v) an earlier optimizer of these parameters
-    left, goes on from there, with its moments updated in place.
     """
-
-    def __init__(
-        self,
-        params: FloatArray,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        state: tuple[int, FloatArray, FloatArray] | None = None,
-    ):
-        self.lr = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t, self.m, self.v = state or (0, np.zeros_like(params), np.zeros_like(params))
-        self._temps = (np.empty_like(params), np.empty_like(params))
-
-    def step(self, params: FloatArray, grads: FloatArray) -> None:
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self.t
-        bias2 = 1.0 - b2**self.t
-        m, v = self.m, self.v
-        step, denom = self._temps
-        # the operations of params -= lr * (m / bias1) / (sqrt(v / bias2) + eps),
-        # in that order, with m and v updated first
-        m *= b1
-        m += np.multiply(grads, 1.0 - b1, out=step)
-        v *= b2
-        np.multiply(grads, grads, out=step)
-        step *= 1.0 - b2
-        v += step
-        np.divide(v, bias2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        np.divide(m, bias1, out=step)
-        step *= self.lr
-        step /= denom
-        params -= step
+    bias1, bias2 = 1.0 - BETA1**t, 1.0 - BETA2**t
+    step, denom = np.empty_like(params), np.empty_like(params)
+    # the operations of params -= lr * (m / bias1) / (sqrt(v / bias2) + eps),
+    # in that order, with m and v updated first
+    m *= BETA1
+    m += np.multiply(grads, 1.0 - BETA1, out=step)
+    v *= BETA2
+    np.multiply(grads, grads, out=step)
+    step *= 1.0 - BETA2
+    v += step
+    np.divide(v, bias2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    np.divide(m, bias1, out=step)
+    step *= float(learning_rate)
+    step /= denom
+    params -= step

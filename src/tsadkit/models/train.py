@@ -32,7 +32,7 @@ from ..core import (
     ValidationError,
 )
 from ..ingest import WindowSpec, make_windows
-from .mlp import DTYPE, Adam, MlpAutoencoder, MlpStack, autoencoder_widths
+from .mlp import DTYPE, MlpAutoencoder, MlpStack, adam_step, autoencoder_widths
 from .pca import PcaModel
 
 MODEL_KINDS = ("raw", "pca", "uae", "fc_ae")
@@ -228,10 +228,11 @@ class _Groups:
     """The training state of a fit's autoencoder groups, which every
     epoch's slices share.
 
-    Row r of ``params``, ``m`` and ``v`` (the parameters and Adam moments)
-    belongs to group ``live[r]``; ``best`` (the best-validation parameters)
-    and the report lists are indexed by group. A slice writes only its own
-    rows and its own groups' entries.
+    Row r of the (G, P) ``params``, ``m`` and ``v`` (the parameters and
+    Adam moments) belongs to group ``live[r]`` for r below ``len(live)``;
+    the rows after those are spent. ``best`` (the best-validation
+    parameters) and the report lists are indexed by group. A slice writes
+    only its own rows and its own groups' entries.
     """
 
     def __init__(self, windows: FloatArray, groups, config: ModelConfig, seed: int):
@@ -253,17 +254,6 @@ class _Groups:
         self.epochs_run = [0] * len(groups)
         self.stores: dict[int, list[FloatArray]] = {}  # stack buffers by lent thread
 
-    def keep(self, rows: list[int]) -> None:
-        """Keep the members at ``rows`` (ascending), their rows of
-        ``params``, ``m`` and ``v`` moved to the front; a prefix moves none."""
-        self.live = [self.live[r] for r in rows]
-        if rows != list(range(len(rows))):
-            for state in (self.params, self.m, self.v):
-                state[: len(rows)] = state[rows]
-        self.params, self.m, self.v = (
-            state[: len(rows)] for state in (self.params, self.m, self.v)
-        )
-
 
 def _slices(live: int, threads: int) -> list[tuple[int, int]]:
     """(lo, hi) of k = min(live, B * ceil(live / (B * _STACK_MEMBERS)))
@@ -280,7 +270,9 @@ def _train_slice(
     fit: _Groups, lo: int, hi: int, order: np.ndarray, epoch: int
 ) -> tuple[list[int], tuple[int, TrainingError] | None]:
     """One epoch of the members in rows lo:hi of ``fit``, in lockstep on
-    the batches of ``order``, then each member's validation.
+    the batches of ``order``, then each member's validation. The i-th
+    batch (from 1) is Adam's step ``epoch * len(batches) + i`` over the
+    moments in the same rows of ``fit.m`` and ``fit.v``.
 
     Returns the rows whose members train on, and the (group, error) of
     the first member whose loss became non-finite, or None. That member
@@ -292,13 +284,8 @@ def _train_slice(
     thread = threading.get_ident()
     batches = range(0, fit.n_split, config.batch_size)
     net = MlpStack(fit.widths, fit.params[lo:hi], fit.stores.get(thread, ()))
-    optimizer = Adam(
-        net.flat_params,
-        config.learning_rate,
-        state=(epoch * len(batches), fit.m[lo:hi], fit.v[lo:hi]),
-    )
     failure = None
-    for start in batches:
+    for i, start in enumerate(batches, 1):
         batch = order[start : start + config.batch_size]
         # a value beyond DTYPE's range casts to inf and an update may
         # overflow: a non-finite loss, read for the members before a failure
@@ -311,9 +298,10 @@ def _train_slice(
                 failure = (members[bad[0]], error)
                 members = members[: bad[0]]
             net.backward()
-            optimizer.step(net.flat_params, net.flat_grads)
+            adam_step(net.flat_params, net.flat_grads, fit.m[lo:hi], fit.v[lo:hi],
+                      epoch * len(batches) + i, config.learning_rate)
     fit.stores[thread] = net.store  # for this thread's next slice
-    del net, optimizer  # the gradients and Adam's temporaries, before validation
+    del net  # the gradients, before validation
     staying = []
     for row, g in enumerate(members, lo):
         fit.epochs_run[g] = epoch + 1
@@ -373,7 +361,11 @@ def _train_groups(
             # an earlier failure: the first is the lowest group's
             failure = failures[0]
             staying = [row for row in staying if fit.live[row] < failure[0]]
-        fit.keep(staying)
+        fit.live = [fit.live[row] for row in staying]
+        if staying != list(range(len(staying))):
+            # the rows left move to the front; a prefix is already there
+            for state in (fit.params, fit.m, fit.v):
+                state[: len(staying)] = state[staying]
         if not fit.live:
             break
     if failure is not None:
@@ -411,7 +403,9 @@ def fit(
     epoch loop on this thread: each epoch cuts the groups still training
     into k = min(live, B * ceil(live / 4B)) contiguous slices whose sizes
     differ by at most one, each a task on one of the B threads the pin
-    takes; a member's bits do not depend on its slice.
+    takes; a member's bits do not depend on its slice. The parameters and
+    Adam moments of every group are one (G, P) matrix each for the whole
+    fit, the groups still training in its first rows.
     """
     m = train.m
     config = config.resolved(m)

@@ -648,6 +648,23 @@ class TestMalformedInputsExitOne:
         assert (done.returncode, done.stderr) == (1, f"error: config.synthetic[0]: {message}\n")
         assert not (tmp_path / "d").exists() and not (tmp_path / "out").exists()
 
+    def test_unallocatable_spec(self, tmp_path):
+        # within numpy's size limit but 2**59 bytes, past any 57-bit address
+        # space, so the allocation fails at once; a size a machine can map
+        # would really be allocated
+        spec = {"n_train": 2**56, "n_test": 10, "m": 1}
+        cfg = write_json(tmp_path / "spec.json", spec)
+        done = run_cli("generate", "--config", cfg, "--out", tmp_path / "d", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: Unable to allocate")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+        done = run_cli("run", "--config", run_config(tmp_path, synthetic=[spec]), cwd=tmp_path)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        [failure] = json.loads((tmp_path / "out" / "results.json").read_text())["failures"]
+        assert failure["error"].startswith("synthetic: MemoryError: Unable to allocate")
+
     def test_generate_truncated_spec_names_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"entity_id": ')
@@ -797,6 +814,9 @@ class TestAutoencoderWindowExitsOne:
 
 
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
+# nested past the interpreter's recursion limit, which json.loads raises as RecursionError
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+TOO_DEEP = "invalid JSON: maximum recursion depth exceeded"
 # what each unreadable input file of test_one_error_line gives after "<path>: "
 UNREADABLE = {
     "bad.json": NOT_UTF8,
@@ -804,12 +824,13 @@ UNREADABLE = {
     "missing.json": "file not found",
     "broken.json": "invalid JSON: Expecting property name enclosed in double quotes: "
                    "line 1 column 9 (char 8)",
+    "deep.json": TOO_DEEP,
 }
 
 
 class TestNonUtf8InputsExitOne:
-    """A file that is not UTF-8, or a JSON input that is missing or is not
-    JSON, gives one ``error: <path>: ...`` line."""
+    """A file that is not UTF-8, or a JSON input that is missing, is not
+    JSON or nests too deep, gives one ``error: <path>: ...`` line."""
 
     @pytest.mark.parametrize("args", [
         ["run", "--config", "bad.json"],
@@ -824,10 +845,14 @@ class TestNonUtf8InputsExitOne:
         ["generate", "--config", "broken.json", "--out", "d"],
         ["diagnose", "scores.csv", "missing.json"],
         ["diagnose", "scores.csv", "broken.json"],
+        ["run", "--config", "deep.json"],
+        ["generate", "--config", "deep.json", "--out", "d"],
+        ["diagnose", "scores.csv", "deep.json"],
     ], ids=[
         "run", "generate", "diagnose-scores", "diagnose-events", "compare-metrics", "rank",
         "run-missing", "run-invalid-json", "generate-missing", "generate-invalid-json",
         "diagnose-events-missing", "diagnose-events-invalid-json",
+        "run-deep-json", "generate-deep-json", "diagnose-events-deep-json",
     ])
     def test_one_error_line(self, tmp_path, args):
         (tmp_path / "scores.csv").write_text("a,b\n" + "0.0,1.0\n" * 6)
@@ -835,6 +860,7 @@ class TestNonUtf8InputsExitOne:
         (tmp_path / "bad.json").write_bytes(b'{"x": \xff1}\n')
         (tmp_path / "bad.csv").write_bytes(b"a,b\n0.0,\xff1\n")
         (tmp_path / "broken.json").write_text('{"x": 1,')
+        (tmp_path / "deep.json").write_text(DEEP_JSON)
         bad = next(arg for arg in args if arg in UNREADABLE)
         done = run_cli(*args, cwd=tmp_path)
         assert done.returncode == 1
@@ -849,7 +875,9 @@ class TestNonUtf8InputsExitOne:
         ("cause_map", NOT_UTF8),
         ("cause_map", "file not found"),
         ("cause_map", "invalid JSON: Expecting ',' delimiter: line 1 column 13 (char 12)"),
-    ], ids=["train", "test", "cause_map", "cause_map-missing", "cause_map-invalid-json"])
+        ("cause_map", TOO_DEEP),
+    ], ids=["train", "test", "cause_map", "cause_map-missing", "cause_map-invalid-json",
+            "cause_map-deep-json"])
     def test_run_fails_only_the_entity_cells(self, tmp_path, broken, message):
         ent = tsadkit.generate_synthetic(tsadkit.SyntheticSpec.from_dict(SPEC))
         files = {
@@ -866,6 +894,8 @@ class TestNonUtf8InputsExitOne:
             files[broken].write_bytes(files[broken].read_bytes().replace(b"c1", b"c\xff", 1))
         elif message == "file not found":
             files[broken].unlink()
+        elif message == TOO_DEEP:
+            files[broken].write_text(DEEP_JSON)
         else:  # the cause map cut short
             files[broken].write_text('{"0": ["c1"]')
         entities = [{"id": "file", **{k: str(v) for k, v in files.items()}}]
