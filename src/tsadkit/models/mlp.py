@@ -12,15 +12,17 @@ step runs once over the whole stack. A stacked product of C-contiguous
 (or transposed) members is one BLAS call per member in numpy's matmul
 loop, the call the member would make alone, and elementwise work rounds
 the same whatever array holds it, so a member's gradients do not depend
-on its stack. ``MlpAutoencoder`` is one such network, for inference and
-its loss; both run each layer through the same ``_activate`` step.
+on its stack. A network is its parameter vector alone (``init_params``):
+``forward`` and ``loss`` run one for inference and validation, each
+layer through the same ``_activate`` step as the stack.
 
 Parameters, activations, gradients and Adam moments are float32
 (``DTYPE``), half the bytes of float64. Callers cast every input in the
 copy they make, since numpy promotes a float64 @ float32 product to
 float64 without a word. ``adam_step`` is one step over moments its
-caller holds; its scratch, like the stack's buffers, takes the dtype of
-the parameters it is given, so a float64 network runs the same code.
+caller holds, and it writes its denominator into the gradients; its
+scratch, like the stack's buffers, takes the dtype of the parameters it
+is given, so a float64 network runs the same code.
 """
 from __future__ import annotations
 
@@ -77,77 +79,61 @@ def _activate(h: FloatArray, bias: FloatArray, last: bool) -> None:
     """The elementwise half of a layer, in place on its product ``h``: add
     the bias, then tanh unless this is the output layer.
 
-    Inference (``MlpAutoencoder.forward``) and training
-    (``MlpStack.losses``) both run each layer as the member's own 2-D
-    product followed by this step, so a member trains on the activations
-    its network computes at inference.
+    Inference (``forward``) and training (``MlpStack.losses``) both run
+    each layer as the member's own 2-D product followed by this step, so
+    a member trains on the activations its network computes at inference.
     """
     h += bias
     if not last:
         np.tanh(h, out=h)
 
 
-class MlpAutoencoder:
-    """Multi-layer perceptron with tanh hidden layers and linear output.
+def init_params(widths: tuple[int, ...], rng: np.random.Generator) -> FloatArray:
+    """A network's parameter vector, laid out w0, b0, w1, b1, ..., in
+    ``DTYPE``: weights uniform in +-sqrt(6/(fan_in+fan_out)), drawn layer
+    by layer from the given generator so the draw is deterministic, and
+    biases at zero."""
+    if len(widths) < 2:
+        raise ConfigError("need at least an input and an output layer")
+    size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
+    params = np.zeros(size, dtype=DTYPE)
+    for w in _layers(widths, params)[0]:
+        fan_in, fan_out = w.shape
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return params
 
-    Weights start uniform in +-sqrt(6/(fan_in+fan_out)), biases at zero,
-    drawn from the given generator so construction is deterministic, then
-    stored in ``DTYPE``. Every weight and bias is a view into one vector,
-    ``flat_params``, laid out w0, b0, w1, b1, ..., so a network is
-    trained (as a row of an ``MlpStack``) and kept as one array.
-    """
 
-    def __init__(self, widths: tuple[int, ...], rng: np.random.Generator):
-        if len(widths) < 2:
-            raise ConfigError("need at least an input and an output layer")
-        widths = tuple(int(w) for w in widths)
-        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
-        self._bind(widths, np.zeros(size, dtype=DTYPE))
-        for w in self.weights:
-            fan_in, fan_out = w.shape
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+def forward(widths: tuple[int, ...], params: FloatArray, x: FloatArray) -> FloatArray:
+    """The reconstruction of ``x``'s rows by the network ``params``, in the
+    parameters' dtype; an input of another dtype is cast first."""
+    h = x.astype(params.dtype, copy=False)
+    weights, biases = _layers(widths, params)
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w
+        _activate(h, b, i == last)
+    return h
 
-    @classmethod
-    def on(cls, widths: tuple[int, ...], flat_params: FloatArray) -> "MlpAutoencoder":
-        """The network whose parameters are ``flat_params`` itself, not a copy."""
-        model = cls.__new__(cls)
-        model._bind(tuple(widths), flat_params)
-        return model
 
-    def _bind(self, widths: tuple[int, ...], flat_params: FloatArray) -> None:
-        self.widths = widths
-        self.flat_params = flat_params
-        self.weights, self.biases = _layers(widths, flat_params)
-
-    def forward(self, x: FloatArray) -> FloatArray:
-        """The reconstruction of ``x``'s rows, in the parameters' dtype; an
-        input of another dtype is cast first."""
-        h = x.astype(self.flat_params.dtype, copy=False)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
-            _activate(h, b, i == last)
-        return h
-
-    def loss(self, batch: FloatArray) -> np.floating:
-        """Mean squared reconstruction error over every element of the
-        batch, computed in the parameters' dtype."""
-        batch = batch.astype(self.flat_params.dtype, copy=False)
-        # inf and nan are fine here; callers treat non-finite loss as divergence
-        with np.errstate(over="ignore", invalid="ignore"):
-            # forward's output is a fresh array: subtract and square in place
-            diff = self.forward(batch)
-            diff -= batch
-            np.multiply(diff, diff, out=diff)
-            return np.mean(diff)
+def loss(widths: tuple[int, ...], params: FloatArray, batch: FloatArray) -> np.floating:
+    """Mean squared reconstruction error of the network ``params`` over
+    every element of the batch, computed in the parameters' dtype."""
+    batch = batch.astype(params.dtype, copy=False)
+    # inf and nan are fine here; callers treat non-finite loss as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        # forward's output is a fresh array: subtract and square in place
+        diff = forward(widths, params, batch)
+        diff -= batch
+        np.multiply(diff, diff, out=diff)
+        return np.mean(diff)
 
 
 class MlpStack:
     """G autoencoders of one width chain, trained in lockstep on a batch each.
 
     Row g of the (G, P) ``flat_params`` is member g's parameter vector, in
-    ``MlpAutoencoder`` layout, and ``backward`` writes its gradient into
+    ``init_params``' layout, and ``backward`` writes its gradient into
     row g of ``flat_grads``. A step fills each member's input rows
     (``inputs``), runs the forward pass (``losses``) and the backward pass
     (``backward``). The activations and deltas live in buffers that the
@@ -204,7 +190,7 @@ class MlpStack:
         """Forward pass on the filled inputs: each member's reconstruction MSE."""
         acts = self._acts
         last = len(self._weights) - 1
-        # inf and nan are fine here, as in ``MlpAutoencoder.loss``
+        # inf and nan are fine here, as in ``loss``
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(last + 1):
                 # each member's product as ``forward`` makes it
@@ -246,12 +232,13 @@ def adam_step(
 ) -> None:
     """Adam's step ``t`` (from 1) over one flat parameter vector, or a
     (G, P) stack of them, and its moments ``m`` and ``v``, all in place.
+    ``grads`` is overwritten: it holds the denominator once ``v`` is done.
 
     Every operation is elementwise, so one fused update rounds exactly as
     separate updates of each network and of each of its arrays would.
     """
     bias1, bias2 = 1.0 - BETA1**t, 1.0 - BETA2**t
-    step, denom = np.empty_like(params), np.empty_like(params)
+    step = np.empty_like(params)
     # the operations of params -= lr * (m / bias1) / (sqrt(v / bias2) + eps),
     # in that order, with m and v updated first
     m *= BETA1
@@ -260,7 +247,7 @@ def adam_step(
     np.multiply(grads, grads, out=step)
     step *= 1.0 - BETA2
     v += step
-    np.divide(v, bias2, out=denom)
+    denom = np.divide(v, bias2, out=grads)
     np.sqrt(denom, out=denom)
     denom += EPS
     np.divide(m, bias1, out=step)

@@ -6,8 +6,9 @@ A fitted model has a ``window_length`` (1 for raw and PCA),
 signed errors for a stream that already holds any training tail, one row
 per window. RawModel's error is the signal; PcaModel reconstructs each
 row; WindowedAutoencoder serves UAE (one MLP per channel) and FC-AE (one
-MLP on all channels), and its error at time t is the observed minus the
-reconstructed value at the LAST position of the window ending at t.
+MLP on all channels), each MLP a row of one parameter matrix, and its
+error at time t is the observed minus the reconstructed value at the
+LAST position of the window ending at t.
 ``residuals`` prepends the training tail and runs stride-1 inference,
 training and test errors alike.
 """
@@ -32,7 +33,7 @@ from ..core import (
     ValidationError,
 )
 from ..ingest import WindowSpec, make_windows
-from .mlp import DTYPE, MlpAutoencoder, MlpStack, adam_step, autoencoder_widths
+from .mlp import DTYPE, MlpStack, adam_step, autoencoder_widths, forward, init_params, loss
 from .pca import PcaModel
 
 MODEL_KINDS = ("raw", "pca", "uae", "fc_ae")
@@ -134,38 +135,41 @@ class RawModel:
         return view
 
 
-def _group_rows(windows: FloatArray, channels: tuple[int, ...]) -> FloatArray:
-    """(count, l_w, m) windows as one row per window: the group's channels
-    flattened time-major, so the last len(channels) columns are the last
-    time-point.
+def _group_rows(windows: FloatArray, g: int, width: int) -> FloatArray:
+    """(count, l_w, m) windows as one row per window for group g, channels
+    g*width to (g+1)*width flattened time-major, so the last ``width``
+    columns are the last time-point.
 
-    A group's channels are adjacent (one for UAE, all for FC-AE), so this
-    is a view of the windows. numpy multiplies a non-contiguous matrix in
-    its own loop, which rounds differently from BLAS, so callers multiply
-    contiguous copies only.
+    This is a view of the windows. numpy multiplies a non-contiguous
+    matrix in its own loop, which rounds differently from BLAS, so callers
+    multiply contiguous copies only.
     """
-    lo = channels[0]
-    return windows[:, :, lo : lo + len(channels)].reshape(windows.shape[0], -1)
+    return windows[:, :, g * width : (g + 1) * width].reshape(windows.shape[0], -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowedAutoencoder:
-    """MLP autoencoders on sliding windows, one per group of channels.
+    """MLP autoencoders on sliding windows, one per group of ``width``
+    adjacent channels: one channel a group for UAE, all of them for FC-AE.
 
-    UAE has one group per channel, FC-AE one group of all channels; a
-    group's channels are adjacent and ascending. ``fit`` trains the groups
-    in slices, but each group keeps its own network. The error at time t
-    is the signed difference between the observed and the reconstructed
-    value at the last position of the window ending at t. Inference maps
-    the groups over the BLAS's lent threads, one group per task.
+    Row g of the read-only (G, P) ``params`` is group g's network, of the
+    chain ``widths``. The error at time t is the signed difference between
+    the observed and the reconstructed value at the last position of the
+    window ending at t. Inference maps the groups over the BLAS's lent
+    threads, one group per task.
     """
 
     window_length: int
-    groups: tuple[tuple[MlpAutoencoder, tuple[int, ...]], ...]
+    widths: tuple[int, ...]
+    params: FloatArray
+    width: int
     fit_reports: tuple[FitReport, ...]
 
+    def __post_init__(self):
+        self.params.flags.writeable = False
+
     def residuals(self, stream: FloatArray) -> ErrorMatrix:
-        m = sum(len(channels) for _, channels in self.groups)
+        m = len(self.params) * self.width
         if stream.shape[1] != m:
             raise ValidationError(f"series has {stream.shape[1]} channels, model has {m}")
         # inference casts to DTYPE, where such a value would become inf
@@ -181,18 +185,16 @@ class WindowedAutoencoder:
         observed_last = stream[l_w - 1 :]
         err = np.empty((n_out, stream.shape[1]), dtype=np.float64)
 
-        def infer_group(group: tuple[MlpAutoencoder, tuple[int, ...]]) -> None:
+        def infer_group(g: int) -> None:
             # each group writes only its own columns of err
-            model, channels = group
+            channels = slice(g * self.width, (g + 1) * self.width)
             for lo in range(0, n_out, _FORWARD_CHUNK):
                 hi = min(lo + _FORWARD_CHUNK, n_out)
-                rows = np.ascontiguousarray(_group_rows(windows[lo:hi], channels), DTYPE)
-                recon = model.forward(rows)
-                err[lo:hi, channels] = (
-                    observed_last[lo:hi, channels] - recon[:, -len(channels) :]
-                )
+                rows = np.ascontiguousarray(_group_rows(windows[lo:hi], g, self.width), DTYPE)
+                recon = forward(self.widths, self.params[g], rows)
+                err[lo:hi, channels] = observed_last[lo:hi, channels] - recon[:, -self.width :]
 
-        _on_lent_threads(infer_group, self.groups)
+        _on_lent_threads(infer_group, range(len(self.params)))
         return err
 
 
@@ -235,23 +237,23 @@ class _Groups:
     only its own rows and its own groups' entries.
     """
 
-    def __init__(self, windows: FloatArray, groups, config: ModelConfig, seed: int):
+    def __init__(self, windows: FloatArray, width: int, config: ModelConfig, seed: int):
         self.config = config
         self.n_split = _chronological_split(windows.shape[0], config.validation_fraction)
-        self.rows = [_group_rows(windows, channels) for _, channels in groups]
+        count = windows.shape[2] // width
+        self.rows = [_group_rows(windows, g, width) for g in range(count)]
         # one generator draws the init and every batch order, as for one network alone
         self.rng = np.random.default_rng(seed)
         self.widths = autoencoder_widths(self.rows[0].shape[1], config.latent_dim)
-        init = MlpAutoencoder(self.widths, self.rng).flat_params
-        self.params = np.tile(init, (len(groups), 1))
+        self.params = np.tile(init_params(self.widths, self.rng), (count, 1))
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
         self.best = self.params.copy()
-        self.live = list(range(len(groups)))
-        self.best_val = [np.inf] * len(groups)
-        self.best_epoch = [-1] * len(groups)
-        self.stall = [0] * len(groups)
-        self.epochs_run = [0] * len(groups)
+        self.live = list(range(count))
+        self.best_val = [np.inf] * count
+        self.best_epoch = [-1] * count
+        self.stall = [0] * count
+        self.epochs_run = [0] * count
         self.stores: dict[int, list[FloatArray]] = {}  # stack buffers by lent thread
 
 
@@ -308,7 +310,7 @@ def _train_slice(
         # copied per epoch: holding every member's copy peaks higher
         with np.errstate(over="ignore"):
             val_rows = np.ascontiguousarray(fit.rows[g][fit.n_split :], DTYPE)
-        val_loss = MlpAutoencoder.on(fit.widths, fit.params[row]).loss(val_rows)
+        val_loss = loss(fit.widths, fit.params[row], val_rows)
         if not np.isfinite(val_loss):
             error = TrainingError(f"validation loss became non-finite at epoch {epoch}")
             return staying, (g, error)
@@ -326,12 +328,9 @@ def _train_slice(
 
 
 def _train_groups(
-    windows: FloatArray,
-    groups: list[tuple[int | None, tuple[int, ...]]],
-    config: ModelConfig,
-    seed: int,
-) -> list[tuple[tuple[MlpAutoencoder, tuple[int, ...]], FitReport]]:
-    """Train one autoencoder per (report channel, input channels) group,
+    windows: FloatArray, width: int, config: ModelConfig, seed: int
+) -> WindowedAutoencoder:
+    """Train one autoencoder per group of ``width`` adjacent channels,
     each on its own group's window rows, in one epoch loop.
 
     The split is chronological: first (1 - validation_fraction) of windows
@@ -343,9 +342,10 @@ def _train_groups(
     a member's weights and report do not depend on its slice. A member
     whose loss is non-finite leaves with every later member, and the fit
     raises the error of its first failing member once the earlier ones
-    are done, as one network after another would.
+    are done, as one network after another would. The fitted model's
+    parameters are the best-validation matrix itself.
     """
-    fit = _Groups(windows, groups, config, seed)
+    fit = _Groups(windows, width, config, seed)
     threads = blas_threads() or 1
     failure = None
     for epoch in range(config.max_epochs):
@@ -372,20 +372,18 @@ def _train_groups(
         raise failure[1]
     del fit.params, fit.m, fit.v, fit.stores  # before the full-size passes below
 
-    def trained(g: int):
-        channel, channels = groups[g]
-        model = MlpAutoencoder.on(fit.widths, fit.best[g].copy())
+    def report(g: int) -> FitReport:
         train_rows = np.ascontiguousarray(fit.rows[g][: fit.n_split], DTYPE)
-        report = FitReport(
-            channel=channel,
+        return FitReport(
+            channel=g if config.kind == "uae" else None,
             epochs_run=fit.epochs_run[g],
             best_epoch=fit.best_epoch[g],
             best_val_loss=float(fit.best_val[g]),
-            final_train_loss=float(model.loss(train_rows)),
+            final_train_loss=float(loss(fit.widths, fit.best[g], train_rows)),
         )
-        return (model, channels), report
 
-    return _on_lent_threads(trained, range(len(groups)))
+    reports = _on_lent_threads(report, range(len(fit.rows)))
+    return WindowedAutoencoder(windows.shape[1], fit.widths, fit.best, width, tuple(reports))
 
 
 def fit(
@@ -414,17 +412,8 @@ def fit(
             return RawModel()
         if config.kind == "pca":
             return PcaModel.fit(train.values, config.pca_variance_fraction)
-        # (report channel, input channels) per autoencoder
-        if config.kind == "uae":
-            groups = [(i, (i,)) for i in range(m)]
-        else:  # fc_ae
-            groups = [(None, tuple(range(m)))]
-        trained = _train_groups(make_windows(train, window), groups, config, seed)
-    return WindowedAutoencoder(
-        window.length,
-        tuple(group for group, _ in trained),
-        tuple(report for _, report in trained),
-    )
+        width = 1 if config.kind == "uae" else m  # fc_ae: one group of all channels
+        return _train_groups(make_windows(train, window), width, config, seed)
 
 
 def residuals(
@@ -435,18 +424,22 @@ def residuals(
     """Signed reconstruction errors for x, one row per scored time-point.
 
     Inference always uses stride 1 regardless of the training step. For
-    windowed models, pass the training rows (at least the last l_w - 1) as
-    ``train_tail`` to obtain an error for every row of x; without a tail
-    the first l_w - 1 rows cannot be scored and the output is
-    correspondingly shorter (rows align with x rows l_w - 1 onward), as
-    for the training series itself. The model checks x's width. Inference
-    runs inside the BLAS pin, as ``fit`` does.
+    windowed models, pass the training rows (at least the last l_w - 1; a
+    shorter tail is refused) as ``train_tail`` to obtain an error for
+    every row of x; without a tail the first l_w - 1 rows cannot be scored
+    and the output is correspondingly shorter (rows align with x rows
+    l_w - 1 onward), as for the training series itself. The model checks
+    x's width. Inference runs inside the BLAS pin, as ``fit`` does.
     """
     keep = model.window_length - 1
     stream = x.values
     if train_tail is not None:
         if train_tail.m != x.m:
             raise ValidationError(f"train_tail has {train_tail.m} channels, series has {x.m}")
+        if train_tail.n < keep:
+            raise InsufficientDataError(
+                f"train_tail has {train_tail.n} rows, windowed inference needs its last {keep}"
+            )
         if keep:
             stream = np.concatenate([train_tail.values[-keep:], stream], axis=0)
     if stream.shape[0] <= keep:

@@ -28,7 +28,7 @@ from tsadkit.ingest import (
 )
 from tsadkit.metrics import compute_report, rad_scores
 from tsadkit.models import ModelConfig, fit, residuals
-from tsadkit.models.mlp import MlpAutoencoder, MlpStack, autoencoder_widths
+from tsadkit.models.mlp import MlpStack, autoencoder_widths, init_params, loss
 from tsadkit.models.pca import PcaModel
 from tsadkit.rankstats import RankTable, average_ranks, friedman
 from tsadkit.scoring import fit_gauss, score_gauss_d, score_gauss_s
@@ -134,15 +134,15 @@ def test_c05_mlp_gradients_match_finite_differences():
     for _ in range(20):
         input_dim = int(rng.integers(3, 11))
         latent = int(rng.integers(1, input_dim))
-        # float64, as a central difference needs: the same classes, cast
-        draw = MlpAutoencoder(autoencoder_widths(input_dim, latent), rng).flat_params
-        model = MlpAutoencoder.on(autoencoder_widths(input_dim, latent), draw.astype(np.float64))
+        # float64, as a central difference needs: the same code, cast
+        widths = autoencoder_widths(input_dim, latent)
+        params = init_params(widths, rng).astype(np.float64)
         x = rng.normal(size=(int(rng.integers(1, 5)), input_dim))
-        stack = MlpStack(model.widths, model.flat_params[None])
+        stack = MlpStack(widths, params[None])
         stack.inputs(x.shape[0])[0][...] = x
         stack.losses()
         stack.backward()
-        [fd] = fd_gradient(lambda: model.loss(x), [model.flat_params], h=1e-5)
+        [fd] = fd_gradient(lambda: loss(widths, params, x), [params], h=1e-5)
         a = stack.flat_grads[0]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-6)
         assert (np.abs(a - fd) / denom).max() <= 1e-4

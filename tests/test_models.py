@@ -2,7 +2,6 @@ import contextlib
 import re
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +29,15 @@ from tsadkit.ingest import (
     make_windows,
 )
 from tsadkit.models import ModelConfig, encoder_widths, fit, residuals, train
-from tsadkit.models.mlp import MlpAutoencoder, MlpStack, adam_step, autoencoder_widths
+from tsadkit.models.mlp import (
+    MlpStack,
+    _layers,
+    adam_step,
+    autoencoder_widths,
+    forward,
+    init_params,
+    loss,
+)
 from tsadkit.models.pca import PcaModel
 from tsadkit.models.train import FitReport
 from reference import AdamPerArray, Diverged, MlpNaive, fd_gradient, train_mlp
@@ -95,29 +102,29 @@ class TestWidths:
 
 class TestMlpAutoencoder:
     def test_forward_shapes_and_determinism(self):
-        rng = np.random.default_rng(0)
-        model = MlpAutoencoder(autoencoder_widths(8, 2), rng)
+        widths = autoencoder_widths(8, 2)
+        params = init_params(widths, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(5, 8))
-        out = model.forward(x)
+        out = forward(widths, params, x)
         assert out.shape == (5, 8)
-        model2 = MlpAutoencoder(autoencoder_widths(8, 2), np.random.default_rng(0))
-        assert np.array_equal(out, model2.forward(x))
+        params2 = init_params(widths, np.random.default_rng(0))
+        assert np.array_equal(out, forward(widths, params2, x))
 
     def test_init_bounds(self):
         rng = np.random.default_rng(3)
-        model = MlpAutoencoder((6, 3, 6), rng)
-        w0 = model.weights[0]
+        weights, biases = _layers((6, 3, 6), init_params((6, 3, 6), rng))
+        w0 = weights[0]
         limit = np.sqrt(6.0 / (6 + 3))
         assert np.abs(w0).max() <= limit
-        assert all(np.all(b == 0.0) for b in model.biases)
+        assert all(np.all(b == 0.0) for b in biases)
 
     def test_single_hidden_unit_hand_gradient(self):
         # widths (1, 1, 1)... smallest legal net is (2, 1, 2); use a hand
         # case on (2, 1, 2) with one sample instead
-        model = MlpAutoencoder((2, 1, 2), np.random.default_rng(7))
+        widths = (2, 1, 2)
+        params = init_params(widths, np.random.default_rng(7))
         x = np.array([[0.3, -0.4]])
-        w1, b1 = model.weights[0], model.biases[0]
-        w2, b2 = model.weights[1], model.biases[1]
+        (w1, w2), (b1, b2) = _layers(widths, params)
         h = np.tanh(x @ w1 + b1)
         y = h @ w2 + b2
         diff = y - x
@@ -127,13 +134,13 @@ class TestMlpAutoencoder:
         dh = delta @ w2.T
         dz = dh * (1 - h**2)
         dw1 = x.T @ dz
-        stack = MlpStack(model.widths, model.flat_params[None])
-        loss = backprop(stack, x)
-        grads = MlpAutoencoder.on(model.widths, stack.flat_grads[0])
-        assert loss == pytest.approx(float((diff**2).mean()))
-        assert np.allclose(grads.weights[0], dw1, atol=1e-12)
-        assert np.allclose(grads.weights[1], dw2, atol=1e-12)
-        assert np.allclose(grads.biases[1], delta.sum(axis=0), atol=1e-12)
+        stack = MlpStack(widths, params[None])
+        got = backprop(stack, x)
+        grad_w, grad_b = _layers(widths, stack.flat_grads[0])
+        assert got == pytest.approx(float((diff**2).mean()))
+        assert np.allclose(grad_w[0], dw1, atol=1e-12)
+        assert np.allclose(grad_w[1], dw2, atol=1e-12)
+        assert np.allclose(grad_b[1], delta.sum(axis=0), atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         # a float64 network of the same classes: float32 has too few digits
@@ -141,34 +148,34 @@ class TestMlpAutoencoder:
         rng = np.random.default_rng(42)
         for _ in range(5):
             widths = autoencoder_widths(8, 2)
-            draw = MlpAutoencoder(widths, rng).flat_params
-            model = MlpAutoencoder.on(widths, draw.astype(np.float64))
+            params = init_params(widths, rng).astype(np.float64)
             x = rng.normal(size=(4, 8))
-            stack = MlpStack(widths, model.flat_params[None])
+            stack = MlpStack(widths, params[None])
             backprop(stack, x)
             a = stack.flat_grads[0]
-            [b] = fd_gradient(lambda: model.loss(x), [model.flat_params])
+            [b] = fd_gradient(lambda: loss(widths, params, x), [params])
             denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
             assert (np.abs(a - b) / denom).max() <= 1e-4
 
     def test_adam_reduces_loss(self):
         rng = np.random.default_rng(5)
-        model = MlpAutoencoder((4, 2, 4), rng)
+        widths = (4, 2, 4)
+        params = init_params(widths, rng)
         x = rng.normal(size=(32, 4))
-        stack = MlpStack(model.widths, model.flat_params[None])
+        stack = MlpStack(widths, params[None])
         m, v = np.zeros_like(stack.flat_params), np.zeros_like(stack.flat_params)
-        first = model.loss(x)
+        first = loss(widths, params, x)
         for t in range(1, 201):
             backprop(stack, x)
             adam_step(stack.flat_params, stack.flat_grads, m, v, t, learning_rate=1e-2)
-        assert model.loss(x) < first * 0.5
+        assert loss(widths, params, x) < first * 0.5
 
 
     def test_fused_adam_equals_per_array_updates(self):
         # a stack of one with one update of its flat parameters rounds
         # exactly as one network's backprop with one update per array
         widths = autoencoder_widths(12, 3)
-        fused = MlpStack(widths, MlpAutoencoder(widths, np.random.default_rng(9)).flat_params[None])
+        fused = MlpStack(widths, init_params(widths, np.random.default_rng(9))[None])
         split = MlpNaive(widths, np.random.default_rng(9))
         m, v = np.zeros_like(fused.flat_params), np.zeros_like(fused.flat_params)
         ref = AdamPerArray(split.parameters(), learning_rate=3e-3)
@@ -184,16 +191,20 @@ class TestMlpAutoencoder:
         assert np.array_equal(v[0], np.concatenate([a.ravel() for a in ref.v]))
 
     def test_flat_views_in_parameter_order(self):
-        model = MlpAutoencoder(autoencoder_widths(8, 2), np.random.default_rng(4))
-        pairs = zip(model.weights, model.biases)
-        joined = np.concatenate([p.ravel() for pair in pairs for p in pair])
-        assert np.array_equal(joined, model.flat_params)
-        saved = model.flat_params.copy()
-        model.weights[1][0, 0] += 1.0
-        assert np.flatnonzero(model.flat_params != saved).size == 1
-        wrapped = MlpAutoencoder.on(model.widths, saved)
-        assert wrapped.flat_params is saved
-        assert all(np.shares_memory(w, saved) for w in wrapped.weights + wrapped.biases)
+        widths = autoencoder_widths(8, 2)
+        params = init_params(widths, np.random.default_rng(4))
+        weights, biases = _layers(widths, params)
+        joined = np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair])
+        assert np.array_equal(joined, params)
+        saved = params.copy()
+        weights[1][0, 0] += 1.0
+        assert np.flatnonzero(params != saved).size == 1
+        # a row of a (G, P) matrix is a network, its layers views of the row
+        stack = np.stack([saved, params])
+        row_weights, row_biases = _layers(widths, stack[0])
+        assert all(np.shares_memory(a, stack[0]) for a in row_weights + row_biases)
+        x = np.random.default_rng(5).normal(size=(3, 8))
+        assert np.array_equal(forward(widths, stack[0], x), forward(widths, saved, x))
 
 
 class TestPca:
@@ -318,10 +329,9 @@ class TestFitAndResiduals:
         m1 = fit(ent.train, config, WindowSpec(10, 2), seed=5)
         m2 = fit(ent.train, config, WindowSpec(10, 2), seed=5)
         assert np.array_equal(residuals(m1, ent.train), residuals(m2, ent.train))
-        assert len(m1.groups) == len(m2.groups) == 1
-        for (mlp1, channels1), (mlp2, channels2) in zip(m1.groups, m2.groups):
-            assert channels1 == channels2 == (0, 1)
-            assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
+        assert len(m1.params) == len(m2.params) == 1
+        assert m1.width == m2.width == 2
+        assert np.array_equal(m1.params, m2.params)
 
     @needs_openblas
     def test_channel_pool_equals_serial_training(self):
@@ -345,10 +355,9 @@ class TestFitAndResiduals:
                 pooled_train = residuals(pooled, ent.train)
                 pooled_test = residuals(pooled, ent.test, train_tail=tail)
                 pooled_stream = pooled.residuals(stream)
-            assert len(serial.groups) == len(pooled.groups) == 3
-            for (mlp1, channels1), (mlp2, channels2) in zip(serial.groups, pooled.groups):
-                assert channels1 == channels2
-                assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
+            assert len(serial.params) == len(pooled.params) == 3
+            assert serial.width == pooled.width == 1
+            assert np.array_equal(serial.params, pooled.params)
             assert np.array_equal(serial_train, pooled_train)
             assert np.array_equal(serial_test, pooled_test)
             assert serial.fit_reports == pooled.fit_reports
@@ -399,8 +408,7 @@ class TestFitAndResiduals:
                 pooled_err = residuals(pooled, data)
         finally:
             sys.setswitchinterval(interval)
-        for (mlp1, _), (mlp2, _) in zip(serial.groups, pooled.groups):
-            assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
+        assert np.array_equal(serial.params, pooled.params)
         assert serial.fit_reports == pooled.fit_reports
         assert np.array_equal(serial_err, pooled_err)
 
@@ -445,8 +453,7 @@ class TestFitAndResiduals:
             if live >= 2:
                 assert len(sizes) % 2 == 0, sizes
                 assert max(sizes) - min(sizes) <= 1, sizes
-        for (mlp1, _), (mlp2, _) in zip(serial.groups, pooled.groups):
-            assert np.array_equal(mlp1.flat_params, mlp2.flat_params)
+        assert np.array_equal(serial.params, pooled.params)
         assert serial.fit_reports == pooled.fit_reports
 
     def test_one_channel_fc_ae_matches_uae(self):
@@ -536,31 +543,28 @@ class TestFitAndResiduals:
             seen["adam"] |= {a.dtype for a in (params, grads, m, v)}
             adam_step(params, grads, m, v, t, learning_rate)
 
-        loss, forward = MlpAutoencoder.loss, MlpAutoencoder.forward
+        def loss_spy(widths, params, batch):
+            seen["loss"] |= {params.dtype, batch.dtype}
+            return loss(widths, params, batch)
 
-        def loss_spy(mlp, batch):
-            seen["loss"].add(batch.dtype)
-            return loss(mlp, batch)
-
-        def forward_spy(mlp, x):
-            seen["forward"].add(x.dtype)
-            return forward(mlp, x)
+        def forward_spy(widths, params, x):
+            seen["forward"] |= {params.dtype, x.dtype}
+            return forward(widths, params, x)
 
         monkeypatch.setattr(train, "MlpStack", Stack)
         monkeypatch.setattr(train, "adam_step", adam_spy)
-        monkeypatch.setattr(MlpAutoencoder, "loss", loss_spy)
-        monkeypatch.setattr(MlpAutoencoder, "forward", forward_spy)
+        monkeypatch.setattr(train, "loss", loss_spy)
+        monkeypatch.setattr(train, "forward", forward_spy)
         data = np.random.default_rng(23).random(size=(60, 2))
         model = fit(SeriesMatrix(data), ModelConfig(kind, max_epochs=2), WindowSpec(6, 1))
         err = residuals(model, SeriesMatrix(data))
-        assert {mlp.flat_params.dtype for mlp, _ in model.groups} == {float32}
+        assert model.params.dtype == float32
         assert seen == {"stack": {float32}, "adam": {float32}, "loss": {float32},
                         "forward": {float32}}
         assert err.dtype == np.float64
-        mlp = model.groups[0][0]
-        x = np.random.default_rng(24).random(size=(4, mlp.widths[0]))
-        assert forward(mlp, x).dtype == float32
-        assert loss(mlp, x).dtype == float32
+        x = np.random.default_rng(24).random(size=(4, model.widths[0]))
+        assert forward(model.widths, model.params[0], x).dtype == float32
+        assert loss(model.widths, model.params[0], x).dtype == float32
 
     def test_insufficient_train_data(self):
         ent = entity_from(np.zeros((4, 1)))
@@ -581,20 +585,27 @@ class TestFitAndResiduals:
         with pytest.raises(InsufficientDataError):
             residuals(model, SeriesMatrix(test[:5]))
 
-    def test_perfect_model_stub_zero_errors(self):
-        class Identity:
-            def forward(self, x):
-                return x
+    def test_short_train_tail_is_refused(self):
+        # the errors of a tail shorter than l_w - 1 rows would not align
+        # with x's rows
+        data = np.random.default_rng(3).random(size=(100, 2))
+        x = SeriesMatrix(data)
+        model = fit(x, ModelConfig("uae", max_epochs=1), WindowSpec(30, 1), seed=1)
+        with pytest.raises(InsufficientDataError, match="^train_tail has 10 rows, .* last 29$"):
+            residuals(model, x, train_tail=SeriesMatrix(data[-10:]))
+        assert residuals(model, x, train_tail=SeriesMatrix(data[-29:])).shape == (100, 2)
 
+    def test_perfect_model_stub_zero_errors(self, monkeypatch):
         # multiples of 1/64, which float32 holds exactly, so x - float32(x) is 0
         rng = np.random.default_rng(11)
         data = rng.integers(0, 64, size=(60, 1)) / 64
         ent = entity_from(data)
         spec = WindowSpec(6, 1)
         model = fit(ent.train, ModelConfig("uae", max_epochs=2), spec)
-        assert [channels for _, channels in model.groups] == [(0,)]
-        perfect = replace(model, groups=((Identity(), (0,)),))
-        err = residuals(perfect, ent.test, train_tail=SeriesMatrix(data[-5:]))
+        assert (len(model.params), model.width) == (1, 1)
+        # a network that reconstructs every window exactly
+        monkeypatch.setattr(train, "forward", lambda widths, params, x: x)
+        err = residuals(model, ent.test, train_tail=SeriesMatrix(data[-5:]))
         assert np.abs(err).max() == 0.0
 
     def test_stride_one_inference_despite_training_stride(self):
@@ -790,20 +801,27 @@ def stack_cases(draw):
 
 
 def _outcome(run):
-    """Each trained group's channels, flat parameters and report, or the
-    text of the error the training raised."""
+    """Each trained channel's flat parameters and report, or the text of
+    the error the training raised."""
     try:
-        return [(channels, mlp.flat_params, report) for (mlp, channels), report in run()]
+        return list(run())
     except (TrainingError, Diverged) as err:
         return str(err)
+
+
+def _members(model):
+    """Each group's parameter row and report, of a model of one channel a
+    group."""
+    assert model.width == 1
+    return zip(model.params, model.fit_reports)
 
 
 def _same(got, expected):
     if isinstance(expected, str):
         return got == expected
     return (not isinstance(got, str) and len(got) == len(expected)
-            and all(c1 == c2 and np.array_equal(p1, p2) and r1 == r2
-                    for (c1, p1, r1), (c2, p2, r2) in zip(got, expected)))
+            and all(np.array_equal(p1, p2) and r1 == r2
+                    for (p1, r1), (p2, r2) in zip(got, expected)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -823,21 +841,19 @@ def test_stacked_training_matches_one_network_at_a_time(case):
         trained = []
         for c in range(m):
             params, fields = train_mlp(windows[:, :, c], widths, config, seed)
-            trained.append(((MlpAutoencoder.on(widths, params), (c,)), FitReport(c, *fields)))
+            trained.append((params, FitReport(c, *fields)))
         return trained
 
     def fitted():
-        model = fit(SeriesMatrix(values), config, spec, seed)
-        return zip(model.groups, model.fit_reports)
+        return _members(fit(SeriesMatrix(values), config, spec, seed))
 
     with warnings.catch_warnings():
         # a diverging member overflows on the way in the oracle; the trainer
         # and ``fit`` run under the test's error filter, so they may not warn
         warnings.simplefilter("ignore", RuntimeWarning)
         expected = _outcome(oracle)
-    groups = [(c, (c,)) for c in range(m)]
     with blas_at(1) if blas.blas_threads() is not None else contextlib.nullcontext():
-        assert _same(_outcome(lambda: train._train_groups(windows, groups, config, seed)),
+        assert _same(_outcome(lambda: _members(train._train_groups(windows, 1, config, seed))),
                      expected)
     for count in (1, 2, 3) if blas.blas_threads() is not None else (None,):
         with blas_at(count) if count else contextlib.nullcontext():
@@ -866,7 +882,7 @@ def test_first_failing_channel_wins_though_a_later_one_fails_first():
         with blas_at(count) if count else contextlib.nullcontext():
             with pytest.raises(TrainingError,
                                match="^training loss became non-finite at epoch 5$"):
-                train._train_groups(windows, [(c, (c,)) for c in range(3)], config, 2)
+                train._train_groups(windows, 1, config, 2)
     with blas_at(1) if blas.blas_threads() is not None else contextlib.nullcontext():
         with pytest.raises(TrainingError, match="at epoch 5$"):
             fit(SeriesMatrix(values), config, spec, seed=2)

@@ -26,7 +26,8 @@ each pair runs both trees back to back, alternating which goes first:
 - a 32-channel UAE fit on uniform noise (5,000 rows, W = 100, 5 epochs).
 
 A fit reports its time, the interpreter's peak RSS and a digest of every
-weight and report, which must be equal on both trees. The output records
+weight and report, which must be equal on both trees; each tree's fits
+run that tree's own copy of this script. The output records
 the machine: cores, Python, numpy and its BLAS, and the thread variables.
 """
 from __future__ import annotations
@@ -80,8 +81,7 @@ def run_fit(case: str) -> dict:
     model = fit(series, config, window, seed=1)
     fit_s = time.perf_counter() - start
     digest = hashlib.sha256()
-    for mlp, _ in model.groups:
-        digest.update(mlp.flat_params.tobytes())
+    digest.update(model.params.tobytes())
     digest.update(repr(model.fit_reports).encode())
     return {
         "fit_s": fit_s,
@@ -98,7 +98,8 @@ def _in_tree(tree: Path, args: list[str]) -> str:
 
 
 def _fit_in(tree: Path, case: str) -> dict:
-    out = _in_tree(tree, [sys.executable, str(Path(__file__).resolve()), "fit", case])
+    # the tree's own copy of this script, which reads that tree's model API
+    out = _in_tree(tree, [sys.executable, "tools/bench_epoch_slices.py", "fit", case])
     return json.loads(out.strip().splitlines()[-1])
 
 
