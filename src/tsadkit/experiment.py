@@ -2,16 +2,16 @@
 
 Every (entity, seed) cell runs in two stages, deterministically per (config,
 seed). The fit stage returns a fitted value: the normalizer fitted on the
-training series, the model trained on it and the model's errors on it.
-The evaluate stage only reads that value. It scores the test series in
-one loop over row blocks, each read with the l_w - 1 rows before it,
-normalized and reconstructed, then scored and (for gauss_d_k) smoothed
-with the context rows those stages need carried over from the block
-before, so a cell never holds a test-length copy of the channels and its
-series is the whole-stream series bit for bit; then it thresholds,
-measures and diagnoses. Failed cells are recorded and the rest still
-run. The results payload carries no timestamps; timings live in the run
-metadata.
+training series, the model trained on it and what the scorers read of the
+model's errors on it. The evaluate stage only reads that value. It scores
+the test series in one loop over row blocks, each read with the l_w - 1
+rows before it, normalized and reconstructed, then scored and (for
+gauss_d_k) smoothed with the context rows those stages need carried over
+from the block before, so a cell never holds a test-length copy of the
+channels and its series is the whole-stream series bit for bit; then,
+no longer holding the entity, it thresholds, measures and diagnoses.
+Failed cells are recorded and the rest still run. The results payload
+carries no timestamps; timings live in the run metadata.
 """
 from __future__ import annotations
 
@@ -30,7 +30,10 @@ from .core import (
     ConfigError,
     Entity,
     ErrorMatrix,
+    FloatArray,
+    InsufficientDataError,
     SeriesMatrix,
+    ValidationError,
     decode_config,
     encode_config,
     pool_map,
@@ -53,6 +56,7 @@ from .models import ModelConfig, ReconstructionModel, encoder_widths, fit, resid
 from .scoring import (
     MAX_KERNEL_SIGMA,
     MAX_WINDOW,
+    GaussParams,
     KernelSpec,
     fit_gauss,
     last_rows,
@@ -298,12 +302,19 @@ def diagnose_events(
 
 @dataclass(frozen=True)
 class _Fitted:
-    """A cell's fit: its normalizer, its model and its training errors,
-    scored ones only."""
+    """A cell's fit: its normalizer, its model and what the scorers read of
+    its training errors on the scored channels, each taken from the whole
+    array of them: the per-channel mean (error), the Gauss fit (gauss_s;
+    None below the two rows it needs) and ``train_tail``, the rows before
+    the test series (gauss_d): a copy of the last W - 1 for a config whose
+    scorer has a window W, else every row. ``train_rows`` counts them all."""
 
     stats: NormStats
     model: ReconstructionModel
-    train_err: ErrorMatrix
+    train_mean: FloatArray
+    gauss: GaussParams | None
+    train_tail: ErrorMatrix
+    train_rows: int
 
 
 def _scored(entity: Entity, err: ErrorMatrix) -> ErrorMatrix:
@@ -314,11 +325,21 @@ def _scored(entity: Entity, err: ErrorMatrix) -> ErrorMatrix:
 
 def _fit_cell(entity: Entity, seed: int, config: ExperimentConfig) -> _Fitted:
     """Fit a cell's normalizer and model on the entity's training series,
-    and take the model's errors on it; the normalized series is dropped."""
+    and take the model's errors on it; the normalized series is dropped,
+    and so are the errors a windowed scorer does not read."""
     stats = fit_normalizer(entity.train)
     train_norm = apply_normalizer(entity.train, stats)
     model = fit(train_norm, config.model, config.window, seed)
-    return _Fitted(stats, model, _scored(entity, residuals(model, train_norm)))
+    err = _scored(entity, residuals(model, train_norm))
+    del train_norm
+    w, n = config.scoring.window, err.shape[0]
+    # a copy: a raw model's errors are a view of the whole normalized series
+    tail = err if w is None else err[n - min(w - 1, n) :].copy()
+    try:
+        gauss = fit_gauss(err)
+    except InsufficientDataError:  # a gauss_s evaluation fits the tail again
+        gauss = None
+    return _Fitted(stats, model, err.mean(axis=0), gauss, tail, n)
 
 
 def _error_blocks(entity: Entity, fitted: _Fitted):
@@ -338,9 +359,9 @@ def _error_blocks(entity: Entity, fitted: _Fitted):
         yield a, b, _scored(entity, err)
 
 
-def _gauss_d_blocks(blocks, train_err, w: int):
+def _gauss_d_blocks(blocks, train_tail, w: int):
     """gauss_d per error block, with the W - 1 error rows before it."""
-    history = train_err
+    history = train_tail
     for a, b, err in blocks:
         yield a, b, *score_gauss_d(err, history, w)
         history = last_rows(history, err, w - 1)
@@ -366,21 +387,27 @@ def _smoothed_blocks(blocks, kernel: KernelSpec, n: int):
 def _score_test(entity: Entity, fitted: _Fitted, sc: ScoringConfig, events):
     """The test side of a cell, block by block: the (n,) score series and,
     per event, the rows of scored channel scores it spans."""
-    n, train_err = entity.test.n, fitted.train_err
+    n, tail = entity.test.n, fitted.train_tail
     blocks = _error_blocks(entity, fitted)
     if sc.kind == "error":
-        mean = train_err.mean(axis=0)
+        mean = fitted.train_mean
         scored_blocks = ((a, b, *score_error(err, mean)) for a, b, err in blocks)
     elif sc.kind == "gauss_s":
-        params = fit_gauss(train_err)
+        # with no fit the tail is every row, under two, and fit_gauss refuses them
+        params = fitted.gauss or fit_gauss(tail)
         scored_blocks = ((a, b, *score_gauss_s(err, params)) for a, b, err in blocks)
     else:
-        scored_blocks = _gauss_d_blocks(blocks, train_err, sc.window)
+        if tail.shape[0] < min(sc.window - 1, fitted.train_rows):
+            raise ValidationError(
+                f"{sc.kind} window {sc.window} reads the last {sc.window - 1} "
+                f"training error rows, but the fit kept {tail.shape[0]}"
+            )
+        scored_blocks = _gauss_d_blocks(blocks, tail, sc.window)
         if sc.kind == "gauss_d_k":
             scored_blocks = _smoothed_blocks(scored_blocks, KernelSpec(sc.kernel_sigma), n)
 
     series = np.empty(n)
-    rows = [np.empty((e.length, train_err.shape[1])) for e in events]
+    rows = [np.empty((e.length, tail.shape[1])) for e in events]
     first = 0  # events before it end before the rows written so far
     for lo, hi, channels, part in scored_blocks:
         series[lo:hi] = part
@@ -394,17 +421,25 @@ def _score_test(entity: Entity, fitted: _Fitted, sc: ScoringConfig, events):
     return series, rows
 
 
-def _evaluate_cell(entity: Entity, seed: int, fitted: _Fitted, config: ExperimentConfig) -> dict:
-    """A cell's results entry from its fitted value, which it only reads."""
-    truth = entity.test_labels
-    dc = config.diagnosis
+def _test_side(entity: Entity, fitted: _Fitted, config: ExperimentConfig) -> tuple:
+    """All a cell reads of its entity once the test series is scored: the
+    entity's id, labels, events to diagnose and scored channel indices,
+    then the (n,) score series and the events' rows of channel scores."""
     # events with causes to diagnose; an entity with causes has events
-    events = entity.test_events if dc.enabled and entity.causes else ()
+    events = entity.test_events if config.diagnosis.enabled and entity.causes else ()
     series, rows = _score_test(entity, fitted, config.scoring, events)
+    channels = entity.scored_channels or range(entity.m)
+    return entity.id, entity.test_labels, events, channels, series, rows
 
-    cell: dict = {"entity": entity.id, "seed": seed, "candidates": []}
+
+def _judge(test_side: tuple, seed: int, config: ExperimentConfig) -> dict:
+    """A cell's results entry from its test side: thresholds, metrics and
+    diagnosis."""
+    entity_id, truth, events, channels, series, rows = test_side
+    dc = config.diagnosis
+    cell: dict = {"entity": entity_id, "seed": seed, "candidates": []}
     ranking = None
-    for result in _thresholds(series, truth, fitted.train_err.shape[1], config.threshold):
+    for result in _thresholds(series, truth, len(channels), config.threshold):
         # auroc and auprc depend on the scores alone: rank them once
         if ranking is None:
             report = compute_report(result.predictions, truth, series)
@@ -417,12 +452,16 @@ def _evaluate_cell(entity: Entity, seed: int, fitted: _Fitted, config: Experimen
     if dc.enabled:
         cell["diagnosis"] = None
         if events:
-            channels = entity.scored_channels or range(entity.m)
             rankings, summary = diagnose_events(
                 rows, events, channels, dc.statistic, dc.top_k, dc.percent
             )
             cell["diagnosis"] = {**summary, "rankings": [list(r) for r in rankings]}
     return cell
+
+
+def _evaluate_cell(entity: Entity, seed: int, fitted: _Fitted, config: ExperimentConfig) -> dict:
+    """A cell's results entry from its fitted value, which it only reads."""
+    return _judge(_test_side(entity, fitted, config), seed, config)
 
 
 def _load(source: EntitySource | SyntheticSpec) -> Entity:
@@ -440,7 +479,8 @@ def _load(source: EntitySource | SyntheticSpec) -> Entity:
 
 class _EntityLoad:
     """One entity, loaded for the first of its cells to ask and dropped when
-    the last of them ends; the others wait for that load and share it."""
+    the last of them has scored its test series; the others wait for that
+    load and share it."""
 
     def __init__(self, entity_id: str, source: EntitySource | SyntheticSpec, cells: int):
         self.entity_id = entity_id
@@ -535,15 +575,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsRecord:
         entity, error = load.get()
         t0 = time.monotonic()
         try:
-            if error is not None:
-                return None, None, error, None
-            fitted = _fit_cell(entity, seed, config)
-            cell = _evaluate_cell(entity, seed, fitted, config)
+            try:
+                if error is not None:
+                    return None, None, error, None
+                fitted = _fit_cell(entity, seed, config)
+                test_side = _test_side(entity, fitted, config)
+            finally:
+                # the cell's last read of its entity is done
+                del entity
+                load.release()
+            cell = _judge(test_side, seed, config)
             return cell, fitted.model.fit_reports, None, time.monotonic() - t0
         except Exception as exc:  # cell isolation: record and continue
             return None, None, f"{type(exc).__name__}: {exc}", time.monotonic() - t0
-        finally:
-            load.release()
 
     outcomes = pool_map(execute, tasks, workers)
 

@@ -255,21 +255,27 @@ def generate_synthetic(spec: SyntheticSpec) -> Entity:
 
     Train and test are two row-slices of one array: the noise is drawn
     straight into it (``normal(0, s)`` is ``s`` times a standard normal)
-    and each channel's sinusoid added in place, so building an entity
-    takes its own floats plus a few of length n.
+    and each channel's sinusoid built in one reused scratch column and
+    added in place, so building an entity takes its own floats plus two
+    of length n.
     """
     n = spec.n_train + spec.n_test
     # an absurd period, noise or magnitude overflows to inf or nan, which the
     # SeriesMatrix finiteness check below refuses with the entity's name, in
     # the one pass it already makes over the values
     with np.errstate(all="ignore"):
-        t = np.arange(n, dtype=np.float64)
         values = np.zeros((n, spec.m))
         if spec.noise_sigma > 0:
             np.random.default_rng(spec.seed).standard_normal(out=values)
             values *= spec.noise_sigma
+        # sin(2*pi*t / period), evaluated in that order
+        two_pi_t = np.arange(n, dtype=np.float64)
+        two_pi_t *= 2.0 * np.pi
+        wave = np.empty(n)
         for i, period in enumerate(spec.period):
-            values[:, i] += np.sin(2.0 * np.pi * t / period)
+            np.divide(two_pi_t, period, out=wave)
+            values[:, i] += np.sin(wave, out=wave)
+        del two_pi_t, wave
 
         test = values[spec.n_train :]
         # healthy per-channel value range, captured before any injection; spike

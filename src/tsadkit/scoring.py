@@ -6,7 +6,8 @@ A caller that scores a channel subset passes only its columns.
 
   error    squared mean-centered residuals; the series is their RMS.
   gauss_s  -log10 survival of a static per-channel Gaussian fitted on
-           training residuals; channel scores are summed.
+           training residuals; channel scores are summed. Computed in
+           steps of ``_STEP`` rows, as gauss_d's survival is.
   gauss_d  the same transform with rolling mean/std over the W most
            recent errors (current point included), the training tail
            prepended so the window never starts empty; computed in row
@@ -165,7 +166,9 @@ def score_error(test_err: ErrorMatrix, train_mean: FloatArray) -> tuple[ChannelS
         raise ValidationError(
             f"train_mean has shape {mean.shape}, expected ({err.shape[1]},)"
         )
-    channels = (err - mean) ** 2
+    # centred and squared in place: no temporary beside the output
+    channels = np.subtract(err, mean, out=np.empty(err.shape))
+    channels **= 2
     return channels, np.sqrt(_row_sums(channels) / err.shape[1])
 
 
@@ -184,8 +187,15 @@ def score_gauss_s(test_err: ErrorMatrix, params: GaussParams) -> tuple[ChannelSc
     err = check_float_matrix(test_err, "test errors")
     if err.shape[1] != params.m:
         raise ValidationError(f"{err.shape[1]} channels, params has {params.m}")
-    z = np.clip((err - params.mu) / params.sigma, -Z_CLAMP, Z_CLAMP)
-    channels = _neg_log10_survival(z)
+    n = err.shape[0]
+    channels = np.empty(err.shape)
+    scratch = np.empty((min(n, _STEP), params.m))
+    for a in range(0, n, _STEP):
+        b = min(a + _STEP, n)
+        z = np.subtract(err[a:b], params.mu, out=scratch[: b - a])
+        z /= params.sigma
+        np.clip(z, -Z_CLAMP, Z_CLAMP, out=z)
+        channels[a:b] = _neg_log10_survival(z)
     return channels, _row_sums(channels)
 
 

@@ -6,13 +6,22 @@ import os
 import pickle
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsadkit import experiment, scoring
-from tsadkit.core import ConfigError, Entity, Event, SeriesMatrix, encode_config, read_json
+from tsadkit.core import (
+    ConfigError,
+    Entity,
+    Event,
+    SeriesMatrix,
+    ValidationError,
+    encode_config,
+    read_json,
+)
 from tsadkit.diagnosis import rank_channels
 from tsadkit.experiment import (
     ExperimentConfig,
@@ -312,6 +321,58 @@ class TestRunExperiment:
         load.release()
         assert load._entity is None
 
+    def test_the_entity_is_gone_before_the_first_report(self, monkeypatch):
+        """A cell lets go of its entity once its test series is scored, and
+        its load then holds it no longer: thresholds and metrics run
+        without it."""
+        entities, alive = [], []
+        load = experiment._load
+
+        def loading(source):
+            entity = load(source)
+            entities.append(weakref.ref(entity))
+            return entity
+
+        def alive_at(stage):
+            return lambda *args: alive.append(entities[0]() is not None) or stage(*args)
+
+        monkeypatch.setattr(experiment, "_load", loading)
+        monkeypatch.setattr(experiment, "score_error", alive_at(experiment.score_error))
+        monkeypatch.setattr(experiment, "compute_report", alive_at(experiment.compute_report))
+        record = run_experiment(base_config(diagnosis={"enabled": True}))
+        assert len(record.cells) == 1
+        assert alive == [True, False]  # its one test block, then its one report
+
+    def test_a_later_cell_gets_the_same_entity(self, monkeypatch):
+        seen = []
+        fit_cell = experiment._fit_cell
+        monkeypatch.setattr(experiment, "_fit_cell",
+                            lambda entity, *args: seen.append(entity) or fit_cell(entity, *args))
+        record = run_experiment(base_config(seeds=[0, 1]))
+        assert len(record.cells) == 2
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "diagnosis_fails"])
+    def test_the_load_count_reaches_zero_once(self, monkeypatch, fails):
+        counts = []
+        release = experiment._EntityLoad.release
+
+        def counted(load):
+            release(load)
+            counts.append(load._cells)
+
+        monkeypatch.setattr(experiment._EntityLoad, "release", counted)
+        if fails:
+            def broken(*args):
+                raise RuntimeError("diagnosis broke")
+            monkeypatch.setattr(experiment, "diagnose_events", broken)
+        record = run_experiment(base_config(seeds=[0, 1], diagnosis={"enabled": True}))
+        assert counts == [1, 0]
+        if fails:
+            assert [f["error"] for f in record.failures] == ["RuntimeError: diagnosis broke"] * 2
+        else:
+            assert len(record.cells) == 2
+
     def test_cell_failure_recorded_not_raised(self):
         # window longer than the training series: the fit stage fails
         config = base_config(window={"length": 1000, "step": 1},
@@ -500,6 +561,43 @@ class TestFitEvaluateStages:
                 assert json.dumps(shared, sort_keys=True) == json.dumps(fresh, sort_keys=True)
             assert pickle.dumps(fitted) == before
 
+    def test_a_window_past_the_kept_rows_is_refused(self):
+        """A fit under W = 50 keeps the last 49 training error rows, too few
+        for W = 80: scoring on them would shorten its first windows. A fit
+        that kept every row, under a scorer with no window, scores W = 80."""
+        base = config_from_json(Path(__file__).parent / "data" / "tiny_uae_run.json")
+        config = dataclasses.replace(base, model=ModelConfig("raw"))
+        entity = experiment.generate_synthetic(base.synthetic[0])
+        wide = dataclasses.replace(config, scoring=ScoringConfig("gauss_d", window=80))
+        fitted = experiment._fit_cell(entity, 0, config)
+        assert fitted.train_tail.shape[0] == 49 < fitted.train_rows
+        with pytest.raises(ValidationError, match="reads the last 79 .* kept 49"):
+            experiment._evaluate_cell(entity, 0, fitted, wide)
+        every_row = experiment._fit_cell(
+            entity, 0, dataclasses.replace(config, scoring=ScoringConfig("error"))
+        )
+        assert json.dumps(experiment._evaluate_cell(entity, 0, every_row, wide)) == json.dumps(
+            experiment._evaluate_cell(entity, 0, experiment._fit_cell(entity, 0, wide), wide)
+        )
+
+    @pytest.mark.parametrize("scorer", [
+        {"kind": "error"},
+        {"kind": "gauss_s"},
+        {"kind": "gauss_d", "window": 5},
+        {"kind": "gauss_d_k", "window": 5, "kernel_sigma": 1.0},
+    ], ids=lambda sc: sc["kind"])
+    def test_a_one_row_training_series(self, scorer):
+        """One training error row has no Gauss fit: a gauss_s cell fails
+        with fit_gauss's own error, and the other scorers run."""
+        spec = dict(SPIKE_SPEC, n_train=1)
+        record = run_experiment(base_config(synthetic=[spec], scoring=scorer))
+        if scorer["kind"] == "gauss_s":
+            assert [f["error"] for f in record.failures] == [
+                "InsufficientDataError: need at least 2 training error rows to fit, got 1"
+            ]
+        else:
+            assert not record.failures and len(record.cells) == 1
+
 
 WIRING_SPEC = {
     "entity_id": "wiring", "n_train": 60, "n_test": 47, "m": 3,
@@ -675,13 +773,15 @@ class TestCellMemory:
         assert peak < 4.0
 
     def test_the_fitted_value_keeps_no_normalized_training_copy(self, stream_entity):
-        """A pca fit keeps its model and training residuals, ~1.0 arrays,
-        and none of the normalized training rows. Keeping the normalized
-        series kept ~2.0."""
+        """A pca / gauss_d fit keeps its model and what its scorers read of
+        the training residuals: their mean, their Gauss fit and the last
+        W - 1 = 499 rows, ~0.03 arrays in all, and none of the normalized
+        training rows. Keeping every residual row kept ~1.0, and keeping
+        the normalized series as well ~2.0."""
         config = stream_config(stream_entity)
         entity = experiment._load(config.entities[0])
         _, _, held = traced_arrays(lambda: experiment._fit_cell(entity, 0, config))
-        assert held < 1.25
+        assert held < 0.05
 
     def test_evaluation_holds_each_block_array_once(self, stream_entity):
         """Over its fitted value, evaluation peaks at ~4.9 arrays inside
@@ -697,6 +797,23 @@ class TestCellMemory:
         )
         assert cell["diagnosis"]["rankings"]
         assert peak < 5.25
+
+    def test_static_scoring_steps_through_the_block(self, stream_entity):
+        """A raw / gauss_s evaluation peaks at ~2.9 arrays: the normalized
+        block, which is the raw model's errors, and the channel scores, plus
+        one step's survival temporaries. Scoring the whole block at once
+        peaked at ~8.5."""
+        config = dataclasses.replace(
+            stream_config(stream_entity),
+            model=ModelConfig("raw"), scoring=ScoringConfig("gauss_s"),
+        )
+        entity = experiment._load(config.entities[0])
+        fitted = experiment._fit_cell(entity, 0, config)
+        cell, peak, _ = traced_arrays(
+            lambda: experiment._evaluate_cell(entity, 0, fitted, config)
+        )
+        assert cell["diagnosis"]["rankings"]
+        assert peak < 3.25
 
 
 class TestCompareMetrics:

@@ -703,7 +703,8 @@ class TestBlockedResiduals:
         test_norm = apply_normalizer(ent.test, stats)
         whole = residuals(model, test_norm, train_tail=train_norm)
 
-        fitted = _Fitted(stats, model, residuals(model, train_norm))
+        # the blocks read the fitted value's normalizer and model alone
+        fitted = _Fitted(stats, model, None, None, None, 0)
         blocks = list(_error_blocks(ent, fitted))
         assert [(a, b) for a, b, _ in blocks] == [(0, block), (block, n_test)]
         blocked = np.concatenate([err for _, _, err in blocks])
@@ -726,7 +727,8 @@ class TestBlockedResiduals:
         train_norm = apply_normalizer(ent.train, stats)
         config = ModelConfig(kind, max_epochs=2, pca_variance_fraction=0.8)
         model = fit(train_norm, config, WindowSpec(12, 3))
-        fitted = _Fitted(stats, model, residuals(model, train_norm))
+        # the blocks read the fitted value's normalizer and model alone
+        fitted = _Fitted(stats, model, None, None, None, 0)
         blocks = list(_error_blocks(ent, fitted))
         assert [a for a, _, _ in blocks] == [0, 5, 10, 15, 20, 25]
 
